@@ -8,7 +8,12 @@ The balance weights minimize, independently for each timestep u,
 where I_u(w) = ||K^{1/2} (r_u (1 - active_u * w_u))|| is the worst-case
 imbalance over the RKHS unit ball. Writing v = r_u * active_u * w_u, the
 minimizer solves the active-set restriction of (K + sigma^2/n I) v = K r_u,
-so no iterative solver is involved.
+so no iterative solver is involved. Risk-set masks {a_i = a, time_i >= u}
+shrink with u, so after sorting units by descending exit time every
+active set is a prefix and every system matrix a leading principal block
+of the first one. The Cholesky factor of a leading block is the leading
+block of the full factor (Golub & Van Loan), so one factorization serves
+all timesteps of a call.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .kernels import spd_solve
+from .kernels import cho_solve_checked, spd_factor
 
 __all__ = [
     "SolverConfig",
@@ -118,7 +123,16 @@ def explicit_riesz(
 def solve_balance_weights(
     k: np.ndarray, r: np.ndarray, active: np.ndarray, cfg: SolverConfig
 ) -> BalanceWeights:
-    """Closed-form minimax balance weights, one linear solve per timestep."""
+    """Closed-form minimax balance weights from one Cholesky factor per call.
+
+    Units are ordered by how many timesteps they stay active, descending
+    and stable (descending exit time for risk-set masks). The largest
+    active set that is a prefix of that order is factored once; every
+    timestep whose active set is such a prefix solves with the leading
+    block of that factor. A timestep whose active set is not a prefix
+    gets a fresh factor of its own. Each solve is checked against the
+    residual bound cfg.tol.
+    """
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
     active = np.asarray(active, dtype=bool)
@@ -130,22 +144,34 @@ def solve_balance_weights(
     t = r.shape[1] - 1
     omega = np.zeros_like(r)
     lam = cfg.sigma2 / n
+    order = np.argsort(-active[:, 1:].sum(axis=1), kind="stable")
+    sizes = active.sum(axis=0)
+    is_prefix = (active[order] == (np.arange(n)[:, None] < sizes[None, :])).all(axis=0)
+    n_shared = int(sizes[1:][is_prefix[1:]].max(initial=0))
+    shared = order[:n_shared]
+    k_shared = k[np.ix_(shared, shared)]
+    factor = None
+    kr = k @ r[:, 1:]
     for u in range(1, t + 1):
-        act = np.flatnonzero(active[:, u])
-        if act.size == 0:
+        m = int(sizes[u])
+        if m == 0:
             continue
-        rhs = (k @ r[:, u])[act]
-        v = spd_solve(k[np.ix_(act, act)], rhs, ridge=lam)
-        residual = float(
-            np.linalg.norm((k[np.ix_(act, act)] + lam * np.eye(act.size)) @ v - rhs)
-        )
-        if residual > cfg.tol * (1.0 + float(np.linalg.norm(rhs))):
-            raise NumericalError(
-                f"balance solve at u={u} left residual {residual:.3e} above tolerance"
-            )
+        try:
+            if is_prefix[u]:
+                act, k_act = shared[:m], k_shared[:m, :m]
+                if factor is None:
+                    factor = spd_factor(k_shared, ridge=lam)
+                factor_act = factor[:m, :m]
+            else:
+                act = np.flatnonzero(active[:, u])
+                k_act = k[np.ix_(act, act)]
+                factor_act = spd_factor(k_act, ridge=lam)
+            v = cho_solve_checked(factor_act, k_act, kr[act, u - 1], ridge=lam, tol=cfg.tol)
+        except NumericalError as err:
+            raise NumericalError(f"balance solve at u={u} ({m} of {n} active): {err}") from err
         r_act = r[act, u]
         safe = np.abs(r_act) > _R_TINY
-        w = np.zeros(act.size)
+        w = np.zeros(m)
         w[safe] = v[safe] / r_act[safe]
         omega[act, u] = w
     return BalanceWeights(omega=omega, active=active)

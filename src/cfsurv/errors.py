@@ -17,5 +17,9 @@ class CoverageWarning(UserWarning):
     """A per-timestep fit had an empty risk set and fell back to a constant."""
 
 
+class ConvergenceWarning(UserWarning):
+    """A per-timestep hazard fit stopped at its iteration cap before converging."""
+
+
 class LargeWeightWarning(UserWarning):
     """Inverse-probability denominators hit their clamp floor."""

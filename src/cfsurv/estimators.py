@@ -308,8 +308,8 @@ def _augmented_curves(
             xs = event_model.standardize(fold.x)
             k = gram(xs, xs, params.kernel)
         for a in (0, 1):
-            s = event_model.survival_matrix(fold.x, a)
             lam = event_model.hazard_matrix(fold.x, a)
+            s = np.cumprod(1.0 - lam, axis=1)  # survival_matrix without a second prediction
             if kind != "balance":
                 g = models[1].survival_matrix(fold.x, a)
                 pi = models[2].prob(fold.x, a)

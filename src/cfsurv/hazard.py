@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CoverageWarning, EstimationError
+from .errors import ConvergenceWarning, CoverageWarning, EstimationError
 from .kernels import KernelConfig, gram
 from .survival import Dataset, TimeGrid
 
@@ -252,6 +252,7 @@ def _fit_hazard(
     k_full = gram(xs, xs, kernel)
     cells: dict[tuple[int, int], _Cell] = {}
     empty: list[tuple[int, int]] = []
+    stalled: list[tuple[int, int]] = []
     for a in (0, 1):
         arm = data.a == a
         for u in range(1, max_time + 1):
@@ -268,13 +269,22 @@ def _fit_hazard(
                 cells[(u, a)] = _Cell(None, 0.0, None, constant=level)
                 continue
             k_sub = k_full[np.ix_(risk, risk)]
-            alpha, b, _ = _newton_klr(k_sub, y, ridge, tol=tol, max_iter=max_iter)
+            alpha, b, converged = _newton_klr(k_sub, y, ridge, tol=tol, max_iter=max_iter)
+            if not converged:
+                stalled.append((u, a))
             cells[(u, a)] = _Cell(alpha=alpha, intercept=b, risk_idx=risk)
     if empty:
         warnings.warn(
             f"{len(empty)} (time, arm) cells had empty risk sets; "
             "constant floor hazard used",
             CoverageWarning,
+            stacklevel=3,
+        )
+    if stalled:
+        warnings.warn(
+            f"{len(stalled)} (time, arm) cells stopped after {max_iter} Newton "
+            f"iterations above gradient tolerance {tol:.1e}: {stalled}",
+            ConvergenceWarning,
             stacklevel=3,
         )
     return KernelHazardModel(

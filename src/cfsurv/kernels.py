@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .errors import NumericalError
 
-__all__ = ["KernelConfig", "rbf", "gram", "spd_solve"]
+__all__ = ["KernelConfig", "rbf", "gram", "spd_factor", "cho_solve_checked", "spd_solve"]
 
 #: escalation schedule on factorization failure: none, jitter, x10, x100
 _JITTER_RETRIES = 3
@@ -64,6 +64,50 @@ def gram(rows: np.ndarray, cols: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     return k
 
 
+def spd_factor(m: np.ndarray, ridge: float = 0.0, jitter: float = 1e-10) -> np.ndarray:
+    """Lower Cholesky factor of m + ridge * I for symmetric positive semi-definite m.
+
+    On factorization failure the diagonal gets escalating jitter (x10 per
+    retry, 3 retries); if every attempt fails a NumericalError is raised
+    with diagnostics.
+    """
+    a = m + ridge * np.eye(m.shape[0])
+    last_err: Exception | None = None
+    for attempt in range(_JITTER_RETRIES + 1):
+        eps = 0.0 if attempt == 0 else jitter * 10.0 ** (attempt - 1)
+        try:
+            return scipy.linalg.cholesky(
+                a + eps * np.eye(a.shape[0]), lower=True, check_finite=False
+            )
+        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as err:
+            last_err = err
+    raise NumericalError(
+        f"SPD solve failed for {m.shape[0]}x{m.shape[0]} system "
+        f"(ridge={ridge:.3e}, jitter up to {jitter * 10.0 ** (_JITTER_RETRIES - 1):.3e}): "
+        f"{last_err}"
+    )
+
+
+def cho_solve_checked(
+    factor: np.ndarray, m: np.ndarray, b: np.ndarray, ridge: float = 0.0, tol: float = 1e-8
+) -> np.ndarray:
+    """Solve (m + ridge * I) z = b from a lower Cholesky factor of that matrix.
+
+    The factor may carry jitter; the returned solution satisfies
+    ||(m + ridge I) z - b|| <= tol * (1 + ||b||) for the unjittered
+    system, otherwise a NumericalError is raised with diagnostics.
+    """
+    z = scipy.linalg.cho_solve((factor, True), b, check_finite=False)
+    residual = float(np.linalg.norm(m @ z + ridge * z - b))
+    bound = tol * (1.0 + float(np.linalg.norm(b)))
+    if residual > bound:
+        raise NumericalError(
+            f"SPD solve of {m.shape[0]}x{m.shape[0]} system (ridge={ridge:.3e}) "
+            f"left residual {residual:.3e} above tolerance {bound:.3e}"
+        )
+    return z
+
+
 def spd_solve(
     m: np.ndarray,
     b: np.ndarray,
@@ -73,9 +117,8 @@ def spd_solve(
 ) -> np.ndarray:
     """Solve (m + ridge * I) z = b for symmetric positive semi-definite m.
 
-    Cholesky with escalating diagonal jitter (x10 per retry, 3 retries). The
-    returned solution satisfies ||(m + ridge I) z - b|| <= tol * (1 + ||b||),
-    otherwise a NumericalError is raised with diagnostics.
+    Factors with `spd_factor` and solves with `cho_solve_checked`, so the
+    jitter schedule and the residual bound are theirs.
     """
     m = np.asarray(m, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -83,25 +126,4 @@ def spd_solve(
         raise ValueError(f"matrix must be square, got {m.shape}")
     if b.shape[0] != m.shape[0]:
         raise ValueError(f"rhs has {b.shape[0]} rows, matrix has {m.shape[0]}")
-    a = m + ridge * np.eye(m.shape[0])
-    b_norm = float(np.linalg.norm(b))
-    last_err: Exception | None = None
-    for attempt in range(_JITTER_RETRIES + 1):
-        eps = 0.0 if attempt == 0 else jitter * 10.0 ** (attempt - 1)
-        try:
-            c, low = scipy.linalg.cho_factor(
-                a + eps * np.eye(a.shape[0]), lower=True, check_finite=False
-            )
-            z = scipy.linalg.cho_solve((c, low), b, check_finite=False)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as err:
-            last_err = err
-            continue
-        residual = float(np.linalg.norm(a @ z - b))
-        if residual <= tol * (1.0 + b_norm):
-            return z
-        last_err = NumericalError(f"residual {residual:.3e} above tolerance")
-    raise NumericalError(
-        f"SPD solve failed for {m.shape[0]}x{m.shape[0]} system "
-        f"(ridge={ridge:.3e}, jitter up to {jitter * 10.0 ** (_JITTER_RETRIES - 1):.3e}): "
-        f"{last_err}"
-    )
+    return cho_solve_checked(spd_factor(m, ridge, jitter), m, b, ridge, tol)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cfsurv.balance as balance_module
 from cfsurv.balance import (
     BalanceWeights,
     SolverConfig,
@@ -12,8 +13,11 @@ from cfsurv.balance import (
     objective,
     solve_balance_weights,
 )
+from cfsurv.dgp import SyntheticConfig, gen_synthetic
 from cfsurv.errors import NumericalError
+from cfsurv.estimators import FoldPlan
 from cfsurv.kernels import KernelConfig, gram
+from cfsurv.survival import active_matrix
 
 
 def survival_from_hazard_matrix(haz):
@@ -291,3 +295,85 @@ def test_balance_weights_validation():
         BalanceWeights(omega=np.ones((2, 2)), active=np.zeros((2, 2), dtype=bool))
     with pytest.raises(ValueError):
         BalanceWeights(omega=np.full((1, 1), np.nan), active=np.ones((1, 1), dtype=bool))
+
+
+def _synthetic_fold_instance(n, a, t, seed):
+    """Kernel, direction and risk-set mask of one cross-fitting fold of size n."""
+    data = gen_synthetic(SyntheticConfig(n=2 * n, seed=seed))
+    fold = data.subset(FoldPlan.make(2 * n, 2, seed).fold_indices(0))
+    # units arrive in random order and share exit times
+    assert np.any(np.diff(fold.time) > 0) and np.any(np.diff(fold.time) < 0)
+    assert np.unique(fold.time).size < fold.n
+    xs = (fold.x - fold.x.mean(axis=0)) / fold.x.std(axis=0)
+    k = gram(xs, xs, KernelConfig(length_scale=2.0))
+    rng = np.random.default_rng(seed)
+    haz = np.zeros((fold.n, t + 1))
+    haz[:, 1:] = rng.uniform(0.02, 0.3, size=(fold.n, t))
+    r = derivative_direction(survival_from_hazard_matrix(haz), t)
+    return k, r, active_matrix(fold, a, t)
+
+
+def _direct_solve_weights(k, r, active, sigma2):
+    """Oracle: np.linalg.solve of each per-timestep active-set system."""
+    n = k.shape[0]
+    omega = np.zeros_like(r)
+    for u in range(1, r.shape[1]):
+        act = np.flatnonzero(active[:, u])
+        if act.size == 0:
+            continue
+        lhs = k[np.ix_(act, act)] + sigma2 / n * np.eye(act.size)
+        v = np.linalg.solve(lhs, (k @ r[:, u])[act])
+        omega[act, u] = v / r[act, u]
+    return omega
+
+
+def _count_factors(monkeypatch):
+    calls = []
+    original = balance_module.spd_factor
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(balance_module, "spd_factor", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [200, 800])
+def test_nested_risk_sets_match_direct_solve(n, monkeypatch):
+    calls = _count_factors(monkeypatch)
+    for a in (0, 1):
+        for t in (5, 25):
+            k, r, active = _synthetic_fold_instance(n, a, t, seed=n + a)
+            calls.clear()
+            w = solve_balance_weights(k, r, active, SolverConfig(sigma2=1.0))
+            # one factor of the largest (first) risk set serves every timestep
+            assert calls == [int(active[:, 1].sum())]
+            direct = _direct_solve_weights(k, r, active, 1.0)
+            for u in range(1, t + 1):
+                rel = np.linalg.norm(w.omega[:, u] - direct[:, u]) / np.linalg.norm(direct[:, u])
+                assert rel <= 1e-10
+
+
+def test_non_nested_mask_factors_each_timestep(monkeypatch):
+    calls = _count_factors(monkeypatch)
+    k, r, _, _ = random_instance(5, n=6, t=3)
+    active = np.zeros((6, 4), dtype=bool)
+    # every unit is active once, so the order is the identity and no set is a prefix
+    active[[0, 2], 1] = active[[1, 3], 2] = active[[4, 5], 3] = True
+    w = solve_balance_weights(k, r, active, SolverConfig(sigma2=1.0))
+    assert calls == [2, 2, 2]
+    np.testing.assert_allclose(w.omega, _direct_solve_weights(k, r, active, 1.0), rtol=1e-10)
+
+
+@pytest.mark.parametrize("nested", [True, False])
+def test_failed_factorization_raises_with_diagnostics(nested):
+    k = np.diag([1.0, -1.0, 1.0])  # indefinite
+    r = np.full((3, 3), -0.5)
+    r[:, 0] = 0.0
+    active = np.ones((3, 3), dtype=bool)
+    active[:, 0] = False
+    if not nested:
+        active[1, 1] = active[0, 2] = False
+    with pytest.raises(NumericalError, match=r"balance solve at u=\d \(\d of 3 active\).*SPD solve failed"):
+        solve_balance_weights(k, r, active, SolverConfig(sigma2=1e-12))

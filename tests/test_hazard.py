@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 from cfsurv.dgp import SyntheticConfig, gen_synthetic, true_censor_hazard, true_event_hazard
-from cfsurv.errors import CoverageWarning, EstimationError
+from cfsurv.errors import ConvergenceWarning, CoverageWarning, EstimationError
 from cfsurv.hazard import (
     HAZARD_CEIL,
     HAZARD_FLOOR,
@@ -273,3 +275,16 @@ def test_event_fit_consistency_smoke():
             truth = true_event_hazard(holdout.x, np.full(holdout.n, a), u)
             errs.append(np.mean(np.abs(lam[:, u] - truth)))
     assert float(np.mean(errs)) <= 0.02
+
+
+def test_newton_non_convergence_is_reported_once():
+    data = gen_synthetic(SyntheticConfig(n=60, seed=5))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit_event_hazard(data, max_time=5, max_iter=1)
+    stalled = [w for w in caught if issubclass(w.category, ConvergenceWarning)]
+    assert len(stalled) == 1
+    assert "(1, 0)" in str(stalled[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        fit_event_hazard(data, max_time=5)
