@@ -22,17 +22,14 @@ from .dgp import (
 )
 from .estimators import (
     ESTIMATOR_KINDS,
-    EstimandSpec,
     EstimateResult,
     EstimatorParams,
     FoldPlan,
+    Nuisances,
     augmented_estimate,
-    balance_estimate,
     confidence_interval,
-    dr_estimate,
     effect_estimate,
-    ipw_estimate,
-    or_estimate,
+    fit_nuisances,
     plugin_estimate,
     run_estimator,
 )
@@ -44,7 +41,6 @@ from .hazard import (
     fit_censor_hazard,
     fit_event_hazard,
     fit_propensity,
-    predict_curves,
 )
 from .kernels import KernelConfig, gram, rbf, spd_solve
 from .sim import (
@@ -58,10 +54,8 @@ from .sim import (
 )
 from .survival import (
     Dataset,
-    ObservedUnit,
     TimeGrid,
     hazard_from_survival,
-    indicators,
     read_dataset_csv,
     survival_from_hazard,
     write_dataset_csv,

@@ -4,14 +4,32 @@ Five estimators of psi^{a,t} = P(T(a) > t) and of the survival effect
 psi^{1,t} - psi^{0,t}: outcome regression (or), inverse probability
 weighting (ipw), doubly robust with and without denominator clipping
 (dr, dr-clip), and the augmented minimax balancing estimator (balance).
-Standard errors come from the per-unit influence values and a normal
-t-statistic interval.
+
+Estimation runs in two stages.
+
+Fit stage: `fit_nuisances` fits the nuisance models a kind needs (event
+hazard, censoring hazard, propensity) once per fold and returns them as
+`Nuisances`, one (eval_idx, event, censor, propensity) entry per fold.
+The kind table fixes the paper's design: or and ipw fit once on the
+whole sample, dr and dr-clip share one 5-fold plan, balance uses 2
+folds. Kinds with the same `nuisance_plan` get identical nuisances from
+the same seed, so one fit serves all of them; known (oracle) models are
+a one-fold `Nuisances.whole_sample`.
+
+Evaluate stage: `run_estimator` loops over the folds, predicts on each
+held-out fold and averages the fold estimates. or is the plug-in mean
+of the predicted survival; dr and dr-clip add the hazard-residual
+correction with explicit inverse-probability weights (clipped for
+dr-clip); balance adds it with minimax balancing weights; ipw weights
+the observed events. Standard errors come from the per-unit influence
+values and a normal t-statistic interval.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -35,51 +53,44 @@ from .survival import Dataset, active_matrix, event_matrix
 
 __all__ = [
     "ESTIMATOR_KINDS",
-    "EstimandSpec",
     "EstimateResult",
     "EstimatorParams",
     "FoldPlan",
+    "Nuisances",
     "plugin_estimate",
     "confidence_interval",
     "augmented_estimate",
-    "or_estimate",
-    "ipw_estimate",
-    "dr_estimate",
-    "balance_estimate",
     "effect_estimate",
+    "nuisance_plan",
+    "fit_nuisances",
     "run_estimator",
 ]
 
-ESTIMATOR_KINDS = ("or", "ipw", "dr", "dr-clip", "balance")
 
-ARMS = (0, 1, "diff")
+class _Kind(NamedTuple):
+    folds: int  # 1: fit and evaluate on the whole sample
+    models: tuple[bool, bool, bool]  # fit (event, censor, propensity)?
+    clip: float | None = None  # floor on the explicit-weight denominator
 
 
-@dataclass(frozen=True)
-class EstimandSpec:
-    """Which counterfactual survival value to target: arm (or 'diff') and time."""
+_KINDS = {
+    "or": _Kind(1, (True, False, False)),
+    "ipw": _Kind(1, (False, True, True)),
+    "dr": _Kind(5, (True, True, True)),
+    "dr-clip": _Kind(5, (True, True, True), clip=1e-3),
+    "balance": _Kind(2, (True, False, False)),
+}
 
-    a: int | str
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.a not in ARMS:
-            raise ValueError(f"arm must be 0, 1, or 'diff', got {self.a!r}")
-        if self.t < 0:
-            raise ValueError(f"time must be >= 0, got {self.t}")
+ESTIMATOR_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Shared tuning knobs; defaults match the reference experimental setup."""
+    """Tuning knobs; defaults match the reference experimental setup."""
 
     kernel: KernelConfig = KernelConfig()
     ridge: float = 0.5
     sigma2: float = 1.0
-    solver_tol: float = 1e-8
-    clip_floor: float = 1e-3
-    dr_folds: int = 5
-    balance_folds: int = 2
 
 
 @dataclass(frozen=True)
@@ -200,32 +211,12 @@ def effect_estimate(result_a1: EstimateResult, result_a0: EstimateResult) -> Est
     return _result(result_a1.kind, "diff", result_a1.t, point, influence)
 
 
-def _fit_event(data: Dataset, params: EstimatorParams, max_time: int):
-    return fit_event_hazard(data, kernel=params.kernel, ridge=params.ridge, max_time=max_time)
-
-
-def _fit_censor(data: Dataset, params: EstimatorParams, max_time: int):
-    return fit_censor_hazard(data, kernel=params.kernel, ridge=params.ridge, max_time=max_time)
-
-
-def _or_curves(data: Dataset, times: list[int], params: EstimatorParams):
-    model = _fit_event(data, params, max_time=max(times))
-    out: dict[tuple[int | str, int], EstimateResult] = {}
-    for a in (0, 1):
-        s = model.survival_matrix(data.x, a)
-        for t in times:
-            point = plugin_estimate(s[:, t])
-            out[(a, t)] = _result("or", a, t, point, s[:, t] - point)
-    for t in times:
-        out[("diff", t)] = effect_estimate(out[(1, t)], out[(0, t)])
-    return out, {}
 
 
 def _ipw_core(
-    data: Dataset, a: int, t: int, censor_model, propensity
+    data: Dataset, a: int, t: int, g: np.ndarray, pi: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    pi = propensity.prob(data.x, a)
-    g = censor_model.survival_matrix(data.x, a)
+    """IPW point and influence from censor survival g (n, t_max + 1) and P(A=a|X) pi."""
     g_at_obs = g[np.arange(data.n), data.time]
     contributes = (data.a == a) & (data.event == 1) & (data.time <= t)
     if np.any(contributes & (g_at_obs <= PROPENSITY_FLOOR)) or np.any(
@@ -237,23 +228,11 @@ def _ipw_core(
             LargeWeightWarning,
             stacklevel=3,
         )
-    term = np.where(contributes, 1.0 / (pi * g_at_obs), 0.0)
+    term = np.zeros(data.n)
+    term[contributes] = 1.0 / (pi * g_at_obs)[contributes]
     summand = 1.0 - term
     point = float(np.mean(summand))
     return point, summand - point
-
-
-def _ipw_curves(data: Dataset, times: list[int], params: EstimatorParams):
-    censor = _fit_censor(data, params, max_time=max(max(times), int(data.time.max())))
-    prop = fit_propensity(data)
-    out: dict[tuple[int | str, int], EstimateResult] = {}
-    for a in (0, 1):
-        for t in times:
-            point, infl = _ipw_core(data, a, t, censor, prop)
-            out[(a, t)] = _result("ipw", a, t, point, infl)
-    for t in times:
-        out[("diff", t)] = effect_estimate(out[(1, t)], out[(0, t)])
-    return out, {}
 
 
 def _h_minus(s: np.ndarray, g: np.ndarray, t: int) -> np.ndarray:
@@ -264,69 +243,143 @@ def _h_minus(s: np.ndarray, g: np.ndarray, t: int) -> np.ndarray:
     return h
 
 
-def _augmented_curves(
+@dataclass(frozen=True)
+class Nuisances:
+    """Fitted nuisance models, one (eval_idx, event, censor, propensity) entry per fold.
+
+    Each entry's models were fit without the units in eval_idx (or on the
+    whole sample when there is one fold) and are evaluated on those
+    units. A model is None when the kind it was fit for does not use it.
+    The models must cover the evaluation times they are used at.
+    """
+
+    folds: tuple[tuple[np.ndarray, Any, Any, Any], ...]
+
+    @classmethod
+    def whole_sample(cls, n: int, event=None, censor=None, propensity=None) -> "Nuisances":
+        """One fold holding all n units, e.g. for known (oracle) models."""
+        return cls(((np.arange(n), event, censor, propensity),))
+
+
+def _spec(kind: str) -> _Kind:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown estimator {kind!r}; choose from {ESTIMATOR_KINDS}")
+    return _KINDS[kind]
+
+
+def _checked_spec(data: Dataset, kind: str, times: list[int]) -> _Kind:
+    spec = _spec(kind)
+    if not times:
+        raise ValueError("need at least one evaluation time")
+    if max(times) > data.grid.t_max or min(times) < 0:
+        raise ValueError(f"times must lie in [0, {data.grid.t_max}]")
+    return spec
+
+
+def nuisance_plan(kind: str) -> tuple[int, tuple[bool, bool, bool]]:
+    """(fold count, which of event/censor/propensity are fit) for a kind.
+
+    Kinds with equal plans get identical nuisances from `fit_nuisances`
+    on the same data, times, params and seed, so one fit serves them all.
+    """
+    return _spec(kind)[:2]
+
+
+def fit_nuisances(
     data: Dataset,
     kind: str,
     times: list[int],
-    params: EstimatorParams,
-    seed: int,
-    oracle_models=None,
-):
-    """Shared cross-fitting loop for dr / dr-clip / balance."""
+    params: EstimatorParams = EstimatorParams(),
+    seed: int = 0,
+) -> Nuisances:
+    """Fit the nuisance models `kind` needs, cross-fitted over its seeded folds."""
+    spec = _checked_spec(data, kind, times)
+    use_event, use_censor, use_prop = spec.models
     max_t = max(times)
-    n_folds = params.balance_folds if kind == "balance" else params.dr_folds
-    clip = params.clip_floor if kind == "dr-clip" else None
-    solver_cfg = SolverConfig(sigma2=params.sigma2, tol=params.solver_tol)
+    censor_max_t = max(max_t, int(data.time.max()))
 
-    if oracle_models is not None:
-        folds = [(np.arange(data.n), oracle_models)]
-    else:
-        plan = FoldPlan.make(data.n, n_folds, seed)
-        folds = []
-        for f in range(n_folds):
-            train = data.subset(plan.train_indices(f))
-            if kind == "balance":
-                models = (_fit_event(train, params, max_t),)
-            else:
-                models = (
-                    _fit_event(train, params, max_t),
-                    _fit_censor(train, params, max(max_t, int(data.time.max()))),
-                    fit_propensity(train),
-                )
-            folds.append((plan.fold_indices(f), models))
+    def fit(train: Dataset):
+        return (
+            fit_event_hazard(train, kernel=params.kernel, ridge=params.ridge, max_time=max_t)
+            if use_event else None,
+            fit_censor_hazard(
+                train, kernel=params.kernel, ridge=params.ridge, max_time=censor_max_t
+            ) if use_censor else None,
+            fit_propensity(train) if use_prop else None,
+        )
+
+    if spec.folds == 1:
+        return Nuisances.whole_sample(data.n, *fit(data))
+    plan = FoldPlan.make(data.n, spec.folds, seed)
+    return Nuisances(tuple(
+        (plan.fold_indices(f), *fit(data.subset(plan.train_indices(f))))
+        for f in range(spec.folds)
+    ))
+
+
+def run_estimator(
+    data: Dataset,
+    kind: str,
+    times: list[int],
+    params: EstimatorParams = EstimatorParams(),
+    seed: int = 0,
+    nuisances: Nuisances | None = None,
+):
+    """Estimate psi^{a,t} for both arms and their difference at each time.
+
+    Fits the nuisances with `fit_nuisances(data, kind, times, params,
+    seed)` unless `nuisances` is given. Returns (results, failures):
+    results maps (arm, t) with arm in {0, 1, "diff"} to an EstimateResult;
+    failures maps cells that raised a numerical error to the error message.
+    """
+    spec = _checked_spec(data, kind, times)
+    if nuisances is None:
+        nuisances = fit_nuisances(data, kind, times, params, seed)
+    use_event, use_censor, use_prop = spec.models
+    for _, *models in nuisances.folds:
+        if any(use and model is None for use, model in zip(spec.models, models)):
+            raise ValueError(f"nuisances lack a model the {kind} estimator needs")
 
     points: dict[tuple[int, int], list[float]] = {(a, t): [] for a in (0, 1) for t in times}
     influence: dict[tuple[int, int], np.ndarray] = {
         (a, t): np.zeros(data.n) for a in (0, 1) for t in times
     }
     failures: dict[tuple[int | str, int], str] = {}
+    solver_cfg = SolverConfig(sigma2=params.sigma2)
 
-    for idx, models in folds:
+    for idx, event_model, censor_model, propensity in nuisances.folds:
         fold = data.subset(idx)
-        event_model = models[0]
         if kind == "balance":
             xs = event_model.standardize(fold.x)
             k = gram(xs, xs, params.kernel)
         for a in (0, 1):
-            lam = event_model.hazard_matrix(fold.x, a)
-            s = np.cumprod(1.0 - lam, axis=1)  # survival_matrix without a second prediction
-            if kind != "balance":
-                g = models[1].survival_matrix(fold.x, a)
-                pi = models[2].prob(fold.x, a)
+            if use_event:
+                lam = event_model.hazard_matrix(fold.x, a)
+                s = np.cumprod(1.0 - lam, axis=1)  # survival_matrix without a second prediction
+            if use_censor:
+                g = censor_model.survival_matrix(fold.x, a)
+            if use_prop:
+                pi = propensity.prob(fold.x, a)
             for t in times:
                 if (a, t) in failures:
                     continue
                 try:
-                    r = derivative_direction(s, t)
-                    act = active_matrix(fold, a, t)
-                    if kind == "balance":
-                        w = solve_balance_weights(k, r, act, solver_cfg)
-                        gamma = r * act * w.omega
+                    if kind == "ipw":
+                        point_f, infl_f = _ipw_core(fold, a, t, g, pi)
+                    elif kind == "or":
+                        point_f = plugin_estimate(s[:, t])
+                        infl_f = s[:, t] - point_f
                     else:
-                        gamma = explicit_riesz(r, act, pi, _h_minus(s, g, t), clip)
-                    point_f, infl_f = augmented_estimate(
-                        s[:, t], gamma, lam[:, : t + 1], event_matrix(fold, t)
-                    )
+                        r = derivative_direction(s, t)
+                        act = active_matrix(fold, a, t)
+                        if kind == "balance":
+                            w = solve_balance_weights(k, r, act, solver_cfg)
+                            gamma = r * act * w.omega
+                        else:
+                            gamma = explicit_riesz(r, act, pi, _h_minus(s, g, t), spec.clip)
+                        point_f, infl_f = augmented_estimate(
+                            s[:, t], gamma, lam[:, : t + 1], event_matrix(fold, t)
+                        )
                 except NumericalError as err:
                     failures[(a, t)] = str(err)
                     continue
@@ -346,108 +399,3 @@ def _augmented_curves(
         else:
             failures[("diff", t)] = failures.get((1, t)) or failures.get((0, t), "arm failed")
     return out, failures
-
-
-def run_estimator(
-    data: Dataset,
-    kind: str,
-    times: list[int],
-    params: EstimatorParams = EstimatorParams(),
-    seed: int = 0,
-    oracle_models=None,
-):
-    """Estimate psi^{a,t} for both arms and their difference at each time.
-
-    Returns (results, failures): results maps (arm, t) with arm in
-    {0, 1, "diff"} to an EstimateResult; failures maps cells that raised a
-    numerical error to the error message.
-    """
-    if kind not in ESTIMATOR_KINDS:
-        raise ValueError(f"unknown estimator {kind!r}; choose from {ESTIMATOR_KINDS}")
-    if not times:
-        raise ValueError("need at least one evaluation time")
-    if max(times) > data.grid.t_max or min(times) < 0:
-        raise ValueError(f"times must lie in [0, {data.grid.t_max}]")
-    if kind == "or":
-        return _or_curves(data, times, params)
-    if kind == "ipw":
-        return _ipw_curves(data, times, params)
-    return _augmented_curves(data, kind, times, params, seed, oracle_models)
-
-
-def _single(data, kind, spec, params, seed, oracle_models=None) -> EstimateResult:
-    results, failures = run_estimator(
-        data, kind, [spec.t], params, seed, oracle_models=oracle_models
-    )
-    key = (spec.a, spec.t)
-    if key not in results:
-        raise NumericalError(failures.get(key, "estimation failed"))
-    return results[key]
-
-
-def or_estimate(
-    data: Dataset,
-    spec: EstimandSpec,
-    kernel: KernelConfig = KernelConfig(),
-    ridge: float = 0.5,
-) -> EstimateResult:
-    """Outcome regression: full-sample hazard fit, plug-in, no correction."""
-    params = EstimatorParams(kernel=kernel, ridge=ridge)
-    return _single(data, "or", spec, params, seed=0)
-
-
-def ipw_estimate(
-    data: Dataset, spec: EstimandSpec, censor_model, propensity
-) -> EstimateResult:
-    """Inverse probability of censoring and treatment weighting."""
-    out: dict[int, EstimateResult] = {}
-    arms = (0, 1) if spec.a == "diff" else (spec.a,)
-    for a in arms:
-        point, infl = _ipw_core(data, a, spec.t, censor_model, propensity)
-        out[a] = _result("ipw", a, spec.t, point, infl)
-    if spec.a == "diff":
-        return effect_estimate(out[1], out[0])
-    return out[spec.a]
-
-
-def dr_estimate(
-    data: Dataset,
-    spec: EstimandSpec,
-    kernel: KernelConfig = KernelConfig(),
-    ridge: float = 0.5,
-    clip: float | None = None,
-    n_folds: int = 5,
-    seed: int = 0,
-    models=None,
-) -> EstimateResult:
-    """Doubly robust estimator with 5-fold cross-fitting.
-
-    Pass clip=1e-3 for the clipped variant. `models` may supply oracle
-    (event, censor, propensity) models, in which case no fitting happens
-    and the whole sample is evaluated in one pass.
-    """
-    kind = "dr-clip" if clip is not None else "dr"
-    params = EstimatorParams(
-        kernel=kernel, ridge=ridge, clip_floor=clip if clip is not None else 1e-3,
-        dr_folds=n_folds,
-    )
-    return _single(data, kind, spec, params, seed, oracle_models=models)
-
-
-def balance_estimate(
-    data: Dataset,
-    spec: EstimandSpec,
-    kernel: KernelConfig = KernelConfig(),
-    ridge: float = 0.5,
-    solver_cfg: SolverConfig = SolverConfig(),
-    n_folds: int = 2,
-    seed: int = 0,
-    event_model=None,
-) -> EstimateResult:
-    """Augmented minimax balancing estimator with 2-fold cross-fitting."""
-    params = EstimatorParams(
-        kernel=kernel, ridge=ridge, sigma2=solver_cfg.sigma2,
-        solver_tol=solver_cfg.tol, balance_folds=n_folds,
-    )
-    oracle = (event_model,) if event_model is not None else None
-    return _single(data, "balance", spec, params, seed, oracle_models=oracle)

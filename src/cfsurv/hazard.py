@@ -35,7 +35,6 @@ __all__ = [
     "fit_event_hazard",
     "fit_censor_hazard",
     "fit_propensity",
-    "predict_curves",
     "klr_loss_grad",
     "propensity_loss_grad",
 ]
@@ -185,27 +184,6 @@ class KernelHazardModel:
 
     def survival_matrix(self, x: np.ndarray, a: int) -> np.ndarray:
         return np.cumprod(1.0 - self.hazard_matrix(x, a), axis=1)
-
-    @classmethod
-    def constant(
-        cls, grid: TimeGrid, d: int, value: float | dict[tuple[int, int], float]
-    ) -> "KernelHazardModel":
-        """A model with fixed per-(u, a) hazards; handy for tests and oracles."""
-        cells = {}
-        for u in range(1, grid.n_points):
-            for a in (0, 1):
-                v = value if isinstance(value, float) else value.get((u, a), 0.0)
-                cells[(u, a)] = _Cell(alpha=None, intercept=0.0, risk_idx=None, constant=float(v))
-        return cls(
-            grid=grid,
-            mean=np.zeros(d),
-            scale=np.ones(d),
-            train_x=np.zeros((0, d)),
-            kernel=KernelConfig(),
-            ridge=0.0,
-            cells=cells,
-            max_time=grid.t_max,
-        )
 
 
 @dataclass(frozen=True)
@@ -405,13 +383,3 @@ def fit_propensity(
         theta, value, grad = new_theta, new_value, new_grad
     return PropensityModel(weights=theta[:-1], intercept=float(theta[-1]))
 
-
-def predict_curves(
-    event_model, censor_model, x: np.ndarray, a: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Hazard, survival, censor-survival, and sub-survival curves at one point."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    lam = event_model.hazard_matrix(x, a)[0]
-    s = np.cumprod(1.0 - lam)
-    g = censor_model.survival_matrix(x, a)[0]
-    return lam, s, g, s * g

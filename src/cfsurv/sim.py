@@ -27,7 +27,7 @@ from .dgp import (
     surrogate_twins_table,
 )
 from .errors import EstimationError, HarnessError, NumericalError
-from .estimators import EstimatorParams, run_estimator
+from .estimators import EstimatorParams, fit_nuisances, nuisance_plan, run_estimator
 from .survival import FLOAT_FMT
 
 __all__ = [
@@ -112,18 +112,26 @@ def _make_dataset(cfg: SimulationConfig, seed: int):
 
 
 def run_single_replication(cfg: SimulationConfig, seed: int, estimator_fns=None):
-    """One replication: {estimator: {t: (point, lo, hi) or None}}."""
+    """One replication: {estimator: {t: (point, lo, hi) or None}}.
+
+    Estimators with the same nuisance plan (dr and dr-clip) share one fit.
+    """
     data = _make_dataset(cfg, seed)
     fold_seed = splitmix64(seed)
+    times = list(cfg.times)
+    fits = {}
     out: dict[str, dict[int, tuple[float, float, float] | None]] = {}
     for kind in cfg.estimators:
         cells: dict[int, tuple[float, float, float] | None] = {t: None for t in cfg.times}
         try:
             if estimator_fns is not None and kind in estimator_fns:
-                results, _ = estimator_fns[kind](data, list(cfg.times), cfg.params, fold_seed)
+                results, _ = estimator_fns[kind](data, times, cfg.params, fold_seed)
             else:
+                plan = nuisance_plan(kind)
+                if plan not in fits:
+                    fits[plan] = fit_nuisances(data, kind, times, cfg.params, seed=fold_seed)
                 results, _ = run_estimator(
-                    data, kind, list(cfg.times), cfg.params, seed=fold_seed
+                    data, kind, times, cfg.params, seed=fold_seed, nuisances=fits[plan]
                 )
         except (NumericalError, EstimationError):
             out[kind] = cells

@@ -17,11 +17,9 @@ import numpy as np
 
 __all__ = [
     "TimeGrid",
-    "ObservedUnit",
     "Dataset",
     "survival_from_hazard",
     "hazard_from_survival",
-    "indicators",
     "at_risk_matrix",
     "event_matrix",
     "active_matrix",
@@ -49,25 +47,6 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_points)
-
-
-@dataclass(frozen=True)
-class ObservedUnit:
-    """One right-censored observation: covariates, arm, observed time, event flag."""
-
-    x: np.ndarray
-    a: int
-    t_obs: int
-    e: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if self.a not in (0, 1):
-            raise ValueError(f"treatment must be 0 or 1, got {self.a!r}")
-        if self.e not in (0, 1):
-            raise ValueError(f"event flag must be 0 or 1, got {self.e!r}")
-        if self.t_obs < 1:
-            raise ValueError(f"observed time must be >= 1, got {self.t_obs!r}")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -119,27 +98,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
-
-    @classmethod
-    def from_units(cls, units: list[ObservedUnit], grid: TimeGrid) -> "Dataset":
-        if not units:
-            raise ValueError("dataset must contain at least one unit")
-        dims = {u.x.shape for u in units}
-        if len(dims) != 1:
-            raise ValueError(f"units disagree on covariate dimension: {sorted(dims)}")
-        return cls(
-            x=np.stack([u.x for u in units]),
-            a=np.array([u.a for u in units]),
-            time=np.array([u.t_obs for u in units]),
-            event=np.array([u.e for u in units]),
-            grid=grid,
-        )
-
-    def units(self) -> list[ObservedUnit]:
-        return [
-            ObservedUnit(x=self.x[i], a=int(self.a[i]), t_obs=int(self.time[i]), e=int(self.event[i]))
-            for i in range(self.n)
-        ]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.x[idx], self.a[idx], self.time[idx], self.event[idx], self.grid)
@@ -194,24 +152,21 @@ def hazard_from_survival(survival: np.ndarray, grid: TimeGrid | None = None) -> 
     return h
 
 
-def indicators(unit: ObservedUnit, u: int, grid: TimeGrid | None = None) -> tuple[int, int]:
-    """At-risk and event-at-u indicators (G^u, Y^u) for one unit."""
-    if u < 0 or (grid is not None and u > grid.t_max):
-        raise ValueError(f"time {u} outside grid")
-    g = int(unit.t_obs >= u)
-    y = int(unit.e == 1 and unit.t_obs == u)
-    return g, y
+def _grid_times(data: Dataset, t: int) -> np.ndarray:
+    if t < 0 or t > data.grid.t_max:
+        raise ValueError(f"time {t} outside grid [0, {data.grid.t_max}]")
+    return np.arange(t + 1)
 
 
 def at_risk_matrix(data: Dataset, t: int) -> np.ndarray:
     """(n, t+1) boolean matrix with [i, u] = 1(time_i >= u)."""
-    u = np.arange(t + 1)
+    u = _grid_times(data, t)
     return data.time[:, None] >= u[None, :]
 
 
 def event_matrix(data: Dataset, t: int) -> np.ndarray:
     """(n, t+1) float matrix with [i, u] = 1(event_i = 1, time_i = u)."""
-    u = np.arange(t + 1)
+    u = _grid_times(data, t)
     return ((data.event[:, None] == 1) & (data.time[:, None] == u[None, :])).astype(float)
 
 

@@ -27,7 +27,7 @@ from cfsurv.dgp import (
     true_event_hazard,
     true_propensity,
 )
-from cfsurv.estimators import EstimandSpec, dr_estimate
+from cfsurv.estimators import Nuisances, run_estimator
 from cfsurv.hazard import (
     OracleHazardModel,
     OraclePropensity,
@@ -278,9 +278,9 @@ def test_criterion_6_double_robustness():
             data = gen_synthetic(
                 SyntheticConfig(n=500, seed=derive_seed(master, rep), standardize=False)
             )
-            points[rep] = dr_estimate(
-                data, EstimandSpec(a="diff", t=t), models=(event, censor, prop)
-            ).point
+            points[rep] = run_estimator(
+                data, "dr", [t], nuisances=Nuisances.whole_sample(data.n, event, censor, prop)
+            )[0][("diff", t)].point
         bias = float(points.mean() - gt.delta[t])
         se = float(points.std(ddof=1) / np.sqrt(q))
         detail.append(f"{label}: |bias|={abs(bias):.5f} vs 2se={2 * se:.5f}")

@@ -2,26 +2,23 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from cfsurv.balance import SolverConfig
+from cfsurv.cli import main as cli_main
 from cfsurv.dgp import SyntheticConfig, gen_synthetic
 from cfsurv.errors import EstimationError
 from cfsurv.estimators import (
-    EstimandSpec,
     EstimatorParams,
     FoldPlan,
+    Nuisances,
     augmented_estimate,
-    balance_estimate,
     confidence_interval,
-    dr_estimate,
     effect_estimate,
-    ipw_estimate,
-    or_estimate,
+    fit_nuisances,
     plugin_estimate,
     run_estimator,
 )
-from cfsurv.hazard import KernelHazardModel, OracleHazardModel, OraclePropensity
+from cfsurv.hazard import OracleHazardModel, OraclePropensity
 from cfsurv.kernels import KernelConfig
-from cfsurv.survival import Dataset, TimeGrid
+from cfsurv.survival import Dataset, TimeGrid, write_dataset_csv
 
 
 def test_plugin_examples():
@@ -102,7 +99,7 @@ def test_influence_mean_zero_for_augmented():
 
 
 def test_effect_estimate_identical_arms():
-    r = or_estimate(gen_synthetic(SyntheticConfig(n=40, seed=1)), EstimandSpec(a=1, t=4))
+    r = run_estimator(gen_synthetic(SyntheticConfig(n=40, seed=1)), "or", [4])[0][(1, 4)]
     diff = effect_estimate(r, r)
     assert diff.point == 0.0
     assert diff.ci_high >= diff.ci_low
@@ -111,27 +108,27 @@ def test_effect_estimate_identical_arms():
 
 def test_effect_estimate_misaligned():
     data = gen_synthetic(SyntheticConfig(n=40, seed=1))
-    r1 = or_estimate(data, EstimandSpec(a=1, t=4))
-    r0 = or_estimate(data.subset(np.arange(20)), EstimandSpec(a=0, t=4))
+    r1 = run_estimator(data, "or", [4])[0][(1, 4)]
+    r0 = run_estimator(data.subset(np.arange(20)), "or", [4])[0][(0, 4)]
     with pytest.raises(ValueError):
         effect_estimate(r1, r0)
-    r0_other_t = or_estimate(data, EstimandSpec(a=0, t=5))
+    r0_other_t = run_estimator(data, "or", [5])[0][(0, 5)]
     with pytest.raises(ValueError):
         effect_estimate(r1, r0_other_t)
 
 
-def test_or_estimate_at_time_zero():
+def test_or_at_time_zero():
     data = gen_synthetic(SyntheticConfig(n=50, seed=2))
-    res = or_estimate(data, EstimandSpec(a=1, t=0))
+    res = run_estimator(data, "or", [0])[0][(1, 0)]
     assert res.point == 1.0
     assert res.std_error == 0.0
     assert res.ci_low == res.ci_high == 1.0
 
 
-def test_or_estimate_deterministic():
+def test_or_deterministic():
     data = gen_synthetic(SyntheticConfig(n=50, seed=2))
-    a = or_estimate(data, EstimandSpec(a="diff", t=8))
-    b = or_estimate(data, EstimandSpec(a="diff", t=8))
+    a = run_estimator(data, "or", [8])[0][("diff", 8)]
+    b = run_estimator(data, "or", [8])[0][("diff", 8)]
     assert a.point == b.point and a.std_error == b.std_error
 
 
@@ -154,12 +151,17 @@ def _censor_oracle(g_curve):
     return OracleHazardModel(grid=TimeGrid(len(curve) - 1), fn=fn)
 
 
+def _ipw(data, t, censor, prop):
+    nuisances = Nuisances.whole_sample(data.n, censor=censor, propensity=prop)
+    return run_estimator(data, "ipw", [t], nuisances=nuisances)[0][(1, t)]
+
+
 def test_ipw_single_unit_formula():
     # A=a, E=1, T=3 <= t, pi=0.5, G_3=0.8: point = 1 - 2.5
     data = _unit_dataset()
     censor = _censor_oracle([1.0, 0.8, 0.8, 0.8, 0.8, 0.8])
     prop = OraclePropensity(lambda x: np.full(x.shape[0], 0.5))
-    res = ipw_estimate(data, EstimandSpec(a=1, t=3), censor, prop)
+    res = _ipw(data, 3, censor, prop)
     assert res.point == pytest.approx(-1.5, abs=1e-12)
 
 
@@ -170,7 +172,7 @@ def test_ipw_no_events_before_t():
     )
     censor = _censor_oracle(np.ones(6))
     prop = OraclePropensity(lambda x: np.full(x.shape[0], 0.7))
-    res = ipw_estimate(data, EstimandSpec(a=1, t=3), censor, prop)
+    res = _ipw(data, 3, censor, prop)
     assert res.point == 1.0
 
 
@@ -184,15 +186,14 @@ def test_ipw_collapses_to_empirical_survival():
     censor = _censor_oracle(np.ones(7))
     prop = OraclePropensity(lambda x: np.ones(x.shape[0]))
     for t in (2, 4):
-        res = ipw_estimate(data, EstimandSpec(a=1, t=t), censor, prop)
+        res = _ipw(data, t, censor, prop)
         assert res.point == pytest.approx(float(np.mean(times > t)), abs=1e-12)
 
 
 def test_dr_equals_dr_clip_when_overlap_healthy():
     data = gen_synthetic(SyntheticConfig(n=80, seed=21))
-    spec = EstimandSpec(a="diff", t=3)
-    plain = dr_estimate(data, spec, seed=5)
-    clipped = dr_estimate(data, spec, clip=1e-3, seed=5)
+    plain = run_estimator(data, "dr", [3], seed=5)[0][("diff", 3)]
+    clipped = run_estimator(data, "dr-clip", [3], seed=5)[0][("diff", 3)]
     assert plain.point == clipped.point
     assert plain.std_error == clipped.std_error
     assert plain.kind == "dr" and clipped.kind == "dr-clip"
@@ -200,12 +201,8 @@ def test_dr_equals_dr_clip_when_overlap_healthy():
 
 def test_balance_large_sigma2_approaches_crossfit_plugin():
     data = gen_synthetic(SyntheticConfig(n=60, seed=9))
-    spec = EstimandSpec(a=1, t=5)
-    res = balance_estimate(
-        data, spec, solver_cfg=SolverConfig(sigma2=1e12), seed=4
-    )
+    res = run_estimator(data, "balance", [5], EstimatorParams(sigma2=1e12), seed=4)[0][(1, 5)]
     # oracle: replicate the fold split and average the fold plug-ins
-    from cfsurv.estimators import FoldPlan
     from cfsurv.hazard import fit_event_hazard
 
     plan = FoldPlan.make(data.n, 2, seed=4)
@@ -228,24 +225,21 @@ def test_balance_small_sigma2_oracle_hazard_instance():
         time=rng.integers(4, 7, size=n), event=np.ones(n, dtype=int), grid=grid,
     )
     truth = {(u, a): 0.0 if u <= t else 0.3 for u in range(1, 7) for a in (0, 1)}
-    oracle = KernelHazardModel.constant(grid, d=2, value=truth)
-    res = balance_estimate(
-        data, EstimandSpec(a=1, t=t),
-        kernel=KernelConfig(length_scale=1.0),
-        solver_cfg=SolverConfig(sigma2=1e-8),
-        event_model=oracle,
-    )
+    oracle = OracleHazardModel(grid, lambda x, a, u: np.full(x.shape[0], truth[(u, a)]))
+    params = EstimatorParams(kernel=KernelConfig(length_scale=1.0), sigma2=1e-8)
+    res = run_estimator(
+        data, "balance", [t], params, nuisances=Nuisances.whole_sample(n, event=oracle)
+    )[0][(1, t)]
     assert abs(res.point - 1.0) <= 1e-6
 
 
 def test_cross_fit_determinism():
     data = gen_synthetic(SyntheticConfig(n=60, seed=30))
-    spec = EstimandSpec(a="diff", t=5)
-    first = balance_estimate(data, spec, seed=13)
-    second = balance_estimate(data, spec, seed=13)
+    first = run_estimator(data, "balance", [5], seed=13)[0][("diff", 5)]
+    second = run_estimator(data, "balance", [5], seed=13)[0][("diff", 5)]
     assert first.point == second.point
     assert np.array_equal(first.influence, second.influence)
-    other = balance_estimate(data, spec, seed=14)
+    other = run_estimator(data, "balance", [5], seed=14)[0][("diff", 5)]
     assert other.point != first.point
 
 
@@ -259,11 +253,15 @@ def test_fold_plan():
         FoldPlan.make(2, 5, seed=0)
 
 
-def test_estimand_spec_validation():
+def test_estimand_spec_validation(tmp_path):
+    data = gen_synthetic(SyntheticConfig(n=30, seed=1))
+    path = tmp_path / "data.csv"
+    write_dataset_csv(data, str(path))
+    base = ["estimate", "--data", str(path), "--estimator", "or"]
+    assert cli_main(base + ["--t", "5", "--arm", "2"]) == 2
+    assert cli_main(base + ["--t=-1", "--arm", "1"]) == 2
     with pytest.raises(ValueError):
-        EstimandSpec(a=2, t=5)
-    with pytest.raises(ValueError):
-        EstimandSpec(a=1, t=-1)
+        run_estimator(data, "or", [-1])
 
 
 def test_run_estimator_validation():
@@ -274,3 +272,8 @@ def test_run_estimator_validation():
         run_estimator(data, "or", [])
     with pytest.raises(ValueError):
         run_estimator(data, "or", [40])
+    # nuisances fit for ipw hold no event model, which dr needs
+    ipw_fit = fit_nuisances(data, "ipw", [5])
+    with pytest.raises(ValueError):
+        run_estimator(data, "dr", [5], nuisances=ipw_fit)
+

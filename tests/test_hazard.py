@@ -10,12 +10,11 @@ from cfsurv.errors import ConvergenceWarning, CoverageWarning, EstimationError
 from cfsurv.hazard import (
     HAZARD_CEIL,
     HAZARD_FLOOR,
-    KernelHazardModel,
+    OracleHazardModel,
     fit_censor_hazard,
     fit_event_hazard,
     fit_propensity,
     klr_loss_grad,
-    predict_curves,
     propensity_loss_grad,
 )
 from cfsurv.kernels import KernelConfig, gram
@@ -173,12 +172,17 @@ def test_predictions_respect_clamp_and_monotone_survival():
 
 def test_predict_curves_zero_and_constant_hazard():
     grid = TimeGrid(5)
-    zero = KernelHazardModel.constant(grid, d=2, value=0.0)
-    lam, s, g, h = predict_curves(zero, zero, np.zeros(2), a=1)
+    x = np.zeros((1, 2))
+    zero = OracleHazardModel(grid, lambda x, a, u: np.zeros(x.shape[0]))
+    lam = zero.hazard_matrix(x, 1)[0]
+    s = zero.survival_matrix(x, 1)[0]
+    g = zero.survival_matrix(x, 1)[0]
+    h = s * g
     assert np.all(lam == 0.0) and np.all(s == 1.0) and np.all(g == 1.0) and np.all(h == 1.0)
 
-    const = KernelHazardModel.constant(grid, d=2, value=0.1)
-    lam, s, g, h = predict_curves(const, zero, np.zeros(2), a=0)
+    const = OracleHazardModel(grid, lambda x, a, u: np.full(x.shape[0], 0.1))
+    s = const.survival_matrix(x, 0)[0]
+    h = s * zero.survival_matrix(x, 0)[0]
     assert h[3] == pytest.approx(0.729, abs=1e-12)
     assert s[3] == pytest.approx(0.729, abs=1e-12)
 
@@ -192,7 +196,9 @@ def test_sub_survival_below_both_factors():
     )
     event = fit_event_hazard(data)
     censor = fit_censor_hazard(data)
-    _, s, g, h = predict_curves(event, censor, data.x[0], a=1)
+    s = event.survival_matrix(data.x[:1], 1)[0]
+    g = censor.survival_matrix(data.x[:1], 1)[0]
+    h = s * g
     assert np.all(h <= np.minimum(s, g) + 1e-15)
 
 

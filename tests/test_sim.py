@@ -258,3 +258,26 @@ def test_thread_count_does_not_change_results(monkeypatch):
     threaded = run_replications(cfg, estimator_fns=fns)
     np.testing.assert_array_equal(serial.estimates["or"], threaded.estimates["or"])
     np.testing.assert_array_equal(serial.ci_low["or"], threaded.ci_low["or"])
+
+
+def test_replication_shares_nuisance_fits(monkeypatch):
+    import cfsurv.estimators as est
+
+    calls = {"fit_event_hazard": 0, "fit_censor_hazard": 0, "fit_propensity": 0}
+    for name in calls:
+        original = getattr(est, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(est, name, counting)
+    kinds = ("or", "ipw", "dr", "dr-clip", "balance")
+    cfg = SimulationConfig(q=2, n=60, estimators=kinds, times=(3, 6), master_seed=4)
+    shared = run_single_replication(cfg, seed=17)
+    assert calls == {"fit_event_hazard": 8, "fit_censor_hazard": 6, "fit_propensity": 6}
+    for kind in kinds:
+        alone = run_single_replication(SimulationConfig(
+            q=2, n=60, estimators=(kind,), times=(3, 6), master_seed=4
+        ), seed=17)
+        assert shared[kind] == alone[kind]

@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 
 from cfsurv.survival import (
     Dataset,
-    ObservedUnit,
     TimeGrid,
     active_matrix,
     at_risk_matrix,
     dataset_csv_bytes,
     event_matrix,
     hazard_from_survival,
-    indicators,
     read_dataset_csv,
     survival_from_hazard,
     write_dataset_csv,
@@ -86,24 +84,37 @@ def test_round_trip_and_monotonicity(tail):
 
 
 def test_indicators_examples():
-    grid = TimeGrid(10)
-    unit_event = ObservedUnit(x=np.zeros(2), a=1, t_obs=5, e=1)
-    unit_censor = ObservedUnit(x=np.zeros(2), a=1, t_obs=5, e=0)
-    assert indicators(unit_event, 5, grid) == (1, 1)
-    assert indicators(unit_censor, 5, grid) == (1, 0)
-    assert indicators(unit_event, 6, grid) == (0, 0)
-    assert indicators(unit_event, 3, grid) == (1, 0)
+    # unit 0 has its event at 5, unit 1 is censored at 5
+    data = Dataset(
+        x=np.zeros((2, 2)), a=np.array([1, 1]), time=np.array([5, 5]),
+        event=np.array([1, 0]), grid=TimeGrid(10),
+    )
+    risk = at_risk_matrix(data, 10)
+    events = event_matrix(data, 10)
+    assert (risk[0, 5], events[0, 5]) == (1, 1)
+    assert (risk[1, 5], events[1, 5]) == (1, 0)
+    assert (risk[0, 6], events[0, 6]) == (0, 0)
+    assert (risk[0, 3], events[0, 3]) == (1, 0)
     with pytest.raises(ValueError):
-        indicators(unit_event, 11, grid)
+        at_risk_matrix(data, 11)
+    with pytest.raises(ValueError):
+        event_matrix(data, 11)
 
 
 def test_observed_unit_validation():
+    def unit(a, t_obs, e):
+        return Dataset(
+            x=np.zeros((1, 2)), a=np.array([a]), time=np.array([t_obs]),
+            event=np.array([e]), grid=TimeGrid(10),
+        )
+
+    unit(1, 5, 1)
     with pytest.raises(ValueError):
-        ObservedUnit(x=np.zeros(2), a=2, t_obs=5, e=1)
+        unit(a=2, t_obs=5, e=1)
     with pytest.raises(ValueError):
-        ObservedUnit(x=np.zeros(2), a=1, t_obs=0, e=1)
+        unit(a=1, t_obs=0, e=1)
     with pytest.raises(ValueError):
-        ObservedUnit(x=np.zeros(2), a=1, t_obs=5, e=3)
+        unit(a=1, t_obs=5, e=3)
 
 
 def _toy_dataset():
@@ -129,13 +140,6 @@ def test_dataset_validation():
             x=np.zeros((2, 2)), a=np.array([1, 0]), time=np.array([0, 1]),
             event=np.array([0, 0]), grid=TimeGrid(3),
         )
-
-
-def test_dataset_units_round_trip():
-    data = _toy_dataset()
-    again = Dataset.from_units(data.units(), data.grid)
-    assert np.array_equal(again.x, data.x)
-    assert np.array_equal(again.time, data.time)
 
 
 def test_dataset_arrays_are_readonly():
