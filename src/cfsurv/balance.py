@@ -41,7 +41,6 @@ _R_TINY = 1e-12  # below this |r| the weight cell is irrelevant and set to 0
 @dataclass(frozen=True)
 class SolverConfig:
     sigma2: float = 1.0
-    tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if not self.sigma2 > 0:
@@ -131,7 +130,7 @@ def solve_balance_weights(
     timestep whose active set is such a prefix solves with the leading
     block of that factor. A timestep whose active set is not a prefix
     gets a fresh factor of its own. Each solve is checked against the
-    residual bound cfg.tol.
+    residual bound `kernels.SOLVE_TOL`.
     """
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -166,7 +165,7 @@ def solve_balance_weights(
                 act = np.flatnonzero(active[:, u])
                 k_act = k[np.ix_(act, act)]
                 factor_act = spd_factor(k_act, ridge=lam)
-            v = cho_solve_checked(factor_act, k_act, kr[act, u - 1], ridge=lam, tol=cfg.tol)
+            v = cho_solve_checked(factor_act, k_act, kr[act, u - 1], ridge=lam)
         except NumericalError as err:
             raise NumericalError(f"balance solve at u={u} ({m} of {n} active): {err}") from err
         r_act = r[act, u]

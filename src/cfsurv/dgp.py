@@ -3,7 +3,8 @@
 Both generators follow a fixed draw order so identical (config, seed)
 pairs reproduce datasets byte for byte. Covariates enter the generative
 formulas raw; the stored dataset is standardized afterwards (disable via
-`standardize=False` when a test needs the raw covariates).
+`SyntheticConfig(standardize=False)` when a test needs the raw
+covariates; twins-like datasets are always standardized).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .survival import Dataset, TimeGrid
+from .survival import Dataset, TimeGrid, standardization
 
 __all__ = [
     "SyntheticConfig",
@@ -34,6 +35,7 @@ __all__ = [
 
 T_MAX = 30
 SYNTH_D = 10
+TWINS_D = 30
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,6 @@ class SyntheticConfig:
     xi: float = 0.3
     assign_scale: float = 1.0
     seed: int = 0
-    d: int = SYNTH_D
-    t_max: int = T_MAX
     standardize: bool = True
 
     def __post_init__(self) -> None:
@@ -119,9 +119,8 @@ def sample_discrete_times(uniforms: np.ndarray, hazards: np.ndarray) -> np.ndarr
 
 
 def _standardize_columns(x: np.ndarray) -> np.ndarray:
-    scale = x.std(axis=0)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    return (x - x.mean(axis=0)) / scale
+    mean, scale = standardization(x)
+    return (x - mean) / scale
 
 
 def _draw_synthetic_covariates(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -134,17 +133,17 @@ def _draw_synthetic_covariates(rng: np.random.Generator, n: int, d: int) -> np.n
 def gen_synthetic(cfg: SyntheticConfig) -> Dataset:
     """Draw a synthetic right-censored observational dataset."""
     rng = np.random.default_rng(cfg.seed)
-    x = _draw_synthetic_covariates(rng, cfg.n, cfg.d)
+    x = _draw_synthetic_covariates(rng, cfg.n, SYNTH_D)
     u_assign = rng.random(cfg.n)
-    u_event = rng.random((cfg.n, cfg.t_max))
-    u_censor = rng.random((cfg.n, cfg.t_max))
+    u_event = rng.random((cfg.n, T_MAX))
+    u_censor = rng.random((cfg.n, T_MAX))
 
     a = (u_assign < true_propensity(x, cfg)).astype(np.int64)
     event_hazards = np.column_stack(
-        [true_event_hazard(x, a, u) for u in range(1, cfg.t_max + 1)]
+        [true_event_hazard(x, a, u) for u in range(1, T_MAX + 1)]
     )
     censor_hazards = np.column_stack(
-        [true_censor_hazard(x, u) for u in range(1, cfg.t_max + 1)]
+        [true_censor_hazard(x, u) for u in range(1, T_MAX + 1)]
     )
     t_event = sample_discrete_times(u_event, event_hazards)
     t_censor = sample_discrete_times(u_censor, censor_hazards)
@@ -152,7 +151,7 @@ def gen_synthetic(cfg: SyntheticConfig) -> Dataset:
     t_obs = np.minimum(t_event, t_censor).astype(np.int64)
     e = (t_event <= t_censor).astype(np.int64)
     x_out = _standardize_columns(x) if cfg.standardize else x
-    return Dataset(x=x_out, a=a, time=t_obs, event=e, grid=TimeGrid(cfg.t_max))
+    return Dataset(x=x_out, a=a, time=t_obs, event=e, grid=TimeGrid(T_MAX))
 
 
 @dataclass(frozen=True)
@@ -176,8 +175,8 @@ def ground_truth(cfg: SyntheticConfig, mc_n: int, seed: int | None = None) -> Gr
     if mc_n < 10_000:
         raise ValueError(f"mc_n must be >= 10000, got {mc_n}")
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    x = _draw_synthetic_covariates(rng, mc_n, cfg.d)
-    n_pts = cfg.t_max + 1
+    x = _draw_synthetic_covariates(rng, mc_n, SYNTH_D)
+    n_pts = T_MAX + 1
     psi = np.ones((2, n_pts))
     psi_se = np.zeros((2, n_pts))
     delta = np.zeros(n_pts)
@@ -207,8 +206,6 @@ class TwinsLikeConfig:
     t0: np.ndarray  # (n,) potential time under a=0
     t1: np.ndarray  # (n,) potential time under a=1
     seed: int = 0
-    t_max: int = T_MAX
-    standardize: bool = True
 
     def __post_init__(self) -> None:
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
@@ -246,19 +243,20 @@ def gen_twins_like(cfg: TwinsLikeConfig) -> Dataset:
     a = (u_assign < expit(cfg.x @ w1 + e_noise)).astype(np.int64)
     rate = 10.0 * expit(cfg.x @ w2)
     c = c_std / rate
-    t_event = np.minimum(np.where(a == 1, cfg.t1, cfg.t0), cfg.t_max)
+    t_event = np.minimum(np.where(a == 1, cfg.t1, cfg.t0), T_MAX)
     event = (t_event <= c).astype(np.int64)
     c_disc = np.maximum(np.ceil(c), 1.0).astype(np.int64)  # ceil keeps times >= 1
-    t_obs = np.minimum(np.minimum(t_event, c_disc), cfg.t_max)
-    x_out = _standardize_columns(cfg.x) if cfg.standardize else cfg.x
-    return Dataset(x=x_out, a=a, time=t_obs, event=event, grid=TimeGrid(cfg.t_max))
+    t_obs = np.minimum(np.minimum(t_event, c_disc), T_MAX)
+    return Dataset(
+        x=_standardize_columns(cfg.x), a=a, time=t_obs, event=event, grid=TimeGrid(T_MAX)
+    )
 
 
 def twins_ground_truth(cfg: TwinsLikeConfig) -> GroundTruth:
     """Exact psi over the covariate table: the paired times are the population."""
-    n_pts = cfg.t_max + 1
+    n_pts = T_MAX + 1
     t = np.arange(n_pts)
-    capped = {0: np.minimum(cfg.t0, cfg.t_max), 1: np.minimum(cfg.t1, cfg.t_max)}
+    capped = {0: np.minimum(cfg.t0, T_MAX), 1: np.minimum(cfg.t1, T_MAX)}
     psi = np.stack([(capped[a][:, None] > t[None, :]).mean(axis=0) for a in (0, 1)])
     return GroundTruth(
         psi=psi,
@@ -268,9 +266,7 @@ def twins_ground_truth(cfg: TwinsLikeConfig) -> GroundTruth:
     )
 
 
-def surrogate_twins_table(
-    n: int, seed: int = 0, d: int = 30
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def surrogate_twins_table(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A stand-in covariate table with paired potential times.
 
     Entirely synthetic (correlated binaries and normals, logistic-hazard
@@ -281,11 +277,11 @@ def surrogate_twins_table(
         raise ValueError(f"n must be >= 2, got {n}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(n)
-    z = np.sqrt(0.3) * g[:, None] + np.sqrt(0.7) * rng.standard_normal((n, d))
+    z = np.sqrt(0.3) * g[:, None] + np.sqrt(0.7) * rng.standard_normal((n, TWINS_D))
     x = z.copy()
-    n_binary = d // 2
+    n_binary = TWINS_D // 2
     x[:, :n_binary] = (z[:, :n_binary] > 0.0).astype(float)
-    beta = rng.normal(scale=0.25, size=d)
+    beta = rng.normal(scale=0.25, size=TWINS_D)
     u_pot = rng.random((n, 2, T_MAX))
     times = np.empty((n, 2), dtype=np.int64)
     lin = x @ beta
@@ -297,8 +293,8 @@ def surrogate_twins_table(
     return x, times[:, 0], times[:, 1]
 
 
-def load_twins_table(path: str, d: int = 30) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read the `x0..x{d-1},t0,t1` covariate/potential-time table."""
+def load_twins_table(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read the `x0..x29,t0,t1` covariate/potential-time table."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -306,6 +302,7 @@ def load_twins_table(path: str, d: int = 30) -> tuple[np.ndarray, np.ndarray, np
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         rows = [row for row in reader if row]
+    d = TWINS_D
     expected = [f"x{j}" for j in range(d)] + ["t0", "t1"]
     if header != expected:
         raise ValueError(

@@ -147,26 +147,31 @@ def plugin_estimate(s_hat_t: np.ndarray) -> float:
     return float(np.mean(s_hat_t))
 
 
+def _normal_interval(
+    point: float, influence: np.ndarray, level: float
+) -> tuple[float, float, float]:
+    """(se, point - z * se, point + z * se) with se = sqrt(var(influence)/n)."""
+    se = float(np.sqrt(np.var(influence, ddof=1) / influence.size))
+    half = float(ndtri(0.5 + level / 2.0)) * se
+    return se, point - half, point + half
+
+
 def confidence_interval(
     point: float, influence: np.ndarray, level: float = 0.95
 ) -> tuple[float, float]:
     """Normal t-statistic interval point +- z * sqrt(var(influence)/n)."""
     influence = np.asarray(influence, dtype=float)
-    n = influence.size
-    if n < 2:
+    if influence.size < 2:
         raise EstimationError("confidence interval needs at least 2 influence values")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    z = float(ndtri(0.5 + level / 2.0))
-    half = z * float(np.sqrt(np.var(influence, ddof=1) / n))
-    return point - half, point + half
+    return _normal_interval(point, influence, level)[1:]
 
 
 def _result(kind: str, arm: int | str, t: int, point: float, influence: np.ndarray) -> EstimateResult:
     influence = np.asarray(influence, dtype=float)
     if influence.size > 1:
-        se = float(np.sqrt(np.var(influence, ddof=1) / influence.size))
-        lo, hi = confidence_interval(point, influence)
+        se, lo, hi = _normal_interval(point, influence, 0.95)
     else:
         se, lo, hi = float("nan"), float("nan"), float("nan")
     return EstimateResult(

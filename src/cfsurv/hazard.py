@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceWarning, CoverageWarning, EstimationError
 from .kernels import KernelConfig, gram
-from .survival import Dataset, TimeGrid
+from .survival import Dataset, TimeGrid, standardization
 
 __all__ = [
     "HAZARD_FLOOR",
@@ -44,6 +44,14 @@ HAZARD_CEIL = 1.0 - 1e-6
 PROPENSITY_FLOOR = 1e-3
 
 _P_EPS = 1e-12  # probability clip inside the optimizer only
+
+#: per-cell Newton stopping rule: loss gradient norm, iteration cap
+NEWTON_TOL = 1e-6
+NEWTON_MAX_ITER = 500
+
+#: propensity Newton stopping rule: loss gradient norm, iteration cap
+PROPENSITY_TOL = 1e-8
+PROPENSITY_MAX_ITER = 500
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -74,13 +82,7 @@ def klr_loss_grad(
     return value, np.concatenate([grad_alpha, [grad_b]])
 
 
-def _newton_klr(
-    k: np.ndarray,
-    y: np.ndarray,
-    ridge: float,
-    tol: float = 1e-6,
-    max_iter: int = 500,
-) -> tuple[np.ndarray, float, bool]:
+def _newton_klr(k: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, float, bool]:
     """Damped Newton for the penalized kernel-logistic cell.
 
     Steps solve the stationarity system (p - y) + ridge alpha = 0,
@@ -89,8 +91,8 @@ def _newton_klr(
     (the loss itself is flat along the Gram matrix's near-null space, so
     a loss-based search stalls on the ill-conditioned Grams a long
     length scale produces); every root is a global minimizer of the
-    convex loss. Stops once the true loss gradient norm is <= tol, or
-    after max_iter.
+    convex loss. Stops once the true loss gradient norm is <= NEWTON_TOL,
+    or after NEWTON_MAX_ITER iterations.
     """
     m = len(y)
     alpha = np.zeros(m)
@@ -106,9 +108,9 @@ def _newton_klr(
     p, g_alpha, g_b = residuals(alpha, b)
     diag = np.arange(m)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         true_grad = float(np.sqrt(np.sum((k @ g_alpha) ** 2) + g_b**2))
-        if true_grad <= tol:
+        if true_grad <= NEWTON_TOL:
             converged = True
             break
         w = np.clip(p * (1.0 - p), _P_EPS, None)
@@ -144,8 +146,6 @@ class _Cell:
     constant: float | None = None
 
     def predict(self, k_pred: np.ndarray) -> np.ndarray:
-        if self.constant is not None:
-            return np.full(k_pred.shape[0], self.constant)
         f = k_pred[:, self.risk_idx] @ self.alpha + self.intercept
         return np.clip(_sigmoid(f), HAZARD_FLOOR, HAZARD_CEIL)
 
@@ -159,9 +159,7 @@ class KernelHazardModel:
     scale: np.ndarray
     train_x: np.ndarray  # standardized training covariates
     kernel: KernelConfig
-    ridge: float
     cells: dict[tuple[int, int], _Cell]
-    max_time: int
     empty_cells: tuple[tuple[int, int], ...] = ()
 
     def standardize(self, x: np.ndarray) -> np.ndarray:
@@ -207,25 +205,16 @@ class OracleHazardModel:
         return np.cumprod(1.0 - self.hazard_matrix(x, a), axis=1)
 
 
-def _standardization(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    return mean, scale
-
-
 def _fit_hazard(
     data: Dataset,
     labels_at: Callable[[np.ndarray, int], np.ndarray],
     kernel: KernelConfig,
     ridge: float,
     max_time: int | None,
-    tol: float,
-    max_iter: int,
 ) -> KernelHazardModel:
     if max_time is None:
         max_time = data.grid.t_max
-    mean, scale = _standardization(data.x)
+    mean, scale = standardization(data.x)
     xs = (data.x - mean) / scale
     k_full = gram(xs, xs, kernel)
     cells: dict[tuple[int, int], _Cell] = {}
@@ -247,7 +236,7 @@ def _fit_hazard(
                 cells[(u, a)] = _Cell(None, 0.0, None, constant=level)
                 continue
             k_sub = k_full[np.ix_(risk, risk)]
-            alpha, b, converged = _newton_klr(k_sub, y, ridge, tol=tol, max_iter=max_iter)
+            alpha, b, converged = _newton_klr(k_sub, y, ridge)
             if not converged:
                 stalled.append((u, a))
             cells[(u, a)] = _Cell(alpha=alpha, intercept=b, risk_idx=risk)
@@ -260,8 +249,8 @@ def _fit_hazard(
         )
     if stalled:
         warnings.warn(
-            f"{len(stalled)} (time, arm) cells stopped after {max_iter} Newton "
-            f"iterations above gradient tolerance {tol:.1e}: {stalled}",
+            f"{len(stalled)} (time, arm) cells stopped after {NEWTON_MAX_ITER} Newton "
+            f"iterations above gradient tolerance {NEWTON_TOL:.1e}: {stalled}",
             ConvergenceWarning,
             stacklevel=3,
         )
@@ -271,9 +260,7 @@ def _fit_hazard(
         scale=scale,
         train_x=xs,
         kernel=kernel,
-        ridge=ridge,
         cells=cells,
-        max_time=max_time,
         empty_cells=tuple(empty),
     )
 
@@ -283,15 +270,13 @@ def fit_event_hazard(
     kernel: KernelConfig = KernelConfig(),
     ridge: float = 0.5,
     max_time: int | None = None,
-    tol: float = 1e-6,
-    max_iter: int = 500,
 ) -> KernelHazardModel:
     """Fit the event hazard: labels 1(event, time = u) on each (u, a) risk set."""
 
     def labels(risk: np.ndarray, u: int) -> np.ndarray:
         return ((data.event[risk] == 1) & (data.time[risk] == u)).astype(float)
 
-    return _fit_hazard(data, labels, kernel, ridge, max_time, tol, max_iter)
+    return _fit_hazard(data, labels, kernel, ridge, max_time)
 
 
 def fit_censor_hazard(
@@ -299,15 +284,13 @@ def fit_censor_hazard(
     kernel: KernelConfig = KernelConfig(),
     ridge: float = 0.5,
     max_time: int | None = None,
-    tol: float = 1e-6,
-    max_iter: int = 500,
 ) -> KernelHazardModel:
     """Fit the censoring hazard: the event fit with flipped event flags."""
 
     def labels(risk: np.ndarray, u: int) -> np.ndarray:
         return ((data.event[risk] == 0) & (data.time[risk] == u)).astype(float)
 
-    return _fit_hazard(data, labels, kernel, ridge, max_time, tol, max_iter)
+    return _fit_hazard(data, labels, kernel, ridge, max_time)
 
 
 @dataclass(frozen=True)
@@ -349,9 +332,7 @@ def propensity_loss_grad(
     return value, grad
 
 
-def fit_propensity(
-    data: Dataset, tol: float = 1e-8, max_iter: int = 500
-) -> PropensityModel:
+def fit_propensity(data: Dataset) -> PropensityModel:
     """Maximum-likelihood linear logistic regression of treatment on covariates."""
     a = data.a.astype(float)
     if a.min() == a.max():
@@ -360,8 +341,8 @@ def fit_propensity(
     theta = np.zeros(data.d + 1)
     z = np.hstack([x, np.ones((data.n, 1))])
     value, grad = propensity_loss_grad(x, a, theta[:-1], theta[-1])
-    for _ in range(max_iter):
-        if float(np.linalg.norm(grad)) <= tol:
+    for _ in range(PROPENSITY_MAX_ITER):
+        if float(np.linalg.norm(grad)) <= PROPENSITY_TOL:
             break
         p = np.clip(_sigmoid(z @ theta), _P_EPS, 1.0 - _P_EPS)
         w = p * (1.0 - p)

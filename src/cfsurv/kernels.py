@@ -16,20 +16,21 @@ from .errors import NumericalError
 
 __all__ = ["KernelConfig", "rbf", "gram", "spd_factor", "cho_solve_checked", "spd_solve"]
 
-#: escalation schedule on factorization failure: none, jitter, x10, x100
+#: diagonal jitter schedule on factorization failure: none, JITTER, x10, x100
+JITTER = 1e-10
 _JITTER_RETRIES = 3
+
+#: residual bound of a checked solve, relative to 1 + ||b||
+SOLVE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class KernelConfig:
     length_scale: float = 10.0
-    jitter: float = 1e-10
 
     def __post_init__(self) -> None:
         if not self.length_scale > 0:
             raise ValueError(f"length_scale must be positive, got {self.length_scale}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be non-negative, got {self.jitter}")
 
 
 def rbf(x: np.ndarray, y: np.ndarray, cfg: KernelConfig) -> float:
@@ -64,7 +65,7 @@ def gram(rows: np.ndarray, cols: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     return k
 
 
-def spd_factor(m: np.ndarray, ridge: float = 0.0, jitter: float = 1e-10) -> np.ndarray:
+def spd_factor(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     """Lower Cholesky factor of m + ridge * I for symmetric positive semi-definite m.
 
     On factorization failure the diagonal gets escalating jitter (x10 per
@@ -74,7 +75,7 @@ def spd_factor(m: np.ndarray, ridge: float = 0.0, jitter: float = 1e-10) -> np.n
     a = m + ridge * np.eye(m.shape[0])
     last_err: Exception | None = None
     for attempt in range(_JITTER_RETRIES + 1):
-        eps = 0.0 if attempt == 0 else jitter * 10.0 ** (attempt - 1)
+        eps = 0.0 if attempt == 0 else JITTER * 10.0 ** (attempt - 1)
         try:
             return scipy.linalg.cholesky(
                 a + eps * np.eye(a.shape[0]), lower=True, check_finite=False
@@ -83,23 +84,23 @@ def spd_factor(m: np.ndarray, ridge: float = 0.0, jitter: float = 1e-10) -> np.n
             last_err = err
     raise NumericalError(
         f"SPD solve failed for {m.shape[0]}x{m.shape[0]} system "
-        f"(ridge={ridge:.3e}, jitter up to {jitter * 10.0 ** (_JITTER_RETRIES - 1):.3e}): "
+        f"(ridge={ridge:.3e}, jitter up to {JITTER * 10.0 ** (_JITTER_RETRIES - 1):.3e}): "
         f"{last_err}"
     )
 
 
 def cho_solve_checked(
-    factor: np.ndarray, m: np.ndarray, b: np.ndarray, ridge: float = 0.0, tol: float = 1e-8
+    factor: np.ndarray, m: np.ndarray, b: np.ndarray, ridge: float = 0.0
 ) -> np.ndarray:
     """Solve (m + ridge * I) z = b from a lower Cholesky factor of that matrix.
 
     The factor may carry jitter; the returned solution satisfies
-    ||(m + ridge I) z - b|| <= tol * (1 + ||b||) for the unjittered
+    ||(m + ridge I) z - b|| <= SOLVE_TOL * (1 + ||b||) for the unjittered
     system, otherwise a NumericalError is raised with diagnostics.
     """
     z = scipy.linalg.cho_solve((factor, True), b, check_finite=False)
     residual = float(np.linalg.norm(m @ z + ridge * z - b))
-    bound = tol * (1.0 + float(np.linalg.norm(b)))
+    bound = SOLVE_TOL * (1.0 + float(np.linalg.norm(b)))
     if residual > bound:
         raise NumericalError(
             f"SPD solve of {m.shape[0]}x{m.shape[0]} system (ridge={ridge:.3e}) "
@@ -108,13 +109,7 @@ def cho_solve_checked(
     return z
 
 
-def spd_solve(
-    m: np.ndarray,
-    b: np.ndarray,
-    ridge: float = 0.0,
-    jitter: float = 1e-10,
-    tol: float = 1e-8,
-) -> np.ndarray:
+def spd_solve(m: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     """Solve (m + ridge * I) z = b for symmetric positive semi-definite m.
 
     Factors with `spd_factor` and solves with `cho_solve_checked`, so the
@@ -126,4 +121,4 @@ def spd_solve(
         raise ValueError(f"matrix must be square, got {m.shape}")
     if b.shape[0] != m.shape[0]:
         raise ValueError(f"rhs has {b.shape[0]} rows, matrix has {m.shape[0]}")
-    return cho_solve_checked(spd_factor(m, ridge, jitter), m, b, ridge, tol)
+    return cho_solve_checked(spd_factor(m, ridge), m, b, ridge)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +25,13 @@ from .dgp import (
     surrogate_twins_table,
 )
 from .errors import EstimationError, HarnessError, NumericalError
-from .estimators import EstimatorParams, fit_nuisances, nuisance_plan, run_estimator
+from .estimators import (
+    ESTIMATOR_KINDS,
+    EstimatorParams,
+    fit_nuisances,
+    nuisance_plan,
+    run_estimator,
+)
 from .survival import FLOAT_FMT
 
 __all__ = [
@@ -87,6 +91,9 @@ class SimulationConfig:
             raise ValueError(f"dgp must be one of {DGP_PRESETS}, got {self.dgp!r}")
         if not self.estimators:
             raise ValueError("need at least one estimator")
+        unknown = [e for e in self.estimators if e not in ESTIMATOR_KINDS]
+        if unknown:
+            raise ValueError(f"unknown estimators: {', '.join(unknown)}")
         if not self.times:
             raise ValueError("need at least one evaluation time")
         if min(self.times) < 0 or max(self.times) > T_MAX:
@@ -144,16 +151,8 @@ def run_single_replication(cfg: SimulationConfig, seed: int, estimator_fns=None)
     return out
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("CFSURV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_replications(cfg: SimulationConfig, estimator_fns=None) -> ReplicationResult:
-    """Run all Q replications; parallelism capped by CFSURV_THREADS."""
+    """Run all Q replications in order of q."""
     if cfg.dgp == "twins-like" and cfg.twins_table is None:
         cfg = replace(cfg, twins_table=surrogate_twins_table(cfg.n, seed=cfg.master_seed))
     seeds = [derive_seed(cfg.master_seed, q) for q in range(cfg.q)]
@@ -161,17 +160,8 @@ def run_replications(cfg: SimulationConfig, estimator_fns=None) -> ReplicationRe
     estimates = {k: np.full(shape, np.nan) for k in cfg.estimators}
     ci_low = {k: np.full(shape, np.nan) for k in cfg.estimators}
     ci_high = {k: np.full(shape, np.nan) for k in cfg.estimators}
-
-    def one(q: int):
-        return q, run_single_replication(cfg, seeds[q], estimator_fns)
-
-    threads = _n_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(cfg.q)))
-    else:
-        rows = [one(q) for q in range(cfg.q)]
-    for q, cells in rows:
+    for q, seed in enumerate(seeds):
+        cells = run_single_replication(cfg, seed, estimator_fns)
         for kind in cfg.estimators:
             for ti, t in enumerate(cfg.times):
                 rec = cells[kind][t]

@@ -23,6 +23,7 @@ __all__ = [
     "at_risk_matrix",
     "event_matrix",
     "active_matrix",
+    "standardization",
     "write_dataset_csv",
     "read_dataset_csv",
     "dataset_csv_bytes",
@@ -101,6 +102,14 @@ class Dataset:
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.x[idx], self.a[idx], self.time[idx], self.event[idx], self.grid)
+
+
+def standardization(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and standard deviations of x; a constant column gets scale 1."""
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    return mean, scale
 
 
 def _check_curve(values: np.ndarray, grid: TimeGrid | None, name: str) -> np.ndarray:

@@ -1,14 +1,23 @@
 """The public surface: every exported name resolves, removed names stay gone."""
 
 import importlib
+import inspect
 import pkgutil
 from dataclasses import fields
 
 import pytest
 
 import cfsurv
+from cfsurv.balance import SolverConfig
+from cfsurv.dgp import SyntheticConfig, TwinsLikeConfig, load_twins_table, surrogate_twins_table
 from cfsurv.estimators import EstimatorParams
-from cfsurv.hazard import KernelHazardModel
+from cfsurv.hazard import (
+    KernelHazardModel,
+    fit_censor_hazard,
+    fit_event_hazard,
+    fit_propensity,
+)
+from cfsurv.kernels import KernelConfig, cho_solve_checked, spd_factor, spd_solve
 from cfsurv.survival import Dataset
 
 # importing __main__ runs the CLI
@@ -53,3 +62,31 @@ def test_removed_helpers_are_gone():
 
 def test_estimator_params_fields():
     assert [f.name for f in fields(EstimatorParams)] == ["kernel", "ridge", "sigma2"]
+
+
+def test_config_fields():
+    assert [f.name for f in fields(KernelConfig)] == ["length_scale"]
+    assert [f.name for f in fields(SolverConfig)] == ["sigma2"]
+    assert [f.name for f in fields(SyntheticConfig)] == [
+        "n", "xi", "assign_scale", "seed", "standardize"
+    ]
+    assert [f.name for f in fields(TwinsLikeConfig)] == ["x", "t0", "t1", "seed"]
+    assert not {"ridge", "max_time"} & {f.name for f in fields(KernelHazardModel)}
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        fit_propensity, fit_event_hazard, fit_censor_hazard,
+        spd_factor, cho_solve_checked, spd_solve,
+        surrogate_twins_table, load_twins_table,
+    ],
+    ids=lambda fn: fn.__name__,
+)
+def test_fixed_settings_are_not_parameters(fn):
+    assert not {"tol", "max_iter", "jitter", "d"} & set(inspect.signature(fn).parameters)
+
+
+def test_replications_run_serially():
+    # neither the thread-count reader nor the pool executor is left in sim
+    assert not [name for name in vars(cfsurv.sim) if "thread" in name.lower()]

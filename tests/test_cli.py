@@ -116,6 +116,14 @@ def test_estimate_missing_columns(tmp_path):
     assert code == 2
 
 
+def test_estimate_rejects_time_past_horizon(tmp_path):
+    data = _datagen(tmp_path, n=60)
+    assert main(
+        ["estimate", "--data", str(data), "--estimator", "or", "--t", "99",
+         "--out", str(tmp_path / "o.csv")]
+    ) == 2
+
+
 def test_estimate_jsonl(tmp_path):
     data = _datagen(tmp_path, n=80)
     out = tmp_path / "res.jsonl"
@@ -191,6 +199,20 @@ def test_simulate_unknown_estimator(tmp_path):
     assert main(
         ["simulate", "--q", "2", "--n", "30", "--estimators", "or,zzz",
          "--times", "3", "--out", str(tmp_path / "m.csv")]
+    ) == 2
+
+
+def test_simulate_rejects_small_mc(tmp_path):
+    assert main(
+        ["simulate", "--q", "2", "--n", "30", "--estimators", "or", "--times", "3",
+         "--mc", "5000", "--out", str(tmp_path / "m.csv")]
+    ) == 2
+
+
+def test_simulate_xi_sweep_is_synthetic_only(tmp_path):
+    assert main(
+        ["simulate", "--dgp", "twins-like", "--q", "2", "--n", "30", "--estimators", "or",
+         "--times", "3", "--xi-sweep", "0.2", "--out", str(tmp_path / "m.csv")]
     ) == 2
 
 

@@ -229,7 +229,7 @@ def test_twins_csv_missing_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x0,x1,t0\n0,1,3\n")
     with pytest.raises(ValueError, match="paired potential times"):
-        load_twins_table(str(path), d=2)
+        load_twins_table(str(path))
 
 
 def test_ground_truth_validation():

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
+from cfsurv import hazard
 from cfsurv.dgp import SyntheticConfig, gen_synthetic, true_censor_hazard, true_event_hazard
 from cfsurv.errors import ConvergenceWarning, CoverageWarning, EstimationError
 from cfsurv.hazard import (
@@ -283,11 +284,12 @@ def test_event_fit_consistency_smoke():
     assert float(np.mean(errs)) <= 0.02
 
 
-def test_newton_non_convergence_is_reported_once():
+def test_newton_non_convergence_is_reported_once(monkeypatch):
     data = gen_synthetic(SyntheticConfig(n=60, seed=5))
-    with warnings.catch_warnings(record=True) as caught:
+    with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+        patch.setattr(hazard, "NEWTON_MAX_ITER", 1)
         warnings.simplefilter("always")
-        fit_event_hazard(data, max_time=5, max_iter=1)
+        fit_event_hazard(data, max_time=5)
     stalled = [w for w in caught if issubclass(w.category, ConvergenceWarning)]
     assert len(stalled) == 1
     assert "(1, 0)" in str(stalled[0].message)

@@ -10,8 +10,6 @@ from cfsurv.kernels import KernelConfig, gram, rbf, spd_solve
 def test_kernel_config_validation():
     with pytest.raises(ValueError):
         KernelConfig(length_scale=0.0)
-    with pytest.raises(ValueError):
-        KernelConfig(jitter=-1e-3)
 
 
 def test_rbf_identity():
