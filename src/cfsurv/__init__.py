@@ -42,7 +42,7 @@ from .hazard import (
     fit_event_hazard,
     fit_propensity,
 )
-from .kernels import KernelConfig, gram, rbf, spd_solve
+from .kernels import KernelConfig, gram, rbf
 from .sim import (
     MetricsRow,
     SimulationConfig,

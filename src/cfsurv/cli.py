@@ -201,16 +201,14 @@ def _emit(payload: bytes, out: str | None) -> None:
             fh.write(payload)
 
 
-def _load_twins_table(opt: dict[str, Any]):
-    if opt.get("twins_csv") is not None:
-        x, t0, t1 = dgp_mod.load_twins_table(_check_in_path(opt["twins_csv"]))
-        n = opt.get("n")
-        if n is not None:
-            if n > len(t0):
-                raise UsageError(f"--n {n} exceeds the {len(t0)} table rows")
-            x, t0, t1 = x[:n], t0[:n], t1[:n]
-        return x, t0, t1
-    return dgp_mod.surrogate_twins_table(opt["n"], seed=opt.get("seed", opt.get("master_seed", 0)))
+def _load_twins_table(path: str | None, n: int, seed: int):
+    """The first n rows of the table at path, or a seeded n-row surrogate."""
+    if path is None:
+        return dgp_mod.surrogate_twins_table(n, seed=seed)
+    x, t0, t1 = dgp_mod.load_twins_table(_check_in_path(path))
+    if n > len(t0):
+        raise UsageError(f"--n {n} exceeds the {len(t0)} table rows")
+    return x[:n], t0[:n], t1[:n]
 
 
 def cmd_datagen(opt: dict[str, Any]) -> int:
@@ -221,7 +219,7 @@ def cmd_datagen(opt: dict[str, Any]) -> int:
         )
         data = dgp_mod.gen_synthetic(cfg)
     else:
-        x, t0, t1 = _load_twins_table(opt)
+        x, t0, t1 = _load_twins_table(opt["twins_csv"], opt["n"], opt["seed"])
         data = dgp_mod.gen_twins_like(
             dgp_mod.TwinsLikeConfig(x=x, t0=t0, t1=t1, seed=opt["seed"])
         )
@@ -234,14 +232,18 @@ def cmd_datagen(opt: dict[str, Any]) -> int:
     return 0
 
 
-def _estimate_records(opt: dict[str, Any]):
-    data = read_dataset_csv(_check_in_path(opt["data"]))
-    times = opt["t"]
-    params = EstimatorParams(
+def _estimator_params(opt: dict[str, Any]) -> EstimatorParams:
+    return EstimatorParams(
         kernel=KernelConfig(length_scale=opt["length_scale"]),
         ridge=opt["ridge"],
         sigma2=opt["sigma2"],
     )
+
+
+def _estimate_records(opt: dict[str, Any]):
+    params = _estimator_params(opt)
+    data = read_dataset_csv(_check_in_path(opt["data"]))
+    times = opt["t"]
     arm: int | str = opt["arm"] if opt["arm"] == "diff" else int(opt["arm"])
     try:
         results, failures = run_estimator(
@@ -306,16 +308,10 @@ def cmd_simulate(opt: dict[str, Any]) -> int:
     _check_out_path(opt["out"])
     if opt["raw"] is not None:
         _check_out_path(opt["raw"])
-    params = EstimatorParams(
-        kernel=KernelConfig(length_scale=opt["length_scale"]),
-        ridge=opt["ridge"],
-        sigma2=opt["sigma2"],
-    )
+    params = _estimator_params(opt)
     twins_table = None
     if opt["dgp"] == "twins-like":
-        opt_for_table = dict(opt)
-        opt_for_table.setdefault("seed", opt["master_seed"])
-        twins_table = _load_twins_table(opt_for_table)
+        twins_table = _load_twins_table(opt["twins_csv"], opt["n"], opt["master_seed"])
     cfg = SimulationConfig(
         q=opt["q"],
         n=opt["n"],

@@ -92,6 +92,11 @@ class EstimatorParams:
     ridge: float = 0.5
     sigma2: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not self.ridge > 0:
+            raise ValueError(f"ridge must be positive, got {self.ridge}")
+        SolverConfig(sigma2=self.sigma2)  # rejects sigma2 <= 0
+
 
 @dataclass(frozen=True)
 class FoldPlan:
@@ -301,15 +306,13 @@ def fit_nuisances(
     spec = _checked_spec(data, kind, times)
     use_event, use_censor, use_prop = spec.models
     max_t = max(times)
-    censor_max_t = max(max_t, int(data.time.max()))
 
     def fit(train: Dataset):
         return (
             fit_event_hazard(train, kernel=params.kernel, ridge=params.ridge, max_time=max_t)
             if use_event else None,
-            fit_censor_hazard(
-                train, kernel=params.kernel, ridge=params.ridge, max_time=censor_max_t
-            ) if use_censor else None,
+            fit_censor_hazard(train, kernel=params.kernel, ridge=params.ridge, max_time=max_t)
+            if use_censor else None,
             fit_propensity(train) if use_prop else None,
         )
 

@@ -1,8 +1,9 @@
 """Nuisance-function fitting.
 
-Event and censoring hazards are fit as independent kernel logistic
-regressions, one per (time u, arm a), each trained on the at-risk units
-for that cell. The per-cell objective is the summed binary cross-entropy
+The event hazard is fit as independent kernel logistic regressions, one
+per (time u, arm a), each trained on the risk set {a_i = a, time_i >= u}
+of that cell. The censoring hazard is the same fit with the event flags
+flipped. The per-cell objective is the summed binary cross-entropy
 plus (ridge / 2) * alpha' K alpha with a fixed coefficient, so the
 penalty's weight relative to the mean loss scales like ridge / risk-set
 size: late, thin cells are smoothed hard while large risk sets keep
@@ -19,10 +20,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ConvergenceWarning, CoverageWarning, EstimationError
 from .kernels import KernelConfig, gram
-from .survival import Dataset, TimeGrid, standardization
+from .survival import Dataset, TimeGrid, active_matrix, event_matrix, standardization
 
 __all__ = [
     "HAZARD_FLOOR",
@@ -54,15 +56,6 @@ PROPENSITY_TOL = 1e-8
 PROPENSITY_MAX_ITER = 500
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def klr_loss_grad(
     k: np.ndarray, y: np.ndarray, alpha: np.ndarray, b: float, ridge: float
 ) -> tuple[float, np.ndarray]:
@@ -76,7 +69,7 @@ def klr_loss_grad(
     # log(1 + e^f) - y f, stable in both tails
     value = float(np.sum(np.logaddexp(0.0, f) - y * f))
     value += 0.5 * ridge * float(alpha @ (k @ alpha))
-    p = _sigmoid(f)
+    p = expit(f)
     grad_alpha = k @ ((p - y) + ridge * alpha)
     grad_b = float(np.sum(p - y))
     return value, np.concatenate([grad_alpha, [grad_b]])
@@ -100,7 +93,7 @@ def _newton_klr(k: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray,
     b = float(np.log(ybar / (1.0 - ybar)))
 
     def residuals(alpha_, b_):
-        p_ = _sigmoid(k @ alpha_ + b_)
+        p_ = expit(k @ alpha_ + b_)
         g_alpha = (p_ - y) + ridge * alpha_
         g_b = float(np.sum(p_ - y))
         return p_, g_alpha, g_b
@@ -147,7 +140,7 @@ class _Cell:
 
     def predict(self, k_pred: np.ndarray) -> np.ndarray:
         f = k_pred[:, self.risk_idx] @ self.alpha + self.intercept
-        return np.clip(_sigmoid(f), HAZARD_FLOOR, HAZARD_CEIL)
+        return np.clip(expit(f), HAZARD_FLOOR, HAZARD_CEIL)
 
 
 @dataclass(frozen=True)
@@ -205,30 +198,35 @@ class OracleHazardModel:
         return np.cumprod(1.0 - self.hazard_matrix(x, a), axis=1)
 
 
-def _fit_hazard(
+def fit_event_hazard(
     data: Dataset,
-    labels_at: Callable[[np.ndarray, int], np.ndarray],
-    kernel: KernelConfig,
-    ridge: float,
-    max_time: int | None,
+    kernel: KernelConfig = KernelConfig(),
+    ridge: float = 0.5,
+    max_time: int | None = None,
 ) -> KernelHazardModel:
+    """Fit the event hazard: labels 1(event, time = u) on each (u, a) risk set.
+
+    Risk sets and labels are `active_matrix` and `event_matrix` columns,
+    for u = 1..max_time (default: the grid's t_max).
+    """
     if max_time is None:
         max_time = data.grid.t_max
     mean, scale = standardization(data.x)
     xs = (data.x - mean) / scale
     k_full = gram(xs, xs, kernel)
+    labels = event_matrix(data, max_time)
     cells: dict[tuple[int, int], _Cell] = {}
     empty: list[tuple[int, int]] = []
     stalled: list[tuple[int, int]] = []
     for a in (0, 1):
-        arm = data.a == a
+        active = active_matrix(data, a, max_time)
         for u in range(1, max_time + 1):
-            risk = np.flatnonzero(arm & (data.time >= u))
+            risk = np.flatnonzero(active[:, u])
             if risk.size == 0:
                 cells[(u, a)] = _Cell(None, 0.0, None, constant=HAZARD_FLOOR)
                 empty.append((u, a))
                 continue
-            y = labels_at(risk, u)
+            y = labels[risk, u]
             if y.min() == y.max():
                 # with an unpenalized intercept the single-class optimum sits
                 # at the boundary; represent it by the clamp limit directly
@@ -245,14 +243,14 @@ def _fit_hazard(
             f"{len(empty)} (time, arm) cells had empty risk sets; "
             "constant floor hazard used",
             CoverageWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     if stalled:
         warnings.warn(
             f"{len(stalled)} (time, arm) cells stopped after {NEWTON_MAX_ITER} Newton "
             f"iterations above gradient tolerance {NEWTON_TOL:.1e}: {stalled}",
             ConvergenceWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     return KernelHazardModel(
         grid=data.grid,
@@ -265,20 +263,6 @@ def _fit_hazard(
     )
 
 
-def fit_event_hazard(
-    data: Dataset,
-    kernel: KernelConfig = KernelConfig(),
-    ridge: float = 0.5,
-    max_time: int | None = None,
-) -> KernelHazardModel:
-    """Fit the event hazard: labels 1(event, time = u) on each (u, a) risk set."""
-
-    def labels(risk: np.ndarray, u: int) -> np.ndarray:
-        return ((data.event[risk] == 1) & (data.time[risk] == u)).astype(float)
-
-    return _fit_hazard(data, labels, kernel, ridge, max_time)
-
-
 def fit_censor_hazard(
     data: Dataset,
     kernel: KernelConfig = KernelConfig(),
@@ -286,11 +270,8 @@ def fit_censor_hazard(
     max_time: int | None = None,
 ) -> KernelHazardModel:
     """Fit the censoring hazard: the event fit with flipped event flags."""
-
-    def labels(risk: np.ndarray, u: int) -> np.ndarray:
-        return ((data.event[risk] == 0) & (data.time[risk] == u)).astype(float)
-
-    return _fit_hazard(data, labels, kernel, ridge, max_time)
+    flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
+    return fit_event_hazard(flipped, kernel, ridge, max_time)
 
 
 @dataclass(frozen=True)
@@ -303,7 +284,7 @@ class PropensityModel:
     def prob(self, x: np.ndarray, a: int) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         p1 = np.clip(
-            _sigmoid(x @ self.weights + self.intercept),
+            expit(x @ self.weights + self.intercept),
             PROPENSITY_FLOOR,
             1.0 - PROPENSITY_FLOOR,
         )
@@ -327,7 +308,7 @@ def propensity_loss_grad(
     """Negative log-likelihood of the linear logistic fit and its gradient."""
     f = x @ weights + intercept
     value = float(np.sum(np.logaddexp(0.0, f) - a * f))
-    p = _sigmoid(f)
+    p = expit(f)
     grad = np.concatenate([x.T @ (p - a), [float(np.sum(p - a))]])
     return value, grad
 
@@ -344,7 +325,7 @@ def fit_propensity(data: Dataset) -> PropensityModel:
     for _ in range(PROPENSITY_MAX_ITER):
         if float(np.linalg.norm(grad)) <= PROPENSITY_TOL:
             break
-        p = np.clip(_sigmoid(z @ theta), _P_EPS, 1.0 - _P_EPS)
+        p = np.clip(expit(z @ theta), _P_EPS, 1.0 - _P_EPS)
         w = p * (1.0 - p)
         hess = z.T @ (w[:, None] * z)
         try:

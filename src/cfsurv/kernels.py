@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .errors import NumericalError
 
-__all__ = ["KernelConfig", "rbf", "gram", "spd_factor", "cho_solve_checked", "spd_solve"]
+__all__ = ["KernelConfig", "rbf", "gram", "spd_factor", "cho_solve_checked"]
 
 #: diagonal jitter schedule on factorization failure: none, JITTER, x10, x100
 JITTER = 1e-10
@@ -108,17 +108,3 @@ def cho_solve_checked(
         )
     return z
 
-
-def spd_solve(m: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-    """Solve (m + ridge * I) z = b for symmetric positive semi-definite m.
-
-    Factors with `spd_factor` and solves with `cho_solve_checked`, so the
-    jitter schedule and the residual bound are theirs.
-    """
-    m = np.asarray(m, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got {m.shape}")
-    if b.shape[0] != m.shape[0]:
-        raise ValueError(f"rhs has {b.shape[0]} rows, matrix has {m.shape[0]}")
-    return cho_solve_checked(spd_factor(m, ridge), m, b, ridge)

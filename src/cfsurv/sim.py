@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .dgp import (
     T_MAX,
@@ -51,9 +52,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-
-#: the 97.5% standard-normal quantile used throughout the reported intervals
-Z_975 = 1.959964
 
 DGP_PRESETS = ("synthetic", "twins-like")
 
@@ -255,27 +253,22 @@ def metrics(
 def summarize(result: ReplicationResult, truth: GroundTruth) -> list[MetricsRow]:
     """Metrics rows per (estimator, time), with OR as the RMSE baseline."""
     cfg = result.config
-    or_rmse: dict[int, float] = {}
+    rows = [
+        metrics(
+            result.estimates[kind][:, ti],
+            truth.delta[t],
+            ci_records=(result.ci_low[kind][:, ti], result.ci_high[kind][:, ti]),
+            estimator=kind,
+            t=t,
+            n=cfg.n,
+        )
+        for kind in cfg.estimators
+        for ti, t in enumerate(cfg.times)
+    ]
     if "or" in cfg.estimators:
-        for ti, t in enumerate(cfg.times):
-            est = result.estimates["or"][:, ti]
-            vals = est[np.isfinite(est)]
-            if vals.size >= 2:
-                or_rmse[t] = float(np.sqrt(np.mean((vals - truth.delta[t]) ** 2)))
-    rows = []
-    for kind in cfg.estimators:
-        for ti, t in enumerate(cfg.times):
-            rows.append(
-                metrics(
-                    result.estimates[kind][:, ti],
-                    truth.delta[t],
-                    ci_records=(result.ci_low[kind][:, ti], result.ci_high[kind][:, ti]),
-                    rmse_baseline=or_rmse.get(t),
-                    estimator=kind,
-                    t=t,
-                    n=cfg.n,
-                )
-            )
+        or_rmse = {row.t: row.rmse for row in rows if row.estimator == "or"}
+        for row in rows:
+            row.relative_rmse = row.rmse / or_rmse[row.t]
     return rows
 
 
@@ -300,11 +293,8 @@ def risb_rise(estimates: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
 def nominal_coverage(bias_ratio: float) -> float:
     """Coverage of a nominal 95% interval when bias is b standard errors."""
     b = abs(bias_ratio)
-
-    def phi(x: float) -> float:
-        return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-    return phi(Z_975 - b) - phi(-Z_975 - b)
+    z = ndtri(0.975)
+    return float(ndtr(z - b) - ndtr(-z - b))
 
 
 _BASE_COLUMNS = [

@@ -17,7 +17,7 @@ from cfsurv.hazard import (
     fit_event_hazard,
     fit_propensity,
 )
-from cfsurv.kernels import KernelConfig, cho_solve_checked, spd_factor, spd_solve
+from cfsurv.kernels import KernelConfig, cho_solve_checked, spd_factor
 from cfsurv.survival import Dataset
 
 # importing __main__ runs the CLI
@@ -37,6 +37,8 @@ REMOVED = (
     "ObservedUnit",
     "indicators",
     "predict_curves",
+    "spd_solve",
+    "Z_975",
 )
 
 
@@ -58,10 +60,17 @@ def test_removed_helpers_are_gone():
         assert not hasattr(cfsurv.estimators, name)
     assert not hasattr(Dataset, "from_units") and not hasattr(Dataset, "units")
     assert not hasattr(KernelHazardModel, "constant")
+    assert not hasattr(cfsurv.hazard, "_sigmoid")
 
 
 def test_estimator_params_fields():
     assert [f.name for f in fields(EstimatorParams)] == ["kernel", "ridge", "sigma2"]
+
+
+@pytest.mark.parametrize("bad", [{"ridge": 0.0}, {"ridge": -1.0}, {"sigma2": 0.0}])
+def test_estimator_params_reject_nonpositive(bad):
+    with pytest.raises(ValueError, match="must be positive"):
+        EstimatorParams(**bad)
 
 
 def test_config_fields():
@@ -78,7 +87,7 @@ def test_config_fields():
     "fn",
     [
         fit_propensity, fit_event_hazard, fit_censor_hazard,
-        spd_factor, cho_solve_checked, spd_solve,
+        spd_factor, cho_solve_checked,
         surrogate_twins_table, load_twins_table,
     ],
     ids=lambda fn: fn.__name__,

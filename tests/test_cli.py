@@ -124,6 +124,22 @@ def test_estimate_rejects_time_past_horizon(tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize("ridge", ["0", "-1"])
+def test_estimate_rejects_nonpositive_ridge(tmp_path, ridge):
+    data = _datagen(tmp_path, n=60)
+    assert main(
+        ["estimate", "--data", str(data), "--estimator", "or", "--t", "5",
+         "--ridge", ridge, "--out", str(tmp_path / "o.csv")]
+    ) == 2
+
+
+def test_simulate_rejects_zero_ridge(tmp_path):
+    assert main(
+        ["simulate", "--q", "2", "--n", "30", "--estimators", "or", "--times", "3",
+         "--ridge", "0", "--out", str(tmp_path / "m.csv")]
+    ) == 2
+
+
 def test_estimate_jsonl(tmp_path):
     data = _datagen(tmp_path, n=80)
     out = tmp_path / "res.jsonl"

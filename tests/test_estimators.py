@@ -243,6 +243,16 @@ def test_cross_fit_determinism():
     assert other.point != first.point
 
 
+def test_censor_fit_stops_at_last_evaluation_time():
+    # ipw reads G only for units with T <= t, dr only G_{u-1} with u <= t
+    data = gen_synthetic(SyntheticConfig(n=100, seed=3))
+    assert data.time.max() > 10
+    for _, _, censor, _ in fit_nuisances(data, "dr", [5, 10]).folds:
+        newton = [u for (u, _), cell in censor.cells.items() if cell.alpha is not None]
+        assert newton and max(newton) <= 10
+        assert max(u for u, _ in censor.cells) == 10
+
+
 def test_fold_plan():
     plan = FoldPlan.make(11, 3, seed=0)
     counts = np.bincount(plan.assignment)

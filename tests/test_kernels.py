@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfsurv.errors import NumericalError
-from cfsurv.kernels import KernelConfig, gram, rbf, spd_solve
+from cfsurv.kernels import KernelConfig, cho_solve_checked, gram, rbf, spd_factor
 
 
 def test_kernel_config_validation():
@@ -79,14 +79,19 @@ def test_gram_symmetric_psd(n, seed):
     assert eigs.min() >= -1e-8
 
 
+def factor_solve(m, b, ridge=0.0):
+    """Solve (m + ridge I) z = b the way the balance solver does."""
+    return cho_solve_checked(spd_factor(m, ridge), m, b, ridge)
+
+
 def test_spd_solve_identity():
     b = np.array([3.0, -1.0, 2.0])
-    np.testing.assert_allclose(spd_solve(np.eye(3), b), b, atol=1e-14)
+    np.testing.assert_allclose(factor_solve(np.eye(3), b), b, atol=1e-14)
 
 
 def test_spd_solve_diagonal_with_ridge():
     m = np.array([[2.0, 0.0], [0.0, 4.0]])
-    z = spd_solve(m, np.array([3.0, 5.0]), ridge=1.0)
+    z = factor_solve(m, np.array([3.0, 5.0]), ridge=1.0)
     np.testing.assert_allclose(z, [1.0, 1.0], atol=1e-14)
 
 
@@ -95,7 +100,7 @@ def test_spd_solve_random_residual():
     a = rng.normal(size=(20, 20))
     m = a @ a.T + 0.5 * np.eye(20)
     b = rng.normal(size=(20, 3))
-    z = spd_solve(m, b)
+    z = factor_solve(m, b)
     assert np.linalg.norm(m @ z - b) <= 1e-8 * (1 + np.linalg.norm(b))
 
 
@@ -103,17 +108,17 @@ def test_spd_solve_jitter_escalation():
     # exactly singular PSD matrix with a consistent rhs: jitter saves it
     m = np.ones((4, 4))
     b = np.ones(4)
-    z = spd_solve(m, b)
+    z = factor_solve(m, b)
     assert np.linalg.norm(m @ z - b) <= 1e-8 * (1 + np.linalg.norm(b))
 
 
 def test_spd_solve_failure_diagnostics():
     with pytest.raises(NumericalError, match="SPD solve failed"):
-        spd_solve(-np.eye(3), np.ones(3))
+        factor_solve(-np.eye(3), np.ones(3))
 
 
 def test_spd_solve_shape_errors():
     with pytest.raises(ValueError):
-        spd_solve(np.ones((2, 3)), np.ones(2))
+        factor_solve(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError):
-        spd_solve(np.eye(3), np.ones(2))
+        factor_solve(np.eye(3), np.ones(2))
