@@ -5,8 +5,6 @@ from .balance import (
     SolverConfig,
     derivative_direction,
     explicit_riesz,
-    imbalance,
-    objective,
     solve_balance_weights,
 )
 from .dgp import (
@@ -27,7 +25,6 @@ from .estimators import (
     FoldPlan,
     Nuisances,
     augmented_estimate,
-    confidence_interval,
     effect_estimate,
     fit_nuisances,
     plugin_estimate,
@@ -42,7 +39,7 @@ from .hazard import (
     fit_event_hazard,
     fit_propensity,
 )
-from .kernels import KernelConfig, gram, rbf
+from .kernels import KernelConfig, gram
 from .sim import (
     MetricsRow,
     SimulationConfig,
@@ -55,9 +52,7 @@ from .sim import (
 from .survival import (
     Dataset,
     TimeGrid,
-    hazard_from_survival,
     read_dataset_csv,
-    survival_from_hazard,
     write_dataset_csv,
 )
 

@@ -18,10 +18,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
-
-import numpy as np
 
 from . import dgp as dgp_mod
 from . import sim as sim_mod

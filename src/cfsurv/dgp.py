@@ -43,8 +43,7 @@ class SyntheticConfig:
     """Synthetic benchmark: 10 equicorrelated normals, logistic assignment.
 
     Assignment is A ~ Bern(assign_scale * sigmoid(xi * sum_p x_p)); the
-    defaults use assign_scale=1 with xi=0.3, and `rare_treatment_preset` gives
-    the 0.2 * sigmoid(sum_p x_p) variant.
+    defaults use assign_scale=1 with xi=0.3.
     """
 
     n: int
@@ -60,10 +59,6 @@ class SyntheticConfig:
             raise ValueError(f"xi must be positive, got {self.xi}")
         if not 0.0 < self.assign_scale <= 1.0:
             raise ValueError(f"assign_scale must be in (0, 1], got {self.assign_scale}")
-
-    @classmethod
-    def rare_treatment_preset(cls, n: int, seed: int = 0, **kwargs) -> "SyntheticConfig":
-        return cls(n=n, xi=1.0, assign_scale=0.2, seed=seed, **kwargs)
 
 
 def true_event_hazard(x: np.ndarray, a, t: int):

@@ -11,6 +11,10 @@ their flexibility. The intercept is unpenalized, which makes every
 fitted cell mean-calibrated on its risk set; single-class cells sit at
 the boundary of the likelihood and are represented by the clamp limits
 directly. The propensity is an unpenalized linear logistic regression.
+
+Both logistic fits use one damped Newton method (`_damped_newton`),
+which backtracks on the residual norm, and every fit that stops at its
+iteration cap reports it with a ConvergenceWarning.
 """
 
 from __future__ import annotations
@@ -75,37 +79,52 @@ def klr_loss_grad(
     return value, np.concatenate([grad_alpha, [grad_b]])
 
 
-def _newton_klr(k: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, float, bool]:
-    """Damped Newton for the penalized kernel-logistic cell.
+def _damped_newton(theta, residual, newton_step, stop_norm, tol, max_iter):
+    """Damped Newton for residual(theta) = 0; returns (theta, converged).
 
-    Steps solve the stationarity system (p - y) + ridge alpha = 0,
-    sum(p - y) = 0, whose Jacobian is nonsingular for ridge > 0 and
-    mixed labels. Backtracking is on the residual norm of that system
-    (the loss itself is flat along the Gram matrix's near-null space, so
-    a loss-based search stalls on the ill-conditioned Grams a long
-    length scale produces); every root is a global minimizer of the
-    convex loss. Stops once the true loss gradient norm is <= NEWTON_TOL,
-    or after NEWTON_MAX_ITER iterations.
+    Stops once stop_norm(residual) <= tol, or after max_iter steps. Each
+    step halves eta until the residual norm falls by (1 - 1e-4 eta); a
+    loss-value test would stall at roundoff near the optimum and on the
+    flat directions of an ill-conditioned Gram matrix.
+    """
+    r = residual(theta)
+    merit = float(np.linalg.norm(r))
+    for _ in range(max_iter):
+        if stop_norm(r) <= tol:
+            return theta, True
+        step = newton_step(theta, r)
+        eta = 1.0
+        for _ in range(50):
+            trial = theta - eta * step
+            trial_r = residual(trial)
+            trial_merit = float(np.linalg.norm(trial_r))
+            if trial_merit <= (1.0 - 1e-4 * eta) * merit:
+                break
+            eta *= 0.5
+        theta, r, merit = trial, trial_r, trial_merit
+    return theta, False
+
+
+def _newton_klr(k: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, float, bool]:
+    """Newton for one kernel-logistic cell; returns (alpha, b, converged).
+
+    The residual is the stationarity system (p - y) + ridge alpha = 0,
+    sum(p - y) = 0 (the loss gradient with K factored out of its alpha
+    block), whose Jacobian is nonsingular for ridge > 0 and mixed
+    labels. The stopping norm is the true loss gradient's.
     """
     m = len(y)
-    alpha = np.zeros(m)
     ybar = min(max(float(np.mean(y)), 1e-3), 1.0 - 1e-3)
-    b = float(np.log(ybar / (1.0 - ybar)))
-
-    def residuals(alpha_, b_):
-        p_ = expit(k @ alpha_ + b_)
-        g_alpha = (p_ - y) + ridge * alpha_
-        g_b = float(np.sum(p_ - y))
-        return p_, g_alpha, g_b
-
-    p, g_alpha, g_b = residuals(alpha, b)
+    theta = np.zeros(m + 1)
+    theta[m] = np.log(ybar / (1.0 - ybar))
     diag = np.arange(m)
-    converged = False
-    for _ in range(NEWTON_MAX_ITER):
-        true_grad = float(np.sqrt(np.sum((k @ g_alpha) ** 2) + g_b**2))
-        if true_grad <= NEWTON_TOL:
-            converged = True
-            break
+
+    def residual(theta_):
+        p = expit(k @ theta_[:m] + theta_[m])
+        return np.concatenate([(p - y) + ridge * theta_[:m], [np.sum(p - y)]])
+
+    def newton_step(theta_, r):
+        p = expit(k @ theta_[:m] + theta_[m])
         w = np.clip(p * (1.0 - p), _P_EPS, None)
         jac = np.empty((m + 1, m + 1))
         jac[:m, :m] = w[:, None] * k
@@ -113,20 +132,14 @@ def _newton_klr(k: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray,
         jac[:m, m] = w
         jac[m, :m] = w @ k
         jac[m, m] = float(np.sum(w))
-        g = np.concatenate([g_alpha, [g_b]])
-        step = np.linalg.solve(jac, g)
-        merit = float(np.linalg.norm(g))
-        eta = 1.0
-        for _ in range(50):
-            new_alpha = alpha - eta * step[:m]
-            new_b = float(b - eta * step[m])
-            new_p, new_ga, new_gb = residuals(new_alpha, new_b)
-            if float(np.sqrt(np.sum(new_ga**2) + new_gb**2)) <= (1.0 - 1e-4 * eta) * merit:
-                break
-            eta *= 0.5
-        alpha, b = new_alpha, new_b
-        p, g_alpha, g_b = new_p, new_ga, new_gb
-    return alpha, b, converged
+        return np.linalg.solve(jac, r)
+
+    theta, converged = _damped_newton(
+        theta, residual, newton_step,
+        lambda r: float(np.sqrt(np.sum((k @ r[:m]) ** 2) + r[m] ** 2)),  # loss gradient norm
+        NEWTON_TOL, NEWTON_MAX_ITER,
+    )
+    return theta[:m], float(theta[m]), converged
 
 
 @dataclass(frozen=True)
@@ -308,40 +321,43 @@ def propensity_loss_grad(
     """Negative log-likelihood of the linear logistic fit and its gradient."""
     f = x @ weights + intercept
     value = float(np.sum(np.logaddexp(0.0, f) - a * f))
-    p = expit(f)
-    grad = np.concatenate([x.T @ (p - a), [float(np.sum(p - a))]])
-    return value, grad
+    return value, _propensity_grad(x, a, weights, intercept)
+
+
+def _propensity_grad(x, a, weights, intercept) -> np.ndarray:
+    p = expit(x @ weights + intercept)
+    return np.concatenate([x.T @ (p - a), [float(np.sum(p - a))]])
 
 
 def fit_propensity(data: Dataset) -> PropensityModel:
-    """Maximum-likelihood linear logistic regression of treatment on covariates."""
+    """Maximum-likelihood linear logistic regression of treatment on covariates.
+
+    Newton on the likelihood gradient, to norm <= PROPENSITY_TOL; warns
+    if PROPENSITY_MAX_ITER steps do not get there.
+    """
     a = data.a.astype(float)
     if a.min() == a.max():
         raise EstimationError("propensity fit needs both arms present")
-    x = data.x
-    theta = np.zeros(data.d + 1)
-    z = np.hstack([x, np.ones((data.n, 1))])
-    value, grad = propensity_loss_grad(x, a, theta[:-1], theta[-1])
-    for _ in range(PROPENSITY_MAX_ITER):
-        if float(np.linalg.norm(grad)) <= PROPENSITY_TOL:
-            break
-        p = np.clip(expit(z @ theta), _P_EPS, 1.0 - _P_EPS)
-        w = p * (1.0 - p)
-        hess = z.T @ (w[:, None] * z)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.solve(hess + 1e-10 * np.eye(len(theta)), grad)
-        descent = float(grad @ step)
-        if not np.isfinite(descent) or descent <= 0.0:
-            step, descent = grad, float(grad @ grad)
-        eta = 1.0
-        for _ in range(50):
-            new_theta = theta - eta * step
-            new_value, new_grad = propensity_loss_grad(x, a, new_theta[:-1], new_theta[-1])
-            if new_value <= value - 1e-4 * eta * descent:
-                break
-            eta *= 0.5
-        theta, value, grad = new_theta, new_value, new_grad
-    return PropensityModel(weights=theta[:-1], intercept=float(theta[-1]))
+    z = np.hstack([data.x, np.ones((data.n, 1))])
 
+    def newton_step(theta, grad):
+        p = np.clip(expit(z @ theta), _P_EPS, 1.0 - _P_EPS)
+        hess = z.T @ ((p * (1.0 - p))[:, None] * z)
+        try:
+            return np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            return np.linalg.solve(hess + 1e-10 * np.eye(len(theta)), grad)
+
+    theta, converged = _damped_newton(
+        np.zeros(data.d + 1),
+        lambda theta: _propensity_grad(data.x, a, theta[:-1], theta[-1]),
+        newton_step, np.linalg.norm, PROPENSITY_TOL, PROPENSITY_MAX_ITER,
+    )
+    if not converged:
+        warnings.warn(
+            f"propensity fit stopped after {PROPENSITY_MAX_ITER} Newton iterations "
+            f"above gradient tolerance {PROPENSITY_TOL:.1e}",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
+    return PropensityModel(weights=theta[:-1], intercept=float(theta[-1]))

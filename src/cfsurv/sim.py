@@ -116,7 +116,7 @@ def _make_dataset(cfg: SimulationConfig, seed: int):
     return gen_twins_like(TwinsLikeConfig(x=x, t0=t0, t1=t1, seed=seed))
 
 
-def run_single_replication(cfg: SimulationConfig, seed: int, estimator_fns=None):
+def run_single_replication(cfg: SimulationConfig, seed: int):
     """One replication: {estimator: {t: (point, lo, hi) or None}}.
 
     Estimators with the same nuisance plan (dr and dr-clip) share one fit.
@@ -129,15 +129,12 @@ def run_single_replication(cfg: SimulationConfig, seed: int, estimator_fns=None)
     for kind in cfg.estimators:
         cells: dict[int, tuple[float, float, float] | None] = {t: None for t in cfg.times}
         try:
-            if estimator_fns is not None and kind in estimator_fns:
-                results, _ = estimator_fns[kind](data, times, cfg.params, fold_seed)
-            else:
-                plan = nuisance_plan(kind)
-                if plan not in fits:
-                    fits[plan] = fit_nuisances(data, kind, times, cfg.params, seed=fold_seed)
-                results, _ = run_estimator(
-                    data, kind, times, cfg.params, seed=fold_seed, nuisances=fits[plan]
-                )
+            plan = nuisance_plan(kind)
+            if plan not in fits:
+                fits[plan] = fit_nuisances(data, kind, times, cfg.params, seed=fold_seed)
+            results, _ = run_estimator(
+                data, kind, times, cfg.params, seed=fold_seed, nuisances=fits[plan]
+            )
         except (NumericalError, EstimationError):
             out[kind] = cells
             continue
@@ -149,7 +146,7 @@ def run_single_replication(cfg: SimulationConfig, seed: int, estimator_fns=None)
     return out
 
 
-def run_replications(cfg: SimulationConfig, estimator_fns=None) -> ReplicationResult:
+def run_replications(cfg: SimulationConfig) -> ReplicationResult:
     """Run all Q replications in order of q."""
     if cfg.dgp == "twins-like" and cfg.twins_table is None:
         cfg = replace(cfg, twins_table=surrogate_twins_table(cfg.n, seed=cfg.master_seed))
@@ -159,7 +156,7 @@ def run_replications(cfg: SimulationConfig, estimator_fns=None) -> ReplicationRe
     ci_low = {k: np.full(shape, np.nan) for k in cfg.estimators}
     ci_high = {k: np.full(shape, np.nan) for k in cfg.estimators}
     for q, seed in enumerate(seeds):
-        cells = run_single_replication(cfg, seed, estimator_fns)
+        cells = run_single_replication(cfg, seed)
         for kind in cfg.estimators:
             for ti, t in enumerate(cfg.times):
                 rec = cells[kind][t]
@@ -333,9 +330,7 @@ def metrics_csv_bytes(rows: list[MetricsRow], sweep: bool = False) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def run_xi_sweep(
-    cfg: SimulationConfig, xis: list[float], truth: GroundTruth, estimator_fns=None
-) -> list[MetricsRow]:
+def run_xi_sweep(cfg: SimulationConfig, xis: list[float], truth: GroundTruth) -> list[MetricsRow]:
     """Re-run the synthetic study at each overlap level xi.
 
     The ground truth is shared (assignment does not move the potential
@@ -347,7 +342,7 @@ def run_xi_sweep(
     rows: list[MetricsRow] = []
     for j, xi in enumerate(xis):
         sub = replace(cfg, xi=xi, master_seed=derive_seed(cfg.master_seed, 1_000_003 + j))
-        result = run_replications(sub, estimator_fns=estimator_fns)
+        result = run_replications(sub)
         truth_vec = np.array([truth.delta[t] for t in sub.times])
         for row in summarize(result, truth):
             risb, rise = risb_rise(result.estimates[row.estimator], truth_vec)

@@ -82,7 +82,7 @@ def test_gen_synthetic_bounds():
 
 def test_assignment_rate_rare_treatment_preset():
     # E[0.2 sigmoid(Z)], Z ~ N(0, 28): by symmetry the sigmoid averages to 1/2
-    cfg = SyntheticConfig.rare_treatment_preset(n=100_000, seed=12)
+    cfg = SyntheticConfig(n=100_000, xi=1.0, assign_scale=0.2, seed=12)
     data = gen_synthetic(cfg)
     assert abs(float(data.a.mean()) - 0.1) <= 0.01
 

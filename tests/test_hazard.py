@@ -8,6 +8,7 @@ from scipy.special import expit
 from cfsurv import hazard
 from cfsurv.dgp import SyntheticConfig, gen_synthetic, true_censor_hazard, true_event_hazard
 from cfsurv.errors import ConvergenceWarning, CoverageWarning, EstimationError
+from cfsurv.estimators import FoldPlan
 from cfsurv.hazard import (
     HAZARD_CEIL,
     HAZARD_FLOOR,
@@ -19,6 +20,7 @@ from cfsurv.hazard import (
     propensity_loss_grad,
 )
 from cfsurv.kernels import KernelConfig, gram
+from cfsurv.sim import derive_seed, splitmix64
 from cfsurv.survival import Dataset, TimeGrid
 
 
@@ -259,6 +261,22 @@ def test_propensity_slope_recovery():
     assert abs(float(np.mean(model.weights)) - 0.3) <= 0.05
 
 
+def test_propensity_converges_where_a_loss_line_search_stalls(monkeypatch):
+    # on these train splits an Armijo test on the loss value fails at roundoff
+    # near the optimum and runs to the cap with |g| stuck at 1.9e-8 and 1.3e-7
+    s = derive_seed(3, 5)
+    data = gen_synthetic(SyntheticConfig(n=200, seed=s))
+    plan = FoldPlan.make(200, 5, splitmix64(s))
+    monkeypatch.setattr(hazard, "PROPENSITY_MAX_ITER", 10)
+    for fold in (1, 4):
+        train = data.subset(plan.train_indices(fold))
+        model = fit_propensity(train)
+        _, grad = propensity_loss_grad(
+            train.x, train.a.astype(float), model.weights, model.intercept
+        )
+        assert np.linalg.norm(grad) <= hazard.PROPENSITY_TOL
+
+
 def test_censor_fit_recovers_flat_hazard():
     # true censor hazard at x4 = 0 is 0.01 * sigmoid(0) = 0.005
     cfg = SyntheticConfig(n=2500, seed=11, standardize=False)
@@ -296,3 +314,14 @@ def test_newton_non_convergence_is_reported_once(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", ConvergenceWarning)
         fit_event_hazard(data, max_time=5)
+
+    with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+        patch.setattr(hazard, "PROPENSITY_MAX_ITER", 1)
+        warnings.simplefilter("always")
+        fit_propensity(data)
+    stalled = [w for w in caught if issubclass(w.category, ConvergenceWarning)]
+    assert len(stalled) == 1
+    assert "propensity" in str(stalled[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        fit_propensity(data)

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import cfsurv.sim
 from cfsurv.dgp import SyntheticConfig, ground_truth
 from cfsurv.errors import HarnessError, NumericalError
 from cfsurv.sim import (
@@ -148,13 +149,23 @@ def _fake_estimator(point_by_t, fail=False):
     return fn
 
 
-def test_run_replications_shapes_and_determinism():
+def _stub_estimators(monkeypatch, fns):
+    # skip the nuisance fits and route each kind to fns[kind](data, times, params, seed)
+    monkeypatch.setattr(cfsurv.sim, "fit_nuisances", lambda *args, **kwargs: None)
+    monkeypatch.setattr(
+        cfsurv.sim,
+        "run_estimator",
+        lambda data, kind, times, params, seed, nuisances: fns[kind](data, times, params, seed),
+    )
+
+
+def test_run_replications_shapes_and_determinism(monkeypatch):
     cfg = SimulationConfig(
         q=3, n=40, estimators=("or",), times=(3, 6), master_seed=5
     )
-    fns = {"or": _fake_estimator({3: 0.1, 6: 0.2})}
-    first = run_replications(cfg, estimator_fns=fns)
-    second = run_replications(cfg, estimator_fns=fns)
+    _stub_estimators(monkeypatch, {"or": _fake_estimator({3: 0.1, 6: 0.2})})
+    first = run_replications(cfg)
+    second = run_replications(cfg)
     assert first.estimates["or"].shape == (3, 2)
     np.testing.assert_array_equal(first.estimates["or"], second.estimates["or"])
     assert first.seeds == [derive_seed(5, q) for q in range(3)]
@@ -167,7 +178,7 @@ def test_run_single_replication_repeatable():
     assert one["or"][4] == two["or"][4]
 
 
-def test_run_replications_counts_failures():
+def test_run_replications_counts_failures(monkeypatch):
     calls = {"k": 0}
 
     def flaky(data, times, params, seed):
@@ -177,28 +188,30 @@ def test_run_replications_counts_failures():
         return _fake_estimator({4: 0.5})(data, times, params, seed)
 
     cfg = SimulationConfig(q=4, n=30, estimators=("or",), times=(4,), master_seed=2)
-    result = run_replications(cfg, estimator_fns={"or": flaky})
+    _stub_estimators(monkeypatch, {"or": flaky})
+    result = run_replications(cfg)
     n_failed = int(np.isnan(result.estimates["or"]).sum())
     assert n_failed == 2
     row = metrics(result.estimates["or"][:, 0], truth=0.5)
     assert row.n_failed == 2
 
 
-def test_run_replications_all_failures_is_harness_error():
+def test_run_replications_all_failures_is_harness_error(monkeypatch):
     cfg = SimulationConfig(q=2, n=30, estimators=("or",), times=(4,), master_seed=3)
+    _stub_estimators(monkeypatch, {"or": _fake_estimator({}, fail=True)})
     with pytest.raises(HarnessError):
-        run_replications(cfg, estimator_fns={"or": _fake_estimator({}, fail=True)})
+        run_replications(cfg)
 
 
-def test_summarize_sets_or_baseline():
+def test_summarize_sets_or_baseline(monkeypatch):
     cfg = SimulationConfig(
         q=3, n=40, estimators=("or", "balance"), times=(15,), master_seed=5
     )
-    fns = {
+    _stub_estimators(monkeypatch, {
         "or": _fake_estimator({15: 0.3}),
         "balance": _fake_estimator({15: 0.2}),
-    }
-    result = run_replications(cfg, estimator_fns=fns)
+    })
+    result = run_replications(cfg)
     truth = ground_truth(SyntheticConfig(n=2, seed=0), mc_n=10_000, seed=0)
     rows = summarize(result, truth)
     by_kind = {r.estimator: r for r in rows}
