@@ -43,7 +43,9 @@ from .balance import (
 from .errors import EstimationError, LargeWeightWarning, NumericalError
 from .hazard import (
     PROPENSITY_FLOOR,
+    KernelBasis,
     KernelConfig,
+    KernelHazardModel,
     fit_censor_hazard,
     fit_event_hazard,
     fit_propensity,
@@ -261,14 +263,23 @@ class Nuisances:
     whole sample when there is one fold) and are evaluated on those
     units. A model is None when the kind it was fit for does not use it.
     The models must cover the evaluation times they are used at.
+
+    eval_grams holds, per fold, the Gram matrix of the eval_idx units
+    against the training basis the fold's kernel hazard models share,
+    when the fit stage already built it (the whole-sample fold is
+    evaluated on its training units, so its training Gram serves), else
+    None; it may be empty.
     """
 
     folds: tuple[tuple[np.ndarray, Any, Any, Any], ...]
+    eval_grams: tuple[np.ndarray | None, ...] = ()
 
     @classmethod
-    def whole_sample(cls, n: int, event=None, censor=None, propensity=None) -> "Nuisances":
+    def whole_sample(
+        cls, n: int, event=None, censor=None, propensity=None, eval_gram=None
+    ) -> "Nuisances":
         """One fold holding all n units, e.g. for known (oracle) models."""
-        return cls(((np.arange(n), event, censor, propensity),))
+        return cls(((np.arange(n), event, censor, propensity),), (eval_gram,))
 
 
 def _spec(kind: str) -> _Kind:
@@ -308,21 +319,59 @@ def fit_nuisances(
     max_t = max(times)
 
     def fit(train: Dataset):
-        return (
-            fit_event_hazard(train, kernel=params.kernel, ridge=params.ridge, max_time=max_t)
+        # the event and censoring fits of one fold share one kernel basis
+        basis = KernelBasis.of(train.x, params.kernel) if use_event or use_censor else None
+        models = (
+            fit_event_hazard(train, params.kernel, params.ridge, max_t, basis)
             if use_event else None,
-            fit_censor_hazard(train, kernel=params.kernel, ridge=params.ridge, max_time=max_t)
+            fit_censor_hazard(train, params.kernel, params.ridge, max_t, basis)
             if use_censor else None,
             fit_propensity(train) if use_prop else None,
         )
+        return basis, models
 
     if spec.folds == 1:
-        return Nuisances.whole_sample(data.n, *fit(data))
+        basis, models = fit(data)
+        return Nuisances.whole_sample(
+            data.n, *models, eval_gram=None if basis is None else basis.k_train
+        )
     plan = FoldPlan.make(data.n, spec.folds, seed)
     return Nuisances(tuple(
-        (plan.fold_indices(f), *fit(data.subset(plan.train_indices(f))))
+        (plan.fold_indices(f), *fit(data.subset(plan.train_indices(f)))[1])
         for f in range(spec.folds)
     ))
+
+
+def _fold_curves(x: np.ndarray, event_model, censor_model, propensity, eval_gram):
+    """Per arm, (event hazards, event survival, censoring survival, P(A=a|X)) at x.
+
+    An entry is None where its model is. Kernel hazard models with the
+    same training basis share one prediction Gram (eval_gram, when
+    given) across both arms; it is freed on return, before any balance
+    solve runs.
+    """
+    grams: dict[int, np.ndarray] = {}
+
+    def hazards(model, a: int) -> np.ndarray:
+        if not isinstance(model, KernelHazardModel):
+            return model.hazard_matrix(x, a)
+        key = id(model.train_x)
+        if key not in grams:
+            grams[key] = model.prediction_gram(x) if eval_gram is None else eval_gram
+        return model.hazard_matrix(x, a, grams[key])
+
+    curves = {}
+    for a in (0, 1):
+        lam = s = g = pi = None
+        if event_model is not None:
+            lam = hazards(event_model, a)
+            s = np.cumprod(1.0 - lam, axis=1)
+        if censor_model is not None:
+            g = np.cumprod(1.0 - hazards(censor_model, a), axis=1)
+        if propensity is not None:
+            pi = propensity.prob(x, a)
+        curves[a] = lam, s, g, pi
+    return curves
 
 
 def run_estimator(
@@ -343,7 +392,6 @@ def run_estimator(
     spec = _checked_spec(data, kind, times)
     if nuisances is None:
         nuisances = fit_nuisances(data, kind, times, params, seed)
-    use_event, use_censor, use_prop = spec.models
     for _, *models in nuisances.folds:
         if any(use and model is None for use, model in zip(spec.models, models)):
             raise ValueError(f"nuisances lack a model the {kind} estimator needs")
@@ -355,19 +403,19 @@ def run_estimator(
     failures: dict[tuple[int | str, int], str] = {}
     solver_cfg = SolverConfig(sigma2=params.sigma2)
 
-    for idx, event_model, censor_model, propensity in nuisances.folds:
+    for f, (idx, event_model, censor_model, propensity) in enumerate(nuisances.folds):
         fold = data.subset(idx)
+        models = (event_model, censor_model, propensity)
+        curves = _fold_curves(
+            fold.x,
+            *(model if use else None for use, model in zip(spec.models, models)),
+            nuisances.eval_grams[f] if nuisances.eval_grams else None,
+        )
         if kind == "balance":
             xs = event_model.standardize(fold.x)
             k = gram(xs, xs, params.kernel)
         for a in (0, 1):
-            if use_event:
-                lam = event_model.hazard_matrix(fold.x, a)
-                s = np.cumprod(1.0 - lam, axis=1)  # survival_matrix without a second prediction
-            if use_censor:
-                g = censor_model.survival_matrix(fold.x, a)
-            if use_prop:
-                pi = propensity.prob(fold.x, a)
+            lam, s, g, pi = curves[a]
             for t in times:
                 if (a, t) in failures:
                     continue

@@ -12,18 +12,33 @@ fitted cell mean-calibrated on its risk set; single-class cells sit at
 the boundary of the likelihood and are represented by the clamp limits
 directly. The propensity is an unpenalized linear logistic regression.
 
+The event and censoring fits of one training fold share one
+`KernelBasis`: the standardization, the standardized training covariates
+and their Gram matrix, built once. Both fitted models keep the same
+training covariates, so a caller can build the prediction Gram of a set
+of units once (`prediction_gram`) and pass it to `hazard_matrix` for
+both arms and both models; this gives the same bytes as building it per
+call.
+
 Both logistic fits use one damped Newton method (`_damped_newton`),
 which backtracks on the residual norm, and every fit that stops at its
-iteration cap reports it with a ConvergenceWarning.
+iteration cap reports it with a ConvergenceWarning naming the fit. A
+kernel cell's iterate carries its linear predictor f = K alpha + b
+alongside (alpha, b) and updates it with the step, so each Newton step
+evaluates expit once and a line-search trial needs no product with K;
+its Jacobian is built in one preallocated Fortran-order buffer and
+solved in place by LAPACK dgesv.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dgesv as _dgesv
 from scipy.special import expit
 
 from .errors import ConvergenceWarning, CoverageWarning, EstimationError
@@ -34,6 +49,7 @@ __all__ = [
     "HAZARD_FLOOR",
     "HAZARD_CEIL",
     "PROPENSITY_FLOOR",
+    "KernelBasis",
     "KernelHazardModel",
     "OracleHazardModel",
     "PropensityModel",
@@ -88,7 +104,7 @@ def _damped_newton(theta, residual, newton_step, stop_norm, tol, max_iter):
     flat directions of an ill-conditioned Gram matrix.
     """
     r = residual(theta)
-    merit = float(np.linalg.norm(r))
+    merit = math.sqrt(r @ r)
     for _ in range(max_iter):
         if stop_norm(r) <= tol:
             return theta, True
@@ -97,7 +113,7 @@ def _damped_newton(theta, residual, newton_step, stop_norm, tol, max_iter):
         for _ in range(50):
             trial = theta - eta * step
             trial_r = residual(trial)
-            trial_merit = float(np.linalg.norm(trial_r))
+            trial_merit = math.sqrt(trial_r @ trial_r)
             if trial_merit <= (1.0 - 1e-4 * eta) * merit:
                 break
             eta *= 0.5
@@ -112,34 +128,49 @@ def _newton_klr(k: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray,
     sum(p - y) = 0 (the loss gradient with K factored out of its alpha
     block), whose Jacobian is nonsingular for ridge > 0 and mixed
     labels. The stopping norm is the true loss gradient's.
+
+    The iterate is (alpha, b, f) with the linear predictor f = K alpha + b
+    carried along: a step returns (d_alpha, d_b, K d_alpha + d_b), so
+    theta - eta * step moves f exactly as it moves (alpha, b), and the
+    residual of a line-search trial costs one expit and no matvec.
     """
     m = len(y)
     ybar = min(max(float(np.mean(y)), 1e-3), 1.0 - 1e-3)
-    theta = np.zeros(m + 1)
-    theta[m] = np.log(ybar / (1.0 - ybar))
-    diag = np.arange(m)
+    theta = np.zeros(2 * m + 1)
+    theta[m:] = np.log(ybar / (1.0 - ybar))  # b, and f = b at alpha = 0
+    # Jacobian buffer, Fortran order so LAPACK factors it in place
+    jac = np.empty((m + 1, m + 1), order="F")
+    jac_diag = jac.reshape(-1, order="F")[: (m + 1) * m : m + 2]  # view of the K block diagonal
 
     def residual(theta_):
-        p = expit(k @ theta_[:m] + theta_[m])
-        return np.concatenate([(p - y) + ridge * theta_[:m], [np.sum(p - y)]])
+        r = np.empty(m + 1)
+        np.subtract(expit(theta_[m + 1 :]), y, out=r[:m])
+        r[m] = r[:m].sum()
+        r[:m] += ridge * theta_[:m]
+        return r
 
     def newton_step(theta_, r):
-        p = expit(k @ theta_[:m] + theta_[m])
-        w = np.clip(p * (1.0 - p), _P_EPS, None)
-        jac = np.empty((m + 1, m + 1))
-        jac[:m, :m] = w[:, None] * k
-        jac[diag, diag] += ridge
+        p = y + (r[:m] - ridge * theta_[:m])  # the p of residual(theta_)
+        w = np.maximum(p * (1.0 - p), _P_EPS)
+        # diag(w) K, filled row-wise through its transpose K diag(w) (K is symmetric)
+        np.multiply(k, w, out=jac.T[:m, :m])
+        jac_diag[:] += ridge
         jac[:m, m] = w
         jac[m, :m] = w @ k
-        jac[m, m] = float(np.sum(w))
-        return np.linalg.solve(jac, r)
+        jac[m, m] = w.sum()
+        _, _, d, info = _dgesv(jac, r, overwrite_a=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"singular Newton system (dgesv info {info})")
+        return np.concatenate([d, k @ d[:m] + d[m]])
+
+    def loss_grad_norm(r):
+        g = k @ r[:m]
+        return math.sqrt(g @ g + r[m] ** 2)
 
     theta, converged = _damped_newton(
-        theta, residual, newton_step,
-        lambda r: float(np.sqrt(np.sum((k @ r[:m]) ** 2) + r[m] ** 2)),  # loss gradient norm
-        NEWTON_TOL, NEWTON_MAX_ITER,
+        theta, residual, newton_step, loss_grad_norm, NEWTON_TOL, NEWTON_MAX_ITER
     )
-    return theta[:m], float(theta[m]), converged
+    return theta[:m].copy(), float(theta[m]), converged  # the copy lets f go
 
 
 @dataclass(frozen=True)
@@ -157,6 +188,30 @@ class _Cell:
 
 
 @dataclass(frozen=True)
+class KernelBasis:
+    """The kernel features of one training set, shared by its hazard fits.
+
+    Holds the standardization, the standardized training covariates and
+    their Gram matrix. The event and censoring fits of one training fold
+    take the same basis, so the Gram matrix is built once per fold and
+    both models keep the same `train_x` object; the models do not keep
+    the Gram matrix.
+    """
+
+    mean: np.ndarray
+    scale: np.ndarray
+    train_x: np.ndarray
+    kernel: KernelConfig
+    k_train: np.ndarray
+
+    @classmethod
+    def of(cls, x: np.ndarray, kernel: KernelConfig) -> "KernelBasis":
+        mean, scale = standardization(x)
+        xs = (x - mean) / scale
+        return cls(mean, scale, xs, kernel, gram(xs, xs, kernel))
+
+
+@dataclass(frozen=True)
 class KernelHazardModel:
     """Per-(u, a) kernel logistic hazards sharing one standardization."""
 
@@ -171,11 +226,22 @@ class KernelHazardModel:
     def standardize(self, x: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(np.asarray(x, dtype=float)) - self.mean) / self.scale
 
-    def hazard_matrix(self, x: np.ndarray, a: int) -> np.ndarray:
-        """(n, t_max + 1) predicted hazards; column 0 is identically 0."""
-        xs = self.standardize(x)
-        k_pred = gram(xs, self.train_x, self.kernel) if self.train_x.size else None
-        out = np.zeros((xs.shape[0], self.grid.n_points))
+    def prediction_gram(self, x: np.ndarray) -> np.ndarray:
+        """Kernel matrix of x against the training covariates."""
+        return gram(self.standardize(x), self.train_x, self.kernel)
+
+    def hazard_matrix(
+        self, x: np.ndarray, a: int, k_pred: np.ndarray | None = None
+    ) -> np.ndarray:
+        """(n, t_max + 1) predicted hazards; column 0 is identically 0.
+
+        k_pred, when given, is `prediction_gram(x)`, built once by the
+        caller and shared by both arms and by every model of the same
+        training basis.
+        """
+        if k_pred is None:
+            k_pred = self.prediction_gram(x)
+        out = np.zeros((k_pred.shape[0], self.grid.n_points))
         for u in range(1, self.grid.n_points):
             cell = self.cells.get((u, a))
             if cell is None:
@@ -216,17 +282,49 @@ def fit_event_hazard(
     kernel: KernelConfig = KernelConfig(),
     ridge: float = 0.5,
     max_time: int | None = None,
+    basis: KernelBasis | None = None,
 ) -> KernelHazardModel:
     """Fit the event hazard: labels 1(event, time = u) on each (u, a) risk set.
 
     Risk sets and labels are `active_matrix` and `event_matrix` columns,
-    for u = 1..max_time (default: the grid's t_max).
+    for u = 1..max_time (default: the grid's t_max). `basis`, when
+    given, is `KernelBasis.of(data.x, kernel)`, built once and shared
+    with the censoring fit.
+    """
+    return _fit_cells(data, _checked_basis(data, kernel, basis), ridge, max_time, "event hazard")
+
+
+def fit_censor_hazard(
+    data: Dataset,
+    kernel: KernelConfig = KernelConfig(),
+    ridge: float = 0.5,
+    max_time: int | None = None,
+    basis: KernelBasis | None = None,
+) -> KernelHazardModel:
+    """Fit the censoring hazard: the event fit with flipped event flags."""
+    flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
+    return _fit_cells(
+        flipped, _checked_basis(data, kernel, basis), ridge, max_time, "censoring hazard"
+    )
+
+
+def _checked_basis(data: Dataset, kernel: KernelConfig, basis: KernelBasis | None) -> KernelBasis:
+    if basis is None:
+        return KernelBasis.of(data.x, kernel)
+    if basis.kernel != kernel or basis.train_x.shape != data.x.shape:
+        raise ValueError("basis was not built from these covariates and kernel")
+    return basis
+
+
+def _fit_cells(
+    data: Dataset, basis: KernelBasis, ridge: float, max_time: int | None, what: str
+) -> KernelHazardModel:
+    """One kernel logistic fit per (u, a) cell of data's risk sets.
+
+    Warnings start with `what` and point at the caller of the public fit.
     """
     if max_time is None:
         max_time = data.grid.t_max
-    mean, scale = standardization(data.x)
-    xs = (data.x - mean) / scale
-    k_full = gram(xs, xs, kernel)
     labels = event_matrix(data, max_time)
     cells: dict[tuple[int, int], _Cell] = {}
     empty: list[tuple[int, int]] = []
@@ -246,45 +344,34 @@ def fit_event_hazard(
                 level = HAZARD_FLOOR if y[0] == 0.0 else HAZARD_CEIL
                 cells[(u, a)] = _Cell(None, 0.0, None, constant=level)
                 continue
-            k_sub = k_full[np.ix_(risk, risk)]
+            k_sub = basis.k_train[np.ix_(risk, risk)]
             alpha, b, converged = _newton_klr(k_sub, y, ridge)
             if not converged:
                 stalled.append((u, a))
             cells[(u, a)] = _Cell(alpha=alpha, intercept=b, risk_idx=risk)
     if empty:
         warnings.warn(
-            f"{len(empty)} (time, arm) cells had empty risk sets; "
+            f"{what}: {len(empty)} (time, arm) cells had empty risk sets; "
             "constant floor hazard used",
             CoverageWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if stalled:
         warnings.warn(
-            f"{len(stalled)} (time, arm) cells stopped after {NEWTON_MAX_ITER} Newton "
-            f"iterations above gradient tolerance {NEWTON_TOL:.1e}: {stalled}",
+            f"{what}: {len(stalled)} (time, arm) cells stopped after {NEWTON_MAX_ITER} "
+            f"Newton iterations above gradient tolerance {NEWTON_TOL:.1e}: {stalled}",
             ConvergenceWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return KernelHazardModel(
         grid=data.grid,
-        mean=mean,
-        scale=scale,
-        train_x=xs,
-        kernel=kernel,
+        mean=basis.mean,
+        scale=basis.scale,
+        train_x=basis.train_x,
+        kernel=basis.kernel,
         cells=cells,
         empty_cells=tuple(empty),
     )
-
-
-def fit_censor_hazard(
-    data: Dataset,
-    kernel: KernelConfig = KernelConfig(),
-    ridge: float = 0.5,
-    max_time: int | None = None,
-) -> KernelHazardModel:
-    """Fit the censoring hazard: the event fit with flipped event flags."""
-    flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
-    return fit_event_hazard(flipped, kernel, ridge, max_time)
 
 
 @dataclass(frozen=True)

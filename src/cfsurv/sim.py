@@ -119,21 +119,23 @@ def _make_dataset(cfg: SimulationConfig, seed: int):
 def run_single_replication(cfg: SimulationConfig, seed: int):
     """One replication: {estimator: {t: (point, lo, hi) or None}}.
 
-    Estimators with the same nuisance plan (dr and dr-clip) share one fit.
+    Estimators with the same nuisance plan (dr and dr-clip) share one fit,
+    which is released after the last of them, before later fits run.
     """
     data = _make_dataset(cfg, seed)
     fold_seed = splitmix64(seed)
     times = list(cfg.times)
+    plans = [nuisance_plan(kind) for kind in cfg.estimators]
     fits = {}
     out: dict[str, dict[int, tuple[float, float, float] | None]] = {}
-    for kind in cfg.estimators:
+    for i, (kind, plan) in enumerate(zip(cfg.estimators, plans)):
         cells: dict[int, tuple[float, float, float] | None] = {t: None for t in cfg.times}
         try:
-            plan = nuisance_plan(kind)
             if plan not in fits:
                 fits[plan] = fit_nuisances(data, kind, times, cfg.params, seed=fold_seed)
             results, _ = run_estimator(
-                data, kind, times, cfg.params, seed=fold_seed, nuisances=fits[plan]
+                data, kind, times, cfg.params, seed=fold_seed,
+                nuisances=fits[plan] if plan in plans[i + 1 :] else fits.pop(plan),
             )
         except (NumericalError, EstimationError):
             out[kind] = cells

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import cfsurv.estimators
+import cfsurv.hazard
+from cfsurv import kernels
 from cfsurv.cli import main as cli_main
 from cfsurv.dgp import SyntheticConfig, gen_synthetic
 from cfsurv.errors import EstimationError
@@ -16,7 +19,12 @@ from cfsurv.estimators import (
     plugin_estimate,
     run_estimator,
 )
-from cfsurv.hazard import OracleHazardModel, OraclePropensity
+from cfsurv.hazard import (
+    OracleHazardModel,
+    OraclePropensity,
+    fit_censor_hazard,
+    fit_event_hazard,
+)
 from cfsurv.kernels import KernelConfig
 from cfsurv.survival import Dataset, TimeGrid, write_dataset_csv
 
@@ -203,8 +211,6 @@ def test_balance_large_sigma2_approaches_crossfit_plugin():
     data = gen_synthetic(SyntheticConfig(n=60, seed=9))
     res = run_estimator(data, "balance", [5], EstimatorParams(sigma2=1e12), seed=4)[0][(1, 5)]
     # oracle: replicate the fold split and average the fold plug-ins
-    from cfsurv.hazard import fit_event_hazard
-
     plan = FoldPlan.make(data.n, 2, seed=4)
     fold_points = []
     for f in range(2):
@@ -287,3 +293,62 @@ def test_run_estimator_validation():
     with pytest.raises(ValueError):
         run_estimator(data, "dr", [5], nuisances=ipw_fit)
 
+
+
+def _count_grams(monkeypatch):
+    """Record the (rows, cols) shape of every Gram matrix cfsurv builds."""
+    shapes = []
+
+    def counting(rows, cols, cfg):
+        shapes.append((len(rows), len(cols)))
+        return kernels.gram(rows, cols, cfg)
+
+    monkeypatch.setattr(cfsurv.hazard, "gram", counting)
+    monkeypatch.setattr(cfsurv.estimators, "gram", counting)
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "kind, fit_grams, eval_grams",
+    # or and ipw predict on their training units with the training Gram;
+    # dr builds one prediction Gram per fold for both arms and both models;
+    # balance adds each fold's own Gram for the balance solve
+    [("or", 1, 0), ("ipw", 1, 0), ("dr", 5, 5), ("dr-clip", 5, 5), ("balance", 2, 4)],
+)
+def test_each_fold_builds_its_grams_once(monkeypatch, kind, fit_grams, eval_grams):
+    data = gen_synthetic(SyntheticConfig(n=60, seed=12))
+    shapes = _count_grams(monkeypatch)
+    nuisances = fit_nuisances(data, kind, [5, 10], seed=3)
+    assert len(shapes) == fit_grams
+    assert all(rows == cols for rows, cols in shapes)  # training Grams
+    run_estimator(data, kind, [5, 10], seed=3, nuisances=nuisances)
+    assert len(shapes) == fit_grams + eval_grams
+    for _, event, censor, _ in nuisances.folds:
+        if event is not None and censor is not None:
+            assert event.train_x is censor.train_x
+
+
+def test_shared_grams_give_the_fit_per_model_bytes():
+    # sharing the basis and prediction Gram changes no arithmetic: rebuild
+    # every fold's models and predictions separately and compare bytes
+    data = gen_synthetic(SyntheticConfig(n=60, seed=13))
+    nuisances = fit_nuisances(data, "dr", [5, 10], seed=2)
+    shared = run_estimator(data, "dr", [5, 10], seed=2, nuisances=nuisances)[0]
+    plan = FoldPlan.make(data.n, 5, seed=2)
+    separate = Nuisances(tuple(
+        (idx, fit_event_hazard(train, max_time=10), fit_censor_hazard(train, max_time=10), prop)
+        for (idx, _, _, prop), train in zip(
+            nuisances.folds, (data.subset(plan.train_indices(f)) for f in range(5))
+        )
+    ))
+    apart = run_estimator(data, "dr", [5, 10], seed=2, nuisances=separate)[0]
+    for key, res in shared.items():
+        assert res.point == apart[key].point
+        assert res.influence.tobytes() == apart[key].influence.tobytes()
+    whole = run_estimator(data, "or", [5, 10])[0]
+    alone = run_estimator(
+        data, "or", [5, 10],
+        nuisances=Nuisances.whole_sample(data.n, fit_event_hazard(data, max_time=10)),
+    )[0]
+    for key, res in whole.items():
+        assert res.influence.tobytes() == alone[key].influence.tobytes()

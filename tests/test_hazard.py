@@ -6,12 +6,21 @@ from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 from cfsurv import hazard
-from cfsurv.dgp import SyntheticConfig, gen_synthetic, true_censor_hazard, true_event_hazard
+from cfsurv.dgp import (
+    SyntheticConfig,
+    TwinsLikeConfig,
+    gen_synthetic,
+    gen_twins_like,
+    surrogate_twins_table,
+    true_censor_hazard,
+    true_event_hazard,
+)
 from cfsurv.errors import ConvergenceWarning, CoverageWarning, EstimationError
 from cfsurv.estimators import FoldPlan
 from cfsurv.hazard import (
     HAZARD_CEIL,
     HAZARD_FLOOR,
+    KernelBasis,
     OracleHazardModel,
     fit_censor_hazard,
     fit_event_hazard,
@@ -21,7 +30,7 @@ from cfsurv.hazard import (
 )
 from cfsurv.kernels import KernelConfig, gram
 from cfsurv.sim import derive_seed, splitmix64
-from cfsurv.survival import Dataset, TimeGrid
+from cfsurv.survival import Dataset, TimeGrid, event_matrix
 
 
 def central_diff(fn, theta, step=1e-5):
@@ -150,11 +159,15 @@ def test_empty_risk_set_falls_back_with_warning():
     data = _dataset(
         x=[0.0, 0.5, 1.0, -1.0], a=[0, 0, 1, 1], time=[2, 2, 5, 5], event=[1, 1, 1, 0],
     )
-    with pytest.warns(CoverageWarning):
+    with pytest.warns(CoverageWarning, match="^event hazard: ") as caught:
         model = fit_event_hazard(data, max_time=5)
+    assert caught[0].filename == __file__  # points at the caller of the fit
     assert ((3, 0) in model.empty_cells) and ((5, 0) in model.empty_cells)
     lam = model.hazard_matrix(data.x, 0)
     assert np.all(lam[:, 3] == HAZARD_FLOOR)
+    with pytest.warns(CoverageWarning, match="^censoring hazard: ") as caught:
+        fit_censor_hazard(data, max_time=5)
+    assert caught[0].filename == __file__
 
 
 def test_predictions_respect_clamp_and_monotone_survival():
@@ -304,16 +317,22 @@ def test_event_fit_consistency_smoke():
 
 def test_newton_non_convergence_is_reported_once(monkeypatch):
     data = gen_synthetic(SyntheticConfig(n=60, seed=5))
-    with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
-        patch.setattr(hazard, "NEWTON_MAX_ITER", 1)
-        warnings.simplefilter("always")
-        fit_event_hazard(data, max_time=5)
-    stalled = [w for w in caught if issubclass(w.category, ConvergenceWarning)]
-    assert len(stalled) == 1
-    assert "(1, 0)" in str(stalled[0].message)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ConvergenceWarning)
-        fit_event_hazard(data, max_time=5)
+    for fit, what, first_stalled in (
+        (fit_event_hazard, "event hazard", "(1, 0)"),
+        (fit_censor_hazard, "censoring hazard", "(3, 1)"),
+    ):
+        with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+            patch.setattr(hazard, "NEWTON_MAX_ITER", 1)
+            warnings.simplefilter("always")
+            fit(data, max_time=5)
+        stalled = [w for w in caught if issubclass(w.category, ConvergenceWarning)]
+        assert len(stalled) == 1
+        assert str(stalled[0].message).startswith(what + ": ")
+        assert first_stalled in str(stalled[0].message)
+        assert stalled[0].filename == __file__  # points at the caller of the fit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            fit(data, max_time=5)
 
     with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
         patch.setattr(hazard, "PROPENSITY_MAX_ITER", 1)
@@ -325,3 +344,68 @@ def test_newton_non_convergence_is_reported_once(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", ConvergenceWarning)
         fit_propensity(data)
+
+
+def test_shared_prediction_gram_gives_the_same_bytes():
+    rng = np.random.default_rng(6)
+    n = 40
+    data = _dataset(
+        x=rng.normal(size=(n, 3)), a=rng.integers(0, 2, size=n),
+        time=rng.integers(1, 6, size=n), event=rng.integers(0, 2, size=n),
+    )
+    basis = KernelBasis.of(data.x, KernelConfig())
+    event = fit_event_hazard(data, basis=basis)
+    censor = fit_censor_hazard(data, basis=basis)
+    assert event.train_x is censor.train_x
+    holdout = rng.normal(size=(15, 3))
+    k_pred = event.prediction_gram(holdout)
+    for model in (event, censor):
+        for a in (0, 1):
+            shared = model.hazard_matrix(holdout, a, k_pred)
+            assert shared.tobytes() == model.hazard_matrix(holdout, a).tobytes()
+    # on its own training units the prediction Gram is the training Gram
+    assert event.prediction_gram(data.x).tobytes() == basis.k_train.tobytes()
+    # a basis built with the fit's own kernel is the one the fit would build
+    alone = fit_event_hazard(data)
+    for a in (0, 1):
+        assert alone.hazard_matrix(holdout, a).tobytes() == event.hazard_matrix(holdout, a).tobytes()
+
+
+def test_basis_must_match_the_fit():
+    data = gen_synthetic(SyntheticConfig(n=30, seed=2))
+    basis = KernelBasis.of(data.x, KernelConfig())
+    with pytest.raises(ValueError, match="basis"):
+        fit_event_hazard(data, KernelConfig(length_scale=2.0), basis=basis)
+    with pytest.raises(ValueError, match="basis"):
+        fit_censor_hazard(data.subset(np.arange(20)), basis=basis)
+
+
+def _twins_like(n, seed):
+    x, t0, t1 = surrogate_twins_table(n, seed=seed)
+    return gen_twins_like(TwinsLikeConfig(x=x, t0=t0, t1=t1, seed=seed + 1))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [gen_synthetic(SyntheticConfig(n=200, seed=41)), _twins_like(200, 42)],
+    ids=["synthetic", "twins-like"],
+)
+def test_newton_cells_reach_the_loss_gradient_tolerance(data):
+    # oracle: the loss gradient recomputed from K, y and the returned
+    # (alpha, b), not from the linear predictor the solver carries along
+    k_full = KernelBasis.of(data.x, KernelConfig()).k_train
+    flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
+    checked = 0
+    for fit, labelled in ((fit_event_hazard, data), (fit_censor_hazard, flipped)):
+        model = fit(data, max_time=25)
+        labels = event_matrix(labelled, 25)
+        for (u, _), cell in model.cells.items():
+            if cell.alpha is None:
+                continue
+            risk = cell.risk_idx
+            _, grad = klr_loss_grad(
+                k_full[np.ix_(risk, risk)], labels[risk, u], cell.alpha, cell.intercept, 0.5
+            )
+            assert np.linalg.norm(grad) <= hazard.NEWTON_TOL
+            checked += 1
+    assert checked >= 20

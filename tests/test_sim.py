@@ -1,3 +1,4 @@
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -285,3 +286,21 @@ def test_replication_shares_nuisance_fits(monkeypatch):
             q=2, n=60, estimators=(kind,), times=(3, 6), master_seed=4
         ), seed=17)
         assert shared[kind] == alone[kind]
+
+
+def test_replication_releases_each_fit_after_its_last_kind(monkeypatch):
+    # a fit no later kind shares is freed before the next fit runs
+    live, seen = [], []
+    original = cfsurv.sim.fit_nuisances
+
+    def tracking(data, kind, *args, **kwargs):
+        seen.append((kind, [k for k, ref in live if ref() is not None]))
+        nuisances = original(data, kind, *args, **kwargs)
+        live.append((kind, weakref.ref(nuisances)))
+        return nuisances
+
+    monkeypatch.setattr(cfsurv.sim, "fit_nuisances", tracking)
+    kinds = ("or", "dr", "ipw", "dr-clip", "balance")
+    cfg = SimulationConfig(q=2, n=60, estimators=kinds, times=(3, 6), master_seed=4)
+    run_single_replication(cfg, seed=17)
+    assert seen == [("or", []), ("dr", []), ("ipw", ["dr"]), ("balance", [])]
