@@ -1,8 +1,8 @@
 """Overlap sweep: re-run the synthetic study across assignment sharpness.
 
 Higher xi saturates the assignment sigmoid faster, shrinking overlap.
-Writes the sweep CSV (with per-xi RISB/RISE summaries) and a bias-ratio
-chart at the focal time.
+Writes the sweep CSV (with per-xi RISB/RISE summaries) and prints one
+RISB/RISE line per (xi, estimator).
 
 Usage:
     python scripts/run_overlap_sweep.py --out-dir out/overlap [--q 50 --n 200]

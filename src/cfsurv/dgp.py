@@ -37,6 +37,9 @@ T_MAX = 30
 SYNTH_D = 10
 TWINS_D = 30
 
+#: last time of the synthetic event hazard's early regime; later times use the late one
+EARLY_HAZARD_END = 10
+
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -72,7 +75,7 @@ def true_event_hazard(x: np.ndarray, a, t: int):
     x2d = np.atleast_2d(np.asarray(x, dtype=float))
     a_arr = np.broadcast_to(np.asarray(a, dtype=float), (x2d.shape[0],))
     shift = a_arr * ((x2d[:, 2] >= 0.0).astype(float) + 0.5)
-    if t <= 10:
+    if t <= EARLY_HAZARD_END:
         arg = -5.0 * x2d[:, 0] ** 2 - shift
     else:
         arg = 10.0 * x2d[:, 1] - shift
@@ -118,10 +121,17 @@ def _standardize_columns(x: np.ndarray) -> np.ndarray:
     return (x - mean) / scale
 
 
-def _draw_synthetic_covariates(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    # N(0, 0.8 I + 0.2 J): shared factor sqrt(0.2) g plus sqrt(0.8) noise
+def _draw_synthetic_covariates(
+    rng: np.random.Generator, n: int, d: int, columns: int | None = None
+) -> np.ndarray:
+    """N(0, 0.8 I + 0.2 J) draws: shared factor sqrt(0.2) g plus sqrt(0.8) noise.
+
+    Returns only the first `columns` columns (default: all d). All d noise
+    columns are drawn either way, so the generator's stream and every
+    returned value do not depend on `columns`.
+    """
     g = rng.standard_normal(n)
-    eps = rng.standard_normal((n, d))
+    eps = rng.standard_normal((n, d))[:, :columns]
     return np.sqrt(0.2) * g[:, None] + np.sqrt(0.8) * eps
 
 
@@ -166,11 +176,20 @@ class GroundTruth:
 
 
 def ground_truth(cfg: SyntheticConfig, mc_n: int, seed: int | None = None) -> GroundTruth:
-    """Monte Carlo psi^{a,t} over fresh covariate draws at the true hazards."""
+    """Monte Carlo psi^{a,t} over fresh covariate draws at the true hazards.
+
+    The event hazard reads only the first three covariates and takes one
+    value per unit in each of its two regimes (t <= EARLY_HAZARD_END and
+    after), so the draws keep three columns and each arm's hazard is
+    evaluated once per regime; the survival product still multiplies in
+    one factor per timestep.
+    """
     if mc_n < 10_000:
         raise ValueError(f"mc_n must be >= 10000, got {mc_n}")
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    x = _draw_synthetic_covariates(rng, mc_n, SYNTH_D)
+    x = _draw_synthetic_covariates(rng, mc_n, SYNTH_D, columns=3)
+    regimes = (EARLY_HAZARD_END, EARLY_HAZARD_END + 1)  # one time in each regime
+    keep = {a: [1.0 - true_event_hazard(x, a, t) for t in regimes] for a in (0, 1)}
     n_pts = T_MAX + 1
     psi = np.ones((2, n_pts))
     psi_se = np.zeros((2, n_pts))
@@ -180,7 +199,7 @@ def ground_truth(cfg: SyntheticConfig, mc_n: int, seed: int | None = None) -> Gr
     root = np.sqrt(mc_n)
     for t in range(1, n_pts):
         for a in (0, 1):
-            surv[a] = surv[a] * (1.0 - true_event_hazard(x, a, t))
+            surv[a] = surv[a] * keep[a][t > EARLY_HAZARD_END]
             psi[a, t] = surv[a].mean()
             psi_se[a, t] = surv[a].std() / root
         diff = surv[1] - surv[0]

@@ -18,7 +18,11 @@ and their Gram matrix, built once. Both fitted models keep the same
 training covariates, so a caller can build the prediction Gram of a set
 of units once (`prediction_gram`) and pass it to `hazard_matrix` for
 both arms and both models; this gives the same bytes as building it per
-call.
+call. Prediction is one matrix product per model and arm: every Newton
+cell's alpha is scattered into its time's column of a coefficient matrix
+(zero outside the cell's risk set), so the logits of all times are
+k_pred @ A + b, and constant and empty cells then overwrite their
+columns with their level.
 
 Both logistic fits use one damped Newton method (`_damped_newton`),
 which backtracks on the residual norm, and every fit that stops at its
@@ -182,10 +186,6 @@ class _Cell:
     risk_idx: np.ndarray | None  # indices into the training matrix
     constant: float | None = None
 
-    def predict(self, k_pred: np.ndarray) -> np.ndarray:
-        f = k_pred[:, self.risk_idx] @ self.alpha + self.intercept
-        return np.clip(expit(f), HAZARD_FLOOR, HAZARD_CEIL)
-
 
 @dataclass(frozen=True)
 class KernelBasis:
@@ -241,15 +241,23 @@ class KernelHazardModel:
         """
         if k_pred is None:
             k_pred = self.prediction_gram(x)
-        out = np.zeros((k_pred.shape[0], self.grid.n_points))
-        for u in range(1, self.grid.n_points):
+        # every Newton cell's alpha scattered into its column over its risk set
+        n_pts = self.grid.n_points
+        coef = np.zeros((k_pred.shape[1], n_pts))
+        intercept = np.zeros(n_pts)
+        levels = {0: 0.0}
+        for u in range(1, n_pts):
             cell = self.cells.get((u, a))
             if cell is None:
-                out[:, u] = HAZARD_FLOOR
+                levels[u] = HAZARD_FLOOR
             elif cell.constant is not None:
-                out[:, u] = cell.constant
+                levels[u] = cell.constant
             else:
-                out[:, u] = cell.predict(k_pred)
+                coef[cell.risk_idx, u] = cell.alpha
+                intercept[u] = cell.intercept
+        out = np.clip(expit(k_pred @ coef + intercept), HAZARD_FLOOR, HAZARD_CEIL)
+        for u, level in levels.items():
+            out[:, u] = level
         return out
 
     def survival_matrix(self, x: np.ndarray, a: int) -> np.ndarray:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from cfsurv.dgp import (
+    EARLY_HAZARD_END,
+    T_MAX,
     GroundTruth,
     SyntheticConfig,
     TwinsLikeConfig,
@@ -114,6 +118,47 @@ def test_ground_truth_basics():
     assert np.all(gt.delta[1:] > 0.0)
     with pytest.raises(ValueError):
         ground_truth(SyntheticConfig(n=2, seed=0), mc_n=5000)
+
+
+def _per_timestep_ground_truth(mc_n, seed):
+    # oracle: every covariate column drawn and the hazard evaluated at every t
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(mc_n)
+    eps = rng.standard_normal((mc_n, 10))
+    x = np.sqrt(0.2) * g[:, None] + np.sqrt(0.8) * eps
+    psi = np.ones((2, T_MAX + 1))
+    psi_se = np.zeros((2, T_MAX + 1))
+    delta = np.zeros(T_MAX + 1)
+    delta_se = np.zeros(T_MAX + 1)
+    surv = {a: np.ones(mc_n) for a in (0, 1)}
+    root = np.sqrt(mc_n)
+    for t in range(1, T_MAX + 1):
+        for a in (0, 1):
+            surv[a] = surv[a] * (1.0 - true_event_hazard(x, a, t))
+            psi[a, t] = surv[a].mean()
+            psi_se[a, t] = surv[a].std() / root
+        diff = surv[1] - surv[0]
+        delta[t] = diff.mean()
+        delta_se[t] = diff.std() / root
+    return psi, delta, psi_se, delta_se
+
+
+@pytest.mark.parametrize("mc_n", [10_000, 50_000])
+def test_ground_truth_matches_the_per_timestep_oracle(mc_n):
+    gt = ground_truth(SyntheticConfig(n=2, seed=0), mc_n=mc_n, seed=17)
+    oracle = _per_timestep_ground_truth(mc_n, 17)
+    for got, want in zip((gt.psi, gt.delta, gt.psi_se, gt.delta_se), oracle):
+        assert got.tobytes() == want.tobytes()
+
+
+@given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_event_hazard_is_constant_within_each_regime(n, seed):
+    x = np.random.default_rng(seed).normal(scale=2.0, size=(n, 10))
+    for a in (0, 1):
+        for regime in (range(1, EARLY_HAZARD_END + 1), range(EARLY_HAZARD_END + 1, T_MAX + 1)):
+            first, *rest = (true_event_hazard(x, a, t).tobytes() for t in regime)
+            assert all(other == first for other in rest)
 
 
 def test_ground_truth_se_scaling():

@@ -409,3 +409,44 @@ def test_newton_cells_reach_the_loss_gradient_tolerance(data):
             assert np.linalg.norm(grad) <= hazard.NEWTON_TOL
             checked += 1
     assert checked >= 20
+
+
+def _per_cell_hazards(model, k_pred, a):
+    # oracle: one column gather and matvec per Newton cell
+    out = np.zeros((k_pred.shape[0], model.grid.n_points))
+    for u in range(1, model.grid.n_points):
+        cell = model.cells.get((u, a))
+        if cell is None:
+            out[:, u] = HAZARD_FLOOR
+        elif cell.constant is not None:
+            out[:, u] = cell.constant
+        else:
+            f = k_pred[:, cell.risk_idx] @ cell.alpha + cell.intercept
+            out[:, u] = np.clip(expit(f), HAZARD_FLOOR, HAZARD_CEIL)
+    return out
+
+
+def test_hazard_matrix_matches_the_per_cell_oracle():
+    # arm 0 leaves by time 2, so its cells at u >= 3 are empty; every arm-1
+    # unit still at risk at u = 5 is censored there, so (5, 1) is single-class
+    # in both fits; u = 6 lies past the fits' max_time
+    rng = np.random.default_rng(8)
+    n = 60
+    a = np.arange(n) % 2
+    time = np.where(a == 0, rng.integers(1, 3, size=n), rng.integers(1, 6, size=n))
+    event = np.where(time == 5, 0, rng.integers(0, 2, size=n))
+    data = _dataset(x=rng.normal(size=(n, 3)), a=a, time=time, event=event, t_max=6)
+    holdout = rng.normal(size=(25, 3))
+    basis = KernelBasis.of(data.x, KernelConfig())
+    with pytest.warns(CoverageWarning):
+        models = [fit(data, max_time=5, basis=basis) for fit in (fit_event_hazard, fit_censor_hazard)]
+    k_pred = models[0].prediction_gram(holdout)
+    for model in models:
+        assert (3, 0) in model.empty_cells
+        assert model.cells[(5, 1)].constant is not None
+        assert sum(cell.alpha is not None for cell in model.cells.values()) >= 5
+        for arm in (0, 1):
+            got = model.hazard_matrix(holdout, arm, k_pred)
+            want = _per_cell_hazards(model, k_pred, arm)
+            assert np.all(got[:, 0] == 0.0)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
