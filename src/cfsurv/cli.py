@@ -100,14 +100,17 @@ _SIMULATE_OPTS = [
     Opt("--n", int, 200),
     Opt("--estimators", _str_list, ["or", "dr", "balance"]),
     Opt("--times", _int_list, [5, 10, 15, 20, 25]),
-    Opt("--xi", float, 0.3),
-    Opt("--assign-scale", float, 1.0),
-    Opt("--xi-sweep", _float_list, help="overlap sweep values; adds RISB/RISE columns"),
+    Opt("--xi", float, 0.3, help="overlap parameter (synthetic; ignored by twins-like)"),
+    Opt("--assign-scale", float, 1.0,
+        help="Bernoulli multiplier (synthetic; ignored by twins-like)"),
+    Opt("--xi-sweep", _float_list,
+        help="overlap sweep values; adds RISB/RISE columns (synthetic only)"),
     Opt("--master-seed", int, 0),
     Opt("--sigma2", float, 1.0),
     Opt("--length-scale", float, 10.0),
     Opt("--ridge", float, 0.5),
-    Opt("--mc", int, 200_000, help="Monte Carlo draws for the ground truth"),
+    Opt("--mc", int, 200_000, help="Monte Carlo draws for the synthetic ground truth "
+        "(ignored by twins-like, whose truth is exact)"),
     Opt("--twins-csv", str),
     Opt("--out", str, required=True),
     Opt("--raw", str, help="also write per-replication estimates to this path"),

@@ -18,7 +18,7 @@ class CoverageWarning(UserWarning):
 
 
 class ConvergenceWarning(UserWarning):
-    """A per-timestep hazard fit stopped at its iteration cap before converging."""
+    """A Newton fit (a hazard cell or the propensity) stopped at its iteration cap."""
 
 
 class LargeWeightWarning(UserWarning):

@@ -8,28 +8,30 @@ weighting (ipw), doubly robust with and without denominator clipping
 Estimation runs in two stages.
 
 Fit stage: `fit_nuisances` fits the nuisance models a kind needs (event
-hazard, censoring hazard, propensity) once per fold and returns them as
-`Nuisances`, one (eval_idx, event, censor, propensity) entry per fold.
-The kind table fixes the paper's design: or and ipw fit once on the
-whole sample, dr and dr-clip share one 5-fold plan, balance uses 2
-folds. Kinds with the same `nuisance_plan` get identical nuisances from
-the same seed, so one fit serves all of them; known (oracle) models are
-a one-fold `Nuisances.whole_sample`.
+hazard, censoring hazard, propensity) once per fold, without the fold's
+held-out units, and predicts them on those units straight away. It
+returns the held-out curves as `Nuisances`, one entry per fold; the
+models themselves are dropped. The kind table fixes the paper's design:
+or and ipw fit once on the whole sample, dr and dr-clip share one 5-fold
+plan, balance uses 2 folds. Kinds with the same `nuisance_plan` get
+identical curves from the same seed, so one fit serves all of them;
+known (oracle) models are predicted by `Nuisances.whole_sample`.
 
-Evaluate stage: `run_estimator` loops over the folds, predicts on each
-held-out fold and averages the fold estimates. or is the plug-in mean
-of the predicted survival; dr and dr-clip add the hazard-residual
-correction with explicit inverse-probability weights (clipped for
-dr-clip); balance adds it with minimax balancing weights; ipw weights
-the observed events. Standard errors come from the per-unit influence
-values and a normal t-statistic interval.
+Evaluate stage: `run_estimator` only evaluates: it reads each fold's
+curves, computes the fold estimates and averages them; it never
+predicts. or is the plug-in mean of the predicted survival; dr and
+dr-clip add the hazard-residual correction with explicit
+inverse-probability weights (clipped for dr-clip); balance adds it with
+minimax balancing weights; ipw weights the observed events. Standard
+errors come from the per-unit influence values and a normal t-statistic
+interval.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -45,7 +47,6 @@ from .hazard import (
     PROPENSITY_FLOOR,
     KernelBasis,
     KernelConfig,
-    KernelHazardModel,
     fit_censor_hazard,
     fit_event_hazard,
     fit_propensity,
@@ -257,29 +258,50 @@ def _h_minus(s: np.ndarray, g: np.ndarray, t: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Nuisances:
-    """Fitted nuisance models, one (eval_idx, event, censor, propensity) entry per fold.
+    """Held-out nuisance curves, one (eval_idx, xs, curves) entry per fold.
 
-    Each entry's models were fit without the units in eval_idx (or on the
-    whole sample when there is one fold) and are evaluated on those
-    units. A model is None when the kind it was fit for does not use it.
-    The models must cover the evaluation times they are used at.
-
-    eval_grams holds, per fold, the Gram matrix of the eval_idx units
-    against the training basis the fold's kernel hazard models share,
-    when the fit stage already built it (the whole-sample fold is
-    evaluated on its training units, so its training Gram serves), else
-    None; it may be empty.
+    Each fold's models were fit without the units in eval_idx (or on the
+    whole sample when there is one fold) and predicted on those units.
+    xs holds the eval_idx covariates in the fold's kernel
+    standardization, which the balance Gram is built from
+    (`whole_sample` takes the event model's, and None without one).
+    curves holds, per arm a in (0, 1), (event hazards, event survival,
+    censoring survival, P(A=a|X)): (n_fold, t_max + 1) matrices and an
+    (n_fold,) vector, each None where its model was not fit.
     """
 
-    folds: tuple[tuple[np.ndarray, Any, Any, Any], ...]
-    eval_grams: tuple[np.ndarray | None, ...] = ()
+    folds: tuple[tuple[np.ndarray, np.ndarray | None, tuple], ...]
 
     @classmethod
-    def whole_sample(
-        cls, n: int, event=None, censor=None, propensity=None, eval_gram=None
-    ) -> "Nuisances":
-        """One fold holding all n units, e.g. for known (oracle) models."""
-        return cls(((np.arange(n), event, censor, propensity),), (eval_gram,))
+    def whole_sample(cls, x, event=None, censor=None, propensity=None) -> "Nuisances":
+        """One fold holding every row of x, predicted from given (e.g. oracle) models."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise ValueError(f"x must be a 2-D covariate matrix, got shape {x.shape}")
+        xs = None if event is None else event.standardize(x)
+        return cls(((np.arange(len(x)), xs, _curves(x, event, censor, propensity)),))
+
+
+def _curves(x: np.ndarray, event, censor, propensity, k_pred: np.ndarray | None = None):
+    """Per arm, (event hazards, event survival, censoring survival, P(A=a|X)) at x.
+
+    An entry is None where its model is. k_pred, when given, is the Gram
+    matrix of x against the training basis both kernel hazard models
+    share, built once for both arms and both models.
+    """
+    shared = () if k_pred is None else (k_pred,)
+    curves = []
+    for a in (0, 1):
+        lam = s = g = pi = None
+        if event is not None:
+            lam = event.hazard_matrix(x, a, *shared)
+            s = np.cumprod(1.0 - lam, axis=1)
+        if censor is not None:
+            g = np.cumprod(1.0 - censor.hazard_matrix(x, a, *shared), axis=1)
+        if propensity is not None:
+            pi = propensity.prob(x, a)
+        curves.append((lam, s, g, pi))
+    return tuple(curves)
 
 
 def _spec(kind: str) -> _Kind:
@@ -313,14 +335,14 @@ def fit_nuisances(
     params: EstimatorParams = EstimatorParams(),
     seed: int = 0,
 ) -> Nuisances:
-    """Fit the nuisance models `kind` needs, cross-fitted over its seeded folds."""
+    """Cross-fit the nuisance models `kind` needs and predict each fold's held-out units."""
     spec = _checked_spec(data, kind, times)
     use_event, use_censor, use_prop = spec.models
     max_t = max(times)
 
-    def fit(train: Dataset):
+    def fold(idx: np.ndarray, train: Dataset):
         # the event and censoring fits of one fold share one kernel basis
-        basis = KernelBasis.of(train.x, params.kernel) if use_event or use_censor else None
+        basis = KernelBasis.of(train.x, params.kernel)
         models = (
             fit_event_hazard(train, params.kernel, params.ridge, max_t, basis)
             if use_event else None,
@@ -328,50 +350,21 @@ def fit_nuisances(
             if use_censor else None,
             fit_propensity(train) if use_prop else None,
         )
-        return basis, models
+        x = data.x[idx]
+        if train is data:  # the whole sample is evaluated on its training units
+            xs, k_pred = basis.train_x, basis.k_train
+        else:
+            xs = (x - basis.mean) / basis.scale
+            k_pred = gram(xs, basis.train_x, params.kernel)
+        return idx, xs, _curves(x, *models, k_pred)
 
     if spec.folds == 1:
-        basis, models = fit(data)
-        return Nuisances.whole_sample(
-            data.n, *models, eval_gram=None if basis is None else basis.k_train
-        )
+        return Nuisances((fold(np.arange(data.n), data),))
     plan = FoldPlan.make(data.n, spec.folds, seed)
     return Nuisances(tuple(
-        (plan.fold_indices(f), *fit(data.subset(plan.train_indices(f)))[1])
+        fold(plan.fold_indices(f), data.subset(plan.train_indices(f)))
         for f in range(spec.folds)
     ))
-
-
-def _fold_curves(x: np.ndarray, event_model, censor_model, propensity, eval_gram):
-    """Per arm, (event hazards, event survival, censoring survival, P(A=a|X)) at x.
-
-    An entry is None where its model is. Kernel hazard models with the
-    same training basis share one prediction Gram (eval_gram, when
-    given) across both arms; it is freed on return, before any balance
-    solve runs.
-    """
-    grams: dict[int, np.ndarray] = {}
-
-    def hazards(model, a: int) -> np.ndarray:
-        if not isinstance(model, KernelHazardModel):
-            return model.hazard_matrix(x, a)
-        key = id(model.train_x)
-        if key not in grams:
-            grams[key] = model.prediction_gram(x) if eval_gram is None else eval_gram
-        return model.hazard_matrix(x, a, grams[key])
-
-    curves = {}
-    for a in (0, 1):
-        lam = s = g = pi = None
-        if event_model is not None:
-            lam = hazards(event_model, a)
-            s = np.cumprod(1.0 - lam, axis=1)
-        if censor_model is not None:
-            g = np.cumprod(1.0 - hazards(censor_model, a), axis=1)
-        if propensity is not None:
-            pi = propensity.prob(x, a)
-        curves[a] = lam, s, g, pi
-    return curves
 
 
 def run_estimator(
@@ -384,17 +377,18 @@ def run_estimator(
 ):
     """Estimate psi^{a,t} for both arms and their difference at each time.
 
-    Fits the nuisances with `fit_nuisances(data, kind, times, params,
-    seed)` unless `nuisances` is given. Returns (results, failures):
+    Reads the held-out curves of `nuisances`, fitting them with
+    `fit_nuisances(data, kind, times, params, seed)` when not given, and
+    predicts nothing itself. Returns (results, failures):
     results maps (arm, t) with arm in {0, 1, "diff"} to an EstimateResult;
     failures maps cells that raised a numerical error to the error message.
     """
     spec = _checked_spec(data, kind, times)
     if nuisances is None:
         nuisances = fit_nuisances(data, kind, times, params, seed)
-    for _, *models in nuisances.folds:
-        if any(use and model is None for use, model in zip(spec.models, models)):
-            raise ValueError(f"nuisances lack a model the {kind} estimator needs")
+    for _, _, ((lam, _, g, pi), _) in nuisances.folds:
+        if any(use and curve is None for use, curve in zip(spec.models, (lam, g, pi))):
+            raise ValueError(f"nuisances lack a curve the {kind} estimator needs")
 
     points: dict[tuple[int, int], list[float]] = {(a, t): [] for a in (0, 1) for t in times}
     influence: dict[tuple[int, int], np.ndarray] = {
@@ -403,16 +397,9 @@ def run_estimator(
     failures: dict[tuple[int | str, int], str] = {}
     solver_cfg = SolverConfig(sigma2=params.sigma2)
 
-    for f, (idx, event_model, censor_model, propensity) in enumerate(nuisances.folds):
+    for idx, xs, curves in nuisances.folds:
         fold = data.subset(idx)
-        models = (event_model, censor_model, propensity)
-        curves = _fold_curves(
-            fold.x,
-            *(model if use else None for use, model in zip(spec.models, models)),
-            nuisances.eval_grams[f] if nuisances.eval_grams else None,
-        )
         if kind == "balance":
-            xs = event_model.standardize(fold.x)
             k = gram(xs, xs, params.kernel)
         for a in (0, 1):
             lam, s, g, pi = curves[a]

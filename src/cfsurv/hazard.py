@@ -14,15 +14,17 @@ directly. The propensity is an unpenalized linear logistic regression.
 
 The event and censoring fits of one training fold share one
 `KernelBasis`: the standardization, the standardized training covariates
-and their Gram matrix, built once. Both fitted models keep the same
-training covariates, so a caller can build the prediction Gram of a set
-of units once (`prediction_gram`) and pass it to `hazard_matrix` for
-both arms and both models; this gives the same bytes as building it per
-call. Prediction is one matrix product per model and arm: every Newton
-cell's alpha is scattered into its time's column of a coefficient matrix
-(zero outside the cell's risk set), so the logits of all times are
-k_pred @ A + b, and constant and empty cells then overwrite their
-columns with their level.
+and their Gram matrix, built once. The cross-fitting stage
+(`estimators.fit_nuisances`) predicts both models on the fold's held-out
+units right after the fit: it builds their Gram matrix against the
+basis once (on the whole sample, the training Gram itself) and passes
+it to `hazard_matrix` for both arms and both models, which gives the
+same bytes as `hazard_matrix` building it per call through
+`prediction_gram`. Prediction is one matrix product per model and arm:
+every Newton cell's alpha is scattered into its time's column of a
+coefficient matrix (zero outside the cell's risk set), so the logits of
+all times are k_pred @ A + b, and constant and empty cells then
+overwrite their columns with their level.
 
 Both logistic fits use one damped Newton method (`_damped_newton`),
 which backtracks on the residual norm, and every fit that stops at its

@@ -279,7 +279,7 @@ def test_criterion_6_double_robustness():
                 SyntheticConfig(n=500, seed=derive_seed(master, rep), standardize=False)
             )
             points[rep] = run_estimator(
-                data, "dr", [t], nuisances=Nuisances.whole_sample(data.n, event, censor, prop)
+                data, "dr", [t], nuisances=Nuisances.whole_sample(data.x, event, censor, prop)
             )[0][("diff", t)].point
         bias = float(points.mean() - gt.delta[t])
         se = float(points.std(ddof=1) / np.sqrt(q))

@@ -12,7 +12,7 @@ import pytest
 import cfsurv
 from cfsurv.balance import SolverConfig
 from cfsurv.dgp import SyntheticConfig, TwinsLikeConfig, load_twins_table, surrogate_twins_table
-from cfsurv.estimators import EstimatorParams
+from cfsurv.estimators import EstimatorParams, Nuisances
 from cfsurv.hazard import (
     KernelHazardModel,
     fit_censor_hazard,
@@ -132,6 +132,7 @@ def test_config_fields():
         "n", "xi", "assign_scale", "seed", "standardize"
     ]
     assert [f.name for f in fields(TwinsLikeConfig)] == ["x", "t0", "t1", "seed"]
+    assert [f.name for f in fields(Nuisances)] == ["folds"]
     assert not {"ridge", "max_time"} & {f.name for f in fields(KernelHazardModel)}
 
 

@@ -9,6 +9,7 @@ from cfsurv.cli import main as cli_main
 from cfsurv.dgp import SyntheticConfig, gen_synthetic
 from cfsurv.errors import EstimationError
 from cfsurv.estimators import (
+    ESTIMATOR_KINDS,
     EstimatorParams,
     FoldPlan,
     Nuisances,
@@ -20,8 +21,10 @@ from cfsurv.estimators import (
     run_estimator,
 )
 from cfsurv.hazard import (
+    KernelHazardModel,
     OracleHazardModel,
     OraclePropensity,
+    PropensityModel,
     fit_censor_hazard,
     fit_event_hazard,
 )
@@ -160,7 +163,7 @@ def _censor_oracle(g_curve):
 
 
 def _ipw(data, t, censor, prop):
-    nuisances = Nuisances.whole_sample(data.n, censor=censor, propensity=prop)
+    nuisances = Nuisances.whole_sample(data.x, censor=censor, propensity=prop)
     return run_estimator(data, "ipw", [t], nuisances=nuisances)[0][(1, t)]
 
 
@@ -234,7 +237,7 @@ def test_balance_small_sigma2_oracle_hazard_instance():
     oracle = OracleHazardModel(grid, lambda x, a, u: np.full(x.shape[0], truth[(u, a)]))
     params = EstimatorParams(kernel=KernelConfig(length_scale=1.0), sigma2=1e-8)
     res = run_estimator(
-        data, "balance", [t], params, nuisances=Nuisances.whole_sample(n, event=oracle)
+        data, "balance", [t], params, nuisances=Nuisances.whole_sample(data.x, event=oracle)
     )[0][(1, t)]
     assert abs(res.point - 1.0) <= 1e-6
 
@@ -249,11 +252,28 @@ def test_cross_fit_determinism():
     assert other.point != first.point
 
 
-def test_censor_fit_stops_at_last_evaluation_time():
+def _capture_fits(monkeypatch):
+    """Record the models each `cfsurv.estimators.fit_*` call returns, by name."""
+    fitted = {"fit_event_hazard": [], "fit_censor_hazard": [], "fit_propensity": []}
+    for name, models in fitted.items():
+        original = getattr(cfsurv.estimators, name)
+
+        def capturing(*args, _original=original, _models=models, **kwargs):
+            _models.append(_original(*args, **kwargs))
+            return _models[-1]
+
+        monkeypatch.setattr(cfsurv.estimators, name, capturing)
+    return fitted
+
+
+def test_censor_fit_stops_at_last_evaluation_time(monkeypatch):
     # ipw reads G only for units with T <= t, dr only G_{u-1} with u <= t
     data = gen_synthetic(SyntheticConfig(n=100, seed=3))
     assert data.time.max() > 10
-    for _, _, censor, _ in fit_nuisances(data, "dr", [5, 10]).folds:
+    fitted = _capture_fits(monkeypatch)
+    fit_nuisances(data, "dr", [5, 10])
+    assert len(fitted["fit_censor_hazard"]) == 5
+    for censor in fitted["fit_censor_hazard"]:
         newton = [u for (u, _), cell in censor.cells.items() if cell.alpha is not None]
         assert newton and max(newton) <= 10
         assert max(u for u, _ in censor.cells) == 10
@@ -311,34 +331,48 @@ def _count_grams(monkeypatch):
 @pytest.mark.parametrize(
     "kind, fit_grams, eval_grams",
     # or and ipw predict on their training units with the training Gram;
-    # dr builds one prediction Gram per fold for both arms and both models;
-    # balance adds each fold's own Gram for the balance solve
-    [("or", 1, 0), ("ipw", 1, 0), ("dr", 5, 5), ("dr-clip", 5, 5), ("balance", 2, 4)],
+    # dr builds one training and one prediction Gram per fold, the latter
+    # for both arms and both models; balance evaluates with each fold's
+    # own Gram for the balance solve
+    [("or", 1, 0), ("ipw", 1, 0), ("dr", 10, 0), ("dr-clip", 10, 0), ("balance", 4, 2)],
 )
 def test_each_fold_builds_its_grams_once(monkeypatch, kind, fit_grams, eval_grams):
     data = gen_synthetic(SyntheticConfig(n=60, seed=12))
     shapes = _count_grams(monkeypatch)
+    fitted = _capture_fits(monkeypatch)
     nuisances = fit_nuisances(data, kind, [5, 10], seed=3)
     assert len(shapes) == fit_grams
-    assert all(rows == cols for rows, cols in shapes)  # training Grams
+    # per fold: the training Gram, then the held-out units against it
+    expected = [(data.n, data.n)] if fit_grams == 1 else [
+        shape
+        for idx, _, _ in nuisances.folds
+        for shape in ((data.n - len(idx),) * 2, (len(idx), data.n - len(idx)))
+    ]
+    assert shapes == expected
     run_estimator(data, kind, [5, 10], seed=3, nuisances=nuisances)
     assert len(shapes) == fit_grams + eval_grams
-    for _, event, censor, _ in nuisances.folds:
-        if event is not None and censor is not None:
-            assert event.train_x is censor.train_x
+    assert all(rows == cols for rows, cols in shapes[fit_grams:])  # balance Grams
+    for event, censor in zip(fitted["fit_event_hazard"], fitted["fit_censor_hazard"]):
+        assert event.train_x is censor.train_x
 
 
-def test_shared_grams_give_the_fit_per_model_bytes():
+def test_shared_grams_give_the_fit_per_model_bytes(monkeypatch):
     # sharing the basis and prediction Gram changes no arithmetic: rebuild
     # every fold's models and predictions separately and compare bytes
     data = gen_synthetic(SyntheticConfig(n=60, seed=13))
+    fitted = _capture_fits(monkeypatch)
     nuisances = fit_nuisances(data, "dr", [5, 10], seed=2)
     shared = run_estimator(data, "dr", [5, 10], seed=2, nuisances=nuisances)[0]
     plan = FoldPlan.make(data.n, 5, seed=2)
     separate = Nuisances(tuple(
-        (idx, fit_event_hazard(train, max_time=10), fit_censor_hazard(train, max_time=10), prop)
-        for (idx, _, _, prop), train in zip(
-            nuisances.folds, (data.subset(plan.train_indices(f)) for f in range(5))
+        (idx, *Nuisances.whole_sample(
+            data.x[idx], fit_event_hazard(train, max_time=10),
+            fit_censor_hazard(train, max_time=10), prop,
+        ).folds[0][1:])
+        for (idx, _, _), train, prop in zip(
+            nuisances.folds,
+            (data.subset(plan.train_indices(f)) for f in range(5)),
+            fitted["fit_propensity"],
         )
     ))
     apart = run_estimator(data, "dr", [5, 10], seed=2, nuisances=separate)[0]
@@ -348,7 +382,41 @@ def test_shared_grams_give_the_fit_per_model_bytes():
     whole = run_estimator(data, "or", [5, 10])[0]
     alone = run_estimator(
         data, "or", [5, 10],
-        nuisances=Nuisances.whole_sample(data.n, fit_event_hazard(data, max_time=10)),
+        nuisances=Nuisances.whole_sample(data.x, fit_event_hazard(data, max_time=10)),
     )[0]
     for key, res in whole.items():
         assert res.influence.tobytes() == alone[key].influence.tobytes()
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+def test_evaluation_reads_curves_and_predicts_nothing(monkeypatch, kind):
+    # the fit stage hands over held-out curves: evaluating them calls no
+    # model, and only balance builds Grams (one per fold, for its solve)
+    data = gen_synthetic(SyntheticConfig(n=60, seed=12))
+    nuisances = fit_nuisances(data, kind, [5, 10], seed=3)
+    calls = []
+    for owner, name in (
+        (KernelHazardModel, "hazard_matrix"),
+        (KernelHazardModel, "prediction_gram"),
+        (PropensityModel, "prob"),
+    ):
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    shapes = _count_grams(monkeypatch)
+    run_estimator(data, kind, [5, 10], seed=3, nuisances=nuisances)
+    assert calls == []
+    assert len(shapes) == (2 if kind == "balance" else 0)
+
+
+def test_whole_sample_takes_a_covariate_matrix():
+    data = gen_synthetic(SyntheticConfig(n=30, seed=1))
+    prop = OraclePropensity(lambda x: np.full(x.shape[0], 0.5))
+    assert len(Nuisances.whole_sample(data.x, propensity=prop).folds[0][0]) == data.n
+    for bad in (data.n, data.x[:, 0], data.x[None]):
+        with pytest.raises(ValueError, match="2-D"):
+            Nuisances.whole_sample(bad, propensity=prop)

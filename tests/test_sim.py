@@ -288,6 +288,43 @@ def test_replication_shares_nuisance_fits(monkeypatch):
         assert shared[kind] == alone[kind]
 
 
+def _count_predictions(monkeypatch):
+    """Count Gram builds and kernel hazard predictions, by name."""
+    import cfsurv.estimators as est
+    import cfsurv.hazard as hz
+
+    calls = {"gram": 0, "hazard_matrix": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(est, "gram")
+    counting(hz, "gram")
+    counting(hz.KernelHazardModel, "hazard_matrix")
+    return calls
+
+
+def test_dr_clip_reads_the_curves_of_dr(monkeypatch):
+    # dr-clip evaluated on dr's fit builds no Gram and predicts nothing
+    runs = {}
+    for kinds in (("dr",), ("dr", "dr-clip"), ("or", "ipw", "dr", "dr-clip", "balance")):
+        calls = _count_predictions(monkeypatch)
+        cfg = SimulationConfig(q=2, n=60, estimators=kinds, times=(3, 6), master_seed=4)
+        run_single_replication(cfg, seed=17)
+        runs[kinds] = dict(calls)
+        monkeypatch.undo()
+    assert runs[("dr",)] == runs[("dr", "dr-clip")] == {"gram": 10, "hazard_matrix": 20}
+    # or 1 + ipw 1 + dr 10 + balance 4 fit and 2 solve Grams; per arm, one
+    # prediction per hazard model and fold: or 1, ipw 1, dr 10, balance 2
+    assert runs[("or", "ipw", "dr", "dr-clip", "balance")] == {"gram": 18, "hazard_matrix": 28}
+
+
 def test_replication_releases_each_fit_after_its_last_kind(monkeypatch):
     # a fit no later kind shares is freed before the next fit runs
     live, seen = [], []
