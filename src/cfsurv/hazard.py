@@ -31,9 +31,12 @@ which backtracks on the residual norm, and every fit that stops at its
 iteration cap reports it with a ConvergenceWarning naming the fit. A
 kernel cell's iterate carries its linear predictor f = K alpha + b
 alongside (alpha, b) and updates it with the step, so each Newton step
-evaluates expit once and a line-search trial needs no product with K;
-its Jacobian is built in one preallocated Fortran-order buffer and
-solved in place by LAPACK dgesv.
+evaluates expit once and a line-search trial needs no product with K.
+Its Newton step is the exact solution of the (m + 1)-square Jacobian
+system, obtained from one Cholesky factorization of the symmetric
+positive definite m x m matrix S K S + ridge I (S = diag(sqrt(w))) by
+LAPACK dposv, for every risk-set size; a factorization that fails
+raises NumericalError naming the fit and the cell.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgesv as _dgesv
+from scipy.linalg.lapack import dposv as _dposv
 from scipy.special import expit
 
-from .errors import ConvergenceWarning, CoverageWarning, EstimationError
+from .errors import ConvergenceWarning, CoverageWarning, EstimationError, NumericalError
 from .kernels import KernelConfig, gram
 from .survival import Dataset, TimeGrid, active_matrix, event_matrix, standardization
 
@@ -132,8 +135,22 @@ def _newton_klr(k: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray,
 
     The residual is the stationarity system (p - y) + ridge alpha = 0,
     sum(p - y) = 0 (the loss gradient with K factored out of its alpha
-    block), whose Jacobian is nonsingular for ridge > 0 and mixed
-    labels. The stopping norm is the true loss gradient's.
+    block), whose Jacobian [[W K + ridge I, w], [w' K, sum(w)]] is
+    nonsingular for ridge > 0 and mixed labels. The stopping norm is the
+    true loss gradient's.
+
+    The Newton step solves that Jacobian system exactly through the
+    symmetric positive definite B = S K S + ridge I, S = diag(s),
+    s = sqrt(w). With g = K d_alpha + d_b (the step of f), the alpha rows
+    read w * g + ridge d_alpha = r_alpha and the intercept row reads
+    w'g = r_b, so h = s * g solves B h = s * (K r_alpha) + ridge d_b s.
+    One LAPACK dposv call (Cholesky factor and both solves) gives
+    B u = s * (K r_alpha) and B v = s; then h = u + ridge d_b v, the
+    intercept row gives d_b = (r_b - s'u) / (ridge s'v), and
+    d_alpha = (r_alpha - s * h) / ridge. For a Gram matrix K, B's
+    eigenvalues lie in [ridge, ridge + m / 4] and s'v = s'B^-1 s > 0.
+    A B that is not positive definite (non-finite, or K not positive
+    semi-definite) raises NumericalError.
 
     The iterate is (alpha, b, f) with the linear predictor f = K alpha + b
     carried along: a step returns (d_alpha, d_b, K d_alpha + d_b), so
@@ -144,9 +161,11 @@ def _newton_klr(k: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray,
     ybar = min(max(float(np.mean(y)), 1e-3), 1.0 - 1e-3)
     theta = np.zeros(2 * m + 1)
     theta[m:] = np.log(ybar / (1.0 - ybar))  # b, and f = b at alpha = 0
-    # Jacobian buffer, Fortran order so LAPACK factors it in place
-    jac = np.empty((m + 1, m + 1), order="F")
-    jac_diag = jac.reshape(-1, order="F")[: (m + 1) * m : m + 2]  # view of the K block diagonal
+    # B is factored in place in Fortran order; it is filled row by row
+    # through the C-order view b_rows = B' (B is symmetric)
+    b_rows = np.empty((m, m))
+    b_diag = b_rows.reshape(-1)[:: m + 1]
+    rhs = np.empty((m, 2), order="F")
 
     def residual(theta_):
         r = np.empty(m + 1)
@@ -157,17 +176,19 @@ def _newton_klr(k: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray,
 
     def newton_step(theta_, r):
         p = y + (r[:m] - ridge * theta_[:m])  # the p of residual(theta_)
-        w = np.maximum(p * (1.0 - p), _P_EPS)
-        # diag(w) K, filled row-wise through its transpose K diag(w) (K is symmetric)
-        np.multiply(k, w, out=jac.T[:m, :m])
-        jac_diag[:] += ridge
-        jac[:m, m] = w
-        jac[m, :m] = w @ k
-        jac[m, m] = w.sum()
-        _, _, d, info = _dgesv(jac, r, overwrite_a=True)
+        s = np.sqrt(np.maximum(p * (1.0 - p), _P_EPS))
+        np.multiply(k, s, out=b_rows)
+        np.multiply(b_rows, s[:, None], out=b_rows)
+        np.add(b_diag, ridge, out=b_diag)
+        np.multiply(s, k @ r[:m], out=rhs[:, 0])
+        rhs[:, 1] = s
+        _, uv, info = _dposv(b_rows.T, rhs, lower=1, overwrite_a=True, overwrite_b=True)
         if info != 0:
-            raise np.linalg.LinAlgError(f"singular Newton system (dgesv info {info})")
-        return np.concatenate([d, k @ d[:m] + d[m]])
+            raise NumericalError(f"Newton system not positive definite (dposv info {info})")
+        u, v = uv[:, 0], uv[:, 1]
+        d_b = (r[m] - s @ u) / (ridge * (s @ v))
+        d_alpha = (r[:m] - s * (u + ridge * d_b * v)) / ridge
+        return np.concatenate([d_alpha, [d_b], k @ d_alpha + d_b])
 
     def loss_grad_norm(r):
         g = k @ r[:m]
@@ -331,7 +352,9 @@ def _fit_cells(
 ) -> KernelHazardModel:
     """One kernel logistic fit per (u, a) cell of data's risk sets.
 
-    Warnings start with `what` and point at the caller of the public fit.
+    Warnings start with `what` and point at the caller of the public fit;
+    a cell whose Newton system cannot be factored raises NumericalError
+    naming `what` and the cell.
     """
     if max_time is None:
         max_time = data.grid.t_max
@@ -355,7 +378,10 @@ def _fit_cells(
                 cells[(u, a)] = _Cell(None, 0.0, None, constant=level)
                 continue
             k_sub = basis.k_train[np.ix_(risk, risk)]
-            alpha, b, converged = _newton_klr(k_sub, y, ridge)
+            try:
+                alpha, b, converged = _newton_klr(k_sub, y, ridge)
+            except NumericalError as err:
+                raise NumericalError(f"{what}: cell {(u, a)}: {err}") from err
             if not converged:
                 stalled.append((u, a))
             cells[(u, a)] = _Cell(alpha=alpha, intercept=b, risk_idx=risk)

@@ -72,14 +72,16 @@ def spd_factor(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     retry, 3 retries); if every attempt fails a NumericalError is raised
     with diagnostics.
     """
-    a = m + ridge * np.eye(m.shape[0])
     last_err: Exception | None = None
     for attempt in range(_JITTER_RETRIES + 1):
-        eps = 0.0 if attempt == 0 else JITTER * 10.0 ** (attempt - 1)
+        # a fresh Fortran-order copy per attempt, factored in place
+        a = np.array(m, dtype=float, order="F")
+        diag = np.diag_indices_from(a)
+        a[diag] += ridge
+        if attempt > 0:
+            a[diag] += JITTER * 10.0 ** (attempt - 1)
         try:
-            return scipy.linalg.cholesky(
-                a + eps * np.eye(a.shape[0]), lower=True, check_finite=False
-            )
+            return scipy.linalg.cholesky(a, lower=True, overwrite_a=True, check_finite=False)
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as err:
             last_err = err
     raise NumericalError(

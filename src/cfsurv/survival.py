@@ -212,7 +212,15 @@ def read_dataset_csv(path: str, t_max: int = 30) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} cells, expected {len(header)}"
+                )
+            rows.append(row)
     if len(header) < 4 or header[-3:] != ["a", "time", "event"]:
         raise ValueError(f"{path}: expected trailing columns a,time,event, got {header[-3:]}")
     d = len(header) - 3

@@ -15,7 +15,7 @@ from cfsurv.dgp import (
     true_censor_hazard,
     true_event_hazard,
 )
-from cfsurv.errors import ConvergenceWarning, CoverageWarning, EstimationError
+from cfsurv.errors import ConvergenceWarning, CoverageWarning, EstimationError, NumericalError
 from cfsurv.estimators import FoldPlan
 from cfsurv.hazard import (
     HAZARD_CEIL,
@@ -30,7 +30,7 @@ from cfsurv.hazard import (
 )
 from cfsurv.kernels import KernelConfig, gram
 from cfsurv.sim import derive_seed, splitmix64
-from cfsurv.survival import Dataset, TimeGrid, event_matrix
+from cfsurv.survival import Dataset, TimeGrid, active_matrix, event_matrix
 
 
 def central_diff(fn, theta, step=1e-5):
@@ -450,3 +450,152 @@ def test_hazard_matrix_matches_the_per_cell_oracle():
             want = _per_cell_hazards(model, k_pred, arm)
             assert np.all(got[:, 0] == 0.0)
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def _jacobian_step(k, y, ridge, theta, r):
+    # oracle: the Newton step of theta = (alpha, b, f) for residual r, solved
+    # from the explicit (m + 1) x (m + 1) Jacobian [[W K + ridge I, w], [w' K, sum(w)]]
+    m = len(y)
+    p = expit(theta[m + 1 :])
+    w = np.maximum(p * (1.0 - p), hazard._P_EPS)
+    jac = np.zeros((m + 1, m + 1))
+    jac[:m, :m] = w[:, None] * k + ridge * np.eye(m)
+    jac[:m, m] = w
+    jac[m, :m] = w @ k
+    jac[m, m] = w.sum()
+    d = np.linalg.solve(jac, r)
+    return np.concatenate([d, k @ d[:m] + d[m]])
+
+
+def _jacobian_newton_klr(k, y, ridge):
+    # oracle: the Newton loop of `_newton_klr` with `_jacobian_step`; also
+    # returns the smallest weight p (1 - p) met before the _P_EPS floor
+    m = len(y)
+    ybar = min(max(float(np.mean(y)), 1e-3), 1.0 - 1e-3)
+    theta = np.zeros(2 * m + 1)
+    theta[m:] = np.log(ybar / (1.0 - ybar))
+    w_min = [np.inf]
+
+    def residual(theta_):
+        p = expit(theta_[m + 1 :])
+        return np.concatenate([(p - y) + ridge * theta_[:m], [np.sum(p - y)]])
+
+    def newton_step(theta_, r):
+        p = expit(theta_[m + 1 :])
+        w_min[0] = min(w_min[0], float(np.min(p * (1.0 - p))))
+        return _jacobian_step(k, y, ridge, theta_, r)
+
+    def loss_grad_norm(r):
+        return np.linalg.norm(np.concatenate([k @ r[:m], r[m:]]))
+
+    theta, converged = hazard._damped_newton(
+        theta, residual, newton_step, loss_grad_norm, hazard.NEWTON_TOL, hazard.NEWTON_MAX_ITER
+    )
+    assert converged
+    return theta[: m + 1], w_min[0]
+
+
+def test_newton_step_solves_the_jacobian_system(monkeypatch):
+    # the Cholesky step of `_newton_klr`, taken from its Newton loop, at
+    # iterates whose weights range from 1/4 down to below the _P_EPS floor
+    loop = {}
+
+    def capture(theta, residual, newton_step, stop_norm, tol, max_iter):
+        loop.update(residual=residual, newton_step=newton_step)
+        return theta, True
+
+    monkeypatch.setattr(hazard, "_damped_newton", capture)
+    rng = np.random.default_rng(10)
+    m = 80
+    x = rng.normal(size=(m, 3))
+    k = gram(x, x, KernelConfig(length_scale=2.0))
+    y = (rng.uniform(size=m) < 0.3).astype(float)
+    hazard._newton_klr(k, y, 0.5)
+    for f_scale in (0.5, 5.0, 40.0):
+        alpha = rng.normal(scale=0.1, size=m)
+        f = rng.normal(scale=f_scale, size=m)
+        theta = np.concatenate([alpha, [rng.normal()], f])
+        r = loop["residual"](theta)
+        expect = _jacobian_step(k, y, 0.5, theta, r)
+        got = loop["newton_step"](theta, r)
+        assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
+
+
+def _separable_cells(n=200):
+    # at u = 1 each arm's risk set holds one event, far from every other
+    # unit; with a short length scale and a small ridge the first Newton
+    # step drives its probability to 1 in floating point
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(n, 2))
+    x[:2, 0] += 6.0
+    event = np.zeros(n, dtype=int)
+    event[:2] = 1
+    time = np.where(event == 1, 1, 2)
+    return _dataset(x=x, a=np.arange(n) % 2, time=time, event=event, t_max=2)
+
+
+@pytest.mark.parametrize(
+    "data, kernel, ridge, max_time, censor_too, min_risk_set, hits_floor",
+    [
+        (gen_synthetic(SyntheticConfig(n=200, seed=41)), KernelConfig(), 0.5, 25, True, 2, False),
+        (_twins_like(200, 42), KernelConfig(), 0.5, 25, True, 2, False),
+        (gen_synthetic(SyntheticConfig(n=900, seed=43)), KernelConfig(), 0.5, 1, False, 400, False),
+        (_separable_cells(), KernelConfig(length_scale=1.0), 1e-3, 1, False, 2, True),
+    ],
+    ids=["synthetic", "twins-like", "synthetic-m400", "weight-floor"],
+)
+def test_newton_cells_match_the_jacobian_oracle(
+    data, kernel, ridge, max_time, censor_too, min_risk_set, hits_floor
+):
+    k_full = KernelBasis.of(data.x, kernel).k_train
+    flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
+    pairs = [(fit_event_hazard, data), (fit_censor_hazard, flipped)]
+    sizes, w_min = [], np.inf
+    for fit, labelled in pairs if censor_too else pairs[:1]:
+        model = fit(data, kernel, ridge, max_time=max_time)
+        labels = event_matrix(labelled, max_time)
+        for (u, _), cell in model.cells.items():
+            if cell.alpha is None:
+                continue
+            risk = cell.risk_idx
+            expect, cell_w_min = _jacobian_newton_klr(
+                k_full[np.ix_(risk, risk)], labels[risk, u], ridge
+            )
+            got = np.append(cell.alpha, cell.intercept)
+            assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
+            sizes.append(risk.size)
+            w_min = min(w_min, cell_w_min)
+    assert len(sizes) >= 2 and min(sizes) >= min_risk_set
+    assert (w_min < hazard._P_EPS) == hits_floor
+
+
+def test_indefinite_newton_system_is_a_numerical_error():
+    y = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
+    with pytest.raises(NumericalError, match=r"not positive definite \(dposv info \d+\)"):
+        hazard._newton_klr(-10.0 * np.eye(5), y, 0.5)
+
+
+def test_failed_newton_cell_is_named(monkeypatch):
+    data = gen_synthetic(SyntheticConfig(n=60, seed=5))
+    flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
+    newton = hazard._newton_klr
+    for fit, labelled, what, (u, a) in (
+        (fit_event_hazard, data, "event hazard", (2, 1)),
+        (fit_censor_hazard, flipped, "censoring hazard", (3, 1)),
+    ):
+        risk = np.flatnonzero(active_matrix(labelled, a, 5)[:, u])
+        target = event_matrix(labelled, 5)[risk, u]
+        assert 0 < target.sum() < target.size  # a Newton cell
+
+        def failing(k, y, ridge, target=target):
+            if np.array_equal(y, target):
+                raise NumericalError("Newton system not positive definite (dposv info 7)")
+            return newton(k, y, ridge)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(hazard, "_newton_klr", failing)
+            with pytest.raises(NumericalError) as err:
+                fit(data, max_time=5)
+        assert str(err.value) == (
+            f"{what}: cell ({u}, {a}): Newton system not positive definite (dposv info 7)"
+        )

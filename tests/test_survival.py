@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfsurv.cli import main
 from cfsurv.survival import (
     Dataset,
     TimeGrid,
@@ -178,3 +179,22 @@ def test_csv_header_checked(tmp_path):
     path.write_text("x0,x1,a,when,event\n0,0,1,1,1\n")
     with pytest.raises(ValueError):
         read_dataset_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "row, cells",
+    [("0.5,0,1,3,1,7,8", 7), ("0.5,0,1,3", 4)],
+    ids=["two-extra-cells", "short-row"],
+)
+def test_csv_row_width_checked(tmp_path, capsys, row, cells):
+    path = tmp_path / "ragged.csv"
+    path.write_text(f"x0,x1,a,time,event\n0,0,1,2,1\n\n{row}\n")
+    message = f"{path}: line 4 has {cells} cells, expected 5"
+    with pytest.raises(ValueError) as err:
+        read_dataset_csv(str(path))
+    assert str(err.value) == message
+    out = tmp_path / "o.csv"
+    assert main(["estimate", "--data", str(path), "--estimator", "or", "--t", "2",
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
