@@ -13,12 +13,19 @@ shrink with u, so after sorting units by descending exit time every
 active set is a prefix and every system matrix a leading principal block
 of the first one. The Cholesky factor of a leading block is the leading
 block of the full factor (Golub & Van Loan), so one factorization serves
-all timesteps of a call.
+all timesteps.
+
+The risk sets do not depend on the evaluation time t either: only the
+direction r_t[:, u] = S_t * (-S_{u-1} / S_u) does. `run_estimator` stacks
+the directions of every t on a trailing axis and makes one call per
+(fold, arm): one factor, one product of the shared rows of K with every
+(u, t) direction, and at each u one multi-column solve over the times
+t >= u, with each column's residual checked on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,14 +56,20 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BalanceWeights:
-    """Per-observation, per-timestep weights; zero off the active set."""
+    """Per-observation, per-timestep weights; zero off the active set.
 
-    omega: np.ndarray  # (n, t+1)
+    A stacked solve holds one (n, t+1) slice of omega per direction on
+    its trailing axis; failures maps each direction whose solve failed
+    to the reason, and that direction's weights are zero.
+    """
+
+    omega: np.ndarray  # (n, t+1), or (n, t+1, c) for c directions
     active: np.ndarray  # (n, t+1) bool
+    failures: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.omega.shape != self.active.shape:
-            raise ValueError("omega and active must share a shape")
+        if self.omega.shape[:2] != self.active.shape or self.omega.ndim not in (2, 3):
+            raise ValueError("omega must have the active set's shape, plus a direction axis")
         if not np.isfinite(self.omega).all():
             raise ValueError("weights must be finite")
         if np.any(self.omega[~self.active] != 0.0):
@@ -122,15 +135,26 @@ def explicit_riesz(
 def solve_balance_weights(
     k: np.ndarray, r: np.ndarray, active: np.ndarray, cfg: SolverConfig
 ) -> BalanceWeights:
-    """Closed-form minimax balance weights from one Cholesky factor per call.
+    """Closed-form minimax balance weights for one or several directions.
 
+    r is one direction (n, t+1) or several stacked on a trailing axis
+    (n, t+1, c); they share the kernel k and the mask active (n, t+1).
     Units are ordered by how many timesteps they stay active, descending
     and stable (descending exit time for risk-set masks). The largest
-    active set that is a prefix of that order is factored once; every
-    timestep whose active set is such a prefix solves with the leading
-    block of that factor. A timestep whose active set is not a prefix
-    gets a fresh factor of its own. Each solve is checked against the
-    residual bound `kernels.SOLVE_TOL`.
+    active set that is a prefix of that order is factored once, and one
+    product of its rows of k with every direction serves all timesteps
+    whose active set is such a prefix: each solves the columns of the
+    directions it needs with the leading block of that factor. A
+    timestep whose active set is not a prefix gets a factor of its own.
+    A direction that is zero at u has zero weights there and needs no
+    solve. Every column is checked against the residual bound
+    `kernels.SOLVE_TOL` on its own.
+
+    A one-direction call raises NumericalError if its solve fails. A
+    stacked call returns the failures per direction instead: a column
+    that misses its bound fails its direction, and a factor that fails
+    fails every direction that needed it. A failed direction's weights
+    are zero.
     """
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -138,10 +162,14 @@ def solve_balance_weights(
     n = k.shape[0]
     if k.shape != (n, n):
         raise ValueError(f"kernel matrix must be square, got {k.shape}")
-    if r.shape != active.shape or r.shape[0] != n:
-        raise ValueError("r and active must be (n, t+1) matrices")
-    t = r.shape[1] - 1
+    if r.ndim not in (2, 3) or r.shape[:2] != active.shape or r.shape[0] != n:
+        raise ValueError("active must be an (n, t+1) matrix and r one or more of its shape")
+    stacked = r.ndim == 3
+    if not stacked:
+        r = r[:, :, None]
+    t, c = r.shape[1] - 1, r.shape[2]
     omega = np.zeros_like(r)
+    failures: dict[int, str] = {}
     lam = cfg.sigma2 / n
     order = np.argsort(-active[:, 1:].sum(axis=1), kind="stable")
     sizes = active.sum(axis=0)
@@ -149,31 +177,54 @@ def solve_balance_weights(
     n_shared = int(sizes[1:][is_prefix[1:]].max(initial=0))
     shared = order[:n_shared]
     k_shared = k[np.ix_(shared, shared)]
-    factor = None
-    kr = k @ r[:, 1:]
+    # (u, direction) pairs to solve; those at prefix timesteps share one product
+    needed = (r[:, 1:, :] != 0.0).any(axis=0) & (sizes[1:] > 0)[:, None]
+    by_prefix = needed & is_prefix[1:, None]
+    kr_shared = k[shared] @ r[:, 1:, :].reshape(n, t * c)[:, by_prefix.reshape(-1)]
+    kr_col = np.cumsum(by_prefix.reshape(-1)).reshape(t, c) - 1
+    factor: np.ndarray | NumericalError | None = None
+    if by_prefix.any():
+        try:
+            factor = spd_factor(k_shared, ridge=lam)
+        except NumericalError as err:
+            factor = err  # fails the directions of every prefix timestep
     for u in range(1, t + 1):
-        m = int(sizes[u])
-        if m == 0:
+        dirs = np.flatnonzero(needed[u - 1])
+        if dirs.size == 0:
             continue
+        m = int(sizes[u])
+        where = f"balance solve at u={u} ({m} of {n} active)"
         try:
             if is_prefix[u]:
-                act, k_act = shared[:m], k_shared[:m, :m]
-                if factor is None:
-                    factor = spd_factor(k_shared, ridge=lam)
-                factor_act = factor[:m, :m]
+                if isinstance(factor, NumericalError):
+                    raise factor
+                act, k_act, factor_act = shared[:m], k_shared[:m, :m], factor[:m, :m]
+                rhs = kr_shared[:m, kr_col[u - 1, dirs]]
             else:
                 act = np.flatnonzero(active[:, u])
                 k_act = k[np.ix_(act, act)]
                 factor_act = spd_factor(k_act, ridge=lam)
-            v = cho_solve_checked(factor_act, k_act, kr[act, u - 1], ridge=lam)
+                rhs = k[act] @ r[:, u, dirs]
         except NumericalError as err:
-            raise NumericalError(f"balance solve at u={u} ({m} of {n} active): {err}") from err
-        r_act = r[act, u]
+            bad = dict.fromkeys(range(dirs.size), err)
+        else:
+            v, bad = cho_solve_checked(factor_act, k_act, rhs, ridge=lam)
+        for col, err in bad.items():
+            failures[int(dirs[col])] = f"{where}, direction {dirs[col]}: {err}"
+            needed[:, dirs[col]] = False  # a failed direction is solved no further
+        if len(bad) == dirs.size:
+            continue
+        r_act = r[act[:, None], u, dirs[None, :]]
         safe = np.abs(r_act) > _R_TINY
-        w = np.zeros(m)
-        w[safe] = v[safe] / r_act[safe]
-        omega[act, u] = w
-    return BalanceWeights(omega=omega, active=active)
+        omega[act[:, None], u, dirs[None, :]] = np.divide(
+            v, r_act, out=np.zeros_like(v), where=safe
+        )
+    if not stacked:
+        if failures:
+            raise NumericalError(failures[0])
+        return BalanceWeights(omega=omega[:, :, 0], active=active)
+    omega[:, :, list(failures)] = 0.0
+    return BalanceWeights(omega=omega, active=active, failures=failures)
 
 
 def imbalance(

@@ -24,7 +24,12 @@ dr-clip add the hazard-residual correction with explicit
 inverse-probability weights (clipped for dr-clip); balance adds it with
 minimax balancing weights; ipw weights the observed events. Standard
 errors come from the per-unit influence values and a normal t-statistic
-interval.
+interval. Every requested time of a (fold, arm) is evaluated together:
+the risk-set and event matrices are built once, up to the largest time,
+and sliced per time, and balance gets the weights of all its times from
+one `solve_balance_weights` call (one factor, one multi-column solve per
+timestep). A numerical failure still fails only its own (arm, time)
+cell.
 """
 
 from __future__ import annotations
@@ -256,6 +261,33 @@ def _h_minus(s: np.ndarray, g: np.ndarray, t: int) -> np.ndarray:
     return h
 
 
+def _balance_gammas(
+    k: np.ndarray, s: np.ndarray, active: np.ndarray, times: list[int], cfg: SolverConfig
+) -> tuple[dict[int, np.ndarray], dict[int, str]]:
+    """Balance gamma (n, t+1) of each time of one (fold, arm), and why the others failed.
+
+    active is the arm's risk-set mask up to max(times). The directions
+    of every t are stacked, zero past t, and solved by one
+    `solve_balance_weights` call; a time fails alone, on its direction
+    or on its columns of the solve.
+    """
+    r = np.zeros(active.shape + (len(times),))
+    errors: dict[int, str] = {}
+    for j, t in enumerate(times):
+        try:
+            r[:, : t + 1, j] = derivative_direction(s, t)
+        except NumericalError as err:
+            errors[t] = str(err)
+    w = solve_balance_weights(k, r, active, cfg)
+    gammas = {}
+    for j, t in enumerate(times):
+        if j in w.failures:
+            errors.setdefault(t, w.failures[j])
+        elif t not in errors:
+            gammas[t] = r[:, : t + 1, j] * active[:, : t + 1] * w.omega[:, : t + 1, j]
+    return gammas, errors
+
+
 @dataclass(frozen=True)
 class Nuisances:
     """Held-out nuisance curves, one (eval_idx, xs, curves) entry per fold.
@@ -396,14 +428,21 @@ def run_estimator(
     }
     failures: dict[tuple[int | str, int], str] = {}
     solver_cfg = SolverConfig(sigma2=params.sigma2)
+    t_max = max(times)
 
     for idx, xs, curves in nuisances.folds:
         fold = data.subset(idx)
+        events = event_matrix(fold, t_max)
         if kind == "balance":
             k = gram(xs, xs, params.kernel)
         for a in (0, 1):
             lam, s, g, pi = curves[a]
-            for t in times:
+            act = active_matrix(fold, a, t_max)
+            live = [t for t in times if (a, t) not in failures]
+            if kind == "balance" and live:
+                gammas, errors = _balance_gammas(k, s, act, live, solver_cfg)
+                failures.update({(a, t): err for t, err in errors.items()})
+            for t in live:
                 if (a, t) in failures:
                     continue
                 try:
@@ -413,15 +452,15 @@ def run_estimator(
                         point_f = plugin_estimate(s[:, t])
                         infl_f = s[:, t] - point_f
                     else:
-                        r = derivative_direction(s, t)
-                        act = active_matrix(fold, a, t)
                         if kind == "balance":
-                            w = solve_balance_weights(k, r, act, solver_cfg)
-                            gamma = r * act * w.omega
+                            gamma = gammas.pop(t)
                         else:
-                            gamma = explicit_riesz(r, act, pi, _h_minus(s, g, t), spec.clip)
+                            gamma = explicit_riesz(
+                                derivative_direction(s, t), act[:, : t + 1], pi,
+                                _h_minus(s, g, t), spec.clip,
+                            )
                         point_f, infl_f = augmented_estimate(
-                            s[:, t], gamma, lam[:, : t + 1], event_matrix(fold, t)
+                            s[:, t], gamma, lam[:, : t + 1], events[:, : t + 1]
                         )
                 except NumericalError as err:
                     failures[(a, t)] = str(err)

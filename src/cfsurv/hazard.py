@@ -104,20 +104,23 @@ def klr_loss_grad(
     return value, np.concatenate([grad_alpha, [grad_b]])
 
 
-def _damped_newton(theta, residual, newton_step, stop_norm, tol, max_iter):
+def _damped_newton(theta, residual, newton_step, max_iter):
     """Damped Newton for residual(theta) = 0; returns (theta, converged).
 
-    Stops once stop_norm(residual) <= tol, or after max_iter steps. Each
-    step halves eta until the residual norm falls by (1 - 1e-4 eta); a
-    loss-value test would stall at roundoff near the optimum and on the
-    flat directions of an ill-conditioned Gram matrix.
+    newton_step(theta, r) returns the step from theta, whose residual is
+    r, or None once the fit's stopping norm of r is within its tolerance,
+    so a fit forms the products its norm and its step share once. The
+    loop stops there, or after max_iter steps. Each step halves eta
+    until the residual norm falls by (1 - 1e-4 eta); a loss-value test
+    would stall at roundoff near the optimum and on the flat directions
+    of an ill-conditioned Gram matrix.
     """
     r = residual(theta)
     merit = math.sqrt(r @ r)
     for _ in range(max_iter):
-        if stop_norm(r) <= tol:
-            return theta, True
         step = newton_step(theta, r)
+        if step is None:
+            return theta, True
         eta = 1.0
         for _ in range(50):
             trial = theta - eta * step
@@ -175,12 +178,15 @@ def _newton_klr(k: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray,
         return r
 
     def newton_step(theta_, r):
+        kr = k @ r[:m]
+        if math.sqrt(kr @ kr + r[m] ** 2) <= NEWTON_TOL:
+            return None  # the loss gradient (K r_alpha, r_b) is small enough
         p = y + (r[:m] - ridge * theta_[:m])  # the p of residual(theta_)
         s = np.sqrt(np.maximum(p * (1.0 - p), _P_EPS))
         np.multiply(k, s, out=b_rows)
         np.multiply(b_rows, s[:, None], out=b_rows)
         np.add(b_diag, ridge, out=b_diag)
-        np.multiply(s, k @ r[:m], out=rhs[:, 0])
+        np.multiply(s, kr, out=rhs[:, 0])
         rhs[:, 1] = s
         _, uv, info = _dposv(b_rows.T, rhs, lower=1, overwrite_a=True, overwrite_b=True)
         if info != 0:
@@ -190,13 +196,7 @@ def _newton_klr(k: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray,
         d_alpha = (r[:m] - s * (u + ridge * d_b * v)) / ridge
         return np.concatenate([d_alpha, [d_b], k @ d_alpha + d_b])
 
-    def loss_grad_norm(r):
-        g = k @ r[:m]
-        return math.sqrt(g @ g + r[m] ** 2)
-
-    theta, converged = _damped_newton(
-        theta, residual, newton_step, loss_grad_norm, NEWTON_TOL, NEWTON_MAX_ITER
-    )
+    theta, converged = _damped_newton(theta, residual, newton_step, NEWTON_MAX_ITER)
     return theta[:m].copy(), float(theta[m]), converged  # the copy lets f go
 
 
@@ -464,6 +464,8 @@ def fit_propensity(data: Dataset) -> PropensityModel:
     z = np.hstack([data.x, np.ones((data.n, 1))])
 
     def newton_step(theta, grad):
+        if np.linalg.norm(grad) <= PROPENSITY_TOL:
+            return None
         p = np.clip(expit(z @ theta), _P_EPS, 1.0 - _P_EPS)
         hess = z.T @ ((p * (1.0 - p))[:, None] * z)
         try:
@@ -474,7 +476,7 @@ def fit_propensity(data: Dataset) -> PropensityModel:
     theta, converged = _damped_newton(
         np.zeros(data.d + 1),
         lambda theta: _propensity_grad(data.x, a, theta[:-1], theta[-1]),
-        newton_step, np.linalg.norm, PROPENSITY_TOL, PROPENSITY_MAX_ITER,
+        newton_step, PROPENSITY_MAX_ITER,
     )
     if not converged:
         warnings.warn(

@@ -93,20 +93,25 @@ def spd_factor(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:
 
 def cho_solve_checked(
     factor: np.ndarray, m: np.ndarray, b: np.ndarray, ridge: float = 0.0
-) -> np.ndarray:
+) -> tuple[np.ndarray, dict[int, str]]:
     """Solve (m + ridge * I) z = b from a lower Cholesky factor of that matrix.
 
-    The factor may carry jitter; the returned solution satisfies
-    ||(m + ridge I) z - b|| <= SOLVE_TOL * (1 + ||b||) for the unjittered
-    system, otherwise a NumericalError is raised with diagnostics.
+    b is one right-hand side or a matrix of them, one per column. The
+    factor may carry jitter. Each column is held to its own bound
+    ||(m + ridge I) z_j - b_j|| <= SOLVE_TOL * (1 + ||b_j||) for the
+    unjittered system, so a small column cannot hide under a large
+    one's norm. Returns (z, failures): failures maps every column that
+    misses its bound (a non-finite residual included; column 0 for a
+    vector b) to diagnostics, and is empty when the solve is good.
     """
     z = scipy.linalg.cho_solve((factor, True), b, check_finite=False)
-    residual = float(np.linalg.norm(m @ z + ridge * z - b))
-    bound = SOLVE_TOL * (1.0 + float(np.linalg.norm(b)))
-    if residual > bound:
-        raise NumericalError(
+    residual = np.atleast_1d(np.linalg.norm(m @ z + ridge * z - b, axis=0))
+    bound = SOLVE_TOL * (1.0 + np.atleast_1d(np.linalg.norm(b, axis=0)))
+    failures = {
+        int(j): (
             f"SPD solve of {m.shape[0]}x{m.shape[0]} system (ridge={ridge:.3e}) "
-            f"left residual {residual:.3e} above tolerance {bound:.3e}"
+            f"left residual {residual[j]:.3e} above tolerance {bound[j]:.3e}"
         )
-    return z
-
+        for j in np.flatnonzero(~(residual <= bound))
+    }
+    return z, failures

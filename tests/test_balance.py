@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -377,3 +379,81 @@ def test_failed_factorization_raises_with_diagnostics(nested):
         active[1, 1] = active[0, 2] = False
     with pytest.raises(NumericalError, match=r"balance solve at u=\d \(\d of 3 active\).*SPD solve failed"):
         solve_balance_weights(k, r, active, SolverConfig(sigma2=1e-12))
+
+
+def _stacked_directions(n, t_max, times, seed):
+    """Directions of several evaluation times, each zero past its time, stacked last."""
+    rng = np.random.default_rng(seed)
+    haz = np.zeros((n, t_max + 1))
+    haz[:, 1:] = rng.uniform(0.02, 0.3, size=(n, t_max))
+    s = survival_from_hazard_matrix(haz)
+    r = np.zeros((n, t_max + 1, len(times)))
+    for j, t in enumerate(times):
+        r[:, : t + 1, j] = derivative_direction(s, t)
+    return r
+
+
+@pytest.mark.parametrize("mask", ["risk-set", "random"])
+def test_stacked_solve_matches_per_direction_solves(mask, monkeypatch):
+    times = [5, 12, 25]
+    if mask == "risk-set":
+        k, _, active = _synthetic_fold_instance(200, 1, 25, seed=31)
+    else:
+        k, _, active, _ = random_instance(32, n=40, t=25)
+    r = _stacked_directions(k.shape[0], 25, times, seed=33)
+    cfg = SolverConfig(sigma2=1.0)
+    calls = _count_factors(monkeypatch)
+    stacked = solve_balance_weights(k, r, active, cfg)
+    # risk sets share one factor; random masks hold non-prefix timesteps
+    assert calls == [int(active[:, 1].sum())] if mask == "risk-set" else len(calls) > 1
+    assert stacked.omega.shape == r.shape and stacked.failures == {}
+    for j, t in enumerate(times):
+        alone = solve_balance_weights(k, r[:, :, j], active, cfg).omega
+        assert np.all(stacked.omega[:, t + 1 :, j] == 0.0) and np.all(alone[:, t + 1 :] == 0.0)
+        for u in range(1, t + 1):
+            ref = np.linalg.norm(alone[:, u])
+            assert np.linalg.norm(stacked.omega[:, u, j] - alone[:, u]) <= 1e-12 * ref
+
+
+def test_column_over_its_residual_bound_fails_alone(monkeypatch):
+    # a factor of K + (lam + 1e-3) I leaves residual 1e-3 ||z|| in every
+    # column: far above the bound of a full-size direction, far below
+    # that of a direction scaled down by 1e-12, which must not be failed
+    # by its neighbour's residual
+    k, _, active = _synthetic_fold_instance(200, 0, 10, seed=34)
+    r = _stacked_directions(k.shape[0], 10, [10, 10], seed=35)
+    r[:, :, 0] *= 1e-12
+    original = balance_module.spd_factor
+    monkeypatch.setattr(
+        balance_module, "spd_factor", lambda m, ridge: original(m, ridge=ridge + 1e-3)
+    )
+    cfg = SolverConfig(sigma2=1.0)
+    w = solve_balance_weights(k, r, active, cfg)
+    assert list(w.failures) == [1]
+    assert re.match(
+        r"balance solve at u=1 \(\d+ of 200 active\), direction 1: .*left residual", w.failures[1]
+    )
+    assert np.all(w.omega[:, :, 1] == 0.0)
+    alone = solve_balance_weights(k, r[:, :, 0], active, cfg).omega
+    np.testing.assert_array_equal(w.omega[:, :, 0], alone)
+    with pytest.raises(NumericalError, match=r"solve at u=1 .*direction 0: .*left residual"):
+        solve_balance_weights(k, r[:, :, 1], active, cfg)
+
+
+def test_failed_factor_fails_only_the_directions_that_need_it():
+    k = np.diag([1.0, -1.0, 1.0])  # indefinite at unit 1
+    active = np.zeros((3, 3), dtype=bool)
+    # u = 1 is the prefix {2, 0} of the order (2, 0, 1); u = 2 is not a prefix
+    active[[0, 2], 1] = active[[1, 2], 2] = True
+    r = np.zeros((3, 3, 2))
+    r[:, 1:, 0] = -0.5  # needs both timesteps
+    r[:, 1, 1] = -0.5  # needs u = 1 only
+    cfg = SolverConfig(sigma2=1e-12)
+    w = solve_balance_weights(k, r, active, cfg)
+    assert list(w.failures) == [0]
+    assert re.match(
+        r"balance solve at u=2 \(2 of 3 active\), direction 0: SPD solve failed", w.failures[0]
+    )
+    assert np.all(w.omega[:, :, 0] == 0.0)
+    alone = solve_balance_weights(k, r[:, :, 1], active, cfg).omega
+    np.testing.assert_array_equal(w.omega[:, :, 1], alone)

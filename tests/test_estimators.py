@@ -7,7 +7,8 @@ import cfsurv.hazard
 from cfsurv import kernels
 from cfsurv.cli import main as cli_main
 from cfsurv.dgp import SyntheticConfig, gen_synthetic
-from cfsurv.errors import EstimationError
+from cfsurv.balance import BalanceWeights
+from cfsurv.errors import EstimationError, NumericalError
 from cfsurv.estimators import (
     ESTIMATOR_KINDS,
     EstimatorParams,
@@ -420,3 +421,81 @@ def test_whole_sample_takes_a_covariate_matrix():
     for bad in (data.n, data.x[:, 0], data.x[None]):
         with pytest.raises(ValueError, match="2-D"):
             Nuisances.whole_sample(bad, propensity=prop)
+
+
+_TIMES = [5, 10, 15]
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+def test_times_evaluated_together_match_single_time_calls(kind):
+    # the same nuisances throughout: fit_nuisances fits only up to max(times)
+    data = gen_synthetic(SyntheticConfig(n=120, seed=40))
+    nuisances = fit_nuisances(data, kind, _TIMES, seed=6)
+    together, failures = run_estimator(data, kind, _TIMES, seed=6, nuisances=nuisances)
+    assert failures == {}
+    for t in _TIMES:
+        alone = run_estimator(data, kind, [t], seed=6, nuisances=nuisances)[0]
+        for arm in (0, 1, "diff"):
+            got, want = together[(arm, t)], alone[(arm, t)]
+            values = ("point", "std_error", "ci_low", "ci_high")
+            if kind == "balance":
+                # one stacked weight solve per (fold, arm) reorders the linear algebra
+                for name in values:
+                    assert abs(getattr(got, name) - getattr(want, name)) <= 1e-8 * want.std_error
+            else:
+                assert [getattr(got, name) for name in values] == [
+                    getattr(want, name) for name in values
+                ]
+                assert got.influence.tobytes() == want.influence.tobytes()
+
+
+def _fail_direction_of_t10(monkeypatch):
+    original = cfsurv.estimators.derivative_direction
+
+    def failing(s, t):
+        if t == 10:
+            raise NumericalError("injected direction failure")
+        return original(s, t)
+
+    monkeypatch.setattr(cfsurv.estimators, "derivative_direction", failing)
+
+
+def _fail_solve_of_t10(monkeypatch):
+    original = cfsurv.estimators.solve_balance_weights
+
+    def failing(k, r, active, cfg):
+        w = original(k, r, active, cfg)
+        # the direction of t = 10, the last timestep it is nonzero at
+        hit = [j for j in range(r.shape[2]) if r[:, 10, j].any() and not r[:, 11, j].any()]
+        omega = w.omega.copy()
+        omega[:, :, hit] = 0.0
+        failed = dict.fromkeys(hit, "injected solve failure")
+        return BalanceWeights(omega, w.active, {**w.failures, **failed})
+
+    monkeypatch.setattr(cfsurv.estimators, "solve_balance_weights", failing)
+
+
+@pytest.mark.parametrize(
+    "kind, inject",
+    [
+        ("dr", _fail_direction_of_t10),
+        ("balance", _fail_direction_of_t10),
+        ("balance", _fail_solve_of_t10),
+    ],
+    ids=["dr-direction", "balance-direction", "balance-solve"],
+)
+def test_failed_time_leaves_the_other_times_in_place(monkeypatch, kind, inject):
+    data = gen_synthetic(SyntheticConfig(n=120, seed=41))
+    nuisances = fit_nuisances(data, kind, _TIMES, seed=7)
+    clean = run_estimator(data, kind, _TIMES, seed=7, nuisances=nuisances)[0]
+    inject(monkeypatch)
+    results, failures = run_estimator(data, kind, _TIMES, seed=7, nuisances=nuisances)
+    assert set(failures) == {(0, 10), (1, 10), ("diff", 10)}
+    assert all("injected" in reason for reason in failures.values())
+    assert set(results) == {key for key in clean if key[1] != 10}
+    for key, res in results.items():
+        if kind == "balance":
+            assert abs(res.point - clean[key].point) <= 1e-8 * clean[key].std_error
+        else:
+            assert res.point == clean[key].point
+            assert res.influence.tobytes() == clean[key].influence.tobytes()

@@ -481,16 +481,13 @@ def _jacobian_newton_klr(k, y, ridge):
         return np.concatenate([(p - y) + ridge * theta_[:m], [np.sum(p - y)]])
 
     def newton_step(theta_, r):
+        if np.linalg.norm(np.concatenate([k @ r[:m], r[m:]])) <= hazard.NEWTON_TOL:
+            return None
         p = expit(theta_[m + 1 :])
         w_min[0] = min(w_min[0], float(np.min(p * (1.0 - p))))
         return _jacobian_step(k, y, ridge, theta_, r)
 
-    def loss_grad_norm(r):
-        return np.linalg.norm(np.concatenate([k @ r[:m], r[m:]]))
-
-    theta, converged = hazard._damped_newton(
-        theta, residual, newton_step, loss_grad_norm, hazard.NEWTON_TOL, hazard.NEWTON_MAX_ITER
-    )
+    theta, converged = hazard._damped_newton(theta, residual, newton_step, hazard.NEWTON_MAX_ITER)
     assert converged
     return theta[: m + 1], w_min[0]
 
@@ -500,7 +497,7 @@ def test_newton_step_solves_the_jacobian_system(monkeypatch):
     # iterates whose weights range from 1/4 down to below the _P_EPS floor
     loop = {}
 
-    def capture(theta, residual, newton_step, stop_norm, tol, max_iter):
+    def capture(theta, residual, newton_step, max_iter):
         loop.update(residual=residual, newton_step=newton_step)
         return theta, True
 

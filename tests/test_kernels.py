@@ -81,7 +81,9 @@ def test_gram_symmetric_psd(n, seed):
 
 def factor_solve(m, b, ridge=0.0):
     """Solve (m + ridge I) z = b the way the balance solver does."""
-    return cho_solve_checked(spd_factor(m, ridge), m, b, ridge)
+    z, failures = cho_solve_checked(spd_factor(m, ridge), m, b, ridge)
+    assert failures == {}
+    return z
 
 
 def test_spd_solve_identity():
