@@ -24,10 +24,8 @@ from .estimators import (
     EstimatorParams,
     FoldPlan,
     Nuisances,
-    augmented_estimate,
     effect_estimate,
     fit_nuisances,
-    plugin_estimate,
     run_estimator,
 )
 from .hazard import (

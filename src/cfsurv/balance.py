@@ -34,6 +34,7 @@ from .kernels import cho_solve_checked, spd_factor
 
 __all__ = [
     "SolverConfig",
+    "direction_ratio",
     "derivative_direction",
     "explicit_riesz",
     "solve_balance_weights",
@@ -76,12 +77,13 @@ class BalanceWeights:
             raise ValueError("weights must vanish off the active set")
 
 
-def derivative_direction(s_hat: np.ndarray, t: int) -> np.ndarray:
-    """r[i, u] = -S_t(X_i) * S_{u-1}(X_i) / S_u(X_i) for 1 <= u <= t.
+def direction_ratio(s_hat: np.ndarray, t: int) -> np.ndarray:
+    """Time-free factor of the directions: q[i, u] = -S_{u-1}(X_i) / S_u(X_i).
 
     s_hat has shape (n, t_max + 1) and must come from clamped hazards so all
     survival values are strictly positive. The result has shape (n, t + 1)
-    with a zero column at u = 0; every entry lies in [-1, 0].
+    with a zero column at u = 0. The derivative direction of any t' <= t
+    is S_{t'} times its first t' + 1 columns.
     """
     s_hat = np.asarray(s_hat, dtype=float)
     if s_hat.ndim != 2:
@@ -90,12 +92,19 @@ def derivative_direction(s_hat: np.ndarray, t: int) -> np.ndarray:
         raise ValueError(f"time {t} outside the survival matrix horizon")
     if (s_hat[:, : t + 1] <= 0.0).any():
         raise NumericalError("nonpositive survival values; clamp hazards upstream")
-    n = s_hat.shape[0]
-    r = np.zeros((n, t + 1))
-    if t >= 1:
-        s_t = s_hat[:, t][:, None]
-        r[:, 1:] = -s_t * s_hat[:, 0:t] / s_hat[:, 1 : t + 1]
-    return r
+    q = np.zeros((s_hat.shape[0], t + 1))
+    q[:, 1:] = -(s_hat[:, :t] / s_hat[:, 1 : t + 1])
+    return q
+
+
+def derivative_direction(s_hat: np.ndarray, t: int) -> np.ndarray:
+    """r[i, u] = S_t(X_i) * q[i, u] with q = direction_ratio(s_hat, t).
+
+    The result has shape (n, t + 1) with a zero column at u = 0; every
+    entry lies in [-1, 0].
+    """
+    q = direction_ratio(s_hat, t)
+    return np.asarray(s_hat, dtype=float)[:, t, None] * q
 
 
 def explicit_riesz(

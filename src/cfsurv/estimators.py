@@ -19,17 +19,23 @@ known (oracle) models are predicted by `Nuisances.whole_sample`.
 
 Evaluate stage: `run_estimator` only evaluates: it reads each fold's
 curves, computes the fold estimates and averages them; it never
-predicts. or is the plug-in mean of the predicted survival; dr and
-dr-clip add the hazard-residual correction with explicit
-inverse-probability weights (clipped for dr-clip); balance adds it with
-minimax balancing weights; ipw weights the observed events. Standard
-errors come from the per-unit influence values and a normal t-statistic
-interval. Every requested time of a (fold, arm) is evaluated together:
-the risk-set and event matrices are built once, up to the largest time,
-and sliced per time, and balance gets the weights of all its times from
-one `solve_balance_weights` call (one factor, one multi-column solve per
-timestep). A numerical failure still fails only its own (arm, time)
-cell.
+predicts. Each (fold, arm) is evaluated once, for every requested time
+together, as a time-major block of per-unit summands: the fold's
+estimate at t is the mean of row t and its influence values are that
+row minus the mean. or's rows are the predicted survival S_t; ipw's
+weight the observed events up to t. The augmented kinds add a weighted
+sum of hazard residuals over u <= t. Their direction r_t = S_t * q
+factors through the time-free ratio q[:, u] = -S_{u-1} / S_u, so dr and
+dr-clip weight q once per (fold, arm) with explicit inverse-probability
+weights (clipped for dr-clip) and take S_t times a cumulative sum over
+u; balance gets the minimax weights of every time from one
+`solve_balance_weights` call (one factor, one multi-column solve per
+timestep) and contracts them with the residuals in one product.
+Standard errors come from the influence values and a normal
+t-statistic interval. A balance direction or solve that fails fails
+only its own (arm, time); a fault in dr's explicit weights (a zero
+denominator, a nonpositive survival value) fails every time of its arm,
+since q covers them all.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from scipy.special import ndtri
 from .balance import (
     SolverConfig,
     derivative_direction,
+    direction_ratio,
     explicit_riesz,
     solve_balance_weights,
 )
@@ -65,9 +72,7 @@ __all__ = [
     "EstimatorParams",
     "FoldPlan",
     "Nuisances",
-    "plugin_estimate",
     "confidence_interval",
-    "augmented_estimate",
     "effect_estimate",
     "nuisance_plan",
     "fit_nuisances",
@@ -114,11 +119,11 @@ class FoldPlan:
     n_folds: int
 
     def __post_init__(self) -> None:
-        counts = np.bincount(self.assignment, minlength=self.n_folds)
-        if len(counts) != self.n_folds or (counts == 0).any():
+        labels = np.asarray(self.assignment)
+        if ((labels < 0) | (labels >= self.n_folds)).any():
+            raise ValueError(f"fold labels must lie in [0, {self.n_folds})")
+        if (np.bincount(labels, minlength=self.n_folds) == 0).any():
             raise ValueError("every fold must be non-empty")
-        if self.assignment.min() < 0:
-            raise ValueError("fold labels must be non-negative")
 
     @classmethod
     def make(cls, n: int, n_folds: int, seed: int) -> "FoldPlan":
@@ -150,14 +155,6 @@ class EstimateResult:
     @property
     def n(self) -> int:
         return len(self.influence)
-
-
-def plugin_estimate(s_hat_t: np.ndarray) -> float:
-    """Sample average of predicted survival values."""
-    s_hat_t = np.asarray(s_hat_t, dtype=float)
-    if s_hat_t.size == 0:
-        raise EstimationError("plug-in estimate of an empty sample")
-    return float(np.mean(s_hat_t))
 
 
 def _normal_interval(
@@ -193,31 +190,6 @@ def _result(kind: str, arm: int | str, t: int, point: float, influence: np.ndarr
     )
 
 
-def augmented_estimate(
-    s_hat_t: np.ndarray,
-    gamma: np.ndarray,
-    hazard_hat: np.ndarray,
-    events: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Plug-in plus weighted hazard residuals; returns (point, influence).
-
-    gamma, hazard_hat, and events are (n, t+1) matrices over times 0..t;
-    s_hat_t is the predicted survival at t for the target arm.
-    """
-    s_hat_t = np.asarray(s_hat_t, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    hazard_hat = np.asarray(hazard_hat, dtype=float)
-    events = np.asarray(events, dtype=float)
-    if gamma.shape != hazard_hat.shape or gamma.shape != events.shape:
-        raise ValueError("gamma, hazard, and event matrices must share a shape")
-    if s_hat_t.shape != (gamma.shape[0],):
-        raise ValueError("survival vector must have one entry per unit")
-    correction = np.sum(gamma * (events - hazard_hat), axis=1)
-    point = float(np.mean(s_hat_t) + np.mean(correction))
-    influence = s_hat_t - point + correction
-    return point, influence
-
-
 def effect_estimate(result_a1: EstimateResult, result_a0: EstimateResult) -> EstimateResult:
     """Difference of two arm estimates on the same sample, unitwise influence."""
     if result_a1.n != result_a0.n:
@@ -229,47 +201,24 @@ def effect_estimate(result_a1: EstimateResult, result_a0: EstimateResult) -> Est
     return _result(result_a1.kind, "diff", result_a1.t, point, influence)
 
 
-
-
-def _ipw_core(
-    data: Dataset, a: int, t: int, g: np.ndarray, pi: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """IPW point and influence from censor survival g (n, t_max + 1) and P(A=a|X) pi."""
-    g_at_obs = g[np.arange(data.n), data.time]
-    contributes = (data.a == a) & (data.event == 1) & (data.time <= t)
-    if np.any(contributes & (g_at_obs <= PROPENSITY_FLOOR)) or np.any(
-        contributes & ((pi <= PROPENSITY_FLOOR) | (pi >= 1.0 - PROPENSITY_FLOOR))
-    ):
-        warnings.warn(
-            "inverse-probability denominators at their clamp floor; "
-            "weights may be extreme",
-            LargeWeightWarning,
-            stacklevel=3,
-        )
-    term = np.zeros(data.n)
-    term[contributes] = 1.0 / (pi * g_at_obs)[contributes]
-    summand = 1.0 - term
-    point = float(np.mean(summand))
-    return point, summand - point
-
-
 def _h_minus(s: np.ndarray, g: np.ndarray, t: int) -> np.ndarray:
     """Sub-survival at u-1: column u holds S_{u-1} * G_{u-1}, column 0 holds 1."""
     h = np.ones((s.shape[0], t + 1))
-    if t >= 1:
-        h[:, 1:] = s[:, :t] * g[:, :t]
+    h[:, 1:] = s[:, :t] * g[:, :t]
     return h
 
 
 def _balance_gammas(
     k: np.ndarray, s: np.ndarray, active: np.ndarray, times: list[int], cfg: SolverConfig
-) -> tuple[dict[int, np.ndarray], dict[int, str]]:
-    """Balance gamma (n, t+1) of each time of one (fold, arm), and why the others failed.
+) -> tuple[np.ndarray, dict[int, str]]:
+    """Balance gammas of every time of one (fold, arm), and why the failed times failed.
 
     active is the arm's risk-set mask up to max(times). The directions
     of every t are stacked, zero past t, and solved by one
     `solve_balance_weights` call; a time fails alone, on its direction
-    or on its columns of the solve.
+    or on its columns of the solve. The gammas come back stacked the
+    same way, (n, max(times) + 1, len(times)), and are zero past each t
+    and for a failed time.
     """
     r = np.zeros(active.shape + (len(times),))
     errors: dict[int, str] = {}
@@ -279,13 +228,62 @@ def _balance_gammas(
         except NumericalError as err:
             errors[t] = str(err)
     w = solve_balance_weights(k, r, active, cfg)
-    gammas = {}
-    for j, t in enumerate(times):
-        if j in w.failures:
-            errors.setdefault(t, w.failures[j])
-        elif t not in errors:
-            gammas[t] = r[:, : t + 1, j] * active[:, : t + 1] * w.omega[:, : t + 1, j]
-    return gammas, errors
+    for j, err in w.failures.items():
+        errors.setdefault(times[j], err)
+    r *= active[:, :, None]
+    r *= w.omega  # zero for a failed direction
+    return r, errors
+
+
+def _summands(
+    kind: str,
+    clip: float | None,
+    fold: Dataset,
+    a: int,
+    times: list[int],
+    curves: tuple,
+    k: np.ndarray | None,
+    cfg: SolverConfig,
+) -> tuple[np.ndarray, dict[int, str]]:
+    """Per-unit summands of one (fold, arm) at every time, and why the failed times failed.
+
+    Returns a time-major (len(times), n_fold) block: the fold's estimate
+    at times[j] is the mean of row j, and its influence values are row j
+    minus that mean. The row of a failed time holds no estimate.
+    """
+    lam, s, g, pi = curves
+    tt, t_max = np.asarray(times), max(times)
+    if kind == "or":
+        return s.T[tt], {}
+    if kind == "ipw":
+        g_at_obs = g[np.arange(fold.n), fold.time]
+        contributes = (fold.a == a) & (fold.event == 1) & (fold.time <= t_max)
+        if np.any(contributes & (g_at_obs <= PROPENSITY_FLOOR)) or np.any(
+            contributes & ((pi <= PROPENSITY_FLOOR) | (pi >= 1.0 - PROPENSITY_FLOOR))
+        ):
+            warnings.warn(
+                "inverse-probability denominators at their clamp floor; "
+                "weights may be extreme",
+                LargeWeightWarning,
+                stacklevel=3,
+            )
+        term = np.zeros(fold.n)
+        term[contributes] = 1.0 / (pi * g_at_obs)[contributes]
+        return 1.0 - np.where(fold.time <= tt[:, None], term, 0.0), {}
+    active = active_matrix(fold, a, t_max)
+    resid = event_matrix(fold, t_max) - lam[:, : t_max + 1]
+    s_t = s.T[tt]
+    if kind == "balance":
+        gammas, errors = _balance_gammas(k, s, active, times, cfg)
+        return s_t + np.einsum("iuj,iu->ji", gammas, resid), errors
+    # dr and dr-clip: gamma_t = S_t * w, with w the weights of the time-free ratio
+    try:
+        w = explicit_riesz(
+            direction_ratio(s, t_max), active, pi, _h_minus(s, g, t_max), clip
+        )
+    except NumericalError as err:
+        return s_t, dict.fromkeys(times, str(err))
+    return s_t + s_t * np.cumsum(w * resid, axis=1).T[tt], {}
 
 
 @dataclass(frozen=True)
@@ -348,6 +346,8 @@ def _checked_spec(data: Dataset, kind: str, times: list[int]) -> _Kind:
         raise ValueError("need at least one evaluation time")
     if max(times) > data.grid.t_max or min(times) < 0:
         raise ValueError(f"times must lie in [0, {data.grid.t_max}]")
+    if len(set(times)) != len(times):
+        raise ValueError(f"evaluation times must not repeat, got {times}")
     return spec
 
 
@@ -428,45 +428,22 @@ def run_estimator(
     }
     failures: dict[tuple[int | str, int], str] = {}
     solver_cfg = SolverConfig(sigma2=params.sigma2)
-    t_max = max(times)
 
     for idx, xs, curves in nuisances.folds:
         fold = data.subset(idx)
-        events = event_matrix(fold, t_max)
-        if kind == "balance":
-            k = gram(xs, xs, params.kernel)
+        k = gram(xs, xs, params.kernel) if kind == "balance" else None
         for a in (0, 1):
-            lam, s, g, pi = curves[a]
-            act = active_matrix(fold, a, t_max)
             live = [t for t in times if (a, t) not in failures]
-            if kind == "balance" and live:
-                gammas, errors = _balance_gammas(k, s, act, live, solver_cfg)
-                failures.update({(a, t): err for t, err in errors.items()})
-            for t in live:
-                if (a, t) in failures:
-                    continue
-                try:
-                    if kind == "ipw":
-                        point_f, infl_f = _ipw_core(fold, a, t, g, pi)
-                    elif kind == "or":
-                        point_f = plugin_estimate(s[:, t])
-                        infl_f = s[:, t] - point_f
-                    else:
-                        if kind == "balance":
-                            gamma = gammas.pop(t)
-                        else:
-                            gamma = explicit_riesz(
-                                derivative_direction(s, t), act[:, : t + 1], pi,
-                                _h_minus(s, g, t), spec.clip,
-                            )
-                        point_f, infl_f = augmented_estimate(
-                            s[:, t], gamma, lam[:, : t + 1], events[:, : t + 1]
-                        )
-                except NumericalError as err:
-                    failures[(a, t)] = str(err)
-                    continue
-                points[(a, t)].append(point_f)
-                influence[(a, t)][idx] = infl_f
+            if not live:
+                continue
+            block, errors = _summands(kind, spec.clip, fold, a, live, curves[a], k, solver_cfg)
+            failures.update({(a, t): err for t, err in errors.items()})
+            means = block.mean(axis=1)
+            infl = block - means[:, None]
+            for j, t in enumerate(live):
+                if t not in errors:
+                    points[(a, t)].append(means[j])
+                    influence[(a, t)][idx] = infl[j]
 
     out: dict[tuple[int | str, int], EstimateResult] = {}
     for a in (0, 1):

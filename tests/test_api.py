@@ -42,6 +42,9 @@ REMOVED = (
     "predict_curves",
     "spd_solve",
     "Z_975",
+    "plugin_estimate",
+    "augmented_estimate",
+    "_ipw_core",
 )
 
 # kept in their modules as test oracles, not part of the package surface

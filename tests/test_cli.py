@@ -124,6 +124,15 @@ def test_estimate_rejects_time_past_horizon(tmp_path):
     ) == 2
 
 
+def test_estimate_rejects_repeated_times(tmp_path, capsys):
+    data = _datagen(tmp_path, n=60)
+    assert main(
+        ["estimate", "--data", str(data), "--estimator", "balance", "--t", "5,5",
+         "--out", str(tmp_path / "o.csv")]
+    ) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize("ridge", ["0", "-1"])
 def test_estimate_rejects_nonpositive_ridge(tmp_path, ridge):
     data = _datagen(tmp_path, n=60)
@@ -209,6 +218,14 @@ def test_simulate_minimal_run(tmp_path):
     out2 = tmp_path / "m2.csv"
     assert main(args[:-1] + [str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_simulate_rejects_repeated_times(tmp_path, capsys):
+    assert main(
+        ["simulate", "--q", "2", "--n", "30", "--estimators", "or,balance",
+         "--times", "5,5", "--mc", "10000", "--out", str(tmp_path / "m.csv")]
+    ) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_simulate_unknown_estimator(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -8,20 +10,19 @@ from cfsurv import kernels
 from cfsurv.cli import main as cli_main
 from cfsurv.dgp import SyntheticConfig, gen_synthetic
 from cfsurv.balance import BalanceWeights
-from cfsurv.errors import EstimationError, NumericalError
+from cfsurv.errors import EstimationError, LargeWeightWarning, NumericalError
 from cfsurv.estimators import (
     ESTIMATOR_KINDS,
     EstimatorParams,
     FoldPlan,
     Nuisances,
-    augmented_estimate,
     confidence_interval,
     effect_estimate,
     fit_nuisances,
-    plugin_estimate,
     run_estimator,
 )
 from cfsurv.hazard import (
+    PROPENSITY_FLOOR,
     KernelHazardModel,
     OracleHazardModel,
     OraclePropensity,
@@ -33,11 +34,46 @@ from cfsurv.kernels import KernelConfig
 from cfsurv.survival import Dataset, TimeGrid, write_dataset_csv
 
 
+def _units(x, a, time, t_max=3):
+    """Censored units with one covariate each, all in arm a and leaving at `time`."""
+    x = np.asarray(x, dtype=float).reshape(-1, 1)
+    n = len(x)
+    return Dataset(
+        x=x, a=np.full(n, a), time=np.full(n, time), event=np.zeros(n, dtype=int),
+        grid=TimeGrid(t_max),
+    )
+
+
+def _oracle_nuisances(data, hazard, pi1=None):
+    """Known curves: event hazard(x, u) in both arms, no censoring, P(A=1|X) = pi1(x)."""
+    event = OracleHazardModel(data.grid, lambda x, a, u: hazard(x[:, 0], u))
+    if pi1 is None:
+        return Nuisances.whole_sample(data.x, event=event)
+    censor = OracleHazardModel(data.grid, lambda x, a, u: np.zeros(x.shape[0]))
+    prop = OraclePropensity(lambda x: pi1(x[:, 0]))
+    return Nuisances.whole_sample(data.x, event, censor, prop)
+
+
+def _survival_at(nuisances, arm, t):
+    return nuisances.folds[0][2][arm][1][:, t]
+
+
+def _step_at(u_step):
+    """Hazard 1 - x at u_step and 0 elsewhere, so S_t(x) = x from t = u_step on."""
+    return lambda x, u: 1.0 - x if u == u_step else np.zeros_like(x)
+
+
+def _or_point(s):
+    data = _units(s, a=1, time=1)
+    nuisances = _oracle_nuisances(data, _step_at(1))
+    return run_estimator(data, "or", [1], nuisances=nuisances)[0][(1, 1)].point
+
+
 def test_plugin_examples():
-    assert plugin_estimate([0.8, 0.6]) == pytest.approx(0.7)
-    assert plugin_estimate(np.ones(5)) == 1.0
-    with pytest.raises(EstimationError):
-        plugin_estimate(np.array([]))
+    assert _or_point([0.8, 0.6]) == pytest.approx(0.7)
+    assert _or_point(np.ones(5)) == 1.0
+    with pytest.raises(ValueError, match="at least one unit"):
+        _units([], a=1, time=1)  # an empty sample never reaches an estimator
 
 
 def test_confidence_interval_constant_influence():
@@ -68,37 +104,32 @@ def test_confidence_interval_coverage_monte_carlo():
 
 
 def test_augmented_zero_gamma_is_plugin():
-    s = np.array([0.9, 0.7, 0.5])
-    zero = np.zeros((3, 4))
-    point, infl = augmented_estimate(s, zero, zero, zero)
-    assert point == plugin_estimate(s)
-    np.testing.assert_array_equal(infl, s - point)
+    # every unit is untreated, so arm 1 has no active cell and gamma = 0
+    data = _units([0.9, 0.7, 0.5], a=0, time=1)
+    nuisances = _oracle_nuisances(data, _step_at(1), lambda x: np.full(len(x), 0.5))
+    res = run_estimator(data, "dr", [1], nuisances=nuisances)[0][(1, 1)]
+    s = _survival_at(nuisances, 1, 1)
+    np.testing.assert_allclose(s, [0.9, 0.7, 0.5], rtol=1e-15)
+    assert res.point == np.mean(s)
+    np.testing.assert_array_equal(res.influence, s - res.point)
 
 
 def test_augmented_zero_residual_is_plugin():
-    s = np.array([0.9, 0.7])
-    gamma = np.full((2, 3), -2.0)
-    hazard = np.full((2, 3), 0.25)
-    events = hazard.copy()
-    point, _ = augmented_estimate(s, gamma, hazard, events)
-    assert point == plugin_estimate(s)
+    # both units leave at 1 without an event, at hazard 0 there, so the residual
+    # vanishes on every active cell; gamma is -S_2 / P(A=1|X) = -2 on them
+    data = _units([0.9, 0.7], a=1, time=1)
+    nuisances = _oracle_nuisances(data, _step_at(2), lambda x: x / 2.0)
+    res = run_estimator(data, "dr", [2], nuisances=nuisances)[0][(1, 2)]
+    assert res.point == np.mean(_survival_at(nuisances, 1, 2))
 
 
 def test_augmented_single_unit_hand_example():
-    s = np.array([0.9])
-    gamma = np.array([[0.0, -2.0]])
-    hazard = np.array([[0.0, 0.1]])
-    events = np.array([[0.0, 0.0]])
-    point, infl = augmented_estimate(s, gamma, hazard, events)
-    assert point == pytest.approx(1.1, abs=1e-15)
-    assert infl[0] == pytest.approx(0.9 - 1.1 + 0.2, abs=1e-15)
-
-
-def test_augmented_shape_mismatch():
-    with pytest.raises(ValueError):
-        augmented_estimate(np.ones(2), np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        augmented_estimate(np.ones(3), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
+    # S_1 = 0.9, gamma_1 = -S_1 * S_0 / S_1 / 0.5 = -2, residual 0 - 0.1
+    data = _units([0.9], a=1, time=1)
+    nuisances = _oracle_nuisances(data, _step_at(1), lambda x: np.full(len(x), 0.5))
+    res = run_estimator(data, "dr", [1], nuisances=nuisances)[0][(1, 1)]
+    assert res.point == pytest.approx(1.1, abs=1e-15)
+    assert res.influence[0] == pytest.approx(0.9 - 1.1 + 0.2, abs=1e-15)
 
 
 def test_influence_mean_zero_for_augmented():
@@ -309,6 +340,8 @@ def test_run_estimator_validation():
         run_estimator(data, "or", [])
     with pytest.raises(ValueError):
         run_estimator(data, "or", [40])
+    with pytest.raises(ValueError, match="must not repeat"):
+        run_estimator(data, "or", [5, 5])
     # nuisances fit for ipw hold no event model, which dr needs
     ipw_fit = fit_nuisances(data, "ipw", [5])
     with pytest.raises(ValueError):
@@ -478,11 +511,10 @@ def _fail_solve_of_t10(monkeypatch):
 @pytest.mark.parametrize(
     "kind, inject",
     [
-        ("dr", _fail_direction_of_t10),
         ("balance", _fail_direction_of_t10),
         ("balance", _fail_solve_of_t10),
     ],
-    ids=["dr-direction", "balance-direction", "balance-solve"],
+    ids=["balance-direction", "balance-solve"],
 )
 def test_failed_time_leaves_the_other_times_in_place(monkeypatch, kind, inject):
     data = gen_synthetic(SyntheticConfig(n=120, seed=41))
@@ -499,3 +531,75 @@ def test_failed_time_leaves_the_other_times_in_place(monkeypatch, kind, inject):
         else:
             assert res.point == clean[key].point
             assert res.influence.tobytes() == clean[key].influence.tobytes()
+
+
+def test_dr_fault_fails_every_time_of_its_arm():
+    # fitted curves never fault dr (hazards and propensities are clamped), so
+    # zero one treated unit's propensity: its denominator vanishes from u = 0
+    data = gen_synthetic(SyntheticConfig(n=120, seed=41))
+    nuisances = fit_nuisances(data, "dr", _TIMES, seed=7)
+    clean = run_estimator(data, "dr", _TIMES, seed=7, nuisances=nuisances)[0]
+    (idx, xs, (arm0, (lam, s, g, pi))), *rest = nuisances.folds
+    pi = pi.copy()
+    pi[np.flatnonzero(data.a[idx] == 1)[0]] = 0.0
+    broken = Nuisances(((idx, xs, (arm0, (lam, s, g, pi))), *rest))
+    results, failures = run_estimator(data, "dr", _TIMES, seed=7, nuisances=broken)
+    assert set(failures) == {(arm, t) for arm in (1, "diff") for t in _TIMES}
+    assert all("zero inverse-probability denominator" in r for r in failures.values())
+    assert set(results) == {(0, t) for t in _TIMES}
+    for key, res in results.items():
+        assert res.point == clean[key].point
+        assert res.influence.tobytes() == clean[key].influence.tobytes()
+
+
+def test_dr_weighs_each_fold_and_arm_once(monkeypatch):
+    data = gen_synthetic(SyntheticConfig(n=60, seed=12))
+    nuisances = fit_nuisances(data, "dr", _TIMES, seed=3)
+    widths = []
+    original = cfsurv.estimators.explicit_riesz
+
+    def counting(r, *args):
+        widths.append(r.shape[1])
+        return original(r, *args)
+
+    monkeypatch.setattr(cfsurv.estimators, "explicit_riesz", counting)
+    run_estimator(data, "dr", _TIMES, seed=3, nuisances=nuisances)
+    assert widths == [max(_TIMES) + 1] * (2 * len(nuisances.folds))
+
+
+@pytest.mark.parametrize(
+    "p1, warned",
+    [
+        ({0: PROPENSITY_FLOOR}, 1),  # a treated unit's weight at the floor
+        ({0: PROPENSITY_FLOOR, 2: 1.0 - PROPENSITY_FLOOR / 2}, 2),  # both arms
+        ({}, 0),
+    ],
+    ids=["one-arm", "both-arms", "interior"],
+)
+def test_ipw_warns_once_per_arm_with_floor_weights(p1, warned):
+    # units 0 and 2 have events at 2, so they contribute at every time
+    data = Dataset(
+        x=np.arange(4.0)[:, None], a=np.array([1, 1, 0, 0]), time=np.array([2, 3, 2, 3]),
+        event=np.array([1, 0, 1, 0]), grid=TimeGrid(5),
+    )
+    prop = OraclePropensity(lambda x: np.array([p1.get(i, 0.5) for i in range(len(x))]))
+    nuisances = Nuisances.whole_sample(data.x, censor=_censor_oracle(np.ones(6)), propensity=prop)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_estimator(data, "ipw", [2, 3, 4], nuisances=nuisances)
+    assert [w.category for w in caught] == [LargeWeightWarning] * warned
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([-1, 0, 1], r"fold labels must lie in \[0, 2\)"),
+        ([0, 1, 2], r"fold labels must lie in \[0, 2\)"),
+        ([0, 0, 0], "every fold must be non-empty"),
+    ],
+    ids=["negative", "past-last-fold", "empty-fold"],
+)
+def test_fold_plan_rejects_bad_labels(labels, message):
+    with pytest.raises(ValueError, match=message):
+        FoldPlan(np.array(labels), 2)
+
