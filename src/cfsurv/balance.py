@@ -1,5 +1,11 @@
-"""Derivative direction, explicit inverse-probability weights, and minimax
+"""Direction ratio, explicit inverse-probability weights, and minimax
 balancing weights.
+
+The augmented estimators correct along the direction
+r_t[:, u] = S_t * q[:, u], with the time-free ratio
+q[:, u] = -S_{u-1} / S_u (`direction_ratio`). dr weights q explicitly
+(`explicit_riesz`); balance solves for minimax weights of the stacked
+directions of every evaluation time (`solve_balance_weights`).
 
 The balance weights minimize, independently for each timestep u,
 
@@ -16,11 +22,11 @@ block of the full factor (Golub & Van Loan), so one factorization serves
 all timesteps.
 
 The risk sets do not depend on the evaluation time t either: only the
-direction r_t[:, u] = S_t * (-S_{u-1} / S_u) does. `run_estimator` stacks
-the directions of every t on a trailing axis and makes one call per
-(fold, arm): one factor, one product of the shared rows of K with every
-(u, t) direction, and at each u one multi-column solve over the times
-t >= u, with each column's residual checked on its own.
+direction S_t * q does. `run_estimator` computes q once per (fold, arm),
+stacks the directions of every t on a trailing axis and makes one call:
+one factor, one product of the shared rows of K with every (u, t)
+direction, and at each u one multi-column solve over the times t >= u,
+with each column's residual checked on its own.
 """
 
 from __future__ import annotations
@@ -35,11 +41,8 @@ from .kernels import cho_solve_checked, spd_factor
 __all__ = [
     "SolverConfig",
     "direction_ratio",
-    "derivative_direction",
     "explicit_riesz",
     "solve_balance_weights",
-    "imbalance",
-    "objective",
     "BalanceWeights",
 ]
 
@@ -82,8 +85,8 @@ def direction_ratio(s_hat: np.ndarray, t: int) -> np.ndarray:
 
     s_hat has shape (n, t_max + 1) and must come from clamped hazards so all
     survival values are strictly positive. The result has shape (n, t + 1)
-    with a zero column at u = 0. The derivative direction of any t' <= t
-    is S_{t'} times its first t' + 1 columns.
+    with a zero column at u = 0. The direction of any t' <= t is S_{t'}
+    times its first t' + 1 columns; every entry of it lies in [-1, 0].
     """
     s_hat = np.asarray(s_hat, dtype=float)
     if s_hat.ndim != 2:
@@ -95,16 +98,6 @@ def direction_ratio(s_hat: np.ndarray, t: int) -> np.ndarray:
     q = np.zeros((s_hat.shape[0], t + 1))
     q[:, 1:] = -(s_hat[:, :t] / s_hat[:, 1 : t + 1])
     return q
-
-
-def derivative_direction(s_hat: np.ndarray, t: int) -> np.ndarray:
-    """r[i, u] = S_t(X_i) * q[i, u] with q = direction_ratio(s_hat, t).
-
-    The result has shape (n, t + 1) with a zero column at u = 0; every
-    entry lies in [-1, 0].
-    """
-    q = direction_ratio(s_hat, t)
-    return np.asarray(s_hat, dtype=float)[:, t, None] * q
 
 
 def explicit_riesz(
@@ -235,33 +228,3 @@ def solve_balance_weights(
     omega[:, :, list(failures)] = 0.0
     return BalanceWeights(omega=omega, active=active, failures=failures)
 
-
-def imbalance(
-    k: np.ndarray, r: np.ndarray, active: np.ndarray, omega: np.ndarray, u: int
-) -> float:
-    """Worst-case RKHS imbalance sqrt(c' K c) with c = r_u (1 - active_u w_u)."""
-    c = r[:, u] * (1.0 - active[:, u].astype(float) * omega[:, u])
-    return float(np.sqrt(max(c @ (k @ c), 0.0)))
-
-
-def objective(
-    k: np.ndarray,
-    r: np.ndarray,
-    active: np.ndarray,
-    omega: np.ndarray,
-    cfg: SolverConfig,
-) -> float:
-    """Summed per-timestep objective: imbalance^2 plus the variance penalty."""
-    r = np.asarray(r, dtype=float)
-    active = np.asarray(active, dtype=bool)
-    omega = np.asarray(omega, dtype=float)
-    if r.shape != active.shape or r.shape != omega.shape:
-        raise ValueError("r, active, and omega must share a shape")
-    n = k.shape[0]
-    total = 0.0
-    for u in range(1, r.shape[1]):
-        total += imbalance(k, r, active, omega, u) ** 2
-        total += cfg.sigma2 / n * float(
-            np.sum(active[:, u] * r[:, u] ** 2 * omega[:, u] ** 2)
-        )
-    return total

@@ -113,7 +113,8 @@ _SIMULATE_OPTS = [
         "(ignored by twins-like, whose truth is exact)"),
     Opt("--twins-csv", str),
     Opt("--out", str, required=True),
-    Opt("--raw", str, help="also write per-replication estimates to this path"),
+    Opt("--raw", str,
+        help="also write per-replication estimates to this path (not with --xi-sweep)"),
 ]
 
 _TRUTH_OPTS = [
@@ -306,6 +307,8 @@ def cmd_estimate(opt: dict[str, Any]) -> int:
 
 
 def cmd_simulate(opt: dict[str, Any]) -> int:
+    if opt["xi_sweep"] and opt["raw"] is not None:
+        raise UsageError("--raw cannot be combined with --xi-sweep")
     _check_out_path(opt["out"])
     if opt["raw"] is not None:
         _check_out_path(opt["raw"])

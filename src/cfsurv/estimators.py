@@ -24,18 +24,19 @@ together, as a time-major block of per-unit summands: the fold's
 estimate at t is the mean of row t and its influence values are that
 row minus the mean. or's rows are the predicted survival S_t; ipw's
 weight the observed events up to t. The augmented kinds add a weighted
-sum of hazard residuals over u <= t. Their direction r_t = S_t * q
-factors through the time-free ratio q[:, u] = -S_{u-1} / S_u, so dr and
-dr-clip weight q once per (fold, arm) with explicit inverse-probability
-weights (clipped for dr-clip) and take S_t times a cumulative sum over
-u; balance gets the minimax weights of every time from one
-`solve_balance_weights` call (one factor, one multi-column solve per
-timestep) and contracts them with the residuals in one product.
-Standard errors come from the influence values and a normal
-t-statistic interval. A balance direction or solve that fails fails
-only its own (arm, time); a fault in dr's explicit weights (a zero
-denominator, a nonpositive survival value) fails every time of its arm,
-since q covers them all.
+sum of hazard residuals over u <= t along the direction r_t = S_t * q,
+which factors through the time-free ratio q[:, u] = -S_{u-1} / S_u.
+dr, dr-clip and balance compute q once per (fold, arm). dr and dr-clip
+weight it with explicit inverse-probability weights (clipped for
+dr-clip) and take S_t times a cumulative sum over u; balance stacks
+every time's direction S_t * q (zero past t) and gets the minimax
+weights of every time from one `solve_balance_weights` call (one
+factor, one multi-column solve per timestep), then contracts them with
+the residuals in one product. Standard errors come from the influence
+values and a normal t-statistic interval. A fault in q (a nonpositive
+survival value) or in dr's explicit weights (a zero denominator) fails
+every time of its arm, since q covers them all; a balance solve column
+that fails fails only its own (arm, time).
 """
 
 from __future__ import annotations
@@ -47,14 +48,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .balance import (
-    SolverConfig,
-    derivative_direction,
-    direction_ratio,
-    explicit_riesz,
-    solve_balance_weights,
-)
-from .errors import EstimationError, LargeWeightWarning, NumericalError
+from .balance import SolverConfig, direction_ratio, explicit_riesz, solve_balance_weights
+from .errors import LargeWeightWarning, NumericalError
 from .hazard import (
     PROPENSITY_FLOOR,
     KernelBasis,
@@ -72,7 +67,7 @@ __all__ = [
     "EstimatorParams",
     "FoldPlan",
     "Nuisances",
-    "confidence_interval",
+    "check_times",
     "effect_estimate",
     "nuisance_plan",
     "fit_nuisances",
@@ -157,31 +152,20 @@ class EstimateResult:
         return len(self.influence)
 
 
-def _normal_interval(
-    point: float, influence: np.ndarray, level: float
-) -> tuple[float, float, float]:
-    """(se, point - z * se, point + z * se) with se = sqrt(var(influence)/n)."""
+def _normal_interval(point: float, influence: np.ndarray) -> tuple[float, float, float]:
+    """The 95% normal interval: (se, point - z * se, point + z * se).
+
+    se = sqrt(var(influence) / n) and z is the normal 0.975 quantile.
+    """
     se = float(np.sqrt(np.var(influence, ddof=1) / influence.size))
-    half = float(ndtri(0.5 + level / 2.0)) * se
+    half = float(ndtri(0.975)) * se
     return se, point - half, point + half
-
-
-def confidence_interval(
-    point: float, influence: np.ndarray, level: float = 0.95
-) -> tuple[float, float]:
-    """Normal t-statistic interval point +- z * sqrt(var(influence)/n)."""
-    influence = np.asarray(influence, dtype=float)
-    if influence.size < 2:
-        raise EstimationError("confidence interval needs at least 2 influence values")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    return _normal_interval(point, influence, level)[1:]
 
 
 def _result(kind: str, arm: int | str, t: int, point: float, influence: np.ndarray) -> EstimateResult:
     influence = np.asarray(influence, dtype=float)
     if influence.size > 1:
-        se, lo, hi = _normal_interval(point, influence, 0.95)
+        se, lo, hi = _normal_interval(point, influence)
     else:
         se, lo, hi = float("nan"), float("nan"), float("nan")
     return EstimateResult(
@@ -209,30 +193,29 @@ def _h_minus(s: np.ndarray, g: np.ndarray, t: int) -> np.ndarray:
 
 
 def _balance_gammas(
-    k: np.ndarray, s: np.ndarray, active: np.ndarray, times: list[int], cfg: SolverConfig
+    k: np.ndarray,
+    s: np.ndarray,
+    q: np.ndarray,
+    active: np.ndarray,
+    times: list[int],
+    cfg: SolverConfig,
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Balance gammas of every time of one (fold, arm), and why the failed times failed.
 
-    active is the arm's risk-set mask up to max(times). The directions
-    of every t are stacked, zero past t, and solved by one
-    `solve_balance_weights` call; a time fails alone, on its direction
-    or on its columns of the solve. The gammas come back stacked the
-    same way, (n, max(times) + 1, len(times)), and are zero past each t
-    and for a failed time.
+    q is `direction_ratio(s, max(times))` and active the arm's risk-set
+    mask up to max(times). The direction of t is S_t * q, zero past t;
+    the directions of every t are stacked and solved by one
+    `solve_balance_weights` call, in which a time fails alone, on its
+    columns. The gammas come back stacked the same way,
+    (n, max(times) + 1, len(times)): zero past each t and for a failed time.
     """
-    r = np.zeros(active.shape + (len(times),))
-    errors: dict[int, str] = {}
-    for j, t in enumerate(times):
-        try:
-            r[:, : t + 1, j] = derivative_direction(s, t)
-        except NumericalError as err:
-            errors[t] = str(err)
+    tt = np.asarray(times)
+    r = s[:, None, tt] * q[:, :, None]
+    r[:, np.arange(q.shape[1])[:, None] > tt] = 0.0
     w = solve_balance_weights(k, r, active, cfg)
-    for j, err in w.failures.items():
-        errors.setdefault(times[j], err)
     r *= active[:, :, None]
     r *= w.omega  # zero for a failed direction
-    return r, errors
+    return r, {times[j]: err for j, err in w.failures.items()}
 
 
 def _summands(
@@ -273,14 +256,13 @@ def _summands(
     active = active_matrix(fold, a, t_max)
     resid = event_matrix(fold, t_max) - lam[:, : t_max + 1]
     s_t = s.T[tt]
-    if kind == "balance":
-        gammas, errors = _balance_gammas(k, s, active, times, cfg)
-        return s_t + np.einsum("iuj,iu->ji", gammas, resid), errors
-    # dr and dr-clip: gamma_t = S_t * w, with w the weights of the time-free ratio
     try:
-        w = explicit_riesz(
-            direction_ratio(s, t_max), active, pi, _h_minus(s, g, t_max), clip
-        )
+        q = direction_ratio(s, t_max)  # one ratio serves every time of the arm
+        if kind == "balance":
+            gammas, errors = _balance_gammas(k, s, q, active, times, cfg)
+            return s_t + np.einsum("iuj,iu->ji", gammas, resid), errors
+        # dr and dr-clip: gamma_t = S_t * w, with w the weights of q
+        w = explicit_riesz(q, active, pi, _h_minus(s, g, t_max), clip)
     except NumericalError as err:
         return s_t, dict.fromkeys(times, str(err))
     return s_t + s_t * np.cumsum(w * resid, axis=1).T[tt], {}
@@ -340,14 +322,19 @@ def _spec(kind: str) -> _Kind:
     return _KINDS[kind]
 
 
-def _checked_spec(data: Dataset, kind: str, times: list[int]) -> _Kind:
-    spec = _spec(kind)
+def check_times(times: list[int] | tuple[int, ...], t_max: int) -> None:
+    """Reject evaluation times that are missing, outside [0, t_max] or repeated."""
     if not times:
         raise ValueError("need at least one evaluation time")
-    if max(times) > data.grid.t_max or min(times) < 0:
-        raise ValueError(f"times must lie in [0, {data.grid.t_max}]")
+    if min(times) < 0 or max(times) > t_max:
+        raise ValueError(f"times must lie in [0, {t_max}], got {list(times)}")
     if len(set(times)) != len(times):
-        raise ValueError(f"evaluation times must not repeat, got {times}")
+        raise ValueError(f"evaluation times must not repeat, got {list(times)}")
+
+
+def _checked_spec(data: Dataset, kind: str, times: list[int]) -> _Kind:
+    spec = _spec(kind)
+    check_times(times, data.grid.t_max)
     return spec
 
 

@@ -66,8 +66,6 @@ __all__ = [
     "fit_event_hazard",
     "fit_censor_hazard",
     "fit_propensity",
-    "klr_loss_grad",
-    "propensity_loss_grad",
 ]
 
 HAZARD_FLOOR = 1e-6
@@ -83,25 +81,6 @@ NEWTON_MAX_ITER = 500
 #: propensity Newton stopping rule: loss gradient norm, iteration cap
 PROPENSITY_TOL = 1e-8
 PROPENSITY_MAX_ITER = 500
-
-
-def klr_loss_grad(
-    k: np.ndarray, y: np.ndarray, alpha: np.ndarray, b: float, ridge: float
-) -> tuple[float, np.ndarray]:
-    """Penalized kernel-logistic loss and its gradient in (alpha, b).
-
-    Loss: sum_i [log(1 + e^{f_i}) - y_i f_i] + (ridge/2) alpha' K alpha
-    with f = K alpha + b; the intercept is unpenalized. Returns
-    (value, gradient of length m + 1).
-    """
-    f = k @ alpha + b
-    # log(1 + e^f) - y f, stable in both tails
-    value = float(np.sum(np.logaddexp(0.0, f) - y * f))
-    value += 0.5 * ridge * float(alpha @ (k @ alpha))
-    p = expit(f)
-    grad_alpha = k @ ((p - y) + ridge * alpha)
-    grad_b = float(np.sum(p - y))
-    return value, np.concatenate([grad_alpha, [grad_b]])
 
 
 def _damped_newton(theta, residual, newton_step, max_iter):
@@ -283,9 +262,6 @@ class KernelHazardModel:
             out[:, u] = level
         return out
 
-    def survival_matrix(self, x: np.ndarray, a: int) -> np.ndarray:
-        return np.cumprod(1.0 - self.hazard_matrix(x, a), axis=1)
-
 
 @dataclass(frozen=True)
 class OracleHazardModel:
@@ -303,9 +279,6 @@ class OracleHazardModel:
         for u in range(1, self.grid.n_points):
             out[:, u] = self.fn(x, a, u)
         return out
-
-    def survival_matrix(self, x: np.ndarray, a: int) -> np.ndarray:
-        return np.cumprod(1.0 - self.hazard_matrix(x, a), axis=1)
 
 
 def fit_event_hazard(
@@ -438,16 +411,8 @@ class OraclePropensity:
         return p1 if a == 1 else 1.0 - p1
 
 
-def propensity_loss_grad(
-    x: np.ndarray, a: np.ndarray, weights: np.ndarray, intercept: float
-) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood of the linear logistic fit and its gradient."""
-    f = x @ weights + intercept
-    value = float(np.sum(np.logaddexp(0.0, f) - a * f))
-    return value, _propensity_grad(x, a, weights, intercept)
-
-
 def _propensity_grad(x, a, weights, intercept) -> np.ndarray:
+    """Gradient in (weights, intercept) of the linear logistic negative log-likelihood."""
     p = expit(x @ weights + intercept)
     return np.concatenate([x.T @ (p - a), [float(np.sum(p - a))]])
 

@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .errors import NumericalError
 
-__all__ = ["KernelConfig", "rbf", "gram", "spd_factor", "cho_solve_checked"]
+__all__ = ["KernelConfig", "gram", "spd_factor", "cho_solve_checked"]
 
 #: diagonal jitter schedule on factorization failure: none, JITTER, x10, x100
 JITTER = 1e-10
@@ -33,18 +33,8 @@ class KernelConfig:
             raise ValueError(f"length_scale must be positive, got {self.length_scale}")
 
 
-def rbf(x: np.ndarray, y: np.ndarray, cfg: KernelConfig) -> float:
-    """Kernel value exp(-||x - y||^2 / (2 l^2)) for a single pair."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    sq = float(np.sum((x - y) ** 2))
-    return float(np.exp(-sq / (2.0 * cfg.length_scale**2)))
-
-
 def gram(rows: np.ndarray, cols: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """Kernel matrix K[i, j] = rbf(rows[i], cols[j]); rectangular allowed."""
+    """Kernel matrix K[i, j] = exp(-||rows[i] - cols[j]||^2 / (2 l^2)); rectangular allowed."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     cols = np.atleast_2d(np.asarray(cols, dtype=float))
     if rows.size == 0 or cols.size == 0:

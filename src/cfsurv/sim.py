@@ -27,8 +27,9 @@ from .dgp import (
 )
 from .errors import EstimationError, HarnessError, NumericalError
 from .estimators import (
-    ESTIMATOR_KINDS,
     EstimatorParams,
+    _spec,
+    check_times,
     fit_nuisances,
     nuisance_plan,
     run_estimator,
@@ -89,13 +90,9 @@ class SimulationConfig:
             raise ValueError(f"dgp must be one of {DGP_PRESETS}, got {self.dgp!r}")
         if not self.estimators:
             raise ValueError("need at least one estimator")
-        unknown = [e for e in self.estimators if e not in ESTIMATOR_KINDS]
-        if unknown:
-            raise ValueError(f"unknown estimators: {', '.join(unknown)}")
-        if not self.times:
-            raise ValueError("need at least one evaluation time")
-        if min(self.times) < 0 or max(self.times) > T_MAX:
-            raise ValueError(f"times must lie in [0, {T_MAX}], got {self.times}")
+        for kind in self.estimators:
+            _spec(kind)  # rejects an unknown kind
+        check_times(self.times, T_MAX)
 
 
 @dataclass
@@ -198,7 +195,6 @@ def metrics(
     estimates: np.ndarray,
     truth: float,
     ci_records: tuple[np.ndarray, np.ndarray] | None = None,
-    rmse_baseline: float | None = None,
     estimator: str = "",
     t: int = 0,
     n: int = 0,
@@ -208,7 +204,8 @@ def metrics(
     Failed replications (nan entries) are excluded and counted. Definitions
     match the standard Monte Carlo displays: rmse over deviations from
     truth, bias the mean deviation, std_err the (population) spread of the
-    estimates, so rmse^2 = bias^2 + std_err^2 exactly.
+    estimates, so rmse^2 = bias^2 + std_err^2 exactly. relative_rmse is
+    left None: `summarize` sets it against or's rmse at the same time.
     """
     estimates = np.asarray(estimates, dtype=float)
     q_total = estimates.size
@@ -231,14 +228,13 @@ def metrics(
         lo = np.asarray(lo, dtype=float)[valid]
         hi = np.asarray(hi, dtype=float)[valid]
         coverage = float(np.mean((lo <= truth) & (truth <= hi)))
-    rel = None if rmse_baseline is None else rmse / rmse_baseline
     return MetricsRow(
         estimator=estimator,
         t=t,
         n=n,
         q=q_total,
         rmse=rmse,
-        relative_rmse=rel,
+        relative_rmse=None,
         mae=mae,
         mse=rmse**2,
         bias=bias,

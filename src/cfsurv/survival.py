@@ -3,14 +3,13 @@
 Time lives on the integer grid {0, 1, ..., t_max}. Event and censoring
 times are at least 1, so every hazard curve is pinned to 0 at index 0 and
 survival curves start at 1. Curves are plain float arrays of length
-t_max + 1; the transforms below validate their invariants.
+t_max + 1.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,6 @@ import numpy as np
 __all__ = [
     "TimeGrid",
     "Dataset",
-    "survival_from_hazard",
-    "hazard_from_survival",
     "at_risk_matrix",
     "event_matrix",
     "active_matrix",
@@ -45,9 +42,6 @@ class TimeGrid:
     @property
     def n_points(self) -> int:
         return self.t_max + 1
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_points)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -110,55 +104,6 @@ def standardization(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = x.std(axis=0)
     scale = np.where(scale > 0.0, scale, 1.0)
     return mean, scale
-
-
-def _check_curve(values: np.ndarray, grid: TimeGrid | None, name: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < 1:
-        raise ValueError(f"{name} must be a 1-d array, got shape {values.shape}")
-    if grid is not None and values.size != grid.n_points:
-        raise ValueError(
-            f"{name} length {values.size} does not match grid length {grid.n_points}"
-        )
-    if ((values < 0.0) | (values > 1.0)).any():
-        raise ValueError(f"{name} entries must lie in [0, 1]")
-    return values
-
-
-def survival_from_hazard(hazard: np.ndarray, grid: TimeGrid | None = None) -> np.ndarray:
-    """Map a hazard curve to its survival curve S_u = prod_{v<=u} (1 - h_v)."""
-    h = _check_curve(hazard, grid, "hazard curve")
-    if h[0] != 0.0:
-        raise ValueError("hazard at time 0 must be 0 (zero times are ruled out)")
-    return np.cumprod(1.0 - h)
-
-
-def hazard_from_survival(survival: np.ndarray, grid: TimeGrid | None = None) -> np.ndarray:
-    """Invert a survival curve to hazards h_u = 1 - S_u / S_{u-1}.
-
-    Once survival hits exactly 0 the hazard is set to 0 by convention (the
-    ratio is 0/0); a warning flags that the inversion is no longer unique.
-    Raises if survival rises after reaching 0, which no hazard can produce.
-    """
-    s = _check_curve(survival, grid, "survival curve")
-    if np.any(np.diff(s) > 0.0):
-        raise ValueError("survival curve must be non-increasing")
-    h = np.zeros_like(s)
-    prev = s[:-1]
-    cur = s[1:]
-    dead = prev == 0.0
-    if np.any(dead & (cur > 0.0)):
-        raise ValueError("survival rises above an exact zero; no hazard produces this")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(dead, 0.0, 1.0 - cur / np.where(dead, 1.0, prev))
-    h[1:] = ratio
-    if dead.any():
-        warnings.warn(
-            "survival reached exactly 0; hazards after absorption set to 0 by convention",
-            UserWarning,
-            stacklevel=2,
-        )
-    return h
 
 
 def _grid_times(data: Dataset, t: int) -> np.ndarray:

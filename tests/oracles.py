@@ -1,0 +1,96 @@
+"""Reference implementations the tests compare the package against.
+
+None of these runs in cfsurv itself: the fits stop on their own residual
+norms, the balance solve never evaluates its objective, and Gram
+matrices are built in one vectorized pass.
+"""
+
+import numpy as np
+from scipy.special import expit
+
+from cfsurv.balance import SolverConfig, direction_ratio
+from cfsurv.hazard import _propensity_grad
+from cfsurv.kernels import KernelConfig
+
+
+def rbf(x: np.ndarray, y: np.ndarray, cfg: KernelConfig) -> float:
+    """Kernel value exp(-||x - y||^2 / (2 l^2)) for a single pair."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    sq = float(np.sum((x - y) ** 2))
+    return float(np.exp(-sq / (2.0 * cfg.length_scale**2)))
+
+
+def klr_loss_grad(
+    k: np.ndarray, y: np.ndarray, alpha: np.ndarray, b: float, ridge: float
+) -> tuple[float, np.ndarray]:
+    """Penalized kernel-logistic loss and its gradient in (alpha, b).
+
+    Loss: sum_i [log(1 + e^{f_i}) - y_i f_i] + (ridge/2) alpha' K alpha
+    with f = K alpha + b; the intercept is unpenalized. Returns
+    (value, gradient of length m + 1).
+    """
+    f = k @ alpha + b
+    # log(1 + e^f) - y f, stable in both tails
+    value = float(np.sum(np.logaddexp(0.0, f) - y * f))
+    value += 0.5 * ridge * float(alpha @ (k @ alpha))
+    p = expit(f)
+    grad_alpha = k @ ((p - y) + ridge * alpha)
+    grad_b = float(np.sum(p - y))
+    return value, np.concatenate([grad_alpha, [grad_b]])
+
+
+def propensity_loss_grad(
+    x: np.ndarray, a: np.ndarray, weights: np.ndarray, intercept: float
+) -> tuple[float, np.ndarray]:
+    """Negative log-likelihood of the linear logistic fit and its gradient.
+
+    The gradient is the one `fit_propensity` iterates on, so checking it
+    against finite differences of the value checks the fit's own code.
+    """
+    f = x @ weights + intercept
+    value = float(np.sum(np.logaddexp(0.0, f) - a * f))
+    return value, _propensity_grad(x, a, weights, intercept)
+
+
+def derivative_direction(s_hat: np.ndarray, t: int) -> np.ndarray:
+    """r[i, u] = S_t(X_i) * q[i, u] with q = direction_ratio(s_hat, t).
+
+    The result has shape (n, t + 1) with a zero column at u = 0; every
+    entry lies in [-1, 0].
+    """
+    q = direction_ratio(s_hat, t)
+    return np.asarray(s_hat, dtype=float)[:, t, None] * q
+
+
+def imbalance(
+    k: np.ndarray, r: np.ndarray, active: np.ndarray, omega: np.ndarray, u: int
+) -> float:
+    """Worst-case RKHS imbalance sqrt(c' K c) with c = r_u (1 - active_u w_u)."""
+    c = r[:, u] * (1.0 - active[:, u].astype(float) * omega[:, u])
+    return float(np.sqrt(max(c @ (k @ c), 0.0)))
+
+
+def objective(
+    k: np.ndarray,
+    r: np.ndarray,
+    active: np.ndarray,
+    omega: np.ndarray,
+    cfg: SolverConfig,
+) -> float:
+    """Summed per-timestep objective: imbalance^2 plus the variance penalty."""
+    r = np.asarray(r, dtype=float)
+    active = np.asarray(active, dtype=bool)
+    omega = np.asarray(omega, dtype=float)
+    if r.shape != active.shape or r.shape != omega.shape:
+        raise ValueError("r, active, and omega must share a shape")
+    n = k.shape[0]
+    total = 0.0
+    for u in range(1, r.shape[1]):
+        total += imbalance(k, r, active, omega, u) ** 2
+        total += cfg.sigma2 / n * float(
+            np.sum(active[:, u] * r[:, u] ** 2 * omega[:, u] ** 2)
+        )
+    return total

@@ -11,13 +11,7 @@ import csv
 import numpy as np
 import pytest
 
-from cfsurv.balance import (
-    SolverConfig,
-    derivative_direction,
-    imbalance,
-    objective,
-    solve_balance_weights,
-)
+from cfsurv.balance import SolverConfig, solve_balance_weights
 from cfsurv.cli import main as cli_main
 from cfsurv.dgp import (
     SyntheticConfig,
@@ -28,15 +22,17 @@ from cfsurv.dgp import (
     true_propensity,
 )
 from cfsurv.estimators import Nuisances, run_estimator
-from cfsurv.hazard import (
-    OracleHazardModel,
-    OraclePropensity,
-    klr_loss_grad,
-    propensity_loss_grad,
-)
+from cfsurv.hazard import OracleHazardModel, OraclePropensity
 from cfsurv.kernels import KernelConfig, gram
 from cfsurv.sim import SimulationConfig, derive_seed, nominal_coverage, run_xi_sweep
 from cfsurv.survival import TimeGrid
+from oracles import (
+    derivative_direction,
+    imbalance,
+    klr_loss_grad,
+    objective,
+    propensity_loss_grad,
+)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import cfsurv.cli as cli_module
 from cfsurv.cli import main
 from cfsurv.dgp import surrogate_twins_table
 from cfsurv.survival import Dataset, TimeGrid, write_dataset_csv
@@ -220,12 +221,38 @@ def test_simulate_minimal_run(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
-def test_simulate_rejects_repeated_times(tmp_path, capsys):
+def _count_truth_calls(monkeypatch):
+    calls = []
+    original = cli_module.dgp_mod.ground_truth
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module.dgp_mod, "ground_truth", counting)
+    return calls
+
+
+def test_simulate_rejects_repeated_times(tmp_path, capsys, monkeypatch):
+    truth_calls = _count_truth_calls(monkeypatch)
     assert main(
         ["simulate", "--q", "2", "--n", "30", "--estimators", "or,balance",
          "--times", "5,5", "--mc", "10000", "--out", str(tmp_path / "m.csv")]
     ) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert truth_calls == []  # rejected with the other checks, before the truth
+
+
+def test_simulate_rejects_raw_with_xi_sweep(tmp_path, capsys, monkeypatch):
+    # a sweep writes no per-replication file, so --raw would be silently dropped
+    truth_calls = _count_truth_calls(monkeypatch)
+    assert main(
+        ["simulate", "--q", "2", "--n", "60", "--estimators", "or", "--times", "5",
+         "--xi-sweep", "0.3", "--mc", "10000", "--out", str(tmp_path / "m.csv"),
+         "--raw", str(tmp_path / "raw.csv")]
+    ) == 2
+    assert capsys.readouterr().err.startswith("error: --raw")
+    assert truth_calls == [] and list(tmp_path.iterdir()) == []
 
 
 def test_simulate_unknown_estimator(tmp_path):

@@ -10,13 +10,14 @@ from cfsurv import kernels
 from cfsurv.cli import main as cli_main
 from cfsurv.dgp import SyntheticConfig, gen_synthetic
 from cfsurv.balance import BalanceWeights
-from cfsurv.errors import EstimationError, LargeWeightWarning, NumericalError
+from cfsurv.errors import LargeWeightWarning
 from cfsurv.estimators import (
     ESTIMATOR_KINDS,
     EstimatorParams,
     FoldPlan,
     Nuisances,
-    confidence_interval,
+    _normal_interval,
+    _result,
     effect_estimate,
     fit_nuisances,
     run_estimator,
@@ -77,20 +78,22 @@ def test_plugin_examples():
 
 
 def test_confidence_interval_constant_influence():
-    lo, hi = confidence_interval(0.4, np.full(10, 0.0))
+    _, lo, hi = _normal_interval(0.4, np.full(10, 0.0))
     assert lo == hi == pytest.approx(0.4)
 
 
 def test_confidence_interval_hand_example():
-    lo, hi = confidence_interval(0.0, np.array([-1.0, 1.0]))
+    se, lo, hi = _normal_interval(0.0, np.array([-1.0, 1.0]))
     # sample variance 2, n = 2: half-width z_{0.975} * sqrt(2/2)
+    assert se == 1.0
     assert hi == pytest.approx(1.959964, abs=1e-5)
     assert lo == pytest.approx(-1.959964, abs=1e-5)
 
 
 def test_confidence_interval_requires_two_points():
-    with pytest.raises(EstimationError):
-        confidence_interval(0.0, np.array([1.0]))
+    res = _result("or", 1, 5, 0.3, np.array([0.0]))
+    assert res.point == 0.3
+    assert np.isnan(res.std_error) and np.isnan(res.ci_low) and np.isnan(res.ci_high)
 
 
 def test_confidence_interval_coverage_monte_carlo():
@@ -250,8 +253,8 @@ def test_balance_large_sigma2_approaches_crossfit_plugin():
     fold_points = []
     for f in range(2):
         model = fit_event_hazard(data.subset(plan.train_indices(f)), max_time=5)
-        s = model.survival_matrix(data.subset(plan.fold_indices(f)).x, 1)
-        fold_points.append(float(np.mean(s[:, 5])))
+        lam = model.hazard_matrix(data.subset(plan.fold_indices(f)).x, 1)
+        fold_points.append(float(np.mean(np.cumprod(1.0 - lam, axis=1)[:, 5])))
     assert res.point == pytest.approx(float(np.mean(fold_points)), abs=1e-8)
 
 
@@ -482,17 +485,6 @@ def test_times_evaluated_together_match_single_time_calls(kind):
                 assert got.influence.tobytes() == want.influence.tobytes()
 
 
-def _fail_direction_of_t10(monkeypatch):
-    original = cfsurv.estimators.derivative_direction
-
-    def failing(s, t):
-        if t == 10:
-            raise NumericalError("injected direction failure")
-        return original(s, t)
-
-    monkeypatch.setattr(cfsurv.estimators, "derivative_direction", failing)
-
-
 def _fail_solve_of_t10(monkeypatch):
     original = cfsurv.estimators.solve_balance_weights
 
@@ -511,10 +503,9 @@ def _fail_solve_of_t10(monkeypatch):
 @pytest.mark.parametrize(
     "kind, inject",
     [
-        ("balance", _fail_direction_of_t10),
         ("balance", _fail_solve_of_t10),
     ],
-    ids=["balance-direction", "balance-solve"],
+    ids=["balance-solve"],
 )
 def test_failed_time_leaves_the_other_times_in_place(monkeypatch, kind, inject):
     data = gen_synthetic(SyntheticConfig(n=120, seed=41))
@@ -533,19 +524,42 @@ def test_failed_time_leaves_the_other_times_in_place(monkeypatch, kind, inject):
             assert res.influence.tobytes() == clean[key].influence.tobytes()
 
 
-def test_dr_fault_fails_every_time_of_its_arm():
-    # fitted curves never fault dr (hazards and propensities are clamped), so
-    # zero one treated unit's propensity: its denominator vanishes from u = 0
-    data = gen_synthetic(SyntheticConfig(n=120, seed=41))
-    nuisances = fit_nuisances(data, "dr", _TIMES, seed=7)
-    clean = run_estimator(data, "dr", _TIMES, seed=7, nuisances=nuisances)[0]
-    (idx, xs, (arm0, (lam, s, g, pi))), *rest = nuisances.folds
+def _zero_propensity(idx, data, curves):
+    # a treated unit's denominator vanishes from u = 0
+    lam, s, g, pi = curves
     pi = pi.copy()
     pi[np.flatnonzero(data.a[idx] == 1)[0]] = 0.0
-    broken = Nuisances(((idx, xs, (arm0, (lam, s, g, pi))), *rest))
-    results, failures = run_estimator(data, "dr", _TIMES, seed=7, nuisances=broken)
+    return lam, s, g, pi
+
+
+def _zero_survival(idx, data, curves):
+    # a nonpositive survival value at u = 12 breaks the ratio q of every time
+    lam, s, g, pi = curves
+    s = s.copy()
+    s[np.flatnonzero(data.a[idx] == 1)[0], 12] = 0.0
+    return lam, s, g, pi
+
+
+@pytest.mark.parametrize(
+    "kind, inject, reason",
+    [
+        ("dr", _zero_propensity, "zero inverse-probability denominator"),
+        ("dr", _zero_survival, "nonpositive survival values"),
+        ("balance", _zero_survival, "nonpositive survival values"),
+    ],
+    ids=["dr-zero-propensity", "dr-zero-survival", "balance-zero-survival"],
+)
+def test_dr_fault_fails_every_time_of_its_arm(kind, inject, reason):
+    # fitted curves never fault q or dr's weights (hazards and propensities
+    # are clamped), so break one treated unit's curves in the first fold
+    data = gen_synthetic(SyntheticConfig(n=120, seed=41))
+    nuisances = fit_nuisances(data, kind, _TIMES, seed=7)
+    clean = run_estimator(data, kind, _TIMES, seed=7, nuisances=nuisances)[0]
+    (idx, xs, (arm0, arm1)), *rest = nuisances.folds
+    broken = Nuisances(((idx, xs, (arm0, inject(idx, data, arm1))), *rest))
+    results, failures = run_estimator(data, kind, _TIMES, seed=7, nuisances=broken)
     assert set(failures) == {(arm, t) for arm in (1, "diff") for t in _TIMES}
-    assert all("zero inverse-probability denominator" in r for r in failures.values())
+    assert all(reason in r for r in failures.values())
     assert set(results) == {(0, t) for t in _TIMES}
     for key, res in results.items():
         assert res.point == clean[key].point

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfsurv.errors import NumericalError
-from cfsurv.kernels import KernelConfig, cho_solve_checked, gram, rbf, spd_factor
+from cfsurv.kernels import KernelConfig, cho_solve_checked, gram, spd_factor
+from oracles import rbf
 
 
 def test_kernel_config_validation():
@@ -14,28 +15,29 @@ def test_kernel_config_validation():
 
 def test_rbf_identity():
     cfg = KernelConfig(length_scale=10.0)
-    x = np.array([1.0, -2.0, 3.0])
-    assert rbf(x, x, cfg) == 1.0
+    x = np.array([[1.0, -2.0, 3.0]])
+    assert gram(x, x, cfg)[0, 0] == 1.0
 
 
 def test_rbf_analytic_point():
     # distance l * sqrt(2) forces the exponent to -1
     cfg = KernelConfig(length_scale=2.0)
-    x = np.zeros(1)
-    y = np.array([2.0 * np.sqrt(2.0)])
-    assert rbf(x, y, cfg) == pytest.approx(np.exp(-1.0), abs=1e-12)
+    x = np.zeros((1, 1))
+    y = np.array([[2.0 * np.sqrt(2.0)]])
+    assert gram(x, y, cfg)[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
 
 def test_rbf_monotone_decay():
     cfg = KernelConfig(length_scale=1.0)
-    values = [rbf(np.zeros(1), np.array([d]), cfg) for d in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)]
+    distances = np.array([[0.0], [0.5], [1.0], [2.0], [5.0], [20.0]])
+    values = gram(np.zeros((1, 1)), distances, cfg)[0]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-8
 
 
 def test_rbf_dimension_mismatch():
-    with pytest.raises(ValueError):
-        rbf(np.zeros(2), np.zeros(3), KernelConfig())
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        gram(np.zeros((1, 2)), np.zeros((1, 3)), KernelConfig())
 
 
 def test_gram_trivial_cases():

@@ -9,6 +9,7 @@ from cfsurv.dgp import SyntheticConfig, ground_truth
 from cfsurv.errors import HarnessError, NumericalError
 from cfsurv.sim import (
     MetricsRow,
+    ReplicationResult,
     SimulationConfig,
     derive_seed,
     metrics,
@@ -83,11 +84,21 @@ def test_metrics_coverage_counts():
 
 
 def test_metrics_relative_rmse():
-    est = np.array([0.0, 2.0])
-    row = metrics(est, truth=1.0, rmse_baseline=2.0)
-    assert row.relative_rmse == pytest.approx(0.5)
-    row_absent = metrics(est, truth=1.0)
-    assert row_absent.relative_rmse is None
+    # against a truth of 1, or's estimates have rmse 2 and dr's rmse 1
+    estimates = {"or": np.array([[-1.0], [3.0]]), "dr": np.array([[0.0], [2.0]])}
+    truth = SimpleNamespace(delta=np.ones(31))
+
+    def relative_rmse(kinds):
+        cfg = SimulationConfig(q=2, n=10, estimators=kinds, times=(5,))
+        bounds = {k: np.full((2, 1), np.nan) for k in kinds}
+        result = ReplicationResult(
+            cfg, [0, 1], {k: estimates[k] for k in kinds}, bounds, bounds
+        )
+        return {row.estimator: row.relative_rmse for row in summarize(result, truth)}
+
+    got = relative_rmse(("or", "dr"))
+    assert got["dr"] == pytest.approx(0.5) and got["or"] == 1.0
+    assert relative_rmse(("dr",)) == {"dr": None}
 
 
 def test_risb_rise_exact_cases():
@@ -245,7 +256,7 @@ def test_simulation_config_validation():
         SimulationConfig(q=2, n=10, dgp="other")
     with pytest.raises(ValueError):
         SimulationConfig(q=2, n=10, estimators=())
-    with pytest.raises(ValueError, match="unknown estimators: zzz"):
+    with pytest.raises(ValueError, match="unknown estimator 'zzz'"):
         SimulationConfig(q=2, n=10, estimators=("zzz",))
     with pytest.raises(ValueError):
         SimulationConfig(q=2, n=10, times=(40,))

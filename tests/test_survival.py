@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cfsurv.cli import main
 from cfsurv.survival import (
@@ -11,9 +9,7 @@ from cfsurv.survival import (
     at_risk_matrix,
     dataset_csv_bytes,
     event_matrix,
-    hazard_from_survival,
     read_dataset_csv,
-    survival_from_hazard,
     write_dataset_csv,
 )
 
@@ -24,64 +20,6 @@ def test_time_grid_validation():
         TimeGrid(0)
     with pytest.raises(ValueError):
         TimeGrid(-3)
-
-
-def test_survival_from_zero_hazard():
-    s = survival_from_hazard(np.zeros(6))
-    assert np.array_equal(s, np.ones(6))
-
-
-def test_survival_from_constant_hazard():
-    s = survival_from_hazard(np.array([0.0, 0.1, 0.1, 0.1]))
-    np.testing.assert_allclose(s, [1.0, 0.9, 0.81, 0.729], rtol=0, atol=1e-15)
-
-
-def test_survival_absorbing_hazard():
-    s = survival_from_hazard(np.array([0.0, 1.0, 0.5]))
-    np.testing.assert_allclose(s, [1.0, 0.0, 0.0], atol=0)
-
-
-def test_survival_rejects_nonzero_origin():
-    with pytest.raises(ValueError):
-        survival_from_hazard(np.array([0.1, 0.1]))
-
-
-def test_survival_grid_length_mismatch():
-    with pytest.raises(ValueError):
-        survival_from_hazard(np.zeros(5), grid=TimeGrid(30))
-
-
-def test_hazard_from_survival_examples():
-    np.testing.assert_allclose(
-        hazard_from_survival(np.array([1.0, 0.9, 0.81])), [0.0, 0.1, 0.1], atol=1e-15
-    )
-    assert np.array_equal(hazard_from_survival(np.ones(3)), np.zeros(3))
-
-
-def test_hazard_after_absorption_convention():
-    with pytest.warns(UserWarning, match="absorption"):
-        h = hazard_from_survival(np.array([1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(h, [0.0, 1.0, 0.0], atol=0)
-
-
-def test_hazard_rejects_rise_after_zero():
-    # survival values must stay in [0, 1] and non-increasing before inversion
-    with pytest.raises(ValueError):
-        hazard_from_survival(np.array([1.0, 0.0, 0.5]))
-    with pytest.raises(ValueError):
-        hazard_from_survival(np.array([0.5, 0.9]))
-
-
-@given(
-    st.lists(st.floats(min_value=0.0, max_value=0.95), min_size=1, max_size=32)
-)
-@settings(max_examples=100, deadline=None)
-def test_round_trip_and_monotonicity(tail):
-    h = np.array([0.0] + tail)
-    s = survival_from_hazard(h)
-    assert np.all(np.diff(s) <= 1e-15)
-    back = hazard_from_survival(s)
-    np.testing.assert_allclose(back, h, atol=1e-12)
 
 
 def test_indicators_examples():
