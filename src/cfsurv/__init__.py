@@ -23,9 +23,8 @@ from .estimators import (
     run_estimator,
 )
 from .hazard import (
+    KernelBasis,
     KernelHazardModel,
-    OracleHazardModel,
-    OraclePropensity,
     PropensityModel,
     fit_censor_hazard,
     fit_event_hazard,

@@ -15,7 +15,7 @@ models themselves are dropped. The kind table fixes the paper's design:
 or and ipw fit once on the whole sample, dr and dr-clip share one 5-fold
 plan, balance uses 2 folds. Kinds with the same `nuisance_plan` get
 identical curves from the same seed, so one fit serves all of them;
-known (oracle) models are predicted by `Nuisances.whole_sample`.
+known (oracle) curves enter through the `Nuisances` constructor.
 
 Evaluate stage: `run_estimator` only evaluates: it reads each fold's
 curves, computes the fold estimates and averages them; it never
@@ -275,41 +275,31 @@ class Nuisances:
     Each fold's models were fit without the units in eval_idx (or on the
     whole sample when there is one fold) and predicted on those units.
     xs holds the eval_idx covariates in the fold's kernel
-    standardization, which the balance Gram is built from
-    (`whole_sample` takes the event model's, and None without one).
-    curves holds, per arm a in (0, 1), (event hazards, event survival,
-    censoring survival, P(A=a|X)): (n_fold, t_max + 1) matrices and an
-    (n_fold,) vector, each None where its model was not fit.
+    standardization, which the balance Gram is built from. curves holds,
+    per arm a in (0, 1), (event hazards, event survival, censoring
+    survival, P(A=a|X)): (n_fold, t_max + 1) matrices and an (n_fold,)
+    vector, each None where its model was not fit. Known (oracle) curves
+    enter by building such an entry directly.
     """
 
     folds: tuple[tuple[np.ndarray, np.ndarray | None, tuple], ...]
 
-    @classmethod
-    def whole_sample(cls, x, event=None, censor=None, propensity=None) -> "Nuisances":
-        """One fold holding every row of x, predicted from given (e.g. oracle) models."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2:
-            raise ValueError(f"x must be a 2-D covariate matrix, got shape {x.shape}")
-        xs = None if event is None else event.standardize(x)
-        return cls(((np.arange(len(x)), xs, _curves(x, event, censor, propensity)),))
 
-
-def _curves(x: np.ndarray, event, censor, propensity, k_pred: np.ndarray | None = None):
+def _curves(x: np.ndarray, k_pred: np.ndarray, event, censor, propensity):
     """Per arm, (event hazards, event survival, censoring survival, P(A=a|X)) at x.
 
-    An entry is None where its model is. k_pred, when given, is the Gram
-    matrix of x against the training basis both kernel hazard models
-    share, built once for both arms and both models.
+    An entry is None where its model is. k_pred is the Gram matrix of x
+    against the training basis both kernel hazard models share, built
+    once for both arms and both models.
     """
-    shared = () if k_pred is None else (k_pred,)
     curves = []
     for a in (0, 1):
         lam = s = g = pi = None
         if event is not None:
-            lam = event.hazard_matrix(x, a, *shared)
+            lam = event.hazard_matrix(k_pred, a)
             s = np.cumprod(1.0 - lam, axis=1)
         if censor is not None:
-            g = np.cumprod(1.0 - censor.hazard_matrix(x, a, *shared), axis=1)
+            g = np.cumprod(1.0 - censor.hazard_matrix(k_pred, a), axis=1)
         if propensity is not None:
             pi = propensity.prob(x, a)
         curves.append((lam, s, g, pi))
@@ -363,19 +353,16 @@ def fit_nuisances(
         # the event and censoring fits of one fold share one kernel basis
         basis = KernelBasis.of(train.x, params.kernel)
         models = (
-            fit_event_hazard(train, params.kernel, params.ridge, max_t, basis)
-            if use_event else None,
-            fit_censor_hazard(train, params.kernel, params.ridge, max_t, basis)
-            if use_censor else None,
+            fit_event_hazard(train, basis, params.ridge, max_t) if use_event else None,
+            fit_censor_hazard(train, basis, params.ridge, max_t) if use_censor else None,
             fit_propensity(train) if use_prop else None,
         )
         x = data.x[idx]
         if train is data:  # the whole sample is evaluated on its training units
             xs, k_pred = basis.train_x, basis.k_train
         else:
-            xs = (x - basis.mean) / basis.scale
-            k_pred = gram(xs, basis.train_x, params.kernel)
-        return idx, xs, _curves(x, *models, k_pred)
+            xs, k_pred = basis.standardize(x), basis.prediction_gram(x)
+        return idx, xs, _curves(x, k_pred, *models)
 
     if spec.folds == 1:
         return Nuisances((fold(np.arange(data.n), data),))

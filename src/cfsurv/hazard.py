@@ -13,18 +13,16 @@ the boundary of the likelihood and are represented by the clamp limits
 directly. The propensity is an unpenalized linear logistic regression.
 
 The event and censoring fits of one training fold share one
-`KernelBasis`: the standardization, the standardized training covariates
-and their Gram matrix, built once. The cross-fitting stage
-(`estimators.fit_nuisances`) predicts both models on the fold's held-out
-units right after the fit: it builds their Gram matrix against the
-basis once (on the whole sample, the training Gram itself) and passes
-it to `hazard_matrix` for both arms and both models, which gives the
-same bytes as `hazard_matrix` building it per call through
-`prediction_gram`. Prediction is one matrix product per model and arm:
-every Newton cell's alpha is scattered into its time's column of a
-coefficient matrix (zero outside the cell's risk set), so the logits of
-all times are k_pred @ A + b, and constant and empty cells then
-overwrite their columns with their level.
+`KernelBasis`, the only holder of the fold's kernel features: the
+standardization, the standardized training covariates and their Gram
+matrix, built once. A fitted `KernelHazardModel` holds only its cells.
+Prediction takes one input, the basis's Gram matrix of the units to
+predict (`KernelBasis.prediction_gram`, or `k_train` for the training
+units), and is one matrix product per model and arm: every Newton
+cell's alpha is scattered into its time's column of a coefficient
+matrix (zero outside the cell's risk set), so the logits of all times
+are k_pred @ A + b, and constant and empty cells then overwrite their
+columns with their level.
 
 Both logistic fits use one damped Newton method (`_damped_newton`),
 which backtracks on the residual norm, and every fit that stops at its
@@ -44,7 +42,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dposv as _dposv
@@ -60,9 +57,7 @@ __all__ = [
     "PROPENSITY_FLOOR",
     "KernelBasis",
     "KernelHazardModel",
-    "OracleHazardModel",
     "PropensityModel",
-    "OraclePropensity",
     "fit_event_hazard",
     "fit_censor_hazard",
     "fit_propensity",
@@ -195,9 +190,8 @@ class KernelBasis:
 
     Holds the standardization, the standardized training covariates and
     their Gram matrix. The event and censoring fits of one training fold
-    take the same basis, so the Gram matrix is built once per fold and
-    both models keep the same `train_x` object; the models do not keep
-    the Gram matrix.
+    take the same basis, so the Gram matrix is built once per fold, and
+    the fitted models are predicted from the basis's Gram matrices.
     """
 
     mean: np.ndarray
@@ -212,19 +206,6 @@ class KernelBasis:
         xs = (x - mean) / scale
         return cls(mean, scale, xs, kernel, gram(xs, xs, kernel))
 
-
-@dataclass(frozen=True)
-class KernelHazardModel:
-    """Per-(u, a) kernel logistic hazards sharing one standardization."""
-
-    grid: TimeGrid
-    mean: np.ndarray
-    scale: np.ndarray
-    train_x: np.ndarray  # standardized training covariates
-    kernel: KernelConfig
-    cells: dict[tuple[int, int], _Cell]
-    empty_cells: tuple[tuple[int, int], ...] = ()
-
     def standardize(self, x: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(np.asarray(x, dtype=float)) - self.mean) / self.scale
 
@@ -232,17 +213,22 @@ class KernelHazardModel:
         """Kernel matrix of x against the training covariates."""
         return gram(self.standardize(x), self.train_x, self.kernel)
 
-    def hazard_matrix(
-        self, x: np.ndarray, a: int, k_pred: np.ndarray | None = None
-    ) -> np.ndarray:
-        """(n, t_max + 1) predicted hazards; column 0 is identically 0.
 
-        k_pred, when given, is `prediction_gram(x)`, built once by the
-        caller and shared by both arms and by every model of the same
-        training basis.
+@dataclass(frozen=True)
+class KernelHazardModel:
+    """Per-(u, a) kernel logistic hazards fit on one `KernelBasis`."""
+
+    grid: TimeGrid
+    cells: dict[tuple[int, int], _Cell]
+    empty_cells: tuple[tuple[int, int], ...] = ()
+
+    def hazard_matrix(self, k_pred: np.ndarray, a: int) -> np.ndarray:
+        """(n, t_max + 1) predicted hazards in arm a; column 0 is identically 0.
+
+        k_pred is the fit's basis's Gram matrix of the n units to predict
+        (`prediction_gram`, or `k_train` for the training units), shared
+        by both arms and by every model of that basis.
         """
-        if k_pred is None:
-            k_pred = self.prediction_gram(x)
         # every Newton cell's alpha scattered into its column over its risk set
         n_pts = self.grid.n_points
         coef = np.zeros((k_pred.shape[1], n_pts))
@@ -263,61 +249,25 @@ class KernelHazardModel:
         return out
 
 
-@dataclass(frozen=True)
-class OracleHazardModel:
-    """Adapter exposing a known hazard function through the model interface."""
-
-    grid: TimeGrid
-    fn: Callable[[np.ndarray, int, int], np.ndarray]  # (X, a, u) -> (n,)
-
-    def standardize(self, x: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(np.asarray(x, dtype=float))
-
-    def hazard_matrix(self, x: np.ndarray, a: int) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros((x.shape[0], self.grid.n_points))
-        for u in range(1, self.grid.n_points):
-            out[:, u] = self.fn(x, a, u)
-        return out
-
-
 def fit_event_hazard(
-    data: Dataset,
-    kernel: KernelConfig = KernelConfig(),
-    ridge: float = 0.5,
-    max_time: int | None = None,
-    basis: KernelBasis | None = None,
+    data: Dataset, basis: KernelBasis, ridge: float = 0.5, max_time: int | None = None
 ) -> KernelHazardModel:
     """Fit the event hazard: labels 1(event, time = u) on each (u, a) risk set.
 
     Risk sets and labels are `active_matrix` and `event_matrix` columns,
-    for u = 1..max_time (default: the grid's t_max). `basis`, when
-    given, is `KernelBasis.of(data.x, kernel)`, built once and shared
-    with the censoring fit.
+    for u = 1..max_time (default: the grid's t_max). `basis` is
+    `KernelBasis.of(data.x, kernel)`, built once and shared with the
+    censoring fit.
     """
-    return _fit_cells(data, _checked_basis(data, kernel, basis), ridge, max_time, "event hazard")
+    return _fit_cells(data, basis, ridge, max_time, "event hazard")
 
 
 def fit_censor_hazard(
-    data: Dataset,
-    kernel: KernelConfig = KernelConfig(),
-    ridge: float = 0.5,
-    max_time: int | None = None,
-    basis: KernelBasis | None = None,
+    data: Dataset, basis: KernelBasis, ridge: float = 0.5, max_time: int | None = None
 ) -> KernelHazardModel:
     """Fit the censoring hazard: the event fit with flipped event flags."""
     flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
-    return _fit_cells(
-        flipped, _checked_basis(data, kernel, basis), ridge, max_time, "censoring hazard"
-    )
-
-
-def _checked_basis(data: Dataset, kernel: KernelConfig, basis: KernelBasis | None) -> KernelBasis:
-    if basis is None:
-        return KernelBasis.of(data.x, kernel)
-    if basis.kernel != kernel or basis.train_x.shape != data.x.shape:
-        raise ValueError("basis was not built from these covariates and kernel")
-    return basis
+    return _fit_cells(flipped, basis, ridge, max_time, "censoring hazard")
 
 
 def _fit_cells(
@@ -329,6 +279,8 @@ def _fit_cells(
     a cell whose Newton system cannot be factored raises NumericalError
     naming `what` and the cell.
     """
+    if basis.train_x.shape != data.x.shape:
+        raise ValueError("basis was not built from these covariates")
     if max_time is None:
         max_time = data.grid.t_max
     labels = event_matrix(data, max_time)
@@ -372,15 +324,7 @@ def _fit_cells(
             ConvergenceWarning,
             stacklevel=3,
         )
-    return KernelHazardModel(
-        grid=data.grid,
-        mean=basis.mean,
-        scale=basis.scale,
-        train_x=basis.train_x,
-        kernel=basis.kernel,
-        cells=cells,
-        empty_cells=tuple(empty),
-    )
+    return KernelHazardModel(grid=data.grid, cells=cells, empty_cells=tuple(empty))
 
 
 @dataclass(frozen=True)
@@ -397,17 +341,6 @@ class PropensityModel:
             PROPENSITY_FLOOR,
             1.0 - PROPENSITY_FLOOR,
         )
-        return p1 if a == 1 else 1.0 - p1
-
-
-@dataclass(frozen=True)
-class OraclePropensity:
-    """Known assignment probability exposed through the propensity interface."""
-
-    fn: Callable[[np.ndarray], np.ndarray]  # (X,) -> P(A=1|X)
-
-    def prob(self, x: np.ndarray, a: int) -> np.ndarray:
-        p1 = np.asarray(self.fn(np.atleast_2d(np.asarray(x, dtype=float))), dtype=float)
         return p1 if a == 1 else 1.0 - p1
 
 

@@ -50,6 +50,16 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _whole(name: str, values) -> np.ndarray:
+    """values as int64; a value that is not a whole number raises ValueError."""
+    col = np.asarray(values)
+    if col.dtype.kind not in "biu":
+        col = col.astype(float)
+        if not (np.isfinite(col) & (col == np.floor(col))).all():
+            raise ValueError(f"column {name} must hold whole numbers")
+    return col.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Column-array view of n observed units sharing a covariate dimension."""
@@ -62,9 +72,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        a = np.asarray(self.a, dtype=np.int64)
-        time = np.asarray(self.time, dtype=np.int64)
-        event = np.asarray(self.event, dtype=np.int64)
+        a, time, event = (_whole(name, getattr(self, name)) for name in ("a", "time", "event"))
         n = x.shape[0]
         if n == 0:
             raise ValueError("dataset must contain at least one unit")

@@ -1,16 +1,19 @@
 """Reference implementations the tests compare the package against.
 
 None of these runs in cfsurv itself: the fits stop on their own residual
-norms, the balance solve never evaluates its objective, and Gram
-matrices are built in one vectorized pass.
+norms, the balance solve never evaluates its objective, Gram matrices
+are built in one vectorized pass, and nuisance curves come from fitted
+models only.
 """
 
 import numpy as np
 from scipy.special import expit
 
 from cfsurv.balance import SolverConfig, direction_ratio
+from cfsurv.estimators import Nuisances
 from cfsurv.hazard import _propensity_grad
 from cfsurv.kernels import KernelConfig
+from cfsurv.survival import Dataset
 
 
 def rbf(x: np.ndarray, y: np.ndarray, cfg: KernelConfig) -> float:
@@ -94,3 +97,35 @@ def objective(
             np.sum(active[:, u] * r[:, u] ** 2 * omega[:, u] ** 2)
         )
     return total
+
+
+def known_nuisances(data: Dataset, event=None, censor=None, propensity=None) -> Nuisances:
+    """One whole-sample fold of known curves at the covariates of data.
+
+    event and censor are hazard functions (x, a, u) -> (n,) and
+    propensity is x -> P(A=1|X); an omitted function leaves its curves
+    None. Each hazard matrix is filled one u at a time, with column 0
+    held at 0. The fold's xs are the raw covariates, which the balance
+    Gram is then built from.
+    """
+    x = data.x
+
+    def hazards(fn, a):
+        out = np.zeros((data.n, data.grid.n_points))
+        for u in range(1, data.grid.n_points):
+            out[:, u] = fn(x, a, u)
+        return out
+
+    curves = []
+    for a in (0, 1):
+        lam = s = g = pi = None
+        if event is not None:
+            lam = hazards(event, a)
+            s = np.cumprod(1.0 - lam, axis=1)
+        if censor is not None:
+            g = np.cumprod(1.0 - hazards(censor, a), axis=1)
+        if propensity is not None:
+            p1 = np.asarray(propensity(x), dtype=float)
+            pi = p1 if a == 1 else 1.0 - p1
+        curves.append((lam, s, g, pi))
+    return Nuisances(((np.arange(data.n), x, tuple(curves)),))

@@ -21,15 +21,14 @@ from cfsurv.dgp import (
     true_event_hazard,
     true_propensity,
 )
-from cfsurv.estimators import Nuisances, run_estimator
-from cfsurv.hazard import OracleHazardModel, OraclePropensity
+from cfsurv.estimators import run_estimator
 from cfsurv.kernels import KernelConfig, gram
 from cfsurv.sim import SimulationConfig, derive_seed, nominal_coverage, run_xi_sweep
-from cfsurv.survival import TimeGrid
 from oracles import (
     derivative_direction,
     imbalance,
     klr_loss_grad,
+    known_nuisances,
     objective,
     propensity_loss_grad,
 )
@@ -252,30 +251,29 @@ def test_criterion_5_gradient_checks():
 
 
 def test_criterion_6_double_robustness():
-    grid = TimeGrid(30)
     base = SyntheticConfig(n=500, seed=0, standardize=False)
-    censor = OracleHazardModel(
-        grid, lambda x, a, u: true_censor_hazard(x, u) * np.ones(x.shape[0])
-    )
-    prop = OraclePropensity(lambda x: true_propensity(x, base))
+
+    def censor(x, a, u):
+        return true_censor_hazard(x, u) * np.ones(x.shape[0])
+
+    def prop(x):
+        return true_propensity(x, base)
+
     gt = ground_truth(base, mc_n=1_000_000, seed=9)
     q, t, master = 200, 10, 31337
     detail = []
     ok = True
     for perturb, label in ((0.0, "true"), (0.02, "perturbed")):
-        event = OracleHazardModel(
-            grid,
-            lambda x, a, u, p=perturb: np.minimum(
-                true_event_hazard(x, np.full(x.shape[0], a), u) + p, 0.999
-            ),
-        )
+        def event(x, a, u, p=perturb):
+            return np.minimum(true_event_hazard(x, np.full(x.shape[0], a), u) + p, 0.999)
+
         points = np.empty(q)
         for rep in range(q):
             data = gen_synthetic(
                 SyntheticConfig(n=500, seed=derive_seed(master, rep), standardize=False)
             )
             points[rep] = run_estimator(
-                data, "dr", [t], nuisances=Nuisances.whole_sample(data.x, event, censor, prop)
+                data, "dr", [t], nuisances=known_nuisances(data, event, censor, prop)
             )[0][("diff", t)].point
         bias = float(points.mean() - gt.delta[t])
         se = float(points.std(ddof=1) / np.sqrt(q))

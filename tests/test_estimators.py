@@ -24,15 +24,15 @@ from cfsurv.estimators import (
 )
 from cfsurv.hazard import (
     PROPENSITY_FLOOR,
+    KernelBasis,
     KernelHazardModel,
-    OracleHazardModel,
-    OraclePropensity,
     PropensityModel,
     fit_censor_hazard,
     fit_event_hazard,
 )
 from cfsurv.kernels import KernelConfig
 from cfsurv.survival import Dataset, TimeGrid, write_dataset_csv
+from oracles import known_nuisances
 
 
 def _units(x, a, time, t_max=3):
@@ -47,12 +47,17 @@ def _units(x, a, time, t_max=3):
 
 def _oracle_nuisances(data, hazard, pi1=None):
     """Known curves: event hazard(x, u) in both arms, no censoring, P(A=1|X) = pi1(x)."""
-    event = OracleHazardModel(data.grid, lambda x, a, u: hazard(x[:, 0], u))
+
+    def event(x, a, u):
+        return hazard(x[:, 0], u)
+
     if pi1 is None:
-        return Nuisances.whole_sample(data.x, event=event)
-    censor = OracleHazardModel(data.grid, lambda x, a, u: np.zeros(x.shape[0]))
-    prop = OraclePropensity(lambda x: pi1(x[:, 0]))
-    return Nuisances.whole_sample(data.x, event, censor, prop)
+        return known_nuisances(data, event)
+
+    def censor(x, a, u):
+        return np.zeros(x.shape[0])
+
+    return known_nuisances(data, event, censor, lambda x: pi1(x[:, 0]))
 
 
 def _survival_at(nuisances, arm, t):
@@ -186,7 +191,7 @@ def _unit_dataset():
 
 
 def _censor_oracle(g_curve):
-    """Censor model whose survival curve is the given fixed vector."""
+    """Censoring hazard whose survival curve is the given fixed vector."""
     curve = np.asarray(g_curve, dtype=float)
     hazards = np.zeros_like(curve)
     hazards[1:] = 1.0 - curve[1:] / curve[:-1]
@@ -194,11 +199,11 @@ def _censor_oracle(g_curve):
     def fn(x, a, u):
         return np.full(x.shape[0], hazards[u])
 
-    return OracleHazardModel(grid=TimeGrid(len(curve) - 1), fn=fn)
+    return fn
 
 
 def _ipw(data, t, censor, prop):
-    nuisances = Nuisances.whole_sample(data.x, censor=censor, propensity=prop)
+    nuisances = known_nuisances(data, censor=censor, propensity=prop)
     return run_estimator(data, "ipw", [t], nuisances=nuisances)[0][(1, t)]
 
 
@@ -206,8 +211,7 @@ def test_ipw_single_unit_formula():
     # A=a, E=1, T=3 <= t, pi=0.5, G_3=0.8: point = 1 - 2.5
     data = _unit_dataset()
     censor = _censor_oracle([1.0, 0.8, 0.8, 0.8, 0.8, 0.8])
-    prop = OraclePropensity(lambda x: np.full(x.shape[0], 0.5))
-    res = _ipw(data, 3, censor, prop)
+    res = _ipw(data, 3, censor, lambda x: np.full(x.shape[0], 0.5))
     assert res.point == pytest.approx(-1.5, abs=1e-12)
 
 
@@ -217,8 +221,7 @@ def test_ipw_no_events_before_t():
         event=np.ones(4, dtype=int), grid=TimeGrid(5),
     )
     censor = _censor_oracle(np.ones(6))
-    prop = OraclePropensity(lambda x: np.full(x.shape[0], 0.7))
-    res = _ipw(data, 3, censor, prop)
+    res = _ipw(data, 3, censor, lambda x: np.full(x.shape[0], 0.7))
     assert res.point == 1.0
 
 
@@ -230,9 +233,8 @@ def test_ipw_collapses_to_empirical_survival():
         event=np.ones(40, dtype=int), grid=TimeGrid(6),
     )
     censor = _censor_oracle(np.ones(7))
-    prop = OraclePropensity(lambda x: np.ones(x.shape[0]))
     for t in (2, 4):
-        res = _ipw(data, t, censor, prop)
+        res = _ipw(data, t, censor, lambda x: np.ones(x.shape[0]))
         assert res.point == pytest.approx(float(np.mean(times > t)), abs=1e-12)
 
 
@@ -252,8 +254,10 @@ def test_balance_large_sigma2_approaches_crossfit_plugin():
     plan = FoldPlan.make(data.n, 2, seed=4)
     fold_points = []
     for f in range(2):
-        model = fit_event_hazard(data.subset(plan.train_indices(f)), max_time=5)
-        lam = model.hazard_matrix(data.subset(plan.fold_indices(f)).x, 1)
+        train = data.subset(plan.train_indices(f))
+        basis = KernelBasis.of(train.x, KernelConfig())
+        model = fit_event_hazard(train, basis, max_time=5)
+        lam = model.hazard_matrix(basis.prediction_gram(data.subset(plan.fold_indices(f)).x), 1)
         fold_points.append(float(np.mean(np.cumprod(1.0 - lam, axis=1)[:, 5])))
     assert res.point == pytest.approx(float(np.mean(fold_points)), abs=1e-8)
 
@@ -269,11 +273,9 @@ def test_balance_small_sigma2_oracle_hazard_instance():
         time=rng.integers(4, 7, size=n), event=np.ones(n, dtype=int), grid=grid,
     )
     truth = {(u, a): 0.0 if u <= t else 0.3 for u in range(1, 7) for a in (0, 1)}
-    oracle = OracleHazardModel(grid, lambda x, a, u: np.full(x.shape[0], truth[(u, a)]))
     params = EstimatorParams(kernel=KernelConfig(length_scale=1.0), sigma2=1e-8)
-    res = run_estimator(
-        data, "balance", [t], params, nuisances=Nuisances.whole_sample(data.x, event=oracle)
-    )[0][(1, t)]
+    nuisances = known_nuisances(data, lambda x, a, u: np.full(x.shape[0], truth[(u, a)]))
+    res = run_estimator(data, "balance", [t], params, nuisances=nuisances)[0][(1, t)]
     assert abs(res.point - 1.0) <= 1e-6
 
 
@@ -376,7 +378,6 @@ def _count_grams(monkeypatch):
 def test_each_fold_builds_its_grams_once(monkeypatch, kind, fit_grams, eval_grams):
     data = gen_synthetic(SyntheticConfig(n=60, seed=12))
     shapes = _count_grams(monkeypatch)
-    fitted = _capture_fits(monkeypatch)
     nuisances = fit_nuisances(data, kind, [5, 10], seed=3)
     assert len(shapes) == fit_grams
     # per fold: the training Gram, then the held-out units against it
@@ -389,8 +390,23 @@ def test_each_fold_builds_its_grams_once(monkeypatch, kind, fit_grams, eval_gram
     run_estimator(data, kind, [5, 10], seed=3, nuisances=nuisances)
     assert len(shapes) == fit_grams + eval_grams
     assert all(rows == cols for rows, cols in shapes[fit_grams:])  # balance Grams
-    for event, censor in zip(fitted["fit_event_hazard"], fitted["fit_censor_hazard"]):
-        assert event.train_x is censor.train_x
+
+
+def _apart(data, idx, train, prop):
+    """A fold entry whose hazard models each fit and predict from a basis of their own."""
+    x = data.x[idx]
+    predicted = []
+    for fit in (fit_event_hazard, fit_censor_hazard):
+        basis = KernelBasis.of(train.x, KernelConfig())
+        predicted.append((fit(train, basis, max_time=10), basis.prediction_gram(x)))
+    (event, k_event), (censor, k_censor) = predicted
+    curves = []
+    for a in (0, 1):
+        lam = event.hazard_matrix(k_event, a)
+        g = np.cumprod(1.0 - censor.hazard_matrix(k_censor, a), axis=1)
+        pi = None if prop is None else prop.prob(x, a)
+        curves.append((lam, np.cumprod(1.0 - lam, axis=1), g, pi))
+    return idx, basis.standardize(x), tuple(curves)
 
 
 def test_shared_grams_give_the_fit_per_model_bytes(monkeypatch):
@@ -402,24 +418,17 @@ def test_shared_grams_give_the_fit_per_model_bytes(monkeypatch):
     shared = run_estimator(data, "dr", [5, 10], seed=2, nuisances=nuisances)[0]
     plan = FoldPlan.make(data.n, 5, seed=2)
     separate = Nuisances(tuple(
-        (idx, *Nuisances.whole_sample(
-            data.x[idx], fit_event_hazard(train, max_time=10),
-            fit_censor_hazard(train, max_time=10), prop,
-        ).folds[0][1:])
-        for (idx, _, _), train, prop in zip(
-            nuisances.folds,
-            (data.subset(plan.train_indices(f)) for f in range(5)),
-            fitted["fit_propensity"],
-        )
+        _apart(data, idx, data.subset(plan.train_indices(f)), prop)
+        for f, ((idx, _, _), prop) in enumerate(zip(nuisances.folds, fitted["fit_propensity"]))
     ))
     apart = run_estimator(data, "dr", [5, 10], seed=2, nuisances=separate)[0]
     for key, res in shared.items():
         assert res.point == apart[key].point
         assert res.influence.tobytes() == apart[key].influence.tobytes()
+    # the whole sample is predicted from its training Gram, not a prediction Gram
     whole = run_estimator(data, "or", [5, 10])[0]
     alone = run_estimator(
-        data, "or", [5, 10],
-        nuisances=Nuisances.whole_sample(data.x, fit_event_hazard(data, max_time=10)),
+        data, "or", [5, 10], nuisances=Nuisances((_apart(data, np.arange(data.n), data, None),))
     )[0]
     for key, res in whole.items():
         assert res.influence.tobytes() == alone[key].influence.tobytes()
@@ -434,7 +443,7 @@ def test_evaluation_reads_curves_and_predicts_nothing(monkeypatch, kind):
     calls = []
     for owner, name in (
         (KernelHazardModel, "hazard_matrix"),
-        (KernelHazardModel, "prediction_gram"),
+        (KernelBasis, "prediction_gram"),
         (PropensityModel, "prob"),
     ):
         original = getattr(owner, name)
@@ -448,15 +457,6 @@ def test_evaluation_reads_curves_and_predicts_nothing(monkeypatch, kind):
     run_estimator(data, kind, [5, 10], seed=3, nuisances=nuisances)
     assert calls == []
     assert len(shapes) == (2 if kind == "balance" else 0)
-
-
-def test_whole_sample_takes_a_covariate_matrix():
-    data = gen_synthetic(SyntheticConfig(n=30, seed=1))
-    prop = OraclePropensity(lambda x: np.full(x.shape[0], 0.5))
-    assert len(Nuisances.whole_sample(data.x, propensity=prop).folds[0][0]) == data.n
-    for bad in (data.n, data.x[:, 0], data.x[None]):
-        with pytest.raises(ValueError, match="2-D"):
-            Nuisances.whole_sample(bad, propensity=prop)
 
 
 _TIMES = [5, 10, 15]
@@ -500,28 +500,17 @@ def _fail_solve_of_t10(monkeypatch):
     monkeypatch.setattr(cfsurv.estimators, "solve_balance_weights", failing)
 
 
-@pytest.mark.parametrize(
-    "kind, inject",
-    [
-        ("balance", _fail_solve_of_t10),
-    ],
-    ids=["balance-solve"],
-)
-def test_failed_time_leaves_the_other_times_in_place(monkeypatch, kind, inject):
+def test_failed_time_leaves_the_other_times_in_place(monkeypatch):
     data = gen_synthetic(SyntheticConfig(n=120, seed=41))
-    nuisances = fit_nuisances(data, kind, _TIMES, seed=7)
-    clean = run_estimator(data, kind, _TIMES, seed=7, nuisances=nuisances)[0]
-    inject(monkeypatch)
-    results, failures = run_estimator(data, kind, _TIMES, seed=7, nuisances=nuisances)
+    nuisances = fit_nuisances(data, "balance", _TIMES, seed=7)
+    clean = run_estimator(data, "balance", _TIMES, seed=7, nuisances=nuisances)[0]
+    _fail_solve_of_t10(monkeypatch)
+    results, failures = run_estimator(data, "balance", _TIMES, seed=7, nuisances=nuisances)
     assert set(failures) == {(0, 10), (1, 10), ("diff", 10)}
     assert all("injected" in reason for reason in failures.values())
     assert set(results) == {key for key in clean if key[1] != 10}
     for key, res in results.items():
-        if kind == "balance":
-            assert abs(res.point - clean[key].point) <= 1e-8 * clean[key].std_error
-        else:
-            assert res.point == clean[key].point
-            assert res.influence.tobytes() == clean[key].influence.tobytes()
+        assert abs(res.point - clean[key].point) <= 1e-8 * clean[key].std_error
 
 
 def _zero_propensity(idx, data, curves):
@@ -596,8 +585,11 @@ def test_ipw_warns_once_per_arm_with_floor_weights(p1, warned):
         x=np.arange(4.0)[:, None], a=np.array([1, 1, 0, 0]), time=np.array([2, 3, 2, 3]),
         event=np.array([1, 0, 1, 0]), grid=TimeGrid(5),
     )
-    prop = OraclePropensity(lambda x: np.array([p1.get(i, 0.5) for i in range(len(x))]))
-    nuisances = Nuisances.whole_sample(data.x, censor=_censor_oracle(np.ones(6)), propensity=prop)
+    nuisances = known_nuisances(
+        data,
+        censor=_censor_oracle(np.ones(6)),
+        propensity=lambda x: np.array([p1.get(i, 0.5) for i in range(len(x))]),
+    )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_estimator(data, "ipw", [2, 3, 4], nuisances=nuisances)

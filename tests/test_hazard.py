@@ -12,7 +12,6 @@ from cfsurv.dgp import (
     gen_synthetic,
     gen_twins_like,
     surrogate_twins_table,
-    true_censor_hazard,
     true_event_hazard,
 )
 from cfsurv.errors import ConvergenceWarning, CoverageWarning, EstimationError, NumericalError
@@ -21,7 +20,6 @@ from cfsurv.hazard import (
     HAZARD_CEIL,
     HAZARD_FLOOR,
     KernelBasis,
-    OracleHazardModel,
     fit_censor_hazard,
     fit_event_hazard,
     fit_propensity,
@@ -29,7 +27,7 @@ from cfsurv.hazard import (
 from cfsurv.kernels import KernelConfig, gram
 from cfsurv.sim import derive_seed, splitmix64
 from cfsurv.survival import Dataset, TimeGrid, active_matrix, event_matrix
-from oracles import klr_loss_grad, propensity_loss_grad
+from oracles import klr_loss_grad, known_nuisances, propensity_loss_grad
 
 
 def central_diff(fn, theta, step=1e-5):
@@ -86,6 +84,10 @@ def _dataset(x, a, time, event, t_max=5):
     )
 
 
+def _basis(data, kernel=KernelConfig()):
+    return KernelBasis.of(data.x, kernel)
+
+
 def test_all_zero_labels_hazard_small():
     # every arm-1 unit is censored at time 3, so the (3, 1) cell sees only
     # zeros; with a free intercept the fit limit is the clamp floor
@@ -93,8 +95,9 @@ def test_all_zero_labels_hazard_small():
         x=np.linspace(-1, 1, 8), a=np.ones(8, dtype=int),
         time=np.full(8, 3), event=np.zeros(8, dtype=int),
     )
-    model = fit_event_hazard(data, ridge=1e-2, max_time=3)
-    lam = model.hazard_matrix(data.x, 1)
+    basis = _basis(data)
+    model = fit_event_hazard(data, basis, ridge=1e-2, max_time=3)
+    lam = model.hazard_matrix(basis.k_train, 1)
     assert np.all(lam[:, 3] <= 0.05)
     assert np.all(lam[:, 3] == HAZARD_FLOOR)
 
@@ -109,8 +112,9 @@ def test_all_zero_labels_hazard_small():
 
 def test_single_event_unit_hazard_large():
     data = _dataset(x=[0.3], a=[1], time=[2], event=[1], t_max=2)
-    model = fit_event_hazard(data, ridge=1e-2)
-    lam = model.hazard_matrix(data.x, 1)
+    basis = _basis(data)
+    model = fit_event_hazard(data, basis, ridge=1e-2)
+    lam = model.hazard_matrix(basis.k_train, 1)
     assert lam[0, 2] >= 0.5
     assert lam[0, 2] == HAZARD_CEIL
 
@@ -132,8 +136,9 @@ def test_mixed_cell_mean_calibration():
         x=rng.normal(size=n), a=np.ones(n, dtype=int), time=times,
         event=np.ones(n, dtype=int),
     )
-    model = fit_event_hazard(data, ridge=1e-2, max_time=1)
-    lam = model.hazard_matrix(data.x, 1)
+    basis = _basis(data)
+    model = fit_event_hazard(data, basis, ridge=1e-2, max_time=1)
+    lam = model.hazard_matrix(basis.k_train, 1)
     assert float(np.mean(lam[:, 1])) == pytest.approx(k_events / n, abs=1e-6)
 
 
@@ -145,11 +150,13 @@ def test_flip_symmetry_event_vs_censor():
         time=rng.integers(1, 6, size=n), event=rng.integers(0, 2, size=n),
     )
     flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
-    censor = fit_censor_hazard(data, ridge=1e-2)
-    event_on_flipped = fit_event_hazard(flipped, ridge=1e-2)
+    basis = _basis(data)
+    censor = fit_censor_hazard(data, basis, ridge=1e-2)
+    event_on_flipped = fit_event_hazard(flipped, basis, ridge=1e-2)
     for a in (0, 1):
         np.testing.assert_array_equal(
-            censor.hazard_matrix(data.x, a), event_on_flipped.hazard_matrix(data.x, a)
+            censor.hazard_matrix(basis.k_train, a),
+            event_on_flipped.hazard_matrix(basis.k_train, a),
         )
 
 
@@ -158,14 +165,15 @@ def test_empty_risk_set_falls_back_with_warning():
     data = _dataset(
         x=[0.0, 0.5, 1.0, -1.0], a=[0, 0, 1, 1], time=[2, 2, 5, 5], event=[1, 1, 1, 0],
     )
+    basis = _basis(data)
     with pytest.warns(CoverageWarning, match="^event hazard: ") as caught:
-        model = fit_event_hazard(data, max_time=5)
+        model = fit_event_hazard(data, basis, max_time=5)
     assert caught[0].filename == __file__  # points at the caller of the fit
     assert ((3, 0) in model.empty_cells) and ((5, 0) in model.empty_cells)
-    lam = model.hazard_matrix(data.x, 0)
+    lam = model.hazard_matrix(basis.k_train, 0)
     assert np.all(lam[:, 3] == HAZARD_FLOOR)
     with pytest.warns(CoverageWarning, match="^censoring hazard: ") as caught:
-        fit_censor_hazard(data, max_time=5)
+        fit_censor_hazard(data, basis, max_time=5)
     assert caught[0].filename == __file__
 
 
@@ -176,34 +184,34 @@ def test_predictions_respect_clamp_and_monotone_survival():
         x=rng.normal(size=n), a=rng.integers(0, 2, size=n),
         time=rng.integers(1, 6, size=n), event=rng.integers(0, 2, size=n),
     )
-    model = fit_event_hazard(data)
+    basis = _basis(data)
+    model = fit_event_hazard(data, basis)
     for a in (0, 1):
-        lam = model.hazard_matrix(data.x, a)
+        lam = model.hazard_matrix(basis.k_train, a)
         assert np.all(lam[:, 0] == 0.0)
         assert np.all(lam[:, 1:] >= HAZARD_FLOOR) and np.all(lam[:, 1:] <= HAZARD_CEIL)
         s = np.cumprod(1.0 - lam, axis=1)
         assert np.all(np.diff(s, axis=1) <= 0.0)
 
 
-def _survival(model, x, a):
-    return np.cumprod(1.0 - model.hazard_matrix(x, a), axis=1)
-
-
 def test_predict_curves_zero_and_constant_hazard():
-    grid = TimeGrid(5)
-    x = np.zeros((1, 2))
-    zero = OracleHazardModel(grid, lambda x, a, u: np.zeros(x.shape[0]))
-    lam = zero.hazard_matrix(x, 1)[0]
-    s = _survival(zero, x, 1)[0]
-    g = _survival(zero, x, 1)[0]
-    h = s * g
+    # the known curves the oracle tests build their nuisances from
+    data = _dataset(x=np.zeros((1, 2)), a=[1], time=[1], event=[1])
+
+    def zero(x, a, u):
+        return np.zeros(x.shape[0])
+
+    def const(x, a, u):
+        return np.full(x.shape[0], 0.1)
+
+    lam, s, g, _ = known_nuisances(data, zero, zero).folds[0][2][1]
+    h = s[0] * g[0]
     assert np.all(lam == 0.0) and np.all(s == 1.0) and np.all(g == 1.0) and np.all(h == 1.0)
 
-    const = OracleHazardModel(grid, lambda x, a, u: np.full(x.shape[0], 0.1))
-    s = _survival(const, x, 0)[0]
-    h = s * _survival(zero, x, 0)[0]
+    _, s, g, _ = known_nuisances(data, const, zero).folds[0][2][0]
+    h = s[0] * g[0]
     assert h[3] == pytest.approx(0.729, abs=1e-12)
-    assert s[3] == pytest.approx(0.729, abs=1e-12)
+    assert s[0, 3] == pytest.approx(0.729, abs=1e-12)
 
 
 def test_sub_survival_below_both_factors():
@@ -213,10 +221,10 @@ def test_sub_survival_below_both_factors():
         x=rng.normal(size=n), a=rng.integers(0, 2, size=n),
         time=rng.integers(1, 6, size=n), event=rng.integers(0, 2, size=n),
     )
-    event = fit_event_hazard(data)
-    censor = fit_censor_hazard(data)
-    s = _survival(event, data.x[:1], 1)[0]
-    g = _survival(censor, data.x[:1], 1)[0]
+    basis = _basis(data)
+    k_first = basis.prediction_gram(data.x[:1])
+    s = np.cumprod(1.0 - fit_event_hazard(data, basis).hazard_matrix(k_first, 1), axis=1)[0]
+    g = np.cumprod(1.0 - fit_censor_hazard(data, basis).hazard_matrix(k_first, 1), axis=1)[0]
     h = s * g
     assert np.all(h <= np.minimum(s, g) + 1e-15)
 
@@ -229,8 +237,9 @@ def test_loss_separates_across_cells():
         x=rng.normal(size=n), a=rng.integers(0, 2, size=n),
         time=rng.integers(1, 6, size=n), event=rng.integers(0, 2, size=n),
     )
-    model = fit_event_hazard(data)
-    lam = {a: model.hazard_matrix(data.x, a) for a in (0, 1)}
+    basis = _basis(data)
+    model = fit_event_hazard(data, basis)
+    lam = {a: model.hazard_matrix(basis.k_train, a) for a in (0, 1)}
 
     total = 0.0
     for i in range(n):
@@ -297,8 +306,9 @@ def test_censor_fit_recovers_flat_hazard():
     # true censor hazard at x4 = 0 is 0.01 * sigmoid(0) = 0.005
     cfg = SyntheticConfig(n=2500, seed=11, standardize=False)
     data = gen_synthetic(cfg)
-    model = fit_censor_hazard(data, max_time=8)
-    at_zero = model.hazard_matrix(np.zeros((1, 10)), 0)
+    basis = _basis(data)
+    model = fit_censor_hazard(data, basis, max_time=8)
+    at_zero = model.hazard_matrix(basis.prediction_gram(np.zeros((1, 10))), 0)
     for u in (2, 5, 8):
         assert abs(at_zero[0, u] - 0.005) <= 0.01
 
@@ -307,11 +317,13 @@ def test_event_fit_consistency_smoke():
     # held-out hazard error small at a moderate sample size
     cfg = SyntheticConfig(n=4000, seed=13, standardize=False)
     data = gen_synthetic(cfg)
-    model = fit_event_hazard(data, max_time=15)
+    basis = _basis(data)
+    model = fit_event_hazard(data, basis, max_time=15)
     holdout = gen_synthetic(SyntheticConfig(n=400, seed=14, standardize=False))
+    k_holdout = basis.prediction_gram(holdout.x)
     errs = []
     for a in (0, 1):
-        lam = model.hazard_matrix(holdout.x, a)
+        lam = model.hazard_matrix(k_holdout, a)
         for u in range(1, 16):
             truth = true_event_hazard(holdout.x, np.full(holdout.n, a), u)
             errs.append(np.mean(np.abs(lam[:, u] - truth)))
@@ -320,6 +332,7 @@ def test_event_fit_consistency_smoke():
 
 def test_newton_non_convergence_is_reported_once(monkeypatch):
     data = gen_synthetic(SyntheticConfig(n=60, seed=5))
+    basis = _basis(data)
     for fit, what, first_stalled in (
         (fit_event_hazard, "event hazard", "(1, 0)"),
         (fit_censor_hazard, "censoring hazard", "(3, 1)"),
@@ -327,7 +340,7 @@ def test_newton_non_convergence_is_reported_once(monkeypatch):
         with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
             patch.setattr(hazard, "NEWTON_MAX_ITER", 1)
             warnings.simplefilter("always")
-            fit(data, max_time=5)
+            fit(data, basis, max_time=5)
         stalled = [w for w in caught if issubclass(w.category, ConvergenceWarning)]
         assert len(stalled) == 1
         assert str(stalled[0].message).startswith(what + ": ")
@@ -335,7 +348,7 @@ def test_newton_non_convergence_is_reported_once(monkeypatch):
         assert stalled[0].filename == __file__  # points at the caller of the fit
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
-            fit(data, max_time=5)
+            fit(data, basis, max_time=5)
 
     with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
         patch.setattr(hazard, "PROPENSITY_MAX_ITER", 1)
@@ -350,37 +363,20 @@ def test_newton_non_convergence_is_reported_once(monkeypatch):
 
 
 def test_shared_prediction_gram_gives_the_same_bytes():
+    # the whole-sample fold predicts from k_train: on its own training
+    # units the prediction Gram is the training Gram, byte for byte
     rng = np.random.default_rng(6)
-    n = 40
-    data = _dataset(
-        x=rng.normal(size=(n, 3)), a=rng.integers(0, 2, size=n),
-        time=rng.integers(1, 6, size=n), event=rng.integers(0, 2, size=n),
-    )
-    basis = KernelBasis.of(data.x, KernelConfig())
-    event = fit_event_hazard(data, basis=basis)
-    censor = fit_censor_hazard(data, basis=basis)
-    assert event.train_x is censor.train_x
-    holdout = rng.normal(size=(15, 3))
-    k_pred = event.prediction_gram(holdout)
-    for model in (event, censor):
-        for a in (0, 1):
-            shared = model.hazard_matrix(holdout, a, k_pred)
-            assert shared.tobytes() == model.hazard_matrix(holdout, a).tobytes()
-    # on its own training units the prediction Gram is the training Gram
-    assert event.prediction_gram(data.x).tobytes() == basis.k_train.tobytes()
-    # a basis built with the fit's own kernel is the one the fit would build
-    alone = fit_event_hazard(data)
-    for a in (0, 1):
-        assert alone.hazard_matrix(holdout, a).tobytes() == event.hazard_matrix(holdout, a).tobytes()
+    x = rng.normal(size=(40, 3))
+    basis = KernelBasis.of(x, KernelConfig())
+    assert basis.prediction_gram(x).tobytes() == basis.k_train.tobytes()
 
 
 def test_basis_must_match_the_fit():
     data = gen_synthetic(SyntheticConfig(n=30, seed=2))
-    basis = KernelBasis.of(data.x, KernelConfig())
-    with pytest.raises(ValueError, match="basis"):
-        fit_event_hazard(data, KernelConfig(length_scale=2.0), basis=basis)
-    with pytest.raises(ValueError, match="basis"):
-        fit_censor_hazard(data.subset(np.arange(20)), basis=basis)
+    basis = _basis(data)
+    for fit in (fit_event_hazard, fit_censor_hazard):
+        with pytest.raises(ValueError, match="basis"):
+            fit(data.subset(np.arange(20)), basis)
 
 
 def _twins_like(n, seed):
@@ -396,11 +392,12 @@ def _twins_like(n, seed):
 def test_newton_cells_reach_the_loss_gradient_tolerance(data):
     # oracle: the loss gradient recomputed from K, y and the returned
     # (alpha, b), not from the linear predictor the solver carries along
-    k_full = KernelBasis.of(data.x, KernelConfig()).k_train
+    basis = _basis(data)
+    k_full = basis.k_train
     flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
     checked = 0
     for fit, labelled in ((fit_event_hazard, data), (fit_censor_hazard, flipped)):
-        model = fit(data, max_time=25)
+        model = fit(data, basis, max_time=25)
         labels = event_matrix(labelled, 25)
         for (u, _), cell in model.cells.items():
             if cell.alpha is None:
@@ -440,16 +437,16 @@ def test_hazard_matrix_matches_the_per_cell_oracle():
     event = np.where(time == 5, 0, rng.integers(0, 2, size=n))
     data = _dataset(x=rng.normal(size=(n, 3)), a=a, time=time, event=event, t_max=6)
     holdout = rng.normal(size=(25, 3))
-    basis = KernelBasis.of(data.x, KernelConfig())
+    basis = _basis(data)
     with pytest.warns(CoverageWarning):
-        models = [fit(data, max_time=5, basis=basis) for fit in (fit_event_hazard, fit_censor_hazard)]
-    k_pred = models[0].prediction_gram(holdout)
+        models = [fit(data, basis, max_time=5) for fit in (fit_event_hazard, fit_censor_hazard)]
+    k_pred = basis.prediction_gram(holdout)
     for model in models:
         assert (3, 0) in model.empty_cells
         assert model.cells[(5, 1)].constant is not None
         assert sum(cell.alpha is not None for cell in model.cells.values()) >= 5
         for arm in (0, 1):
-            got = model.hazard_matrix(holdout, arm, k_pred)
+            got = model.hazard_matrix(k_pred, arm)
             want = _per_cell_hazards(model, k_pred, arm)
             assert np.all(got[:, 0] == 0.0)
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
@@ -547,12 +544,13 @@ def _separable_cells(n=200):
 def test_newton_cells_match_the_jacobian_oracle(
     data, kernel, ridge, max_time, censor_too, min_risk_set, hits_floor
 ):
-    k_full = KernelBasis.of(data.x, kernel).k_train
+    basis = _basis(data, kernel)
+    k_full = basis.k_train
     flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
     pairs = [(fit_event_hazard, data), (fit_censor_hazard, flipped)]
     sizes, w_min = [], np.inf
     for fit, labelled in pairs if censor_too else pairs[:1]:
-        model = fit(data, kernel, ridge, max_time=max_time)
+        model = fit(data, basis, ridge, max_time=max_time)
         labels = event_matrix(labelled, max_time)
         for (u, _), cell in model.cells.items():
             if cell.alpha is None:
@@ -577,6 +575,7 @@ def test_indefinite_newton_system_is_a_numerical_error():
 
 def test_failed_newton_cell_is_named(monkeypatch):
     data = gen_synthetic(SyntheticConfig(n=60, seed=5))
+    basis = _basis(data)
     flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
     newton = hazard._newton_klr
     for fit, labelled, what, (u, a) in (
@@ -595,7 +594,7 @@ def test_failed_newton_cell_is_named(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(hazard, "_newton_klr", failing)
             with pytest.raises(NumericalError) as err:
-                fit(data, max_time=5)
+                fit(data, basis, max_time=5)
         assert str(err.value) == (
             f"{what}: cell ({u}, {a}): Newton system not positive definite (dposv info 7)"
         )

@@ -81,6 +81,33 @@ def test_dataset_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "column, values",
+    [
+        ("a", [0.6, 1, 0]),
+        ("time", [2.5, 3, 1.9]),
+        ("event", [0.7, 1, 0]),
+        ("time", [2, np.nan, 1]),
+        ("time", [2, np.inf, 1]),
+    ],
+    ids=["a", "time", "event", "time-nan", "time-inf"],
+)
+def test_dataset_rejects_fractional_columns(column, values):
+    # a cast to int would truncate these to valid-looking 0/1 flags and times
+    columns = {"a": [0, 1, 0], "time": [2, 3, 1], "event": [0, 1, 0], column: values}
+    with pytest.raises(ValueError, match=f"column {column} must hold whole numbers"):
+        Dataset(x=np.zeros((3, 1)), grid=TimeGrid(5), **columns)
+
+
+def test_dataset_accepts_whole_valued_floats():
+    data = Dataset(
+        x=np.zeros((3, 1)), a=[0.0, 1.0, 0.0], time=[2.0, 3.0, 1.0], event=[False, True, False],
+        grid=TimeGrid(5),
+    )
+    assert data.a.dtype == data.time.dtype == data.event.dtype == np.int64
+    assert data.time.tolist() == [2, 3, 1] and data.event.tolist() == [0, 1, 0]
+
+
 def test_dataset_arrays_are_readonly():
     data = _toy_dataset()
     with pytest.raises(ValueError):
