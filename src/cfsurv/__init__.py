@@ -1,6 +1,6 @@
 """Counterfactual survival estimation with augmented minimax balancing weights."""
 
-from .balance import BalanceWeights, SolverConfig, explicit_riesz, solve_balance_weights
+from .balance import BalanceWeights, explicit_riesz, solve_balance_weights
 from .dgp import (
     GroundTruth,
     SyntheticConfig,

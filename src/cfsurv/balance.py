@@ -15,11 +15,11 @@ where I_u(w) = ||K^{1/2} (r_u (1 - active_u * w_u))|| is the worst-case
 imbalance over the RKHS unit ball. Writing v = r_u * active_u * w_u, the
 minimizer solves the active-set restriction of (K + sigma^2/n I) v = K r_u,
 so no iterative solver is involved. Risk-set masks {a_i = a, time_i >= u}
-shrink with u, so after sorting units by descending exit time every
-active set is a prefix and every system matrix a leading principal block
-of the first one. The Cholesky factor of a leading block is the leading
-block of the full factor (Golub & Van Loan), so one factorization serves
-all timesteps.
+shrink with u, and the solve accepts only such nested masks: after
+sorting units by descending exit time every active set is a prefix and
+every system matrix a leading principal block of the first one. The
+Cholesky factor of a leading block is the leading block of the full
+factor (Golub & Van Loan), so one factorization serves all timesteps.
 
 The risk sets do not depend on the evaluation time t either: only the
 direction S_t * q does. `run_estimator` computes q once per (fold, arm),
@@ -39,7 +39,6 @@ from .errors import NumericalError
 from .kernels import cho_solve_checked, spd_factor
 
 __all__ = [
-    "SolverConfig",
     "direction_ratio",
     "explicit_riesz",
     "solve_balance_weights",
@@ -50,29 +49,20 @@ _R_TINY = 1e-12  # below this |r| the weight cell is irrelevant and set to 0
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    sigma2: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.sigma2 > 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-
-
-@dataclass(frozen=True)
 class BalanceWeights:
-    """Per-observation, per-timestep weights; zero off the active set.
+    """Per-observation, per-timestep weights of c directions; zero off the active set.
 
-    A stacked solve holds one (n, t+1) slice of omega per direction on
-    its trailing axis; failures maps each direction whose solve failed
-    to the reason, and that direction's weights are zero.
+    omega holds one (n, t+1) slice per direction on its trailing axis;
+    failures maps each direction whose solve failed to the reason, and
+    that direction's weights are zero.
     """
 
-    omega: np.ndarray  # (n, t+1), or (n, t+1, c) for c directions
+    omega: np.ndarray  # (n, t+1, c)
     active: np.ndarray  # (n, t+1) bool
     failures: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.omega.shape[:2] != self.active.shape or self.omega.ndim not in (2, 3):
+        if self.omega.ndim != 3 or self.omega.shape[:2] != self.active.shape:
             raise ValueError("omega must have the active set's shape, plus a direction axis")
         if not np.isfinite(self.omega).all():
             raise ValueError("weights must be finite")
@@ -135,28 +125,24 @@ def explicit_riesz(
 
 
 def solve_balance_weights(
-    k: np.ndarray, r: np.ndarray, active: np.ndarray, cfg: SolverConfig
+    k: np.ndarray, r: np.ndarray, active: np.ndarray, sigma2: float
 ) -> BalanceWeights:
-    """Closed-form minimax balance weights for one or several directions.
+    """Closed-form minimax balance weights for c stacked directions.
 
-    r is one direction (n, t+1) or several stacked on a trailing axis
-    (n, t+1, c); they share the kernel k and the mask active (n, t+1).
+    r holds the directions (n, t+1, c); they share the kernel k and the
+    risk-set mask active (n, t+1), whose sets at u >= 1 must be nested.
     Units are ordered by how many timesteps they stay active, descending
-    and stable (descending exit time for risk-set masks). The largest
-    active set that is a prefix of that order is factored once, and one
-    product of its rows of k with every direction serves all timesteps
-    whose active set is such a prefix: each solves the columns of the
+    and stable, so every active set is a prefix of that order. The
+    largest one is factored once, and one product of its rows of k with
+    every direction serves all timesteps: each solves the columns of the
     directions it needs with the leading block of that factor. A
-    timestep whose active set is not a prefix gets a factor of its own.
-    A direction that is zero at u has zero weights there and needs no
+    direction that is zero at u has zero weights there and needs no
     solve. Every column is checked against the residual bound
     `kernels.SOLVE_TOL` on its own.
 
-    A one-direction call raises NumericalError if its solve fails. A
-    stacked call returns the failures per direction instead: a column
-    that misses its bound fails its direction, and a factor that fails
-    fails every direction that needed it. A failed direction's weights
-    are zero.
+    Failures come back per direction: a column that misses its bound
+    fails its direction, and a failed factor fails every direction that
+    needs a solve. A failed direction's weights are zero.
     """
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -164,67 +150,51 @@ def solve_balance_weights(
     n = k.shape[0]
     if k.shape != (n, n):
         raise ValueError(f"kernel matrix must be square, got {k.shape}")
-    if r.ndim not in (2, 3) or r.shape[:2] != active.shape or r.shape[0] != n:
-        raise ValueError("active must be an (n, t+1) matrix and r one or more of its shape")
-    stacked = r.ndim == 3
-    if not stacked:
-        r = r[:, :, None]
+    if r.ndim != 3 or r.shape[:2] != active.shape or r.shape[0] != n:
+        raise ValueError("active must be an (n, t+1) matrix and r an (n, t+1, c) stack")
+    if not sigma2 > 0:
+        raise ValueError(f"sigma2 must be positive, got {sigma2}")
     t, c = r.shape[1] - 1, r.shape[2]
-    omega = np.zeros_like(r)
-    failures: dict[int, str] = {}
-    lam = cfg.sigma2 / n
     order = np.argsort(-active[:, 1:].sum(axis=1), kind="stable")
     sizes = active.sum(axis=0)
-    is_prefix = (active[order] == (np.arange(n)[:, None] < sizes[None, :])).all(axis=0)
-    n_shared = int(sizes[1:][is_prefix[1:]].max(initial=0))
-    shared = order[:n_shared]
+    if not (active[order, 1:] == (np.arange(n)[:, None] < sizes[None, 1:])).all():
+        raise ValueError("active sets must be nested: each unit active from u = 1 to its exit")
+    omega = np.zeros_like(r)
+    failures: dict[int, str] = {}
+    lam = sigma2 / n
+    shared = order[: int(sizes[1:].max(initial=0))]
     k_shared = k[np.ix_(shared, shared)]
-    # (u, direction) pairs to solve; those at prefix timesteps share one product
+    # (u, direction) pairs to solve; they share one product with k
     needed = (r[:, 1:, :] != 0.0).any(axis=0) & (sizes[1:] > 0)[:, None]
-    by_prefix = needed & is_prefix[1:, None]
-    kr_shared = k[shared] @ r[:, 1:, :].reshape(n, t * c)[:, by_prefix.reshape(-1)]
-    kr_col = np.cumsum(by_prefix.reshape(-1)).reshape(t, c) - 1
+    kr_shared = k[shared] @ r[:, 1:, :].reshape(n, t * c)[:, needed.reshape(-1)]
+    kr_col = np.cumsum(needed.reshape(-1)).reshape(t, c) - 1
     factor: np.ndarray | NumericalError | None = None
-    if by_prefix.any():
+    if needed.any():
         try:
             factor = spd_factor(k_shared, ridge=lam)
         except NumericalError as err:
-            factor = err  # fails the directions of every prefix timestep
+            factor = err  # fails every direction that needs a solve
     for u in range(1, t + 1):
         dirs = np.flatnonzero(needed[u - 1])
         if dirs.size == 0:
             continue
         m = int(sizes[u])
         where = f"balance solve at u={u} ({m} of {n} active)"
-        try:
-            if is_prefix[u]:
-                if isinstance(factor, NumericalError):
-                    raise factor
-                act, k_act, factor_act = shared[:m], k_shared[:m, :m], factor[:m, :m]
-                rhs = kr_shared[:m, kr_col[u - 1, dirs]]
-            else:
-                act = np.flatnonzero(active[:, u])
-                k_act = k[np.ix_(act, act)]
-                factor_act = spd_factor(k_act, ridge=lam)
-                rhs = k[act] @ r[:, u, dirs]
-        except NumericalError as err:
-            bad = dict.fromkeys(range(dirs.size), err)
+        if isinstance(factor, NumericalError):
+            bad = dict.fromkeys(range(dirs.size), factor)
         else:
-            v, bad = cho_solve_checked(factor_act, k_act, rhs, ridge=lam)
+            rhs = kr_shared[:m, kr_col[u - 1, dirs]]
+            v, bad = cho_solve_checked(factor[:m, :m], k_shared[:m, :m], rhs, ridge=lam)
         for col, err in bad.items():
             failures[int(dirs[col])] = f"{where}, direction {dirs[col]}: {err}"
             needed[:, dirs[col]] = False  # a failed direction is solved no further
         if len(bad) == dirs.size:
             continue
+        act = shared[:m]
         r_act = r[act[:, None], u, dirs[None, :]]
         safe = np.abs(r_act) > _R_TINY
         omega[act[:, None], u, dirs[None, :]] = np.divide(
             v, r_act, out=np.zeros_like(v), where=safe
         )
-    if not stacked:
-        if failures:
-            raise NumericalError(failures[0])
-        return BalanceWeights(omega=omega[:, :, 0], active=active)
     omega[:, :, list(failures)] = 0.0
     return BalanceWeights(omega=omega, active=active, failures=failures)
-

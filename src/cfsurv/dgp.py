@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .survival import Dataset, TimeGrid, standardization
+from .survival import Dataset, TimeGrid, _whole, standardization
 
 __all__ = [
     "SyntheticConfig",
@@ -223,8 +223,7 @@ class TwinsLikeConfig:
 
     def __post_init__(self) -> None:
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        t0 = np.asarray(self.t0, dtype=np.int64)
-        t1 = np.asarray(self.t1, dtype=np.int64)
+        t0, t1 = _whole("t0", self.t0), _whole("t1", self.t1)
         if t0.shape != (x.shape[0],) or t1.shape != (x.shape[0],):
             raise ValueError("potential times must align with the covariate table")
         if (t0 < 1).any() or (t1 < 1).any():

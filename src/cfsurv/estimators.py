@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .balance import SolverConfig, direction_ratio, explicit_riesz, solve_balance_weights
+from .balance import direction_ratio, explicit_riesz, solve_balance_weights
 from .errors import LargeWeightWarning, NumericalError
 from .hazard import (
     PROPENSITY_FLOOR,
@@ -101,9 +101,10 @@ class EstimatorParams:
     sigma2: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.ridge > 0:
-            raise ValueError(f"ridge must be positive, got {self.ridge}")
-        SolverConfig(sigma2=self.sigma2)  # rejects sigma2 <= 0
+        for name in ("ridge", "sigma2"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,7 @@ def _balance_gammas(
     q: np.ndarray,
     active: np.ndarray,
     times: list[int],
-    cfg: SolverConfig,
+    sigma2: float,
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Balance gammas of every time of one (fold, arm), and why the failed times failed.
 
@@ -212,7 +213,7 @@ def _balance_gammas(
     tt = np.asarray(times)
     r = s[:, None, tt] * q[:, :, None]
     r[:, np.arange(q.shape[1])[:, None] > tt] = 0.0
-    w = solve_balance_weights(k, r, active, cfg)
+    w = solve_balance_weights(k, r, active, sigma2)
     r *= active[:, :, None]
     r *= w.omega  # zero for a failed direction
     return r, {times[j]: err for j, err in w.failures.items()}
@@ -226,7 +227,7 @@ def _summands(
     times: list[int],
     curves: tuple,
     k: np.ndarray | None,
-    cfg: SolverConfig,
+    sigma2: float,
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Per-unit summands of one (fold, arm) at every time, and why the failed times failed.
 
@@ -259,7 +260,7 @@ def _summands(
     try:
         q = direction_ratio(s, t_max)  # one ratio serves every time of the arm
         if kind == "balance":
-            gammas, errors = _balance_gammas(k, s, q, active, times, cfg)
+            gammas, errors = _balance_gammas(k, s, q, active, times, sigma2)
             return s_t + np.einsum("iuj,iu->ji", gammas, resid), errors
         # dr and dr-clip: gamma_t = S_t * w, with w the weights of q
         w = explicit_riesz(q, active, pi, _h_minus(s, g, t_max), clip)
@@ -392,16 +393,16 @@ def run_estimator(
     spec = _checked_spec(data, kind, times)
     if nuisances is None:
         nuisances = fit_nuisances(data, kind, times, params, seed)
-    for _, _, ((lam, _, g, pi), _) in nuisances.folds:
-        if any(use and curve is None for use, curve in zip(spec.models, (lam, g, pi))):
-            raise ValueError(f"nuisances lack a curve the {kind} estimator needs")
+    for _, _, arms in nuisances.folds:
+        for lam, _, g, pi in arms:
+            if any(use and curve is None for use, curve in zip(spec.models, (lam, g, pi))):
+                raise ValueError(f"nuisances lack a curve the {kind} estimator needs")
 
     points: dict[tuple[int, int], list[float]] = {(a, t): [] for a in (0, 1) for t in times}
     influence: dict[tuple[int, int], np.ndarray] = {
         (a, t): np.zeros(data.n) for a in (0, 1) for t in times
     }
     failures: dict[tuple[int | str, int], str] = {}
-    solver_cfg = SolverConfig(sigma2=params.sigma2)
 
     for idx, xs, curves in nuisances.folds:
         fold = data.subset(idx)
@@ -410,7 +411,7 @@ def run_estimator(
             live = [t for t in times if (a, t) not in failures]
             if not live:
                 continue
-            block, errors = _summands(kind, spec.clip, fold, a, live, curves[a], k, solver_cfg)
+            block, errors = _summands(kind, spec.clip, fold, a, live, curves[a], k, params.sigma2)
             failures.update({(a, t): err for t, err in errors.items()})
             means = block.mean(axis=1)
             infl = block - means[:, None]

@@ -29,8 +29,8 @@ class KernelConfig:
     length_scale: float = 10.0
 
     def __post_init__(self) -> None:
-        if not self.length_scale > 0:
-            raise ValueError(f"length_scale must be positive, got {self.length_scale}")
+        if not 0 < self.length_scale < np.inf:
+            raise ValueError(f"length_scale must be positive and finite, got {self.length_scale}")
 
 
 def gram(rows: np.ndarray, cols: np.ndarray, cfg: KernelConfig) -> np.ndarray:

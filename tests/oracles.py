@@ -9,7 +9,7 @@ models only.
 import numpy as np
 from scipy.special import expit
 
-from cfsurv.balance import SolverConfig, direction_ratio
+from cfsurv.balance import direction_ratio
 from cfsurv.estimators import Nuisances
 from cfsurv.hazard import _propensity_grad
 from cfsurv.kernels import KernelConfig
@@ -81,7 +81,7 @@ def objective(
     r: np.ndarray,
     active: np.ndarray,
     omega: np.ndarray,
-    cfg: SolverConfig,
+    sigma2: float,
 ) -> float:
     """Summed per-timestep objective: imbalance^2 plus the variance penalty."""
     r = np.asarray(r, dtype=float)
@@ -93,7 +93,7 @@ def objective(
     total = 0.0
     for u in range(1, r.shape[1]):
         total += imbalance(k, r, active, omega, u) ** 2
-        total += cfg.sigma2 / n * float(
+        total += sigma2 / n * float(
             np.sum(active[:, u] * r[:, u] ** 2 * omega[:, u] ** 2)
         )
     return total

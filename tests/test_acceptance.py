@@ -11,7 +11,7 @@ import csv
 import numpy as np
 import pytest
 
-from cfsurv.balance import SolverConfig, solve_balance_weights
+from cfsurv.balance import solve_balance_weights
 from cfsurv.cli import main as cli_main
 from cfsurv.dgp import (
     SyntheticConfig,
@@ -124,7 +124,10 @@ def _random_solver_instance(rng):
     haz[:, 1:] = rng.uniform(0.05, 0.4, size=(n, t))
     s = np.cumprod(1.0 - haz, axis=1)
     r = derivative_direction(s, t)
-    active = rng.random((n, t + 1)) < 0.7
+    # nested risk sets: in the arm with probability 0.7, exit uniform in 1..t
+    in_arm = rng.random(n) < 0.7
+    exit_time = rng.integers(1, t + 1, size=n)
+    active = in_arm[:, None] & (np.arange(t + 1) <= exit_time[:, None])
     active[:, 0] = False
     return k, r, active, n, t
 
@@ -153,19 +156,19 @@ def _joint_blockdiag(k, r, active, sigma2):
 
 def test_criterion_4_solver_exactness():
     rng = np.random.default_rng(4_004)
-    cfg = SolverConfig(sigma2=1.0)
+    sigma2 = 1.0
     worst_resid = worst_joint = worst_sup = worst_attain = 0.0
     obj_ok = True
     for _ in range(100):
         k, r, active, n, t = _random_solver_instance(rng)
-        w = solve_balance_weights(k, r, active, cfg)
+        omega = solve_balance_weights(k, r[:, :, None], active, sigma2).omega[:, :, 0]
         # (a) per-timestep normal-equation residual
         for u in range(1, t + 1):
             act = np.flatnonzero(active[:, u])
             if act.size == 0:
                 continue
-            v = r[act, u] * w.omega[act, u]
-            lhs = (k[np.ix_(act, act)] + cfg.sigma2 / n * np.eye(act.size)) @ v
+            v = r[act, u] * omega[act, u]
+            lhs = (k[np.ix_(act, act)] + sigma2 / n * np.eye(act.size)) @ v
             resid = float(np.linalg.norm(lhs - (k @ r[:, u])[act]))
             worst_resid = max(worst_resid, resid)
         # (b) never worse than clipped explicit inverse-probability weights
@@ -174,15 +177,15 @@ def test_criterion_4_solver_exactness():
         ipw = np.zeros_like(r)
         denom = np.maximum(pi[:, None] * h, 1e-3)
         ipw[active] = 1.0 / denom[active]
-        if objective(k, r, active, w.omega, cfg) > objective(k, r, active, ipw, cfg) + 1e-12:
+        if objective(k, r, active, omega, sigma2) > objective(k, r, active, ipw, sigma2) + 1e-12:
             obj_ok = False
         # (c) joint solve equals the per-timestep decomposition
-        joint = _joint_blockdiag(k, r, active, cfg.sigma2)
-        worst_joint = max(worst_joint, float(np.max(np.abs(joint - w.omega))))
+        joint = _joint_blockdiag(k, r, active, sigma2)
+        worst_joint = max(worst_joint, float(np.max(np.abs(joint - omega))))
         # (d) sampled supremum never exceeds the closed form; maximizer attains it
         u = t
-        c = r[:, u] * (1.0 - active[:, u].astype(float) * w.omega[:, u])
-        closed = imbalance(k, r, active, w.omega, u)
+        c = r[:, u] * (1.0 - active[:, u].astype(float) * omega[:, u])
+        closed = imbalance(k, r, active, omega, u)
         alphas = rng.standard_normal((1000, n))
         norms = np.einsum("ij,ij->i", alphas @ k, alphas)
         keep = norms > 1e-12

@@ -134,13 +134,14 @@ def test_estimate_rejects_repeated_times(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("ridge", ["0", "-1"])
-def test_estimate_rejects_nonpositive_ridge(tmp_path, ridge):
+@pytest.mark.parametrize("ridge", ["0", "-1", "inf"])
+def test_estimate_rejects_nonpositive_ridge(tmp_path, capsys, ridge):
     data = _datagen(tmp_path, n=60)
     assert main(
         ["estimate", "--data", str(data), "--estimator", "or", "--t", "5",
          "--ridge", ridge, "--out", str(tmp_path / "o.csv")]
     ) == 2
+    assert "must be positive" in capsys.readouterr().err
 
 
 def test_simulate_rejects_zero_ridge(tmp_path):

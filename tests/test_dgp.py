@@ -210,6 +210,13 @@ def test_twins_config_validation():
         TwinsLikeConfig(x=np.zeros((2, 4)), t0=np.array([0, 2]), t1=np.array([1, 2]))
 
 
+@pytest.mark.parametrize("column", ["t0", "t1"])
+def test_twins_config_rejects_fractional_times(column):
+    times = {"t0": [2, 3, 1], "t1": [1, 4, 2], column: [2.7, 3.2, 1.9]}
+    with pytest.raises(ValueError, match=f"column {column} must hold whole numbers"):
+        TwinsLikeConfig(x=np.zeros((3, 2)), **times)
+
+
 def test_gen_twins_like_deterministic_and_bounded():
     x, t0, t1 = surrogate_twins_table(500, seed=9)
     cfg = TwinsLikeConfig(x=x, t0=t0, t1=t1, seed=33)

@@ -353,6 +353,17 @@ def test_run_estimator_validation():
         run_estimator(data, "dr", [5], nuisances=ipw_fit)
 
 
+@pytest.mark.parametrize("arm", [0, 1])
+def test_run_estimator_checks_the_curves_of_both_arms(arm):
+    data = gen_synthetic(SyntheticConfig(n=30, seed=1))
+    (idx, xs, arms), = fit_nuisances(data, "or", [5]).folds
+    broken = list(arms)
+    broken[arm] = (None, *arms[arm][1:])  # no event hazards
+    nuisances = Nuisances(((idx, xs, tuple(broken)),))
+    with pytest.raises(ValueError, match="nuisances lack a curve the or estimator needs"):
+        run_estimator(data, "or", [5], nuisances=nuisances)
+
+
 
 def _count_grams(monkeypatch):
     """Record the (rows, cols) shape of every Gram matrix cfsurv builds."""
@@ -488,8 +499,8 @@ def test_times_evaluated_together_match_single_time_calls(kind):
 def _fail_solve_of_t10(monkeypatch):
     original = cfsurv.estimators.solve_balance_weights
 
-    def failing(k, r, active, cfg):
-        w = original(k, r, active, cfg)
+    def failing(k, r, active, sigma2):
+        w = original(k, r, active, sigma2)
         # the direction of t = 10, the last timestep it is nonzero at
         hit = [j for j in range(r.shape[2]) if r[:, 10, j].any() and not r[:, 11, j].any()]
         omega = w.omega.copy()

@@ -9,8 +9,9 @@ from oracles import rbf
 
 
 def test_kernel_config_validation():
-    with pytest.raises(ValueError):
-        KernelConfig(length_scale=0.0)
+    for length_scale in (0.0, float("inf")):
+        with pytest.raises(ValueError, match="must be positive"):
+            KernelConfig(length_scale=length_scale)
 
 
 def test_rbf_identity():
