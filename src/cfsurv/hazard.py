@@ -24,22 +24,35 @@ matrix (zero outside the cell's risk set), so the logits of all times
 are k_pred @ A + b, and constant and empty cells then overwrite their
 columns with their level.
 
+Each fit sorts each arm's training units once by exit time, descending,
+with the units labelled 0 before those labelled 1 at equal times (for
+the event fit: censored before events). Every risk set
+{a_i = a, time_i >= u} is then a prefix of its arm's order, so a cell
+is its size m, its system is the leading m x m block of the arm's sorted
+Gram matrix (one copy per arm), and its labels are the flags of the
+units at positions [m_{u+1}, m_u) of that order.
+
 Both logistic fits use one damped Newton method (`_damped_newton`),
-which backtracks on the residual norm, and every fit that stops at its
-iteration cap reports it with a ConvergenceWarning naming the fit. A
-kernel cell's iterate carries its linear predictor f = K alpha + b
-alongside (alpha, b) and updates it with the step, so each Newton step
-evaluates expit once and a line-search trial needs no product with K.
-Its Newton step is the exact solution of the (m + 1)-square Jacobian
-system, obtained from one Cholesky factorization of the symmetric
-positive definite m x m matrix S K S + ridge I (S = diag(sqrt(w))) by
-LAPACK dposv, for every risk-set size; a factorization that fails
-raises NumericalError naming the fit and the cell.
+which backtracks on the residual norm, column by column: the columns
+of its iterate are independent problems that step together, each with
+its own step size and its own stopping test. Every Newton cell of both
+arms of one fit is one column of padded (M x C) arrays, so residuals,
+stopping norms, line-search trials and the products with K (one
+matrix product per arm) are batched across cells; the propensity fit is
+a single column. Every fit that stops at its iteration cap reports it
+with a ConvergenceWarning naming the fit. A kernel cell's iterate
+carries its linear predictor f = K alpha + b alongside (alpha, b) and
+updates it with the step, so each Newton step evaluates expit once and
+a line-search trial needs no product with K. Its Newton step is the
+exact solution of the (m + 1)-square Jacobian system, obtained from one
+Cholesky factorization of the symmetric positive definite m x m matrix
+S K S + ridge I (S = diag(sqrt(w))) by LAPACK dposv, for every risk-set
+size, in a contiguous scratch buffer; a factorization that fails raises
+NumericalError naming the fit and the cell.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -49,7 +62,7 @@ from scipy.special import expit
 
 from .errors import ConvergenceWarning, CoverageWarning, EstimationError, NumericalError
 from .kernels import KernelConfig, gram
-from .survival import Dataset, TimeGrid, active_matrix, event_matrix, standardization
+from .survival import Dataset, TimeGrid, standardization
 
 __all__ = [
     "HAZARD_FLOOR",
@@ -78,100 +91,162 @@ PROPENSITY_TOL = 1e-8
 PROPENSITY_MAX_ITER = 500
 
 
+def _norms(r: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of r."""
+    return np.sqrt(np.einsum("ij,ij->j", r, r))
+
+
 def _damped_newton(theta, residual, newton_step, max_iter):
-    """Damped Newton for residual(theta) = 0; returns (theta, converged).
+    """Damped Newton for residual(theta) = 0, column by column; returns (theta, converged).
 
-    newton_step(theta, r) returns the step from theta, whose residual is
-    r, or None once the fit's stopping norm of r is within its tolerance,
-    so a fit forms the products its norm and its step share once. The
-    loop stops there, or after max_iter steps. Each step halves eta
-    until the residual norm falls by (1 - 1e-4 eta); a loss-value test
-    would stall at roundoff near the optimum and on the flat directions
-    of an ill-conditioned Gram matrix.
+    The c columns of theta (p x c) are independent problems that step
+    together. residual(theta, cols) returns the residuals, one column
+    each, of the iterates theta of problems cols. newton_step(theta, r,
+    cols) returns (done, step): done flags the columns whose stopping
+    norm of r is within the fit's tolerance, and step holds the steps
+    from the other columns, in order, so a fit forms the products its
+    norm and its step share once. A column stops once done, or after
+    max_iter steps; converged flags the columns that stopped done. Each
+    step halves a column's own eta until its residual norm falls by
+    (1 - 1e-4 eta); a loss-value test would stall at roundoff near the
+    optimum and on the flat directions of an ill-conditioned Gram
+    matrix. A column's trials all start from its step-start iterate.
     """
-    r = residual(theta)
-    merit = math.sqrt(r @ r)
+    out = theta.copy()
+    cols = np.arange(theta.shape[1])  # the columns still stepping, as theta's
+    converged = np.zeros(cols.size, dtype=bool)
+    r = residual(theta, cols)
+    merit = _norms(r)
     for _ in range(max_iter):
-        step = newton_step(theta, r)
-        if step is None:
-            return theta, True
-        eta = 1.0
-        for _ in range(50):
-            trial = theta - eta * step
-            trial_r = residual(trial)
-            trial_merit = math.sqrt(trial_r @ trial_r)
-            if trial_merit <= (1.0 - 1e-4 * eta) * merit:
+        done, step = newton_step(theta, r, cols)
+        if done.any():
+            out[:, cols[done]] = theta[:, done]
+            converged[cols[done]] = True
+            cols, theta, r, merit = cols[~done], theta[:, ~done], r[:, ~done], merit[~done]
+            if cols.size == 0:
+                return out, converged
+        eta = np.ones(cols.size)
+        trial = theta - step
+        trial_r = residual(trial, cols)
+        trial_merit = _norms(trial_r)
+        search = np.flatnonzero(trial_merit > (1.0 - 1e-4) * merit)  # still halving eta
+        for _ in range(49):
+            if search.size == 0:
                 break
-            eta *= 0.5
+            eta[search] *= 0.5
+            trial[:, search] = theta[:, search] - eta[search] * step[:, search]
+            trial_r[:, search] = residual(trial[:, search], cols[search])
+            trial_merit[search] = _norms(trial_r[:, search])
+            search = search[trial_merit[search] > (1.0 - 1e-4 * eta[search]) * merit[search]]
         theta, r, merit = trial, trial_r, trial_merit
-    return theta, False
+    out[:, cols] = theta
+    return out, converged
 
 
-def _newton_klr(k: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, float, bool]:
-    """Newton for one kernel-logistic cell; returns (alpha, b, converged).
+def _newton_cells(grams, hits, cells, ridge: float, what: str):
+    """Lockstep Newton for the kernel-logistic cells of one fit; returns (theta, converged).
+
+    grams[a] is arm a's Gram matrix and hits[a] its label flags, both in
+    the exit-time order whose prefixes are the arm's risk sets. Cell j,
+    cells[j] = (u, a, m, lo), is trained on the first m units of arm a,
+    labelled 1 where hits[a] is set among the units lo..m-1 that leave at
+    u. The cells are arm-major, and cell j is column j of padded arrays
+    with M = max m rows: theta stacks (alpha, b, f) as rows [:M], M and
+    [M + 1:], zero outside the cell's m rows.
 
     The residual is the stationarity system (p - y) + ridge alpha = 0,
     sum(p - y) = 0 (the loss gradient with K factored out of its alpha
     block), whose Jacobian [[W K + ridge I, w], [w' K, sum(w)]] is
     nonsingular for ridge > 0 and mixed labels. The stopping norm is the
-    true loss gradient's.
+    true loss gradient's. Every product with K is one matrix product per
+    arm over the live columns, on the arm's leading block that the
+    columns' risk sets span.
 
     The Newton step solves that Jacobian system exactly through the
     symmetric positive definite B = S K S + ridge I, S = diag(s),
-    s = sqrt(w). With g = K d_alpha + d_b (the step of f), the alpha rows
-    read w * g + ridge d_alpha = r_alpha and the intercept row reads
-    w'g = r_b, so h = s * g solves B h = s * (K r_alpha) + ridge d_b s.
-    One LAPACK dposv call (Cholesky factor and both solves) gives
-    B u = s * (K r_alpha) and B v = s; then h = u + ridge d_b v, the
-    intercept row gives d_b = (r_b - s'u) / (ridge s'v), and
+    s = sqrt(w), K the cell's leading m x m block. With g = K d_alpha + d_b
+    (the step of f), the alpha rows read w * g + ridge d_alpha = r_alpha
+    and the intercept row reads w'g = r_b, so h = s * g solves
+    B h = s * (K r_alpha) + ridge d_b s. One LAPACK dposv call (Cholesky
+    factor and both solves) per cell, in a contiguous scratch buffer,
+    gives B u = s * (K r_alpha) and B v = s; then h = u + ridge d_b v,
+    the intercept row gives d_b = (r_b - s'u) / (ridge s'v), and
     d_alpha = (r_alpha - s * h) / ridge. For a Gram matrix K, B's
     eigenvalues lie in [ridge, ridge + m / 4] and s'v = s'B^-1 s > 0.
     A B that is not positive definite (non-finite, or K not positive
-    semi-definite) raises NumericalError.
+    semi-definite) raises NumericalError naming `what` and the cell.
 
-    The iterate is (alpha, b, f) with the linear predictor f = K alpha + b
-    carried along: a step returns (d_alpha, d_b, K d_alpha + d_b), so
-    theta - eta * step moves f exactly as it moves (alpha, b), and the
-    residual of a line-search trial costs one expit and no matvec.
+    The step of f is K d_alpha + d_b, so theta - eta * step moves f
+    exactly as it moves (alpha, b), and the residual of a line-search
+    trial costs one expit and no product with K.
     """
-    m = len(y)
-    ybar = min(max(float(np.mean(y)), 1e-3), 1.0 - 1e-3)
-    theta = np.zeros(2 * m + 1)
-    theta[m:] = np.log(ybar / (1.0 - ybar))  # b, and f = b at alpha = 0
+    arm = np.array([a for _, a, _, _ in cells])
+    m = np.array([size for _, _, size, _ in cells])
+    big = int(m.max())
+    mask = (np.arange(big)[:, None] < m).astype(float)
+    y = np.zeros((big, len(cells)))
+    for j, (_, a, size, lo) in enumerate(cells):
+        y[lo:size, j] = hits[a][lo:size]
+    ybar = np.clip(y.sum(axis=0) / m, 1e-3, 1.0 - 1e-3)
+    theta = np.zeros((2 * big + 1, len(cells)))
+    theta[big] = np.log(ybar / (1.0 - ybar))  # b, and f = b at alpha = 0
+    theta[big + 1 :] = theta[big] * mask
     # B is factored in place in Fortran order; it is filled row by row
     # through the C-order view b_rows = B' (B is symmetric)
-    b_rows = np.empty((m, m))
-    b_diag = b_rows.reshape(-1)[:: m + 1]
-    rhs = np.empty((m, 2), order="F")
+    b_buf = np.empty(big * big)
+    arms, sizes = arm.tolist(), m.tolist()
 
-    def residual(theta_):
-        r = np.empty(m + 1)
-        np.subtract(expit(theta_[m + 1 :]), y, out=r[:m])
-        r[m] = r[:m].sum()
-        r[:m] += ridge * theta_[:m]
+    def k_times(z, cols):
+        # K z for the columns cols, one product per arm, zero past each m
+        out = np.zeros_like(z)
+        split = int(np.searchsorted(arm[cols], 1))
+        for a, part in ((0, slice(0, split)), (1, slice(split, len(cols)))):
+            if part.start < part.stop:
+                lead = int(m[cols[part]].max())
+                out[:lead, part] = grams[a][:lead, :lead] @ z[:lead, part]
+        out *= mask[:, cols]
+        return out
+
+    def residual(theta_, cols):
+        p_y = (expit(theta_[big + 1 :]) - y[:, cols]) * mask[:, cols]
+        r = np.empty((big + 1, len(cols)))
+        np.add(p_y, ridge * theta_[:big], out=r[:big])
+        r[big] = p_y.sum(axis=0)
         return r
 
-    def newton_step(theta_, r):
-        kr = k @ r[:m]
-        if math.sqrt(kr @ kr + r[m] ** 2) <= NEWTON_TOL:
-            return None  # the loss gradient (K r_alpha, r_b) is small enough
-        p = y + (r[:m] - ridge * theta_[:m])  # the p of residual(theta_)
-        s = np.sqrt(np.maximum(p * (1.0 - p), _P_EPS))
-        np.multiply(k, s, out=b_rows)
-        np.multiply(b_rows, s[:, None], out=b_rows)
-        np.add(b_diag, ridge, out=b_diag)
-        np.multiply(s, kr, out=rhs[:, 0])
-        rhs[:, 1] = s
-        _, uv, info = _dposv(b_rows.T, rhs, lower=1, overwrite_a=True, overwrite_b=True)
-        if info != 0:
-            raise NumericalError(f"Newton system not positive definite (dposv info {info})")
-        u, v = uv[:, 0], uv[:, 1]
-        d_b = (r[m] - s @ u) / (ridge * (s @ v))
-        d_alpha = (r[:m] - s * (u + ridge * d_b * v)) / ridge
-        return np.concatenate([d_alpha, [d_b], k @ d_alpha + d_b])
+    def newton_step(theta_, r, cols):
+        kr = k_times(r[:big], cols)
+        done = np.sqrt(np.einsum("ij,ij->j", kr, kr) + r[big] ** 2) <= NEWTON_TOL
+        live, r = cols[~done], r[:, ~done]
+        p = y[:, live] + (r[:big] - ridge * theta_[:big, ~done])  # the p of residual(theta_)
+        s = np.sqrt(np.maximum(p * (1.0 - p), _P_EPS)) * mask[:, live]
+        # each cell's right-hand sides (s * K r_alpha, s) and solutions (u, v)
+        # as the two contiguous rows of its slab
+        rhs = np.stack([s * kr[:, ~done], s]).transpose(2, 0, 1).copy()
+        uv = np.zeros_like(rhs)
+        for j, cell in enumerate(live):
+            size = sizes[cell]
+            s_j = rhs[j, 1, :size]
+            b_rows = b_buf[: size * size].reshape(size, size)
+            np.multiply(grams[arms[cell]][:size, :size], s_j, out=b_rows)
+            np.multiply(b_rows, s_j[:, None], out=b_rows)
+            b_buf[: size * size : size + 1] += ridge  # the diagonal of b_rows
+            _, sol, info = _dposv(b_rows.T, rhs[j, :, :size].T, lower=1, overwrite_a=True)
+            if info != 0:
+                raise NumericalError(
+                    f"{what}: cell {cells[cell][:2]}: "
+                    f"Newton system not positive definite (dposv info {info})"
+                )
+            uv[j, :, :size] = sol.T
+        u, v = uv[:, 0].T, uv[:, 1].T
+        d_b = (r[big] - np.einsum("ij,ij->j", s, u)) / (ridge * np.einsum("ij,ij->j", s, v))
+        step = np.empty((2 * big + 1, live.size))
+        step[:big] = (r[:big] - s * (u + ridge * d_b * v)) / ridge
+        step[big] = d_b
+        step[big + 1 :] = k_times(step[:big], live) + d_b * mask[:, live]
+        return done, step
 
-    theta, converged = _damped_newton(theta, residual, newton_step, NEWTON_MAX_ITER)
-    return theta[:m].copy(), float(theta[m]), converged  # the copy lets f go
+    return _damped_newton(theta, residual, newton_step, NEWTON_MAX_ITER)
 
 
 @dataclass(frozen=True)
@@ -180,7 +255,7 @@ class _Cell:
 
     alpha: np.ndarray | None  # None for constant cells
     intercept: float
-    risk_idx: np.ndarray | None  # indices into the training matrix
+    risk_idx: np.ndarray | None  # training indices: a prefix of the arm's exit order
     constant: float | None = None
 
 
@@ -254,62 +329,76 @@ def fit_event_hazard(
 ) -> KernelHazardModel:
     """Fit the event hazard: labels 1(event, time = u) on each (u, a) risk set.
 
-    Risk sets and labels are `active_matrix` and `event_matrix` columns,
-    for u = 1..max_time (default: the grid's t_max). `basis` is
-    `KernelBasis.of(data.x, kernel)`, built once and shared with the
-    censoring fit.
+    Risk sets are {a_i = a, time_i >= u} for u = 1..max_time (default:
+    the grid's t_max). `basis` is `KernelBasis.of(data.x, kernel)`, built
+    once and shared with the censoring fit.
     """
-    return _fit_cells(data, basis, ridge, max_time, "event hazard")
+    return _fit_cells(data, basis, ridge, max_time, 1, "event hazard")
 
 
 def fit_censor_hazard(
     data: Dataset, basis: KernelBasis, ridge: float = 0.5, max_time: int | None = None
 ) -> KernelHazardModel:
-    """Fit the censoring hazard: the event fit with flipped event flags."""
-    flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
-    return _fit_cells(flipped, basis, ridge, max_time, "censoring hazard")
+    """Fit the censoring hazard: the event fit with labels 1(censored, time = u)."""
+    return _fit_cells(data, basis, ridge, max_time, 0, "censoring hazard")
 
 
 def _fit_cells(
-    data: Dataset, basis: KernelBasis, ridge: float, max_time: int | None, what: str
+    data: Dataset, basis: KernelBasis, ridge: float, max_time: int | None, label: int, what: str
 ) -> KernelHazardModel:
-    """One kernel logistic fit per (u, a) cell of data's risk sets.
+    """One kernel logistic fit per (u, a) cell, labels 1(event = label, time = u).
 
-    Warnings start with `what` and point at the caller of the public fit;
-    a cell whose Newton system cannot be factored raises NumericalError
-    naming `what` and the cell.
+    Each arm's units are sorted once by exit time, so a cell's risk set
+    is the first m units of its arm and its system the leading
+    m x m block of the arm's sorted Gram matrix, built by one copy per
+    arm. Every Newton cell of both arms steps together in
+    `_newton_cells`. Warnings start with `what` and point at the caller
+    of the public fit; a cell whose Newton system cannot be factored
+    raises NumericalError naming `what` and the cell.
     """
     if basis.train_x.shape != data.x.shape:
         raise ValueError("basis was not built from these covariates")
     if max_time is None:
         max_time = data.grid.t_max
-    labels = event_matrix(data, max_time)
-    cells: dict[tuple[int, int], _Cell] = {}
+    cells: dict[tuple[int, int], _Cell | None] = {}
     empty: list[tuple[int, int]] = []
-    stalled: list[tuple[int, int]] = []
+    newton: list[tuple[int, int, int, int]] = []  # (u, a, m, lo), arm-major
+    orders, grams, hits = [], [], []
+    labelled = data.event == label
     for a in (0, 1):
-        active = active_matrix(data, a, max_time)
+        # exit time descending, unlabelled before labelled at equal times:
+        # every risk set {a_i = a, time_i >= u} is a prefix of this order
+        arm = np.flatnonzero(data.a == a)
+        order = arm[np.lexsort((labelled[arm], -data.time[arm]))]
+        exits = data.time[order]
+        hit = labelled[order]
+        # risk-set sizes at u = 1..max_time + 1: units lo..m-1 leave at u
+        sizes = np.searchsorted(-exits, -np.arange(1, max_time + 2), side="right")
         for u in range(1, max_time + 1):
-            risk = np.flatnonzero(active[:, u])
-            if risk.size == 0:
+            m, lo = int(sizes[u - 1]), int(sizes[u])
+            n_hit = int(np.count_nonzero(hit[lo:m]))
+            if m == 0:
                 cells[(u, a)] = _Cell(None, 0.0, None, constant=HAZARD_FLOOR)
                 empty.append((u, a))
-                continue
-            y = labels[risk, u]
-            if y.min() == y.max():
+            elif n_hit in (0, m):
                 # with an unpenalized intercept the single-class optimum sits
                 # at the boundary; represent it by the clamp limit directly
-                level = HAZARD_FLOOR if y[0] == 0.0 else HAZARD_CEIL
+                level = HAZARD_FLOOR if n_hit == 0 else HAZARD_CEIL
                 cells[(u, a)] = _Cell(None, 0.0, None, constant=level)
-                continue
-            k_sub = basis.k_train[np.ix_(risk, risk)]
-            try:
-                alpha, b, converged = _newton_klr(k_sub, y, ridge)
-            except NumericalError as err:
-                raise NumericalError(f"{what}: cell {(u, a)}: {err}") from err
-            if not converged:
-                stalled.append((u, a))
-            cells[(u, a)] = _Cell(alpha=alpha, intercept=b, risk_idx=risk)
+            else:
+                cells[(u, a)] = None  # filled below, in this order
+                newton.append((u, a, m, lo))
+        orders.append(order)
+        grams.append(basis.k_train[np.ix_(order, order)])
+        hits.append(hit.astype(float))
+    stalled: list[tuple[int, int]] = []
+    if newton:
+        theta, converged = _newton_cells(grams, hits, newton, ridge, what)
+        big = (theta.shape[0] - 1) // 2
+        for j, (u, a, m, _) in enumerate(newton):
+            # the copy lets the padded arrays go
+            cells[(u, a)] = _Cell(theta[:m, j].copy(), float(theta[big, j]), orders[a][:m])
+        stalled = [cell[:2] for cell, ok in zip(newton, converged) if not ok]
     if empty:
         warnings.warn(
             f"{what}: {len(empty)} (time, arm) cells had empty risk sets; "
@@ -361,21 +450,24 @@ def fit_propensity(data: Dataset) -> PropensityModel:
         raise EstimationError("propensity fit needs both arms present")
     z = np.hstack([data.x, np.ones((data.n, 1))])
 
-    def newton_step(theta, grad):
-        if np.linalg.norm(grad) <= PROPENSITY_TOL:
-            return None
-        p = np.clip(expit(z @ theta), _P_EPS, 1.0 - _P_EPS)
+    def residual(theta, cols):
+        return _propensity_grad(data.x, a, theta[:-1, 0], theta[-1, 0])[:, None]
+
+    def newton_step(theta, grad, cols):
+        done = np.array([np.linalg.norm(grad) <= PROPENSITY_TOL])
+        if done[0]:
+            return done, None
+        p = np.clip(expit(z @ theta[:, 0]), _P_EPS, 1.0 - _P_EPS)
         hess = z.T @ ((p * (1.0 - p))[:, None] * z)
         try:
-            return np.linalg.solve(hess, grad)
+            return done, np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
-            return np.linalg.solve(hess + 1e-10 * np.eye(len(theta)), grad)
+            return done, np.linalg.solve(hess + 1e-10 * np.eye(len(hess)), grad)
 
-    theta, converged = _damped_newton(
-        np.zeros(data.d + 1),
-        lambda theta: _propensity_grad(data.x, a, theta[:-1], theta[-1]),
-        newton_step, PROPENSITY_MAX_ITER,
+    theta, (converged,) = _damped_newton(
+        np.zeros((data.d + 1, 1)), residual, newton_step, PROPENSITY_MAX_ITER
     )
+    theta = theta[:, 0]
     if not converged:
         warnings.warn(
             f"propensity fit stopped after {PROPENSITY_MAX_ITER} Newton iterations "

@@ -103,7 +103,16 @@ class Dataset:
         return self.x.shape[1]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.x[idx], self.a[idx], self.time[idx], self.event[idx], self.grid)
+        """The units idx (an index array or mask), not checked again."""
+        out = object.__new__(Dataset)
+        for name in ("x", "a", "time", "event"):
+            col = getattr(self, name)[idx]
+            col.setflags(write=False)
+            object.__setattr__(out, name, col)
+        object.__setattr__(out, "grid", self.grid)
+        if out.n == 0:
+            raise ValueError("dataset must contain at least one unit")
+        return out
 
 
 def standardization(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

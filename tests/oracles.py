@@ -1,9 +1,10 @@
 """Reference implementations the tests compare the package against.
 
-None of these runs in cfsurv itself: the fits stop on their own residual
-norms, the balance solve never evaluates its objective, Gram matrices
-are built in one vectorized pass, and nuisance curves come from fitted
-models only.
+None of these runs in cfsurv itself: the Newton loop here steps one
+problem at a time where cfsurv steps a fit's cells together, the fits
+stop on their own residual norms, the balance solve never evaluates its
+objective, Gram matrices are built in one vectorized pass, and nuisance
+curves come from fitted models only.
 """
 
 import numpy as np
@@ -24,6 +25,34 @@ def rbf(x: np.ndarray, y: np.ndarray, cfg: KernelConfig) -> float:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     sq = float(np.sum((x - y) ** 2))
     return float(np.exp(-sq / (2.0 * cfg.length_scale**2)))
+
+
+def damped_newton(theta, residual, newton_step, max_iter):
+    """The damped Newton loop for one problem; returns (theta, converged, backtracked).
+
+    newton_step(theta, r) returns the step from theta, whose residual is
+    r, or None once the stopping norm of r is within tolerance. Each step
+    halves eta until the residual norm falls by (1 - 1e-4 eta), trying at
+    most 50 values; backtracked says whether any step halved eta.
+    """
+    r = residual(theta)
+    merit = np.sqrt(r @ r)
+    backtracked = False
+    for _ in range(max_iter):
+        step = newton_step(theta, r)
+        if step is None:
+            return theta, True, backtracked
+        eta = 1.0
+        for _ in range(50):
+            trial = theta - eta * step
+            trial_r = residual(trial)
+            trial_merit = np.sqrt(trial_r @ trial_r)
+            if trial_merit <= (1.0 - 1e-4 * eta) * merit:
+                break
+            eta *= 0.5
+            backtracked = True
+        theta, r, merit = trial, trial_r, trial_merit
+    return theta, False, backtracked
 
 
 def klr_loss_grad(

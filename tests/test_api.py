@@ -61,6 +61,8 @@ REMOVED = (
     "OraclePropensity",
     # sigma2 is a plain argument of the balance solve
     "SolverConfig",
+    # every Newton cell of a fit steps in one lockstep loop
+    "_newton_klr",
 )
 
 

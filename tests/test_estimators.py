@@ -620,3 +620,23 @@ def test_fold_plan_rejects_bad_labels(labels, message):
     with pytest.raises(ValueError, match=message):
         FoldPlan(np.array(labels), 2)
 
+
+def test_fit_and_evaluate_check_no_dataset_again(monkeypatch):
+    # folds are subsets of the checked dataset and the censoring fit reads
+    # its labels from it, so only the public constructor runs the checks
+    data = gen_synthetic(SyntheticConfig(n=120, seed=4))
+    checked = []
+    check = Dataset.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        check(self)
+
+    monkeypatch.setattr(Dataset, "__post_init__", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        nuisances = fit_nuisances(data, "dr", [5, 10], seed=1)
+        run_estimator(data, "dr", [5, 10], seed=1, nuisances=nuisances)
+    assert len(nuisances.folds) > 1 and checked == []
+    Dataset(data.x, data.a, data.time, data.event, data.grid)
+    assert len(checked) == 1

@@ -27,7 +27,7 @@ from cfsurv.hazard import (
 from cfsurv.kernels import KernelConfig, gram
 from cfsurv.sim import derive_seed, splitmix64
 from cfsurv.survival import Dataset, TimeGrid, active_matrix, event_matrix
-from oracles import klr_loss_grad, known_nuisances, propensity_loss_grad
+from oracles import damped_newton, klr_loss_grad, known_nuisances, propensity_loss_grad
 
 
 def central_diff(fn, theta, step=1e-5):
@@ -467,9 +467,11 @@ def _jacobian_step(k, y, ridge, theta, r):
     return np.concatenate([d, k @ d[:m] + d[m]])
 
 
-def _jacobian_newton_klr(k, y, ridge):
-    # oracle: the Newton loop of `_newton_klr` with `_jacobian_step`; also
-    # returns the smallest weight p (1 - p) met before the _P_EPS floor
+def _jacobian_newton_klr(k, y, ridge, max_iter=None):
+    # oracle: one cell's damped Newton loop, stepping by `_jacobian_step`;
+    # also returns the smallest weight p (1 - p) met before the _P_EPS
+    # floor, and whether any step halved eta. Without max_iter it runs to
+    # convergence; with it, it returns the iterate after max_iter steps
     m = len(y)
     ybar = min(max(float(np.mean(y)), 1e-3), 1.0 - 1e-3)
     theta = np.zeros(2 * m + 1)
@@ -487,35 +489,58 @@ def _jacobian_newton_klr(k, y, ridge):
         w_min[0] = min(w_min[0], float(np.min(p * (1.0 - p))))
         return _jacobian_step(k, y, ridge, theta_, r)
 
-    theta, converged = hazard._damped_newton(theta, residual, newton_step, hazard.NEWTON_MAX_ITER)
-    assert converged
-    return theta[: m + 1], w_min[0]
+    theta, converged, backtracked = damped_newton(
+        theta, residual, newton_step, max_iter or hazard.NEWTON_MAX_ITER
+    )
+    assert converged or max_iter
+    return theta[: m + 1], w_min[0], backtracked
 
 
 def test_newton_step_solves_the_jacobian_system(monkeypatch):
-    # the Cholesky step of `_newton_klr`, taken from its Newton loop, at
-    # iterates whose weights range from 1/4 down to below the _P_EPS floor
+    # the residuals and Cholesky steps of every cell of a fit, taken from
+    # its lockstep Newton loop in one call, at iterates whose weights range
+    # from 1/4 down to below the _P_EPS floor
     loop = {}
 
     def capture(theta, residual, newton_step, max_iter):
-        loop.update(residual=residual, newton_step=newton_step)
-        return theta, True
+        loop.update(theta=theta, residual=residual, newton_step=newton_step)
+        return theta, np.ones(theta.shape[1], dtype=bool)
 
     monkeypatch.setattr(hazard, "_damped_newton", capture)
     rng = np.random.default_rng(10)
-    m = 80
-    x = rng.normal(size=(m, 3))
-    k = gram(x, x, KernelConfig(length_scale=2.0))
-    y = (rng.uniform(size=m) < 0.3).astype(float)
-    hazard._newton_klr(k, y, 0.5)
+    n = 160
+    data = _dataset(
+        x=rng.normal(size=(n, 3)), a=np.arange(n) % 2, time=rng.integers(1, 4, size=n),
+        event=(rng.uniform(size=n) < 0.5).astype(int), t_max=3,
+    )
+    basis = _basis(data, KernelConfig(length_scale=2.0))
+    model = fit_event_hazard(data, basis, 0.5)
+    # the Newton cells, in the model's order, are the loop's columns
+    cells = [(u, cell) for (u, _), cell in model.cells.items() if cell.alpha is not None]
+    assert len(cells) == 6
+    labels = event_matrix(data, 3)
+    big = (loop["theta"].shape[0] - 1) // 2
+    cols = np.arange(len(cells))
     for f_scale in (0.5, 5.0, 40.0):
-        alpha = rng.normal(scale=0.1, size=m)
-        f = rng.normal(scale=f_scale, size=m)
-        theta = np.concatenate([alpha, [rng.normal()], f])
-        r = loop["residual"](theta)
-        expect = _jacobian_step(k, y, 0.5, theta, r)
-        got = loop["newton_step"](theta, r)
-        assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
+        theta = np.zeros_like(loop["theta"])
+        for j, (_, cell) in enumerate(cells):
+            m = cell.risk_idx.size
+            theta[:m, j] = rng.normal(scale=0.1, size=m)
+            theta[big, j] = rng.normal()
+            theta[big + 1 : big + 1 + m, j] = rng.normal(scale=f_scale, size=m)
+        r = loop["residual"](theta, cols)
+        done, step = loop["newton_step"](theta, r, cols)
+        assert not done.any()
+        for j, (u, cell) in enumerate(cells):
+            risk = cell.risk_idx
+            m, k, y = risk.size, basis.k_train[np.ix_(risk, risk)], labels[risk, u]
+            own = np.r_[0:m, big, big + 1 : big + 1 + m]  # the cell's rows of theta
+            p = expit(theta[big + 1 : big + 1 + m, j])
+            np.testing.assert_allclose(r[:m, j], (p - y) + 0.5 * theta[:m, j], rtol=1e-12)
+            assert r[big, j] == pytest.approx(np.sum(p - y), rel=1e-12, abs=1e-12)
+            expect = _jacobian_step(k, y, 0.5, theta[own, j], np.append(r[:m, j], r[big, j]))
+            assert np.linalg.norm(step[own, j] - expect) <= 1e-10 * np.linalg.norm(expect)
+            assert not step[m:big, j].any() and not step[big + 1 + m :, j].any()
 
 
 def _separable_cells(n=200):
@@ -532,23 +557,28 @@ def _separable_cells(n=200):
 
 
 @pytest.mark.parametrize(
-    "data, kernel, ridge, max_time, censor_too, min_risk_set, hits_floor",
+    "data, kernel, ridge, max_time, censor_too, min_risk_set, hits_floor, backtracks",
     [
-        (gen_synthetic(SyntheticConfig(n=200, seed=41)), KernelConfig(), 0.5, 25, True, 2, False),
-        (_twins_like(200, 42), KernelConfig(), 0.5, 25, True, 2, False),
-        (gen_synthetic(SyntheticConfig(n=900, seed=43)), KernelConfig(), 0.5, 1, False, 400, False),
-        (_separable_cells(), KernelConfig(length_scale=1.0), 1e-3, 1, False, 2, True),
+        (gen_synthetic(SyntheticConfig(n=200, seed=41)), KernelConfig(), 0.5, 25, True, 2, False,
+         False),
+        (_twins_like(200, 42), KernelConfig(), 0.5, 25, True, 2, False, False),
+        (gen_synthetic(SyntheticConfig(n=900, seed=43)), KernelConfig(), 0.5, 1, False, 400, False,
+         False),
+        (_separable_cells(), KernelConfig(length_scale=1.0), 1e-3, 1, False, 2, True, True),
+        # the censoring cell (1, 0), m = 213, halves eta while the other
+        # cells step in full: its trials must start from its own iterate
+        (_twins_like(400, 1), KernelConfig(), 0.5, 1, True, 150, False, True),
     ],
-    ids=["synthetic", "twins-like", "synthetic-m400", "weight-floor"],
+    ids=["synthetic", "twins-like", "synthetic-m400", "weight-floor", "twins-like-backtrack"],
 )
 def test_newton_cells_match_the_jacobian_oracle(
-    data, kernel, ridge, max_time, censor_too, min_risk_set, hits_floor
+    data, kernel, ridge, max_time, censor_too, min_risk_set, hits_floor, backtracks
 ):
     basis = _basis(data, kernel)
     k_full = basis.k_train
     flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
     pairs = [(fit_event_hazard, data), (fit_censor_hazard, flipped)]
-    sizes, w_min = [], np.inf
+    sizes, w_min, backtracked = [], np.inf, False
     for fit, labelled in pairs if censor_too else pairs[:1]:
         model = fit(data, basis, ridge, max_time=max_time)
         labels = event_matrix(labelled, max_time)
@@ -556,28 +586,62 @@ def test_newton_cells_match_the_jacobian_oracle(
             if cell.alpha is None:
                 continue
             risk = cell.risk_idx
-            expect, cell_w_min = _jacobian_newton_klr(
+            expect, cell_w_min, cell_backtracked = _jacobian_newton_klr(
                 k_full[np.ix_(risk, risk)], labels[risk, u], ridge
             )
             got = np.append(cell.alpha, cell.intercept)
             assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
             sizes.append(risk.size)
             w_min = min(w_min, cell_w_min)
+            backtracked |= cell_backtracked
     assert len(sizes) >= 2 and min(sizes) >= min_risk_set
     assert (w_min < hazard._P_EPS) == hits_floor
+    assert backtracked == backtracks
+
+
+def test_lockstep_cells_follow_their_own_newton_paths(monkeypatch):
+    # after each of the first steps, every cell's iterate is the one its
+    # own damped Newton loop reaches: the censoring cell (1, 0) halves
+    # eta at its first step while (1, 1) steps in full
+    data = _twins_like(400, 1)
+    basis = _basis(data)
+    labels = event_matrix(Dataset(data.x, data.a, data.time, 1 - data.event, data.grid), 1)
+    for max_iter in (1, 2, 3):
+        monkeypatch.setattr(hazard, "NEWTON_MAX_ITER", max_iter)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            model = fit_censor_hazard(data, basis, max_time=1)
+        backtracked = {}
+        for (u, a), cell in model.cells.items():
+            risk = cell.risk_idx
+            expect, _, backtracked[a] = _jacobian_newton_klr(
+                basis.k_train[np.ix_(risk, risk)], labels[risk, u], 0.5, max_iter
+            )
+            got = np.append(cell.alpha, cell.intercept)
+            assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
+        assert backtracked == {0: True, 1: False}
 
 
 def test_indefinite_newton_system_is_a_numerical_error():
-    y = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
-    with pytest.raises(NumericalError, match=r"not positive definite \(dposv info \d+\)"):
-        hazard._newton_klr(-10.0 * np.eye(5), y, 0.5)
+    data = _dataset(
+        x=np.arange(5.0), a=np.ones(5, dtype=int), time=[1, 1, 2, 2, 2], event=[0, 1, 0, 1, 0],
+        t_max=2,
+    )
+    good = _basis(data)
+    basis = KernelBasis(good.mean, good.scale, good.train_x, good.kernel, -10.0 * np.eye(5))
+    with pytest.raises(
+        NumericalError,
+        match=r"^event hazard: cell \(1, 1\): Newton system not positive definite "
+        r"\(dposv info \d+\)$",
+    ):
+        fit_event_hazard(data, basis)
 
 
 def test_failed_newton_cell_is_named(monkeypatch):
     data = gen_synthetic(SyntheticConfig(n=60, seed=5))
     basis = _basis(data)
     flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
-    newton = hazard._newton_klr
+    dposv = hazard._dposv
     for fit, labelled, what, (u, a) in (
         (fit_event_hazard, data, "event hazard", (2, 1)),
         (fit_censor_hazard, flipped, "censoring hazard", (3, 1)),
@@ -585,14 +649,19 @@ def test_failed_newton_cell_is_named(monkeypatch):
         risk = np.flatnonzero(active_matrix(labelled, a, 5)[:, u])
         target = event_matrix(labelled, 5)[risk, u]
         assert 0 < target.sum() < target.size  # a Newton cell
+        # ... and the only one of its fit with this many units, so its
+        # Newton system is the only one of that size
+        model = fit(data, basis, max_time=5)
+        sizes = [cell.risk_idx.size for cell in model.cells.values() if cell.alpha is not None]
+        assert sizes.count(risk.size) == 1
 
-        def failing(k, y, ridge, target=target):
-            if np.array_equal(y, target):
-                raise NumericalError("Newton system not positive definite (dposv info 7)")
-            return newton(k, y, ridge)
+        def failing(b, rhs, size=risk.size, **kwargs):
+            if b.shape[0] == size:
+                return b, rhs, 7
+            return dposv(b, rhs, **kwargs)
 
         with monkeypatch.context() as patch:
-            patch.setattr(hazard, "_newton_klr", failing)
+            patch.setattr(hazard, "_dposv", failing)
             with pytest.raises(NumericalError) as err:
                 fit(data, basis, max_time=5)
         assert str(err.value) == (

@@ -37,3 +37,39 @@ def test_experiment_script_writes_its_outputs(tmp_path, script, outputs):
             assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
         else:
             assert len(text.splitlines()) > 1  # a header and at least one row
+
+
+ESTIMATE_HEADER = "estimator,a,t,point,std_error,ci_low,ci_high,n\n"
+ESTIMATE_ROWS = (
+    "dr,diff,5,0.065247621752669961,0.045090260578838699,-0.023127665035380066,"
+    "0.15362290854071997,200\n"
+    "balance,diff,10,0.041,0.02,0.0024,0.0796,200\n"
+)
+
+
+@pytest.mark.parametrize(
+    "old, new, agree",
+    [
+        # dr by 1e-15 relative; balance's ci_low near 0 by 4e-12, 1.7e-9
+        # relative but 2e-10 of its SE of 0.02
+        ("0.065247621752669961", "0.065247621752670026", True),
+        ("0.0024,0.0796", "0.0024000000040000002,0.0796", True),
+        # balance's ci_low by 4e-10, 2e-8 of its SE
+        ("0.0024,0.0796", "0.0024000004,0.0796", False),
+        # dr's point by 1e-9 relative: the SE bound holds for balance only
+        ("0.065247621752669961", "0.065247621817917583", False),
+        ("dr,diff,5", "dr,1,5", False),
+    ],
+    ids=["dr-inside", "balance-inside", "balance-outside", "dr-outside", "label"],
+)
+def test_compare_outputs_checks_the_reordering_bounds(tmp_path, old, new, agree):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text(ESTIMATE_HEADER + ESTIMATE_ROWS)
+    assert old in ESTIMATE_ROWS
+    second.write_text(ESTIMATE_HEADER + ESTIMATE_ROWS.replace(old, new, 1))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), str(first), str(second)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == (0 if agree else 1), proc.stdout + proc.stderr
+    assert ("0 cells outside the bounds" in proc.stdout) == agree

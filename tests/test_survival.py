@@ -114,6 +114,20 @@ def test_dataset_arrays_are_readonly():
         data.time[0] = 9
 
 
+def test_subset_keeps_the_units_readonly():
+    data = _toy_dataset()
+    for idx in (np.array([2, 0]), data.time >= 2):
+        sub = data.subset(idx)
+        want = Dataset(data.x[idx], data.a[idx], data.time[idx], data.event[idx], data.grid)
+        for name in ("x", "a", "time", "event"):
+            got = getattr(sub, name)
+            np.testing.assert_array_equal(got, getattr(want, name))
+            assert got.dtype == getattr(want, name).dtype and not got.flags.writeable
+        assert sub.grid == data.grid
+    with pytest.raises(ValueError, match="at least one unit"):
+        data.subset(np.array([], dtype=int))
+
+
 def test_indicator_matrices():
     data = _toy_dataset()
     risk = at_risk_matrix(data, 3)
