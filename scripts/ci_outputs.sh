@@ -1,0 +1,33 @@
+#!/bin/sh
+# Write the outputs that the determinism checks compare, each file named
+# with LABEL, into DIR (default: $RUNNER_TEMP):
+#   KIND-LABEL.csv                  `cfsurv estimate` for each of the five kinds
+#   sim-STUDY-LABEL.csv, raw-STUDY-LABEL.csv
+#                                   `cfsurv simulate` for the synthetic and
+#                                   twins-like presets
+# The synthetic CSV the estimates read, DIR/data.csv, is generated on the
+# first call and reused after, so every label reads the same bytes.
+#
+#     scripts/ci_outputs.sh first
+#     OPENBLAS_NUM_THREADS=2 scripts/ci_outputs.sh two
+set -eu
+label=${1:?usage: scripts/ci_outputs.sh LABEL [DIR]}
+dir=${2:-${RUNNER_TEMP:?set RUNNER_TEMP or pass DIR}}
+
+if [ ! -f "$dir/data.csv" ]; then
+  cfsurv datagen --dgp synthetic --n 400 --xi 0.3 --seed 3 --out "$dir/data.csv"
+fi
+for kind in or ipw dr dr-clip balance; do
+  cfsurv estimate --data "$dir/data.csv" --estimator "$kind" \
+    --t 5,10,15,20,25 --arm diff --seed 3 --out "$dir/$kind-$label.csv"
+done
+for study in synthetic twins-like; do
+  if [ "$study" = synthetic ]; then
+    flags="--estimators or,ipw,dr,dr-clip,balance --mc 10000"
+  else
+    flags="--estimators or,dr,balance"
+  fi
+  # shellcheck disable=SC2086  # flags holds several arguments
+  cfsurv simulate --dgp "$study" --q 2 --n 80 $flags \
+    --out "$dir/sim-$study-$label.csv" --raw "$dir/raw-$study-$label.csv"
+done

@@ -352,7 +352,7 @@ def fit_nuisances(
 
     def fold(idx: np.ndarray, train: Dataset):
         # the event and censoring fits of one fold share one kernel basis
-        basis = KernelBasis.of(train.x, params.kernel)
+        basis = KernelBasis.of(train, params.kernel)
         models = (
             fit_event_hazard(train, basis, params.ridge, max_t) if use_event else None,
             fit_censor_hazard(train, basis, params.ridge, max_t) if use_censor else None,
@@ -374,6 +374,25 @@ def fit_nuisances(
     ))
 
 
+def _check_nuisances(nuisances: Nuisances, n: int, kind: str, uses, t: int) -> None:
+    """Reject folds whose eval_idx do not partition range(n), and missing or misshapen curves."""
+    idx = [np.asarray(fold[0]) for fold in nuisances.folds]
+    if not np.array_equal(np.sort(np.concatenate([np.empty(0, int), *idx])), np.arange(n)):
+        raise ValueError(f"nuisance folds' eval_idx must partition range({n})")
+    for rows, (_, _, arms) in zip(map(len, idx), nuisances.folds):
+        for lam, s, g, pi in arms:
+            if any(use and curve is None for use, curve in zip(uses, (lam, g, pi))):
+                raise ValueError(f"nuisances lack a curve the {kind} estimator needs")
+            shapes = [np.shape(c) for c in (lam, s, g) if c is not None]
+            if any(len(sh) != 2 or sh[0] != rows or sh[1] <= t for sh in shapes) or (
+                pi is not None and np.shape(pi) != (rows,)
+            ):
+                raise ValueError(
+                    f"a {rows}-unit fold's curves must be ({rows}, >= {t + 1}) matrices "
+                    f"and its propensity ({rows},)"
+                )
+
+
 def run_estimator(
     data: Dataset,
     kind: str,
@@ -389,14 +408,12 @@ def run_estimator(
     predicts nothing itself. Returns (results, failures):
     results maps (arm, t) with arm in {0, 1, "diff"} to an EstimateResult;
     failures maps cells that raised a numerical error to the error message.
+    Malformed nuisances (see `_check_nuisances`) raise ValueError.
     """
     spec = _checked_spec(data, kind, times)
     if nuisances is None:
         nuisances = fit_nuisances(data, kind, times, params, seed)
-    for _, _, arms in nuisances.folds:
-        for lam, _, g, pi in arms:
-            if any(use and curve is None for use, curve in zip(spec.models, (lam, g, pi))):
-                raise ValueError(f"nuisances lack a curve the {kind} estimator needs")
+    _check_nuisances(nuisances, data.n, kind, spec.models, max(times))
 
     points: dict[tuple[int, int], list[float]] = {(a, t): [] for a in (0, 1) for t in times}
     influence: dict[tuple[int, int], np.ndarray] = {

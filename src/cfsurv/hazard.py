@@ -13,48 +13,37 @@ the boundary of the likelihood and are represented by the clamp limits
 directly. The propensity is an unpenalized linear logistic regression.
 
 The event and censoring fits of one training fold share one
-`KernelBasis`, the only holder of the fold's kernel features: the
-standardization, the standardized training covariates and their Gram
-matrix, built once. A fitted `KernelHazardModel` holds only its cells.
-Prediction takes one input, the basis's Gram matrix of the units to
-predict (`KernelBasis.prediction_gram`, or `k_train` for the training
-units), and is one matrix product per model and arm: every Newton
-cell's alpha is scattered into its time's column of a coefficient
-matrix (zero outside the cell's risk set), so the logits of all times
-are k_pred @ A + b, and constant and empty cells then overwrite their
-columns with their level.
+`KernelBasis`, the only holder of the fold's kernel features and exit
+layout: the standardization, the standardized training covariates and
+their Gram matrix, and per arm the training units sorted once by exit
+time, descending, censored before events at equal times, with the arm's
+Gram matrix in that order. Every risk set {a_i = a, time_i >= u} is a
+prefix of its arm's order, whichever flag a fit labels: a cell is its
+size m, its system the leading m x m block of the sorted Gram matrix.
 
-Each fit sorts each arm's training units once by exit time, descending,
-with the units labelled 0 before those labelled 1 at equal times (for
-the event fit: censored before events). Every risk set
-{a_i = a, time_i >= u} is then a prefix of its arm's order, so a cell
-is its size m, its system is the leading m x m block of the arm's sorted
-Gram matrix (one copy per arm), and its labels are the flags of the
-units at positions [m_{u+1}, m_u) of that order.
+A fitted `KernelHazardModel` is three arrays per arm a: coef[a], each
+Newton cell's alpha in its time's column over its risk set and zero
+elsewhere; intercept[a]; and level[a], the hazard of every column not
+fit by Newton (NaN for a Newton column). Prediction takes the basis's
+Gram matrix of the units to predict (`KernelBasis.prediction_gram`, or
+`k_train` for the training units) and is one matrix product per model
+and arm, k_pred @ coef[a] + intercept[a], with the fixed columns then
+overwritten by their level.
 
 Both logistic fits use one damped Newton method (`_damped_newton`),
-which backtracks on the residual norm, column by column: the columns
-of its iterate are independent problems that step together, each with
-its own step size and its own stopping test. Every Newton cell of both
-arms of one fit is one column of padded (M x C) arrays, so residuals,
-stopping norms, line-search trials and the products with K (one
-matrix product per arm) are batched across cells; the propensity fit is
-a single column. Every fit that stops at its iteration cap reports it
-with a ConvergenceWarning naming the fit. A kernel cell's iterate
-carries its linear predictor f = K alpha + b alongside (alpha, b) and
-updates it with the step, so each Newton step evaluates expit once and
-a line-search trial needs no product with K. Its Newton step is the
-exact solution of the (m + 1)-square Jacobian system, obtained from one
-Cholesky factorization of the symmetric positive definite m x m matrix
-S K S + ridge I (S = diag(sqrt(w))) by LAPACK dposv, for every risk-set
-size, in a contiguous scratch buffer; a factorization that fails raises
-NumericalError naming the fit and the cell.
+column by column: every Newton cell of both arms of one fit is one
+column of padded arrays, stepping in lockstep with its own step size,
+stopping test and exact Cholesky step (`_newton_cells`); the propensity
+fit is a single column. A fit that stops at its iteration cap reports it
+with a ConvergenceWarning naming the fit, and a Newton system that
+cannot be factored raises NumericalError naming the fit and the cell.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg.lapack import dposv as _dposv
@@ -62,7 +51,7 @@ from scipy.special import expit
 
 from .errors import ConvergenceWarning, CoverageWarning, EstimationError, NumericalError
 from .kernels import KernelConfig, gram
-from .survival import Dataset, TimeGrid, standardization
+from .survival import Dataset, standardization
 
 __all__ = [
     "HAZARD_FLOOR",
@@ -250,23 +239,12 @@ def _newton_cells(grams, hits, cells, ridge: float, what: str):
 
 
 @dataclass(frozen=True)
-class _Cell:
-    """One fitted (u, a) hazard: dual coefficients over its risk set."""
-
-    alpha: np.ndarray | None  # None for constant cells
-    intercept: float
-    risk_idx: np.ndarray | None  # training indices: a prefix of the arm's exit order
-    constant: float | None = None
-
-
-@dataclass(frozen=True)
 class KernelBasis:
-    """The kernel features of one training set, shared by its hazard fits.
+    """The kernel features and exit layout of one training set, shared by its hazard fits.
 
-    Holds the standardization, the standardized training covariates and
-    their Gram matrix. The event and censoring fits of one training fold
-    take the same basis, so the Gram matrix is built once per fold, and
-    the fitted models are predicted from the basis's Gram matrices.
+    Per arm a: orders[a], the arm's units by exit time, descending,
+    censored first at ties; exits[a], their exit times; grams[a],
+    k_train[np.ix_(orders[a], orders[a])].
     """
 
     mean: np.ndarray
@@ -274,12 +252,24 @@ class KernelBasis:
     train_x: np.ndarray
     kernel: KernelConfig
     k_train: np.ndarray
+    orders: tuple[np.ndarray, np.ndarray]
+    exits: tuple[np.ndarray, np.ndarray]
+    grams: tuple[np.ndarray, np.ndarray]
 
     @classmethod
-    def of(cls, x: np.ndarray, kernel: KernelConfig) -> "KernelBasis":
-        mean, scale = standardization(x)
-        xs = (x - mean) / scale
-        return cls(mean, scale, xs, kernel, gram(xs, xs, kernel))
+    def of(cls, data: Dataset, kernel: KernelConfig) -> "KernelBasis":
+        mean, scale = standardization(data.x)
+        xs = (data.x - mean) / scale
+        k_train = gram(xs, xs, kernel)
+        orders = tuple(
+            arm[np.lexsort((data.event[arm], -data.time[arm]))]
+            for arm in (np.flatnonzero(data.a == a) for a in (0, 1))
+        )
+        return cls(
+            mean, scale, xs, kernel, k_train, orders,
+            tuple(data.time[order] for order in orders),
+            tuple(k_train[np.ix_(order, order)] for order in orders),
+        )
 
     def standardize(self, x: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(np.asarray(x, dtype=float)) - self.mean) / self.scale
@@ -291,37 +281,31 @@ class KernelBasis:
 
 @dataclass(frozen=True)
 class KernelHazardModel:
-    """Per-(u, a) kernel logistic hazards fit on one `KernelBasis`."""
+    """Per-(u, a) kernel logistic hazards for u = 1..max_time, fit on one `KernelBasis`.
 
-    grid: TimeGrid
-    cells: dict[tuple[int, int], _Cell]
+    coef[a] is (n_train, t_max + 1); intercept[a] and level[a] are (t_max + 1,).
+    """
+
+    coef: np.ndarray
+    intercept: np.ndarray
+    level: np.ndarray
+    max_time: int
     empty_cells: tuple[tuple[int, int], ...] = ()
 
     def hazard_matrix(self, k_pred: np.ndarray, a: int) -> np.ndarray:
-        """(n, t_max + 1) predicted hazards in arm a; column 0 is identically 0.
+        """(n, t_max + 1) hazards in arm a from the basis's Gram matrix k_pred; column 0 is 0."""
+        fit = np.clip(expit(k_pred @ self.coef[a] + self.intercept[a]), HAZARD_FLOOR, HAZARD_CEIL)
+        return np.where(np.isnan(self.level[a]), fit, self.level[a])
 
-        k_pred is the fit's basis's Gram matrix of the n units to predict
-        (`prediction_gram`, or `k_train` for the training units), shared
-        by both arms and by every model of that basis.
-        """
-        # every Newton cell's alpha scattered into its column over its risk set
-        n_pts = self.grid.n_points
-        coef = np.zeros((k_pred.shape[1], n_pts))
-        intercept = np.zeros(n_pts)
-        levels = {0: 0.0}
-        for u in range(1, n_pts):
-            cell = self.cells.get((u, a))
-            if cell is None:
-                levels[u] = HAZARD_FLOOR
-            elif cell.constant is not None:
-                levels[u] = cell.constant
-            else:
-                coef[cell.risk_idx, u] = cell.alpha
-                intercept[u] = cell.intercept
-        out = np.clip(expit(k_pred @ coef + intercept), HAZARD_FLOOR, HAZARD_CEIL)
-        for u, level in levels.items():
-            out[:, u] = level
-        return out
+    @property
+    def cells(self) -> dict[tuple[int, int], SimpleNamespace]:
+        """(u, a) -> alpha: its coef column, or None if fixed. benchmark/tracer.py counts these."""
+        newton = np.isnan(self.level)
+        return {
+            (u, a): SimpleNamespace(alpha=self.coef[a, :, u] if newton[a, u] else None)
+            for a in (0, 1)
+            for u in range(1, self.max_time + 1)
+        }
 
 
 def fit_event_hazard(
@@ -329,9 +313,9 @@ def fit_event_hazard(
 ) -> KernelHazardModel:
     """Fit the event hazard: labels 1(event, time = u) on each (u, a) risk set.
 
-    Risk sets are {a_i = a, time_i >= u} for u = 1..max_time (default:
-    the grid's t_max). `basis` is `KernelBasis.of(data.x, kernel)`, built
-    once and shared with the censoring fit.
+    Risk sets are {a_i = a, time_i >= u} for u = 1..max_time, in [0, t_max]
+    (default t_max). `basis` is `KernelBasis.of(data, kernel)`, shared with
+    the censoring fit.
     """
     return _fit_cells(data, basis, ridge, max_time, 1, "event hazard")
 
@@ -348,56 +332,53 @@ def _fit_cells(
 ) -> KernelHazardModel:
     """One kernel logistic fit per (u, a) cell, labels 1(event = label, time = u).
 
-    Each arm's units are sorted once by exit time, so a cell's risk set
-    is the first m units of its arm and its system the leading
-    m x m block of the arm's sorted Gram matrix, built by one copy per
-    arm. Every Newton cell of both arms steps together in
-    `_newton_cells`. Warnings start with `what` and point at the caller
-    of the public fit; a cell whose Newton system cannot be factored
-    raises NumericalError naming `what` and the cell.
+    data must have the basis's covariate shape, arms and exit times; its
+    flags may differ. Every Newton cell of both arms steps together in
+    `_newton_cells` on basis.grams, and each cell's alpha is scattered
+    once into its column of coef. Warnings start with `what` and point
+    at the caller of the public fit.
     """
-    if basis.train_x.shape != data.x.shape:
-        raise ValueError("basis was not built from these covariates")
-    if max_time is None:
-        max_time = data.grid.t_max
-    cells: dict[tuple[int, int], _Cell | None] = {}
+    if basis.train_x.shape != data.x.shape or any(
+        not np.array_equal(data.time[order], exits) or (data.a[order] != a).any()
+        for a, (order, exits) in enumerate(zip(basis.orders, basis.exits))
+    ):
+        raise ValueError("basis was not built from these covariates, arms and exit times")
+    t_max = data.grid.t_max
+    max_time = t_max if max_time is None else max_time
+    if not 0 <= max_time <= t_max:
+        raise ValueError(f"{what}: max_time must lie in [0, {t_max}], got {max_time}")
+    n_pts = data.grid.n_points
+    coef = np.zeros((2, data.n, n_pts))
+    intercept = np.zeros((2, n_pts))
+    level = np.full((2, n_pts), HAZARD_FLOOR)  # empty and all-0 cells, u > max_time
+    level[:, 0] = 0.0
     empty: list[tuple[int, int]] = []
     newton: list[tuple[int, int, int, int]] = []  # (u, a, m, lo), arm-major
-    orders, grams, hits = [], [], []
-    labelled = data.event == label
-    for a in (0, 1):
-        # exit time descending, unlabelled before labelled at equal times:
-        # every risk set {a_i = a, time_i >= u} is a prefix of this order
-        arm = np.flatnonzero(data.a == a)
-        order = arm[np.lexsort((labelled[arm], -data.time[arm]))]
-        exits = data.time[order]
-        hit = labelled[order]
+    hits = []
+    for a, (order, exits) in enumerate(zip(basis.orders, basis.exits)):
+        hit = data.event[order] == label
         # risk-set sizes at u = 1..max_time + 1: units lo..m-1 leave at u
         sizes = np.searchsorted(-exits, -np.arange(1, max_time + 2), side="right")
         for u in range(1, max_time + 1):
             m, lo = int(sizes[u - 1]), int(sizes[u])
             n_hit = int(np.count_nonzero(hit[lo:m]))
             if m == 0:
-                cells[(u, a)] = _Cell(None, 0.0, None, constant=HAZARD_FLOOR)
                 empty.append((u, a))
-            elif n_hit in (0, m):
-                # with an unpenalized intercept the single-class optimum sits
-                # at the boundary; represent it by the clamp limit directly
-                level = HAZARD_FLOOR if n_hit == 0 else HAZARD_CEIL
-                cells[(u, a)] = _Cell(None, 0.0, None, constant=level)
-            else:
-                cells[(u, a)] = None  # filled below, in this order
+            elif n_hit == m:
+                # with an unpenalized intercept a single-class optimum sits at
+                # the boundary; the clamp limit (here or the floor) stands for it
+                level[a, u] = HAZARD_CEIL
+            elif n_hit > 0:
+                level[a, u] = np.nan
                 newton.append((u, a, m, lo))
-        orders.append(order)
-        grams.append(basis.k_train[np.ix_(order, order)])
         hits.append(hit.astype(float))
     stalled: list[tuple[int, int]] = []
     if newton:
-        theta, converged = _newton_cells(grams, hits, newton, ridge, what)
+        theta, converged = _newton_cells(basis.grams, hits, newton, ridge, what)
         big = (theta.shape[0] - 1) // 2
         for j, (u, a, m, _) in enumerate(newton):
-            # the copy lets the padded arrays go
-            cells[(u, a)] = _Cell(theta[:m, j].copy(), float(theta[big, j]), orders[a][:m])
+            coef[a, basis.orders[a][:m], u] = theta[:m, j]
+            intercept[a, u] = theta[big, j]
         stalled = [cell[:2] for cell, ok in zip(newton, converged) if not ok]
     if empty:
         warnings.warn(
@@ -413,7 +394,7 @@ def _fit_cells(
             ConvergenceWarning,
             stacklevel=3,
         )
-    return KernelHazardModel(grid=data.grid, cells=cells, empty_cells=tuple(empty))
+    return KernelHazardModel(coef, intercept, level, max_time, tuple(empty))
 
 
 @dataclass(frozen=True)

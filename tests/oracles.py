@@ -3,8 +3,9 @@
 None of these runs in cfsurv itself: the Newton loop here steps one
 problem at a time where cfsurv steps a fit's cells together, the fits
 stop on their own residual norms, the balance solve never evaluates its
-objective, Gram matrices are built in one vectorized pass, and nuisance
-curves come from fitted models only.
+objective, Gram matrices are built in one vectorized pass, nuisance
+curves come from fitted models only, and a fitted hazard model is read
+as arrays, not as cells.
 """
 
 import numpy as np
@@ -53,6 +54,20 @@ def damped_newton(theta, residual, newton_step, max_iter):
             backtracked = True
         theta, r, merit = trial, trial_r, trial_merit
     return theta, False, backtracked
+
+
+def newton_cells(model, basis):
+    """Each Newton cell of a fitted hazard model as (u, a, risk, alpha, b), arm-major.
+
+    risk holds the training indices of the cell's risk set
+    {a_i = a, time_i >= u}, in the basis's exit order (a prefix of
+    basis.orders[a]); alpha is the model's coef over them and b its
+    intercept. The cells come in the order of the fit's lockstep columns.
+    """
+    for a in (0, 1):
+        for u in np.flatnonzero(np.isnan(model.level[a])):
+            risk = basis.orders[a][: np.count_nonzero(basis.exits[a] >= u)]
+            yield int(u), a, risk, model.coef[a, risk, u], float(model.intercept[a, u])
 
 
 def klr_loss_grad(

@@ -63,6 +63,8 @@ REMOVED = (
     "SolverConfig",
     # every Newton cell of a fit steps in one lockstep loop
     "_newton_klr",
+    # a fitted hazard model is arrays per arm, not cells
+    "_Cell",
 )
 
 
@@ -156,7 +158,9 @@ def test_config_fields():
     ]
     assert [f.name for f in fields(TwinsLikeConfig)] == ["x", "t0", "t1", "seed"]
     assert [f.name for f in fields(Nuisances)] == ["folds"]
-    assert [f.name for f in fields(KernelHazardModel)] == ["grid", "cells", "empty_cells"]
+    assert [f.name for f in fields(KernelHazardModel)] == [
+        "coef", "intercept", "level", "max_time", "empty_cells"
+    ]
 
 
 @pytest.mark.parametrize(

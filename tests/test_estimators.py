@@ -255,7 +255,7 @@ def test_balance_large_sigma2_approaches_crossfit_plugin():
     fold_points = []
     for f in range(2):
         train = data.subset(plan.train_indices(f))
-        basis = KernelBasis.of(train.x, KernelConfig())
+        basis = KernelBasis.of(train, KernelConfig())
         model = fit_event_hazard(train, basis, max_time=5)
         lam = model.hazard_matrix(basis.prediction_gram(data.subset(plan.fold_indices(f)).x), 1)
         fold_points.append(float(np.mean(np.cumprod(1.0 - lam, axis=1)[:, 5])))
@@ -311,9 +311,9 @@ def test_censor_fit_stops_at_last_evaluation_time(monkeypatch):
     fit_nuisances(data, "dr", [5, 10])
     assert len(fitted["fit_censor_hazard"]) == 5
     for censor in fitted["fit_censor_hazard"]:
-        newton = [u for (u, _), cell in censor.cells.items() if cell.alpha is not None]
-        assert newton and max(newton) <= 10
-        assert max(u for u, _ in censor.cells) == 10
+        newton = np.flatnonzero(np.isnan(censor.level).any(axis=0))
+        assert newton.size and newton.max() <= 10
+        assert censor.max_time == 10
 
 
 def test_fold_plan():
@@ -351,6 +351,27 @@ def test_run_estimator_validation():
     ipw_fit = fit_nuisances(data, "ipw", [5])
     with pytest.raises(ValueError):
         run_estimator(data, "dr", [5], nuisances=ipw_fit)
+
+
+def test_run_estimator_rejects_malformed_nuisances():
+    # a dropped or repeated fold would be averaged over the wrong units,
+    # and short curves would fail inside numpy broadcasting
+    data = gen_synthetic(SyntheticConfig(n=60, seed=4))
+    nuisances = fit_nuisances(data, "dr", [10], seed=1)
+    folds = nuisances.folds
+    (idx, xs, arms) = folds[0]
+    short = tuple((lam[:, :10], s, g, pi) for lam, s, g, pi in arms)
+    bad_pi = tuple((lam, s, g, pi[:-1]) for lam, s, g, pi in arms)
+    for broken, match in (
+        (folds[1:], "partition"),
+        ((folds[0], *folds), "partition"),
+        ((folds[0], folds[0], *folds[2:]), "partition"),
+        (((idx, xs, short), *folds[1:]), r"\(12, >= 11\)"),
+        (((idx, xs, bad_pi), *folds[1:]), r"\(12, >= 11\)"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            run_estimator(data, "dr", [10], seed=1, nuisances=Nuisances(broken))
+    run_estimator(data, "dr", [10], seed=1, nuisances=nuisances)
 
 
 @pytest.mark.parametrize("arm", [0, 1])
@@ -408,7 +429,7 @@ def _apart(data, idx, train, prop):
     x = data.x[idx]
     predicted = []
     for fit in (fit_event_hazard, fit_censor_hazard):
-        basis = KernelBasis.of(train.x, KernelConfig())
+        basis = KernelBasis.of(train, KernelConfig())
         predicted.append((fit(train, basis, max_time=10), basis.prediction_gram(x)))
     (event, k_event), (censor, k_censor) = predicted
     curves = []

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,13 @@ from cfsurv.hazard import (
 from cfsurv.kernels import KernelConfig, gram
 from cfsurv.sim import derive_seed, splitmix64
 from cfsurv.survival import Dataset, TimeGrid, active_matrix, event_matrix
-from oracles import damped_newton, klr_loss_grad, known_nuisances, propensity_loss_grad
+from oracles import (
+    damped_newton,
+    klr_loss_grad,
+    known_nuisances,
+    newton_cells,
+    propensity_loss_grad,
+)
 
 
 def central_diff(fn, theta, step=1e-5):
@@ -85,7 +92,7 @@ def _dataset(x, a, time, event, t_max=5):
 
 
 def _basis(data, kernel=KernelConfig()):
-    return KernelBasis.of(data.x, kernel)
+    return KernelBasis.of(data, kernel)
 
 
 def test_all_zero_labels_hazard_small():
@@ -366,17 +373,77 @@ def test_shared_prediction_gram_gives_the_same_bytes():
     # the whole-sample fold predicts from k_train: on its own training
     # units the prediction Gram is the training Gram, byte for byte
     rng = np.random.default_rng(6)
-    x = rng.normal(size=(40, 3))
-    basis = KernelBasis.of(x, KernelConfig())
-    assert basis.prediction_gram(x).tobytes() == basis.k_train.tobytes()
+    data = _dataset(
+        x=rng.normal(size=(40, 3)), a=np.arange(40) % 2,
+        time=rng.integers(1, 6, size=40), event=rng.integers(0, 2, size=40),
+    )
+    basis = KernelBasis.of(data, KernelConfig())
+    assert basis.prediction_gram(data.x).tobytes() == basis.k_train.tobytes()
 
 
 def test_basis_must_match_the_fit():
     data = gen_synthetic(SyntheticConfig(n=30, seed=2))
     basis = _basis(data)
+    other_times = Dataset(data.x, data.a, np.maximum(data.time - 1, 1), data.event, data.grid)
+    assert not np.array_equal(other_times.time, data.time)
+    other_arms = Dataset(data.x, 1 - data.a, data.time, data.event, data.grid)
     for fit in (fit_event_hazard, fit_censor_hazard):
-        with pytest.raises(ValueError, match="basis"):
-            fit(data.subset(np.arange(20)), basis)
+        for other in (data.subset(np.arange(20)), other_times, other_arms):
+            with pytest.raises(ValueError, match="basis"):
+                fit(other, basis)
+        # other event flags are another fit on the same risk sets
+        fit(Dataset(data.x, data.a, data.time, 1 - data.event, data.grid), basis)
+
+
+@pytest.mark.parametrize("fit", [fit_event_hazard, fit_censor_hazard])
+def test_max_time_must_lie_on_the_grid(fit):
+    data = gen_synthetic(SyntheticConfig(n=30, seed=2))
+    basis = _basis(data)
+    for bad in (-1, data.grid.t_max + 1, data.grid.t_max + 10):
+        with pytest.raises(ValueError, match=r"max_time must lie in \[0, 30\]"):
+            fit(data, basis, max_time=bad)
+    # times=[0] fits no cell: every column past 0 is the floor
+    model = fit(data, basis, max_time=0)
+    for a in (0, 1):
+        lam = model.hazard_matrix(basis.k_train, a)
+        assert np.all(lam[:, 0] == 0.0) and np.all(lam[:, 1:] == HAZARD_FLOOR)
+
+
+def test_basis_sorts_each_arm_once_censored_first_at_ties():
+    rng = np.random.default_rng(7)
+    n = 60
+    data = _dataset(
+        x=rng.normal(size=(n, 2)), a=rng.integers(0, 2, size=n),
+        time=rng.integers(1, 4, size=n), event=rng.integers(0, 2, size=n), t_max=3,
+    )
+    basis = _basis(data)
+    for a in (0, 1):
+        order = basis.orders[a]
+        assert sorted(order) == list(np.flatnonzero(data.a == a))
+        assert np.array_equal(basis.exits[a], data.time[order])
+        # exit time descending, and at equal times censored before events
+        key = -2 * data.time[order] + data.event[order]
+        assert np.all(np.diff(key) >= 0)
+        assert np.array_equal(basis.grams[a], basis.k_train[np.ix_(order, order)])
+        for u in range(1, 4):  # every risk set is a prefix
+            m = np.count_nonzero(basis.exits[a] >= u)
+            assert set(order[:m]) == set(np.flatnonzero((data.a == a) & (data.time >= u)))
+
+
+def test_fits_step_on_the_basis_grams_themselves(monkeypatch):
+    data = gen_synthetic(SyntheticConfig(n=60, seed=5))
+    basis = _basis(data)
+    seen = []
+    newton = hazard._newton_cells
+
+    def capture(grams, *args):
+        seen.append(grams)
+        return newton(grams, *args)
+
+    monkeypatch.setattr(hazard, "_newton_cells", capture)
+    fit_event_hazard(data, basis, max_time=5)
+    fit_censor_hazard(data, basis, max_time=5)
+    assert len(seen) == 2 and all(grams is basis.grams for grams in seen)
 
 
 def _twins_like(n, seed):
@@ -399,30 +466,44 @@ def test_newton_cells_reach_the_loss_gradient_tolerance(data):
     for fit, labelled in ((fit_event_hazard, data), (fit_censor_hazard, flipped)):
         model = fit(data, basis, max_time=25)
         labels = event_matrix(labelled, 25)
-        for (u, _), cell in model.cells.items():
-            if cell.alpha is None:
-                continue
-            risk = cell.risk_idx
-            _, grad = klr_loss_grad(
-                k_full[np.ix_(risk, risk)], labels[risk, u], cell.alpha, cell.intercept, 0.5
-            )
+        for u, _, risk, alpha, b in newton_cells(model, basis):
+            _, grad = klr_loss_grad(k_full[np.ix_(risk, risk)], labels[risk, u], alpha, b, 0.5)
             assert np.linalg.norm(grad) <= hazard.NEWTON_TOL
             checked += 1
     assert checked >= 20
 
 
-def _per_cell_hazards(model, k_pred, a):
-    # oracle: one column gather and matvec per Newton cell
-    out = np.zeros((k_pred.shape[0], model.grid.n_points))
-    for u in range(1, model.grid.n_points):
-        cell = model.cells.get((u, a))
-        if cell is None:
-            out[:, u] = HAZARD_FLOOR
-        elif cell.constant is not None:
-            out[:, u] = cell.constant
-        else:
-            f = k_pred[:, cell.risk_idx] @ cell.alpha + cell.intercept
-            out[:, u] = np.clip(expit(f), HAZARD_FLOOR, HAZARD_CEIL)
+@pytest.mark.parametrize(
+    "data",
+    [gen_synthetic(SyntheticConfig(n=200, seed=41)), _twins_like(200, 42)],
+    ids=["synthetic", "twins-like"],
+)
+def test_model_columns_are_zero_outside_their_cells(data):
+    basis = _basis(data)
+    for fit in (fit_event_hazard, fit_censor_hazard):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CoverageWarning)
+            model = fit(data, basis, max_time=25)
+        assert model.coef.shape == (2, data.n, data.grid.n_points)
+        assert model.max_time == 25 and np.all(model.level[:, 0] == 0.0)
+        newton = np.isnan(model.level)
+        assert newton.any(axis=1).all() and not newton[:, 26:].any()
+        # a fixed column's coef and intercept are zero
+        assert not model.coef.transpose(0, 2, 1)[~newton].any()
+        assert not model.intercept[~newton].any()
+        for u, a, risk, _, _ in newton_cells(model, basis):
+            outside = np.ones(data.n, dtype=bool)
+            outside[risk] = False
+            assert not model.coef[a, outside, u].any()
+
+
+def _per_cell_hazards(model, basis, k_pred, a):
+    # oracle: one column gather and matvec per Newton cell; the other
+    # columns hold their level
+    out = np.tile(model.level[a], (k_pred.shape[0], 1))
+    for u, arm, risk, alpha, b in newton_cells(model, basis):
+        if arm == a:
+            out[:, u] = np.clip(expit(k_pred[:, risk] @ alpha + b), HAZARD_FLOOR, HAZARD_CEIL)
     return out
 
 
@@ -442,12 +523,13 @@ def test_hazard_matrix_matches_the_per_cell_oracle():
         models = [fit(data, basis, max_time=5) for fit in (fit_event_hazard, fit_censor_hazard)]
     k_pred = basis.prediction_gram(holdout)
     for model in models:
-        assert (3, 0) in model.empty_cells
-        assert model.cells[(5, 1)].constant is not None
-        assert sum(cell.alpha is not None for cell in model.cells.values()) >= 5
+        assert (3, 0) in model.empty_cells and model.level[0, 3] == HAZARD_FLOOR
+        assert model.level[1, 5] in (HAZARD_FLOOR, HAZARD_CEIL)  # single-class
+        assert np.all(model.level[:, 6] == HAZARD_FLOOR)  # past max_time
+        assert len(list(newton_cells(model, basis))) >= 5
         for arm in (0, 1):
             got = model.hazard_matrix(k_pred, arm)
-            want = _per_cell_hazards(model, k_pred, arm)
+            want = _per_cell_hazards(model, basis, k_pred, arm)
             assert np.all(got[:, 0] == 0.0)
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -516,23 +598,22 @@ def test_newton_step_solves_the_jacobian_system(monkeypatch):
     basis = _basis(data, KernelConfig(length_scale=2.0))
     model = fit_event_hazard(data, basis, 0.5)
     # the Newton cells, in the model's order, are the loop's columns
-    cells = [(u, cell) for (u, _), cell in model.cells.items() if cell.alpha is not None]
+    cells = [(u, risk) for u, _, risk, _, _ in newton_cells(model, basis)]
     assert len(cells) == 6
     labels = event_matrix(data, 3)
     big = (loop["theta"].shape[0] - 1) // 2
     cols = np.arange(len(cells))
     for f_scale in (0.5, 5.0, 40.0):
         theta = np.zeros_like(loop["theta"])
-        for j, (_, cell) in enumerate(cells):
-            m = cell.risk_idx.size
+        for j, (_, risk) in enumerate(cells):
+            m = risk.size
             theta[:m, j] = rng.normal(scale=0.1, size=m)
             theta[big, j] = rng.normal()
             theta[big + 1 : big + 1 + m, j] = rng.normal(scale=f_scale, size=m)
         r = loop["residual"](theta, cols)
         done, step = loop["newton_step"](theta, r, cols)
         assert not done.any()
-        for j, (u, cell) in enumerate(cells):
-            risk = cell.risk_idx
+        for j, (u, risk) in enumerate(cells):
             m, k, y = risk.size, basis.k_train[np.ix_(risk, risk)], labels[risk, u]
             own = np.r_[0:m, big, big + 1 : big + 1 + m]  # the cell's rows of theta
             p = expit(theta[big + 1 : big + 1 + m, j])
@@ -582,14 +663,11 @@ def test_newton_cells_match_the_jacobian_oracle(
     for fit, labelled in pairs if censor_too else pairs[:1]:
         model = fit(data, basis, ridge, max_time=max_time)
         labels = event_matrix(labelled, max_time)
-        for (u, _), cell in model.cells.items():
-            if cell.alpha is None:
-                continue
-            risk = cell.risk_idx
+        for u, _, risk, alpha, b in newton_cells(model, basis):
             expect, cell_w_min, cell_backtracked = _jacobian_newton_klr(
                 k_full[np.ix_(risk, risk)], labels[risk, u], ridge
             )
-            got = np.append(cell.alpha, cell.intercept)
+            got = np.append(alpha, b)
             assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
             sizes.append(risk.size)
             w_min = min(w_min, cell_w_min)
@@ -612,12 +690,11 @@ def test_lockstep_cells_follow_their_own_newton_paths(monkeypatch):
             warnings.simplefilter("ignore", ConvergenceWarning)
             model = fit_censor_hazard(data, basis, max_time=1)
         backtracked = {}
-        for (u, a), cell in model.cells.items():
-            risk = cell.risk_idx
+        for u, a, risk, alpha, b in newton_cells(model, basis):
             expect, _, backtracked[a] = _jacobian_newton_klr(
                 basis.k_train[np.ix_(risk, risk)], labels[risk, u], 0.5, max_iter
             )
-            got = np.append(cell.alpha, cell.intercept)
+            got = np.append(alpha, b)
             assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
         assert backtracked == {0: True, 1: False}
 
@@ -628,7 +705,7 @@ def test_indefinite_newton_system_is_a_numerical_error():
         t_max=2,
     )
     good = _basis(data)
-    basis = KernelBasis(good.mean, good.scale, good.train_x, good.kernel, -10.0 * np.eye(5))
+    basis = replace(good, grams=(good.grams[0], -10.0 * np.eye(5)))
     with pytest.raises(
         NumericalError,
         match=r"^event hazard: cell \(1, 1\): Newton system not positive definite "
@@ -652,7 +729,7 @@ def test_failed_newton_cell_is_named(monkeypatch):
         # ... and the only one of its fit with this many units, so its
         # Newton system is the only one of that size
         model = fit(data, basis, max_time=5)
-        sizes = [cell.risk_idx.size for cell in model.cells.values() if cell.alpha is not None]
+        sizes = [risk.size for _, _, risk, _, _ in newton_cells(model, basis)]
         assert sizes.count(risk.size) == 1
 
         def failing(b, rhs, size=risk.size, **kwargs):
