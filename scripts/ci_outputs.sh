@@ -23,7 +23,7 @@ for kind in or ipw dr dr-clip balance; do
 done
 for study in synthetic twins-like; do
   if [ "$study" = synthetic ]; then
-    flags="--estimators or,ipw,dr,dr-clip,balance --mc 10000"
+    flags="--estimators or,ipw,dr,dr-clip,balance"
   else
     flags="--estimators or,dr,balance"
   fi

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from . import dgp as dgp_mod
-from . import sim as sim_mod
 from .errors import EstimationError, HarnessError, NumericalError
 from .estimators import ESTIMATOR_KINDS, EstimatorParams, run_estimator
 from .hazard import KernelConfig
@@ -109,8 +108,8 @@ _SIMULATE_OPTS = [
     Opt("--sigma2", float, 1.0),
     Opt("--length-scale", float, 10.0),
     Opt("--ridge", float, 0.5),
-    Opt("--mc", int, 200_000, help="Monte Carlo draws for the synthetic ground truth "
-        "(ignored by twins-like, whose truth is exact)"),
+    Opt("--mc", int, help="ignored: both ground truths are exact (accepted so older "
+        "command lines still run)"),
     Opt("--twins-csv", str),
     Opt("--out", str, required=True),
     Opt("--raw", str,
@@ -119,8 +118,6 @@ _SIMULATE_OPTS = [
 
 _TRUTH_OPTS = [
     Opt("--dgp", str, "synthetic", choices=("synthetic",)),
-    Opt("--mc", int, required=True),
-    Opt("--seed", int, 0),
     Opt("--out", str, help="output path (default: stdout)"),
 ]
 
@@ -329,11 +326,7 @@ def cmd_simulate(opt: dict[str, Any]) -> int:
         twins_table=twins_table,
     )
     if opt["dgp"] == "synthetic":
-        truth = dgp_mod.ground_truth(
-            dgp_mod.SyntheticConfig(n=max(2, opt["n"]), xi=opt["xi"], seed=0),
-            mc_n=opt["mc"],
-            seed=sim_mod.derive_seed(opt["master_seed"], 999_331),
-        )
+        truth = dgp_mod.ground_truth()
     else:
         x, t0, t1 = twins_table
         truth = dgp_mod.twins_ground_truth(dgp_mod.TwinsLikeConfig(x=x, t0=t0, t1=t1))
@@ -364,15 +357,13 @@ def cmd_simulate(opt: dict[str, Any]) -> int:
 def cmd_truth(opt: dict[str, Any]) -> int:
     if opt["out"] is not None:
         _check_out_path(opt["out"])
-    truth = dgp_mod.ground_truth(
-        dgp_mod.SyntheticConfig(n=2, seed=0), mc_n=opt["mc"], seed=opt["seed"]
-    )
+    truth = dgp_mod.ground_truth()
     buf = io.StringIO()
-    buf.write("t,psi0,psi1,delta,mc_se\n")
+    buf.write("t,psi0,psi1,delta\n")
     for t in range(truth.delta.size):
         buf.write(
             f"{t},{format(truth.psi[0, t], FLOAT_FMT)},{format(truth.psi[1, t], FLOAT_FMT)},"
-            f"{format(truth.delta[t], FLOAT_FMT)},{format(truth.delta_se[t], FLOAT_FMT)}\n"
+            f"{format(truth.delta[t], FLOAT_FMT)}\n"
         )
     _emit(buf.getvalue().encode("utf-8"), opt["out"])
     return 0

@@ -13,7 +13,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, ndtr, roots_hermitenorm
 
 from .survival import Dataset, TimeGrid, _whole, standardization
 
@@ -39,6 +39,13 @@ TWINS_D = 30
 
 #: last time of the synthetic event hazard's early regime; later times use the late one
 EARLY_HAZARD_END = 10
+
+#: quadrature for the exact synthetic truth: Gauss-Hermite nodes over the
+#: shared factor g, trapezoid nodes over each noise term on [-span, span];
+#: doubling both node counts moves no value by more than 1e-12
+TRUTH_G_NODES = 40
+TRUTH_E_NODES = 301
+TRUTH_E_SPAN = 10.0
 
 
 @dataclass(frozen=True)
@@ -121,17 +128,10 @@ def _standardize_columns(x: np.ndarray) -> np.ndarray:
     return (x - mean) / scale
 
 
-def _draw_synthetic_covariates(
-    rng: np.random.Generator, n: int, d: int, columns: int | None = None
-) -> np.ndarray:
-    """N(0, 0.8 I + 0.2 J) draws: shared factor sqrt(0.2) g plus sqrt(0.8) noise.
-
-    Returns only the first `columns` columns (default: all d). All d noise
-    columns are drawn either way, so the generator's stream and every
-    returned value do not depend on `columns`.
-    """
+def _draw_synthetic_covariates(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """N(0, 0.8 I + 0.2 J) draws: shared factor sqrt(0.2) g plus sqrt(0.8) noise."""
     g = rng.standard_normal(n)
-    eps = rng.standard_normal((n, d))[:, :columns]
+    eps = rng.standard_normal((n, d))
     return np.sqrt(0.2) * g[:, None] + np.sqrt(0.8) * eps
 
 
@@ -161,12 +161,10 @@ def gen_synthetic(cfg: SyntheticConfig) -> Dataset:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Monte Carlo (or exact) counterfactual survival values and their SEs."""
+    """Exact counterfactual survival psi^{a,t} and effect delta^t = psi^{1,t} - psi^{0,t}."""
 
     psi: np.ndarray  # (2, t_max + 1)
     delta: np.ndarray  # (t_max + 1,)
-    psi_se: np.ndarray
-    delta_se: np.ndarray
 
     def __post_init__(self) -> None:
         if ((self.psi < 0.0) | (self.psi > 1.0)).any():
@@ -175,37 +173,48 @@ class GroundTruth:
             raise ValueError("psi must be non-increasing in t")
 
 
-def ground_truth(cfg: SyntheticConfig, mc_n: int, seed: int | None = None) -> GroundTruth:
-    """Monte Carlo psi^{a,t} over fresh covariate draws at the true hazards.
+def ground_truth() -> GroundTruth:
+    """Exact psi^{a,t} of the synthetic process, by quadrature.
 
-    The event hazard reads only the first three covariates and takes one
-    value per unit in each of its two regimes (t <= EARLY_HAZARD_END and
-    after), so the draws keep three columns and each arm's hazard is
-    evaluated once per regime; the survival product still multiplies in
-    one factor per timestep.
+    Given the shared factor g the covariates are independent, and the
+    event hazard reads only x0 (t <= EARLY_HAZARD_END), x1 (later) and the
+    sign s of x2, where P(x2 >= 0 | g) = Phi(g / 2). So psi^{a,t} =
+    E_g[sum_s P(s | g) E_e0[(1 - h_early)^min(t, 10)] E_e1[(1 - h_late)^(t - 10)+]],
+    taken with Gauss-Hermite nodes over g and a trapezoid over each noise
+    term e. Assignment (xi, assign_scale) and n do not enter.
     """
-    if mc_n < 10_000:
-        raise ValueError(f"mc_n must be >= 10000, got {mc_n}")
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    x = _draw_synthetic_covariates(rng, mc_n, SYNTH_D, columns=3)
-    regimes = (EARLY_HAZARD_END, EARLY_HAZARD_END + 1)  # one time in each regime
-    keep = {a: [1.0 - true_event_hazard(x, a, t) for t in regimes] for a in (0, 1)}
-    n_pts = T_MAX + 1
-    psi = np.ones((2, n_pts))
-    psi_se = np.zeros((2, n_pts))
-    delta = np.zeros(n_pts)
-    delta_se = np.zeros(n_pts)
-    surv = {a: np.ones(mc_n) for a in (0, 1)}
-    root = np.sqrt(mc_n)
-    for t in range(1, n_pts):
+    return _quadrature_truth(TRUTH_G_NODES, TRUTH_E_NODES)
+
+
+def _quadrature_truth(g_nodes: int, e_nodes: int) -> GroundTruth:
+    """`ground_truth` on g_nodes Gauss-Hermite nodes and e_nodes trapezoid nodes."""
+    g, g_w = roots_hermitenorm(g_nodes)
+    g_w = g_w / g_w.sum()
+    e = np.linspace(-TRUTH_E_SPAN, TRUTH_E_SPAN, e_nodes)
+    e_w = np.exp(-0.5 * e**2)
+    e_w[[0, -1]] *= 0.5
+    e_w *= (e[1] - e[0]) / np.sqrt(2.0 * np.pi)
+    x = (np.sqrt(0.2) * g[:, None] + np.sqrt(0.8) * e[None, :]).ravel()
+    t = np.arange(1, T_MAX + 1)
+    early, late = np.minimum(t, EARLY_HAZARD_END), np.maximum(t - EARLY_HAZARD_END, 0)
+    p_pos = ndtr(g / 2.0)
+    surv = np.zeros((2, T_MAX, g_nodes))  # per arm, time and g node
+    for sign, p_sign in ((1.0, p_pos), (-1.0, 1.0 - p_pos)):
+        # each node stands for x0 (early regime) and x1 (late regime) alike
+        nodes = np.column_stack([x, x, np.full(x.size, sign)])
         for a in (0, 1):
-            surv[a] = surv[a] * keep[a][t > EARLY_HAZARD_END]
-            psi[a, t] = surv[a].mean()
-            psi_se[a, t] = surv[a].std() / root
-        diff = surv[1] - surv[0]
-        delta[t] = diff.mean()
-        delta_se[t] = diff.std() / root
-    return GroundTruth(psi=psi, delta=delta, psi_se=psi_se, delta_se=delta_se)
+            moments = []  # E_e[(1 - h)^k | g] for k = 0..steps, one per regime
+            for t_regime, steps in (
+                (EARLY_HAZARD_END, EARLY_HAZARD_END),
+                (EARLY_HAZARD_END + 1, T_MAX - EARLY_HAZARD_END),
+            ):
+                keep = (1.0 - true_event_hazard(nodes, a, t_regime)).reshape(g_nodes, e_nodes)
+                powers = np.cumprod(np.broadcast_to(keep, (steps, g_nodes, e_nodes)), axis=0)
+                moments.append(np.vstack([np.ones(g_nodes), (powers * e_w).sum(axis=2)]))
+            surv[a] += p_sign * moments[0][early] * moments[1][late]
+    psi = np.ones((2, T_MAX + 1))
+    psi[:, 1:] = (surv * g_w).sum(axis=2)
+    return GroundTruth(psi=psi, delta=psi[1] - psi[0])
 
 
 @dataclass(frozen=True)
@@ -271,12 +280,7 @@ def twins_ground_truth(cfg: TwinsLikeConfig) -> GroundTruth:
     t = np.arange(n_pts)
     capped = {0: np.minimum(cfg.t0, T_MAX), 1: np.minimum(cfg.t1, T_MAX)}
     psi = np.stack([(capped[a][:, None] > t[None, :]).mean(axis=0) for a in (0, 1)])
-    return GroundTruth(
-        psi=psi,
-        delta=psi[1] - psi[0],
-        psi_se=np.zeros_like(psi),
-        delta_se=np.zeros(n_pts),
-    )
+    return GroundTruth(psi=psi, delta=psi[1] - psi[0])
 
 
 def surrogate_twins_table(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,14 +4,16 @@ None of these runs in cfsurv itself: the Newton loop here steps one
 problem at a time where cfsurv steps a fit's cells together, the fits
 stop on their own residual norms, the balance solve never evaluates its
 objective, Gram matrices are built in one vectorized pass, nuisance
-curves come from fitted models only, and a fitted hazard model is read
-as arrays, not as cells.
+curves come from fitted models only, a fitted hazard model is read as
+arrays, not as cells, and the synthetic ground truth is exact quadrature,
+not Monte Carlo.
 """
 
 import numpy as np
 from scipy.special import expit
 
 from cfsurv.balance import direction_ratio
+from cfsurv.dgp import SYNTH_D, T_MAX, true_event_hazard
 from cfsurv.estimators import Nuisances
 from cfsurv.hazard import _propensity_grad
 from cfsurv.kernels import KernelConfig
@@ -173,3 +175,31 @@ def known_nuisances(data: Dataset, event=None, censor=None, propensity=None) -> 
             pi = p1 if a == 1 else 1.0 - p1
         curves.append((lam, s, g, pi))
     return Nuisances(((np.arange(data.n), x, tuple(curves)),))
+
+
+def monte_carlo_truth(mc_n: int, seed: int):
+    """Monte Carlo psi^{a,t} and delta^t with their standard errors.
+
+    Draws mc_n synthetic covariate rows (all SYNTH_D columns, as the
+    generator does) and multiplies in the true event hazard one timestep
+    at a time. Returns (psi, delta, psi_se, delta_se).
+    """
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(mc_n)
+    eps = rng.standard_normal((mc_n, SYNTH_D))
+    x = np.sqrt(0.2) * g[:, None] + np.sqrt(0.8) * eps
+    psi = np.ones((2, T_MAX + 1))
+    psi_se = np.zeros((2, T_MAX + 1))
+    delta = np.zeros(T_MAX + 1)
+    delta_se = np.zeros(T_MAX + 1)
+    surv = {a: np.ones(mc_n) for a in (0, 1)}
+    root = np.sqrt(mc_n)
+    for t in range(1, T_MAX + 1):
+        for a in (0, 1):
+            surv[a] = surv[a] * (1.0 - true_event_hazard(x, a, t))
+            psi[a, t] = surv[a].mean()
+            psi_se[a, t] = surv[a].std() / root
+        diff = surv[1] - surv[0]
+        delta[t] = diff.mean()
+        delta_se[t] = diff.std() / root
+    return psi, delta, psi_se, delta_se

@@ -2,8 +2,8 @@
 
 Each test prints a `[acceptance] criterion N: PASS/FAIL` line (run pytest
 with -s to see them) and asserts the criterion at its stated tolerance.
-The Monte Carlo criteria use fixed seeds, so the whole suite is
-deterministic.
+The Monte Carlo criteria use fixed seeds and the synthetic truth is
+exact, so the whole suite is deterministic.
 """
 
 import csv
@@ -66,12 +66,10 @@ def true_survival_values(x, a_value, t):
 
 def test_criterion_2_identification_chain(tmp_path):
     truth_path = tmp_path / "truth.csv"
-    seed = 2_020
-    assert cli_main(["truth", "--dgp", "synthetic", "--mc", "1000000",
-                     "--seed", str(seed), "--out", str(truth_path)]) == 0
+    assert cli_main(["truth", "--dgp", "synthetic", "--out", str(truth_path)]) == 0
     with open(truth_path, newline="") as fh:
         truth_rows = {int(r["t"]): r for r in csv.DictReader(fh)}
-    gt = ground_truth(SyntheticConfig(n=2, seed=0), mc_n=1_000_000, seed=seed)
+    gt = ground_truth()
 
     data = gen_synthetic(SyntheticConfig(n=100_000, seed=606, standardize=False))
     worst = 0.0
@@ -81,7 +79,7 @@ def test_criterion_2_identification_chain(tmp_path):
             assert psi_csv == pytest.approx(gt.psi[a, t], abs=1e-12)
             vals = true_survival_values(data.x, a, t)
             plug = float(vals.mean())
-            se = float(np.sqrt(vals.var() / data.n + gt.psi_se[a, t] ** 2))
+            se = float(np.sqrt(vals.var() / data.n))
             worst = max(worst, abs(plug - psi_csv) / se)
     report(2, worst <= 3.0, f"plug-in vs cmd_truth: worst |diff|/se = {worst:.2f} (limit 3)")
 
@@ -262,7 +260,7 @@ def test_criterion_6_double_robustness():
     def prop(x):
         return true_propensity(x, base)
 
-    gt = ground_truth(base, mc_n=1_000_000, seed=9)
+    gt = ground_truth()
     q, t, master = 200, 10, 31337
     detail = []
     ok = True
@@ -302,7 +300,7 @@ def sweep_rows():
         times=(5, 10, 15, 20, 25),
         master_seed=19,
     )
-    truth = ground_truth(SyntheticConfig(n=200, seed=0), mc_n=400_000, seed=404)
+    truth = ground_truth()
     return run_xi_sweep(cfg, list(XIS), truth)
 
 
@@ -382,7 +380,6 @@ def test_criterion_9_determinism(tmp_path):
     sim_args = [
         "simulate", "--dgp", "synthetic", "--q", "2", "--n", "40",
         "--estimators", "or", "--times", "4", "--master-seed", "6",
-        "--mc", "10000",
     ]
     for name in ("s1.csv", "s2.csv"):
         assert cli_main(sim_args + ["--out", str(tmp_path / name)]) == 0

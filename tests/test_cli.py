@@ -6,7 +6,7 @@ import pytest
 
 import cfsurv.cli as cli_module
 from cfsurv.cli import main
-from cfsurv.dgp import surrogate_twins_table
+from cfsurv.dgp import ground_truth, surrogate_twins_table
 from cfsurv.survival import Dataset, TimeGrid, write_dataset_csv
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -209,7 +209,7 @@ def test_simulate_minimal_run(tmp_path):
     args = [
         "simulate", "--dgp", "synthetic", "--q", "2", "--n", "40",
         "--estimators", "or,balance", "--times", "3,5", "--master-seed", "4",
-        "--mc", "10000", "--out", str(out),
+        "--out", str(out),
     ]
     assert main(args) == 0
     rows = read_rows(out)
@@ -238,7 +238,7 @@ def test_simulate_rejects_repeated_times(tmp_path, capsys, monkeypatch):
     truth_calls = _count_truth_calls(monkeypatch)
     assert main(
         ["simulate", "--q", "2", "--n", "30", "--estimators", "or,balance",
-         "--times", "5,5", "--mc", "10000", "--out", str(tmp_path / "m.csv")]
+         "--times", "5,5", "--out", str(tmp_path / "m.csv")]
     ) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert truth_calls == []  # rejected with the other checks, before the truth
@@ -249,7 +249,7 @@ def test_simulate_rejects_raw_with_xi_sweep(tmp_path, capsys, monkeypatch):
     truth_calls = _count_truth_calls(monkeypatch)
     assert main(
         ["simulate", "--q", "2", "--n", "60", "--estimators", "or", "--times", "5",
-         "--xi-sweep", "0.3", "--mc", "10000", "--out", str(tmp_path / "m.csv"),
+         "--xi-sweep", "0.3", "--out", str(tmp_path / "m.csv"),
          "--raw", str(tmp_path / "raw.csv")]
     ) == 2
     assert capsys.readouterr().err.startswith("error: --raw")
@@ -263,11 +263,12 @@ def test_simulate_unknown_estimator(tmp_path):
     ) == 2
 
 
-def test_simulate_rejects_small_mc(tmp_path):
-    assert main(
-        ["simulate", "--q", "2", "--n", "30", "--estimators", "or", "--times", "3",
-         "--mc", "5000", "--out", str(tmp_path / "m.csv")]
-    ) == 2
+def test_simulate_ignores_mc(tmp_path):
+    # the truth is exact, so --mc is accepted for older command lines and ignored
+    args = ["simulate", "--q", "2", "--n", "30", "--estimators", "or", "--times", "3"]
+    assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
+    assert main(args + ["--mc", "5000", "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_simulate_xi_sweep_is_synthetic_only(tmp_path):
@@ -294,7 +295,7 @@ def test_simulate_raw_output(tmp_path):
     raw = tmp_path / "raw.csv"
     assert main(
         ["simulate", "--q", "2", "--n", "40", "--estimators", "or", "--times", "3",
-         "--master-seed", "4", "--mc", "10000", "--out", str(out), "--raw", str(raw)]
+         "--master-seed", "4", "--out", str(out), "--raw", str(raw)]
     ) == 0
     raw_rows = read_rows(raw)
     assert len(raw_rows) == 2
@@ -305,8 +306,7 @@ def test_simulate_xi_sweep_columns(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(
         ["simulate", "--q", "2", "--n", "40", "--estimators", "or", "--times", "3",
-         "--xi-sweep", "0.2,0.4", "--master-seed", "4", "--mc", "10000",
-         "--out", str(out)]
+         "--xi-sweep", "0.2,0.4", "--master-seed", "4", "--out", str(out)]
     ) == 0
     with open(out) as fh:
         header = fh.readline().strip()
@@ -318,29 +318,19 @@ def test_simulate_xi_sweep_columns(tmp_path):
 
 def test_truth_output(tmp_path):
     out = tmp_path / "truth.csv"
-    assert main(["truth", "--dgp", "synthetic", "--mc", "20000", "--seed", "3",
-                 "--out", str(out)]) == 0
-    rows = read_rows(out)
-    assert len(rows) == 31
-    first = rows[0]
-    assert float(first["psi0"]) == 1.0 and float(first["psi1"]) == 1.0
-    assert float(first["delta"]) == 0.0
-    # treatment lowers the hazard, so the survival effect is positive
-    assert all(float(r["delta"]) > 0.0 for r in rows[1:])
+    assert main(["truth", "--dgp", "synthetic", "--out", str(out)]) == 0
+    gt = ground_truth()
+    want = "t,psi0,psi1,delta\n" + "".join(
+        f"{t},{gt.psi[0, t]:.17g},{gt.psi[1, t]:.17g},{gt.delta[t]:.17g}\n"
+        for t in range(gt.delta.size)
+    )
+    assert out.read_bytes() == want.encode()
 
 
-def test_truth_rejects_small_mc(tmp_path):
-    assert main(["truth", "--mc", "5000", "--out", str(tmp_path / "t.csv")]) == 2
-
-
-def test_truth_se_halves_when_mc_doubles(tmp_path):
-    out1 = tmp_path / "t1.csv"
-    out2 = tmp_path / "t2.csv"
-    assert main(["truth", "--mc", "10000", "--seed", "5", "--out", str(out1)]) == 0
-    assert main(["truth", "--mc", "40000", "--seed", "5", "--out", str(out2)]) == 0
-    se1 = float(read_rows(out1)[15]["mc_se"])
-    se2 = float(read_rows(out2)[15]["mc_se"])
-    assert 2.0 * 0.8 <= se1 / se2 <= 2.0 * 1.2
+@pytest.mark.parametrize("flag", ["--mc", "--seed"])
+def test_truth_takes_no_sampling_flags(tmp_path, flag):
+    # the truth is exact: no draw count and no seed
+    assert main(["truth", flag, "5", "--out", str(tmp_path / "t.csv")]) == 2
 
 
 GOLDEN_METRICS = os.path.join(DATA_DIR, "golden_metrics.csv")

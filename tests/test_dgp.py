@@ -7,9 +7,12 @@ from scipy.special import expit
 from cfsurv.dgp import (
     EARLY_HAZARD_END,
     T_MAX,
+    TRUTH_E_NODES,
+    TRUTH_G_NODES,
     GroundTruth,
     SyntheticConfig,
     TwinsLikeConfig,
+    _quadrature_truth,
     gen_synthetic,
     gen_twins_like,
     ground_truth,
@@ -21,6 +24,7 @@ from cfsurv.dgp import (
     twins_ground_truth,
 )
 from cfsurv.survival import dataset_csv_bytes
+from oracles import monte_carlo_truth
 
 
 def true_survival(x, a_value, t):
@@ -109,46 +113,30 @@ def test_sampler_shape_mismatch():
 
 
 def test_ground_truth_basics():
-    gt = ground_truth(SyntheticConfig(n=2, seed=0), mc_n=20_000, seed=1)
+    gt = ground_truth()
     assert gt.psi[0, 0] == 1.0 and gt.psi[1, 0] == 1.0
     assert gt.delta[0] == 0.0
-    assert np.all(np.diff(gt.psi, axis=1) <= 1e-15)
+    assert np.all(np.diff(gt.psi, axis=1) <= 0.0)
     # treatment enters the hazard argument negatively, so it protects:
     # delta = psi1 - psi0 is positive for t >= 1
     assert np.all(gt.delta[1:] > 0.0)
-    with pytest.raises(ValueError):
-        ground_truth(SyntheticConfig(n=2, seed=0), mc_n=5000)
 
 
-def _per_timestep_ground_truth(mc_n, seed):
-    # oracle: every covariate column drawn and the hazard evaluated at every t
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(mc_n)
-    eps = rng.standard_normal((mc_n, 10))
-    x = np.sqrt(0.2) * g[:, None] + np.sqrt(0.8) * eps
-    psi = np.ones((2, T_MAX + 1))
-    psi_se = np.zeros((2, T_MAX + 1))
-    delta = np.zeros(T_MAX + 1)
-    delta_se = np.zeros(T_MAX + 1)
-    surv = {a: np.ones(mc_n) for a in (0, 1)}
-    root = np.sqrt(mc_n)
-    for t in range(1, T_MAX + 1):
-        for a in (0, 1):
-            surv[a] = surv[a] * (1.0 - true_event_hazard(x, a, t))
-            psi[a, t] = surv[a].mean()
-            psi_se[a, t] = surv[a].std() / root
-        diff = surv[1] - surv[0]
-        delta[t] = diff.mean()
-        delta_se[t] = diff.std() / root
-    return psi, delta, psi_se, delta_se
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ground_truth_matches_the_monte_carlo_oracle(seed):
+    gt = ground_truth()
+    psi, delta, psi_se, delta_se = monte_carlo_truth(200_000, seed)
+    z_psi = (psi[:, 1:] - gt.psi[:, 1:]) / psi_se[:, 1:]
+    z_delta = (delta[1:] - gt.delta[1:]) / delta_se[1:]
+    assert np.abs(z_psi).max() <= 4.0
+    assert np.abs(z_delta).max() <= 4.0
 
 
-@pytest.mark.parametrize("mc_n", [10_000, 50_000])
-def test_ground_truth_matches_the_per_timestep_oracle(mc_n):
-    gt = ground_truth(SyntheticConfig(n=2, seed=0), mc_n=mc_n, seed=17)
-    oracle = _per_timestep_ground_truth(mc_n, 17)
-    for got, want in zip((gt.psi, gt.delta, gt.psi_se, gt.delta_se), oracle):
-        assert got.tobytes() == want.tobytes()
+def test_ground_truth_quadrature_is_converged():
+    gt = ground_truth()
+    fine = _quadrature_truth(2 * TRUTH_G_NODES, 2 * TRUTH_E_NODES - 1)
+    assert np.abs(fine.psi - gt.psi).max() <= 1e-12
+    assert np.abs(fine.delta - gt.delta).max() <= 1e-12
 
 
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**32 - 1))
@@ -161,24 +149,15 @@ def test_event_hazard_is_constant_within_each_regime(n, seed):
             assert all(other == first for other in rest)
 
 
-def test_ground_truth_se_scaling():
-    gt1 = ground_truth(SyntheticConfig(n=2, seed=0), mc_n=10_000, seed=4)
-    gt2 = ground_truth(SyntheticConfig(n=2, seed=0), mc_n=40_000, seed=4)
-    ratio = gt1.delta_se[15] / gt2.delta_se[15]
-    assert 2.0 * 0.8 <= ratio <= 2.0 * 1.2
-
-
 def test_identification_chain_quick():
-    # plug-in at true hazards over observational draws matches the MC truth
-    cfg = SyntheticConfig(n=20_000, seed=101, standardize=False)
-    data = gen_synthetic(cfg)
-    gt = ground_truth(cfg, mc_n=100_000, seed=707)
+    # plug-in at true hazards over observational draws matches the exact truth
+    data = gen_synthetic(SyntheticConfig(n=20_000, seed=101, standardize=False))
+    gt = ground_truth()
     for t in (5, 15):
         for a in (0, 1):
             vals = true_survival(data.x, a, t)
             plug = float(vals.mean())
-            se_plug = float(vals.std() / np.sqrt(data.n))
-            se = np.sqrt(se_plug**2 + gt.psi_se[a, t] ** 2)
+            se = float(vals.std() / np.sqrt(data.n))
             assert abs(plug - gt.psi[a, t]) <= 3 * se
 
 
@@ -260,7 +239,6 @@ def test_twins_ground_truth_exact():
     assert gt.psi[0, 2] == pytest.approx(0.5)  # t0 > 2 for rows 35 and 4
     assert gt.psi[1, 5] == pytest.approx(0.5)  # t1 > 5 for rows 6 and 40
     assert gt.psi[0, 30] == 0.0  # capped potential times never exceed 30
-    assert np.all(gt.psi_se == 0.0)
 
 
 def test_twins_csv_round_trip(tmp_path):
@@ -289,6 +267,4 @@ def test_ground_truth_validation():
         GroundTruth(
             psi=np.array([[1.0, 1.2], [1.0, 0.5]]),
             delta=np.zeros(2),
-            psi_se=np.zeros((2, 2)),
-            delta_se=np.zeros(2),
         )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cfsurv.sim
-from cfsurv.dgp import SyntheticConfig, ground_truth
+from cfsurv.dgp import ground_truth
 from cfsurv.errors import HarnessError, NumericalError
 from cfsurv.sim import (
     MetricsRow,
@@ -224,7 +224,7 @@ def test_summarize_sets_or_baseline(monkeypatch):
         "balance": _fake_estimator({15: 0.2}),
     })
     result = run_replications(cfg)
-    truth = ground_truth(SyntheticConfig(n=2, seed=0), mc_n=10_000, seed=0)
+    truth = ground_truth()
     rows = summarize(result, truth)
     by_kind = {r.estimator: r for r in rows}
     assert by_kind["or"].relative_rmse == pytest.approx(1.0)
