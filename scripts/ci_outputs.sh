@@ -1,7 +1,11 @@
 #!/bin/sh
 # Write the outputs that the determinism checks compare, each file named
 # with LABEL, into DIR (default: $RUNNER_TEMP):
+#   datagen-DGP-LABEL.csv           `cfsurv datagen` for the synthetic and
+#                                   twins-like generators
 #   KIND-LABEL.csv                  `cfsurv estimate` for each of the five kinds
+#   dr-LABEL.jsonl                  `cfsurv estimate --format jsonl`
+#   truth-LABEL.csv                 `cfsurv truth`
 #   sim-STUDY-LABEL.csv, raw-STUDY-LABEL.csv
 #                                   `cfsurv simulate` for the synthetic and
 #                                   twins-like presets
@@ -17,10 +21,17 @@ dir=${2:-${RUNNER_TEMP:?set RUNNER_TEMP or pass DIR}}
 if [ ! -f "$dir/data.csv" ]; then
   cfsurv datagen --dgp synthetic --n 400 --xi 0.3 --seed 3 --out "$dir/data.csv"
 fi
+cfsurv datagen --dgp synthetic --n 400 --xi 0.3 --seed 3 \
+  --out "$dir/datagen-synthetic-$label.csv"
+cfsurv datagen --dgp twins-like --n 200 --seed 3 \
+  --out "$dir/datagen-twins-like-$label.csv"
 for kind in or ipw dr dr-clip balance; do
   cfsurv estimate --data "$dir/data.csv" --estimator "$kind" \
     --t 5,10,15,20,25 --arm diff --seed 3 --out "$dir/$kind-$label.csv"
 done
+cfsurv estimate --data "$dir/data.csv" --estimator dr --t 5,10,15,20,25 \
+  --arm diff --seed 3 --format jsonl --out "$dir/dr-$label.jsonl"
+cfsurv truth --out "$dir/truth-$label.csv"
 for study in synthetic twins-like; do
   if [ "$study" = synthetic ]; then
     flags="--estimators or,ipw,dr,dr-clip,balance"

@@ -12,8 +12,6 @@ file (# comments allowed); explicit flags override file values.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -27,11 +25,14 @@ from .estimators import ESTIMATOR_KINDS, EstimatorParams, run_estimator
 from .hazard import KernelConfig
 from .plotting import metric_lines_svg
 from .sim import SimulationConfig, metrics_csv_bytes, run_replications, run_xi_sweep, summarize
-from .survival import FLOAT_FMT, dataset_csv_bytes, read_dataset_csv
+from .survival import csv_bytes, dataset_csv_bytes, read_csv, read_dataset_csv
 
 __all__ = ["main"]
 
 PLOT_METRICS = ("bias_over_stde", "relative_rmse", "coverage")
+
+#: the columns of an `estimate` record, in CSV and JSON Lines alike
+_RECORD_COLUMNS = ["estimator", "a", "t", "point", "std_error", "ci_low", "ci_high", "n"]
 
 
 class UsageError(Exception):
@@ -267,38 +268,19 @@ def _estimate_records(opt: dict[str, Any]):
     return records
 
 
-def _records_csv(records) -> bytes:
-    buf = io.StringIO()
-    buf.write("estimator,a,t,point,std_error,ci_low,ci_high,n\n")
-    for kind, arm, t, point, se, lo, hi, n in records:
-        buf.write(
-            f"{kind},{arm},{t},{format(point, FLOAT_FMT)},{format(se, FLOAT_FMT)},"
-            f"{format(lo, FLOAT_FMT)},{format(hi, FLOAT_FMT)},{n}\n"
-        )
-    return buf.getvalue().encode("utf-8")
-
-
 def _records_jsonl(records) -> bytes:
-    buf = io.StringIO()
-    for kind, arm, t, point, se, lo, hi, n in records:
-        buf.write(
-            json.dumps(
-                {
-                    "estimator": kind, "a": arm, "t": t, "point": point,
-                    "std_error": se, "ci_low": lo, "ci_high": hi, "n": n,
-                },
-                sort_keys=False,
-            )
-            + "\n"
-        )
-    return buf.getvalue().encode("utf-8")
+    lines = [json.dumps(dict(zip(_RECORD_COLUMNS, rec))) + "\n" for rec in records]
+    return "".join(lines).encode("utf-8")
 
 
 def cmd_estimate(opt: dict[str, Any]) -> int:
     if opt["out"] is not None:
         _check_out_path(opt["out"])
     records = _estimate_records(opt)
-    payload = _records_csv(records) if opt["format"] == "csv" else _records_jsonl(records)
+    if opt["format"] == "csv":
+        payload = csv_bytes(_RECORD_COLUMNS, records)
+    else:
+        payload = _records_jsonl(records)
     _emit(payload, opt["out"])
     return 0
 
@@ -338,19 +320,15 @@ def cmd_simulate(opt: dict[str, Any]) -> int:
     rows = summarize(result, truth)
     _emit(metrics_csv_bytes(rows), opt["out"])
     if opt["raw"] is not None:
-        buf = io.StringIO()
-        buf.write("estimator,t,q,estimate,ci_low,ci_high\n")
-        for kind in cfg.estimators:
-            for ti, t in enumerate(cfg.times):
-                for q in range(cfg.q):
-                    est = result.estimates[kind][q, ti]
-                    lo = result.ci_low[kind][q, ti]
-                    hi = result.ci_high[kind][q, ti]
-                    buf.write(
-                        f"{kind},{t},{q},{format(est, FLOAT_FMT)},"
-                        f"{format(lo, FLOAT_FMT)},{format(hi, FLOAT_FMT)}\n"
-                    )
-        _emit(buf.getvalue().encode("utf-8"), opt["raw"])
+        raw = [
+            [kind, t, q, result.estimates[kind][q, ti], result.ci_low[kind][q, ti],
+             result.ci_high[kind][q, ti]]
+            for kind in cfg.estimators
+            for ti, t in enumerate(cfg.times)
+            for q in range(cfg.q)
+        ]
+        header = ["estimator", "t", "q", "estimate", "ci_low", "ci_high"]
+        _emit(csv_bytes(header, raw), opt["raw"])
     return 0
 
 
@@ -358,36 +336,25 @@ def cmd_truth(opt: dict[str, Any]) -> int:
     if opt["out"] is not None:
         _check_out_path(opt["out"])
     truth = dgp_mod.ground_truth()
-    buf = io.StringIO()
-    buf.write("t,psi0,psi1,delta\n")
-    for t in range(truth.delta.size):
-        buf.write(
-            f"{t},{format(truth.psi[0, t], FLOAT_FMT)},{format(truth.psi[1, t], FLOAT_FMT)},"
-            f"{format(truth.delta[t], FLOAT_FMT)}\n"
-        )
-    _emit(buf.getvalue().encode("utf-8"), opt["out"])
+    rows = zip(range(truth.delta.size), *truth.psi.tolist(), truth.delta.tolist())
+    _emit(csv_bytes(["t", "psi0", "psi1", "delta"], rows), opt["out"])
     return 0
 
 
 def cmd_plot(opt: dict[str, Any]) -> int:
     _check_in_path(opt["metrics"])
     _check_out_path(opt["out"])
-    with open(opt["metrics"], newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    if not rows:
-        raise UsageError(f"{opt['metrics']}: no metric rows to plot")
-    required = {"estimator", "t", opt["y"]}
-    if not required.issubset(reader.fieldnames or ()):
-        raise UsageError(
-            f"{opt['metrics']}: missing columns {sorted(required - set(reader.fieldnames or ()))}"
-        )
+    header, rows = read_csv(opt["metrics"])
+    missing = sorted({"estimator", "t", opt["y"]} - set(header))
+    if missing:
+        raise UsageError(f"{opt['metrics']}: missing columns {missing}")
+    kind, t, y = (header.index(name) for name in ("estimator", "t", opt["y"]))
     series: dict[str, list[tuple[float, float]]] = {}
     for row in rows:
-        value = row[opt["y"]].strip()
+        value = row[y].strip()
         if value in ("", "nan"):
             continue
-        series.setdefault(row["estimator"], []).append((float(row["t"]), float(value)))
+        series.setdefault(row[kind], []).append((float(row[t]), float(value)))
     if not series:
         raise UsageError(f"{opt['metrics']}: no finite values in column {opt['y']}")
     _emit(metric_lines_svg(series, opt["y"]), opt["out"])

@@ -4,18 +4,18 @@ Both generators follow a fixed draw order so identical (config, seed)
 pairs reproduce datasets byte for byte. Covariates enter the generative
 formulas raw; the stored dataset is standardized afterwards (disable via
 `SyntheticConfig(standardize=False)` when a test needs the raw
-covariates; twins-like datasets are always standardized).
+covariates; twins-like datasets are always standardized). A twins-like
+table file is read with `survival.read_csv`, which checks its row widths.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, ndtr, roots_hermitenorm
 
-from .survival import Dataset, TimeGrid, _whole, standardization
+from .survival import Dataset, TimeGrid, _whole, read_csv, standardization
 
 __all__ = [
     "SyntheticConfig",
@@ -312,21 +312,12 @@ def surrogate_twins_table(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray
 
 def load_twins_table(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read the `x0..x29,t0,t1` covariate/potential-time table."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
+    header, rows = read_csv(path)
     d = TWINS_D
-    expected = [f"x{j}" for j in range(d)] + ["t0", "t1"]
-    if header != expected:
+    if header != [f"x{j}" for j in range(d)] + ["t0", "t1"]:
         raise ValueError(
             f"{path}: expected header x0..x{d - 1},t0,t1 with paired potential times"
         )
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
     x = np.array([[float(v) for v in row[:d]] for row in rows])
     t0 = np.array([int(row[d]) for row in rows])
     t1 = np.array([int(row[d + 1]) for row in rows])

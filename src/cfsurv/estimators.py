@@ -214,8 +214,7 @@ def _balance_gammas(
     r = s[:, None, tt] * q[:, :, None]
     r[:, np.arange(q.shape[1])[:, None] > tt] = 0.0
     w = solve_balance_weights(k, r, active, sigma2)
-    r *= active[:, :, None]
-    r *= w.omega  # zero for a failed direction
+    r *= w.omega  # zero off the risk sets (as omega is) and for a failed direction
     return r, {times[j]: err for j, err in w.failures.items()}
 
 

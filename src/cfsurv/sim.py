@@ -9,7 +9,6 @@ n_failed count rather than aborting the run.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -34,7 +33,7 @@ from .estimators import (
     nuisance_plan,
     run_estimator,
 )
-from .survival import FLOAT_FMT
+from .survival import csv_bytes
 
 __all__ = [
     "splitmix64",
@@ -299,33 +298,17 @@ _BASE_COLUMNS = [
 _SWEEP_COLUMNS = _BASE_COLUMNS + ["xi", "risb", "rise"]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), FLOAT_FMT)
-    return str(value)
-
-
 def metrics_csv_bytes(rows: list[MetricsRow], sweep: bool = False) -> bytes:
     """Serialize metrics rows to the canonical CSV schema."""
-    cols = _SWEEP_COLUMNS if sweep else _BASE_COLUMNS
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    for row in rows:
-        cells = [
+    cells = [
+        [
             row.estimator, row.t, row.n, row.q, row.rmse, row.relative_rmse,
             row.mae, row.mse, row.bias, row.std_err, row.bias_over_stde,
             row.coverage, row.n_failed,
-        ]
-        if sweep:
-            cells += [row.xi, row.risb, row.rise]
-        buf.write(",".join(_fmt(c) for c in cells) + "\n")
-    return buf.getvalue().encode("utf-8")
+        ] + ([row.xi, row.risb, row.rise] if sweep else [])
+        for row in rows
+    ]
+    return csv_bytes(_SWEEP_COLUMNS if sweep else _BASE_COLUMNS, cells)
 
 
 def run_xi_sweep(cfg: SimulationConfig, xis: list[float], truth: GroundTruth) -> list[MetricsRow]:

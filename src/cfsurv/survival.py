@@ -1,15 +1,19 @@
-"""Discrete-time survival primitives.
+"""Discrete-time survival primitives and the one CSV reader and writer.
 
 Time lives on the integer grid {0, 1, ..., t_max}. Event and censoring
 times are at least 1, so every hazard curve is pinned to 0 at index 0 and
 survival curves start at 1. Curves are plain float arrays of length
 t_max + 1.
+
+Every table cfsurv reads or writes (datasets, twins-like potential-time
+tables, estimates, metrics, truth) goes through `read_csv` and
+`csv_bytes`: the reader owns the empty-file, blank-line, row-width and
+no-rows checks, and the writer owns the cell format.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +28,51 @@ __all__ = [
     "write_dataset_csv",
     "read_dataset_csv",
     "dataset_csv_bytes",
+    "csv_bytes",
+    "read_csv",
 ]
 
 FLOAT_FMT = ".17g"
+
+
+def _cell(value) -> str:
+    # float first: numpy's float64 is a float, and most cells are floats
+    if isinstance(value, float):
+        return format(value, FLOAT_FMT)
+    return "" if value is None else str(value)
+
+
+def csv_bytes(header: list[str], rows) -> bytes:
+    """header and rows as CSV: floats to 17 significant digits, None as an empty cell."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    """The header and data rows of the CSV at path, skipping blank lines.
+
+    An empty file, a row whose cell count differs from the header's, or a
+    file with no data rows raises ValueError naming path.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} cells, expected {len(header)}"
+                )
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return header, rows
 
 
 @dataclass(frozen=True)
@@ -152,13 +198,8 @@ def _header(d: int) -> list[str]:
 
 def dataset_csv_bytes(data: Dataset) -> bytes:
     """Serialize a dataset to the canonical CSV schema, 17 significant digits."""
-    buf = io.StringIO()
-    buf.write(",".join(_header(data.d)) + "\n")
-    for i in range(data.n):
-        cells = [format(v, FLOAT_FMT) for v in data.x[i]]
-        cells += [str(int(data.a[i])), str(int(data.time[i])), str(int(data.event[i]))]
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue().encode("utf-8")
+    cols = zip(data.x.tolist(), data.a.tolist(), data.time.tolist(), data.event.tolist())
+    return csv_bytes(_header(data.d), ([*x, a, t, e] for x, a, t, e in cols))
 
 
 def write_dataset_csv(data: Dataset, path: str) -> None:
@@ -168,28 +209,12 @@ def write_dataset_csv(data: Dataset, path: str) -> None:
 
 def read_dataset_csv(path: str, t_max: int = 30) -> Dataset:
     """Read the `x0,...,x{d-1},a,time,event` schema back into a Dataset."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {reader.line_num} has {len(row)} cells, expected {len(header)}"
-                )
-            rows.append(row)
+    header, rows = read_csv(path)
     if len(header) < 4 or header[-3:] != ["a", "time", "event"]:
         raise ValueError(f"{path}: expected trailing columns a,time,event, got {header[-3:]}")
     d = len(header) - 3
     if header[:d] != [f"x{j}" for j in range(d)]:
         raise ValueError(f"{path}: covariate columns must be x0..x{d - 1}")
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
     x = np.array([[float(v) for v in row[:d]] for row in rows])
     a = np.array([int(row[d]) for row in rows])
     time = np.array([int(row[d + 1]) for row in rows])

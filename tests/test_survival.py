@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from cfsurv.cli import main
+from cfsurv.dgp import load_twins_table
 from cfsurv.survival import (
     Dataset,
     TimeGrid,
     active_matrix,
     at_risk_matrix,
+    csv_bytes,
     dataset_csv_bytes,
     event_matrix,
     read_dataset_csv,
@@ -160,20 +164,56 @@ def test_csv_header_checked(tmp_path):
         read_dataset_csv(str(path))
 
 
+def test_csv_bytes_cells():
+    row = [None, 3, np.int64(-4), 0.1, np.float64(1 / 3), math.nan, "or"]
+    payload = csv_bytes(list("abcdefg"), [row])
+    assert payload == b"a,b,c,d,e,f,g\n,3,-4,0.10000000000000001,0.33333333333333331,nan,or\n"
+    cells = payload.decode().splitlines()[1].split(",")
+    for j in (3, 4):
+        assert float(cells[j]) == row[j]
+    assert math.isnan(float(cells[5]))
+
+
+_TWINS_HEADER = ",".join([f"x{j}" for j in range(30)] + ["t0", "t1"])
+_TWINS_ROW = ",".join(["0.5"] * 30 + ["3", "4"])
+
+#: per table cfsurv reads: its header, a well-formed row, its library reader
+#: (None when only the CLI reads it) and a command reading PATH and writing OUT
+_TABLES = {
+    "dataset": ("x0,x1,a,time,event", "0,0,1,2,1", read_dataset_csv,
+                ["estimate", "--data", "PATH", "--estimator", "or", "--t", "2", "--out", "OUT"]),
+    "twins": (_TWINS_HEADER, _TWINS_ROW, load_twins_table,
+              ["datagen", "--dgp", "twins-like", "--n", "2", "--twins-csv", "PATH",
+               "--out", "OUT"]),
+    "metrics": ("estimator,t,coverage", "or,5,0.9", None,
+                ["plot", "--metrics", "PATH", "--y", "coverage", "--out", "OUT"]),
+}
+
+
 @pytest.mark.parametrize(
-    "row, cells",
-    [("0.5,0,1,3,1,7,8", 7), ("0.5,0,1,3", 4)],
-    ids=["two-extra-cells", "short-row"],
+    "table, row, cells",
+    [
+        ("dataset", "0.5,0,1,3,1,7,8", 7),
+        ("dataset", "0.5,0,1,3", 4),
+        ("twins", _TWINS_ROW.rsplit(",", 1)[0], 31),
+        ("twins", _TWINS_ROW + ",5", 33),
+        ("metrics", "or,10", 2),
+        ("metrics", "or,10,0.9,1", 4),
+    ],
+    ids=["two-extra-cells", "short-row", "twins-short-row", "twins-extra-cell",
+         "metrics-short-row", "metrics-extra-cell"],
 )
-def test_csv_row_width_checked(tmp_path, capsys, row, cells):
+def test_csv_row_width_checked(tmp_path, capsys, table, row, cells):
+    header, good, reader, argv = _TABLES[table]
     path = tmp_path / "ragged.csv"
-    path.write_text(f"x0,x1,a,time,event\n0,0,1,2,1\n\n{row}\n")
-    message = f"{path}: line 4 has {cells} cells, expected 5"
-    with pytest.raises(ValueError) as err:
-        read_dataset_csv(str(path))
-    assert str(err.value) == message
+    path.write_text(f"{header}\n{good}\n\n{row}\n")
+    message = f"{path}: line 4 has {cells} cells, expected {header.count(',') + 1}"
+    if reader is not None:
+        with pytest.raises(ValueError) as err:
+            reader(str(path))
+        assert str(err.value) == message
     out = tmp_path / "o.csv"
-    assert main(["estimate", "--data", str(path), "--estimator", "or", "--t", "2",
-                 "--out", str(out)]) == 2
+    paths = {"PATH": str(path), "OUT": str(out)}
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
