@@ -2,14 +2,17 @@
 
     python scripts/compare_outputs.py FIRST.csv SECOND.csv
 
-Reads `estimate` output, `simulate` metrics or `simulate --raw` output.
-Both files must have the same header, the same number of rows, and the
-same text in every cell that is not a number. Two numbers agree when
-they differ by at most 1e-10 of the larger magnitude or, in a balance
-row, by at most 1e-8 of the row's standard error. The balance solve
-amplifies roundoff about 1e4-fold and some of its interval bounds sit
-near 0, so a relative bound cannot hold there. The standard error is
-the `std_error` column of `estimate` output, the `std_err` column of
+Reads `estimate` output, `simulate` metrics or `simulate --raw` output
+through `cfsurv.survival.read_csv`, which names the file and line of a
+row with the wrong number of cells (and the file, if it is empty or has
+no data rows); such a file is reported as a problem. Both files must
+have the same header, the same number of rows, and the same text in
+every cell that is not a number. Two numbers agree when they differ by
+at most 1e-10 of the larger magnitude or, in a balance row, by at most
+1e-8 of the row's standard error. The balance solve amplifies roundoff
+about 1e4-fold and some of its interval bounds sit near 0, so a
+relative bound cannot hold there. The standard error is the
+`std_error` column of `estimate` output, the `std_err` column of
 `simulate` metrics, or the one the interval implies in `--raw` output,
 (ci_high - ci_low) / (2 z_0.975). Two NaNs agree.
 
@@ -19,9 +22,10 @@ cell agrees, 1 otherwise, naming the cells that do not.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
+
+from cfsurv.survival import read_csv
 
 REL_BOUND = 1e-10
 SE_BOUND = 1e-8
@@ -47,14 +51,16 @@ def _standard_error(row: dict[str, str]) -> float | None:
 
 def compare(first: str, second: str) -> tuple[list[str], float, float]:
     """(problems, largest relative deviation, largest balance deviation in SEs)."""
-    with open(first, newline="") as fh:
-        rows_a = list(csv.DictReader(fh))
-    with open(second, newline="") as fh:
-        rows_b = list(csv.DictReader(fh))
-    if not rows_a or not rows_b or list(rows_a[0]) != list(rows_b[0]):
-        return [f"{first} and {second} differ in header or are empty"], math.inf, math.inf
-    if len(rows_a) != len(rows_b):
-        return [f"{first} has {len(rows_a)} rows, {second} {len(rows_b)}"], math.inf, math.inf
+    try:
+        (header_a, cells_a), (header_b, cells_b) = read_csv(first), read_csv(second)
+    except ValueError as err:
+        return [str(err)], math.inf, math.inf
+    if header_a != header_b:
+        return [f"{first} and {second} differ in header"], math.inf, math.inf
+    if len(cells_a) != len(cells_b):
+        return [f"{first} has {len(cells_a)} rows, {second} {len(cells_b)}"], math.inf, math.inf
+    rows_a = [dict(zip(header_a, row)) for row in cells_a]
+    rows_b = [dict(zip(header_b, row)) for row in cells_b]
     problems, worst, worst_se = [], 0.0, 0.0
     for line, (row_a, row_b) in enumerate(zip(rows_a, rows_b), start=2):
         se = _standard_error(row_a) if row_a.get("estimator") == "balance" else None

@@ -11,10 +11,10 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 
 from cfsurv.cli import main as cli_main
+from cfsurv.survival import read_csv
 
 
 def main() -> None:
@@ -42,8 +42,8 @@ def main() -> None:
     if code != 0:
         raise SystemExit(code)
 
-    with open(sweep_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    header, cells = read_csv(sweep_path)
+    rows = [dict(zip(header, row)) for row in cells]
     print(f"{'xi':>5} {'estimator':>9} {'risb':>10} {'rise':>10}")
     seen = set()
     for row in rows:

@@ -25,8 +25,8 @@ The risk sets do not depend on the evaluation time t either: only the
 direction S_t * q does. `run_estimator` computes q once per (fold, arm),
 stacks the directions of every t on a trailing axis and makes one call:
 one factor, one product of the shared rows of K with every (u, t)
-direction, and at each u one multi-column solve over the times t >= u,
-with each column's residual checked on its own.
+direction, and one pair of triangular solves with that factor for all
+of those columns, each on its own leading block (`cho_solve_checked`).
 """
 
 from __future__ import annotations
@@ -134,15 +134,15 @@ def solve_balance_weights(
     Units are ordered by how many timesteps they stay active, descending
     and stable, so every active set is a prefix of that order. The
     largest one is factored once, and one product of its rows of k with
-    every direction serves all timesteps: each solves the columns of the
-    directions it needs with the leading block of that factor. A
-    direction that is zero at u has zero weights there and needs no
-    solve. Every column is checked against the residual bound
+    every direction serves all timesteps: every (u, direction) column is
+    solved at once with the leading block of that factor that u's risk
+    set spans. A direction that is zero at u has zero weights there and
+    needs no solve. Every column is checked against the residual bound
     `kernels.SOLVE_TOL` on its own.
 
-    Failures come back per direction: a column that misses its bound
-    fails its direction, and a failed factor fails every direction that
-    needs a solve. A failed direction's weights are zero.
+    Failures come back per direction, at its first failed u: a column
+    that misses its bound fails its direction, and a failed factor fails
+    every direction that needs a solve. Its weights are then zero.
     """
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -154,7 +154,6 @@ def solve_balance_weights(
         raise ValueError("active must be an (n, t+1) matrix and r an (n, t+1, c) stack")
     if not sigma2 > 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    t, c = r.shape[1] - 1, r.shape[2]
     order = np.argsort(-active[:, 1:].sum(axis=1), kind="stable")
     sizes = active.sum(axis=0)
     if not (active[order, 1:] == (np.arange(n)[:, None] < sizes[None, 1:])).all():
@@ -163,38 +162,25 @@ def solve_balance_weights(
     failures: dict[int, str] = {}
     lam = sigma2 / n
     shared = order[: int(sizes[1:].max(initial=0))]
-    k_shared = k[np.ix_(shared, shared)]
-    # (u, direction) pairs to solve; they share one product with k
+    # (u, direction) pairs to solve, one column each in (u, direction) order
     needed = (r[:, 1:, :] != 0.0).any(axis=0) & (sizes[1:] > 0)[:, None]
-    kr_shared = k[shared] @ r[:, 1:, :].reshape(n, t * c)[:, needed.reshape(-1)]
-    kr_col = np.cumsum(needed.reshape(-1)).reshape(t, c) - 1
-    factor: np.ndarray | NumericalError | None = None
-    if needed.any():
-        try:
-            factor = spd_factor(k_shared, ridge=lam)
-        except NumericalError as err:
-            factor = err  # fails every direction that needs a solve
-    for u in range(1, t + 1):
-        dirs = np.flatnonzero(needed[u - 1])
-        if dirs.size == 0:
-            continue
-        m = int(sizes[u])
-        where = f"balance solve at u={u} ({m} of {n} active)"
-        if isinstance(factor, NumericalError):
-            bad = dict.fromkeys(range(dirs.size), factor)
-        else:
-            rhs = kr_shared[:m, kr_col[u - 1, dirs]]
-            v, bad = cho_solve_checked(factor[:m, :m], k_shared[:m, :m], rhs, ridge=lam)
-        for col, err in bad.items():
-            failures[int(dirs[col])] = f"{where}, direction {dirs[col]}: {err}"
-            needed[:, dirs[col]] = False  # a failed direction is solved no further
-        if len(bad) == dirs.size:
-            continue
-        act = shared[:m]
-        r_act = r[act[:, None], u, dirs[None, :]]
-        safe = np.abs(r_act) > _R_TINY
-        omega[act[:, None], u, dirs[None, :]] = np.divide(
-            v, r_act, out=np.zeros_like(v), where=safe
-        )
+    if not needed.any():
+        return BalanceWeights(omega=omega, active=active, failures=failures)
+    col_u, col_dir = np.nonzero(needed)
+    col_u += 1
+    m = sizes[col_u]
+    r_cols = r[:, col_u, col_dir]
+    k_shared = k[np.ix_(shared, shared)]
+    kr_shared = k[shared] @ r_cols
+    try:
+        v, bad = cho_solve_checked(spd_factor(k_shared, ridge=lam), k_shared, kr_shared, lam, m)
+    except NumericalError as err:  # a failed factor fails every direction that needs a solve
+        v, bad = np.zeros_like(kr_shared), dict.fromkeys(range(m.size), err)
+    for col, err in sorted(bad.items()):  # each failed direction's first failed timestep
+        where = f"balance solve at u={col_u[col]} ({m[col]} of {n} active)"
+        failures.setdefault(int(col_dir[col]), f"{where}, direction {col_dir[col]}: {err}")
+    safe = (np.arange(shared.size)[:, None] < m) & (np.abs(r_cols[shared]) > _R_TINY)
+    w = np.divide(v, r_cols[shared], out=np.zeros_like(v), where=safe)
+    omega[shared[:, None], col_u, col_dir] = w
     omega[:, :, list(failures)] = 0.0
     return BalanceWeights(omega=omega, active=active, failures=failures)

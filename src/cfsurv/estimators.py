@@ -31,7 +31,7 @@ weight it with explicit inverse-probability weights (clipped for
 dr-clip) and take S_t times a cumulative sum over u; balance stacks
 every time's direction S_t * q (zero past t) and gets the minimax
 weights of every time from one `solve_balance_weights` call (one
-factor, one multi-column solve per timestep), then contracts them with
+factor, one pair of triangular solves), then contracts them with
 the residuals in one product. Standard errors come from the influence
 values and a normal t-statistic interval. A fault in q (a nonpositive
 survival value) or in dr's explicit weights (a zero denominator) fails

@@ -34,9 +34,12 @@ Both logistic fits use one damped Newton method (`_damped_newton`),
 column by column: every Newton cell of both arms of one fit is one
 column of padded arrays, stepping in lockstep with its own step size,
 stopping test and exact Cholesky step (`_newton_cells`); the propensity
-fit is a single column. A fit that stops at its iteration cap reports it
-with a ConvergenceWarning naming the fit, and a Newton system that
-cannot be factored raises NumericalError naming the fit and the cell.
+fit is a single column. A cell's step factors K_m + ridge W^-1, its Gram
+block plus ridge over its Newton weights: that is S^-1 B S^-1 for the
+Newton matrix B = S K_m S + ridge I, S = W^(1/2), and as accurate. A fit
+that stops at its iteration cap reports it with a ConvergenceWarning
+naming the fit, and a Newton system that cannot be factored raises
+NumericalError naming the fit and the cell.
 """
 
 from __future__ import annotations
@@ -152,17 +155,20 @@ def _newton_cells(grams, hits, cells, ridge: float, what: str):
     columns' risk sets span.
 
     The Newton step solves that Jacobian system exactly through the
-    symmetric positive definite B = S K S + ridge I, S = diag(s),
-    s = sqrt(w), K the cell's leading m x m block. With g = K d_alpha + d_b
-    (the step of f), the alpha rows read w * g + ridge d_alpha = r_alpha
-    and the intercept row reads w'g = r_b, so h = s * g solves
-    B h = s * (K r_alpha) + ridge d_b s. One LAPACK dposv call (Cholesky
-    factor and both solves) per cell, in a contiguous scratch buffer,
-    gives B u = s * (K r_alpha) and B v = s; then h = u + ridge d_b v,
-    the intercept row gives d_b = (r_b - s'u) / (ridge s'v), and
-    d_alpha = (r_alpha - s * h) / ridge. For a Gram matrix K, B's
-    eigenvalues lie in [ridge, ridge + m / 4] and s'v = s'B^-1 s > 0.
-    A B that is not positive definite (non-finite, or K not positive
+    symmetric positive definite A = K + ridge W^-1, K the cell's leading
+    m x m block and W = diag(w), w floored at _P_EPS. With
+    g = K d_alpha + d_b (the step of f), the alpha rows read
+    w * g + ridge d_alpha = r_alpha and the intercept row w'g = r_b, so
+    h = w * g solves A h = K r_alpha + ridge d_b 1. Per cell, one copy of
+    K into a contiguous scratch buffer, its diagonal, and one LAPACK
+    dposv call (Cholesky factor and both solves) give A u = K r_alpha and
+    A v = 1; then h = u + ridge d_b v, d_b = (r_b - sum(u)) / (ridge sum(v))
+    and d_alpha = (r_alpha - h) / ridge. B = S A S, S = W^(1/2), is
+    S K S + ridge I, with eigenvalues in [ridge, ridge + m / 4], so
+    sum(v) = s'B^-1 s > 0; and Cholesky's accuracy does not change under
+    symmetric diagonal scaling (van der Sluis; Higham 2002, ch. 10), so A
+    is factored as accurately as B, even with diagonal ridge / _P_EPS.
+    An A that is not positive definite (non-finite, or K not positive
     semi-definite) raises NumericalError naming `what` and the cell.
 
     The step of f is K d_alpha + d_b, so theta - eta * step moves f
@@ -180,9 +186,8 @@ def _newton_cells(grams, hits, cells, ridge: float, what: str):
     theta = np.zeros((2 * big + 1, len(cells)))
     theta[big] = np.log(ybar / (1.0 - ybar))  # b, and f = b at alpha = 0
     theta[big + 1 :] = theta[big] * mask
-    # B is factored in place in Fortran order; it is filled row by row
-    # through the C-order view b_rows = B' (B is symmetric)
-    b_buf = np.empty(big * big)
+    # A is factored in place in Fortran order, filled through its C-order view A' = A
+    a_buf = np.empty(big * big)
     arms, sizes = arm.tolist(), m.tolist()
 
     def k_times(z, cols):
@@ -208,19 +213,16 @@ def _newton_cells(grams, hits, cells, ridge: float, what: str):
         done = np.sqrt(np.einsum("ij,ij->j", kr, kr) + r[big] ** 2) <= NEWTON_TOL
         live, r = cols[~done], r[:, ~done]
         p = y[:, live] + (r[:big] - ridge * theta_[:big, ~done])  # the p of residual(theta_)
-        s = np.sqrt(np.maximum(p * (1.0 - p), _P_EPS)) * mask[:, live]
-        # each cell's right-hand sides (s * K r_alpha, s) and solutions (u, v)
-        # as the two contiguous rows of its slab
-        rhs = np.stack([s * kr[:, ~done], s]).transpose(2, 0, 1).copy()
+        diag = ridge / np.maximum(p * (1.0 - p), _P_EPS)  # ridge / w
+        # a cell's right-hand sides (K r_alpha, 1), then its (u, v): its slab's two rows
+        rhs = np.stack([kr[:, ~done], mask[:, live]]).transpose(2, 0, 1).copy()
         uv = np.zeros_like(rhs)
         for j, cell in enumerate(live):
             size = sizes[cell]
-            s_j = rhs[j, 1, :size]
-            b_rows = b_buf[: size * size].reshape(size, size)
-            np.multiply(grams[arms[cell]][:size, :size], s_j, out=b_rows)
-            np.multiply(b_rows, s_j[:, None], out=b_rows)
-            b_buf[: size * size : size + 1] += ridge  # the diagonal of b_rows
-            _, sol, info = _dposv(b_rows.T, rhs[j, :, :size].T, lower=1, overwrite_a=True)
+            a_rows = a_buf[: size * size].reshape(size, size)
+            np.copyto(a_rows, grams[arms[cell]][:size, :size])
+            a_buf[: size * size : size + 1] += diag[:size, j]  # the diagonal of a_rows
+            _, sol, info = _dposv(a_rows.T, rhs[j, :, :size].T, lower=1, overwrite_a=True)
             if info != 0:
                 raise NumericalError(
                     f"{what}: cell {cells[cell][:2]}: "
@@ -228,9 +230,9 @@ def _newton_cells(grams, hits, cells, ridge: float, what: str):
                 )
             uv[j, :, :size] = sol.T
         u, v = uv[:, 0].T, uv[:, 1].T
-        d_b = (r[big] - np.einsum("ij,ij->j", s, u)) / (ridge * np.einsum("ij,ij->j", s, v))
+        d_b = (r[big] - u.sum(axis=0)) / (ridge * v.sum(axis=0))
         step = np.empty((2 * big + 1, live.size))
-        step[:big] = (r[:big] - s * (u + ridge * d_b * v)) / ridge
+        step[:big] = (r[:big] - u - ridge * d_b * v) / ridge
         step[big] = d_b
         step[big + 1 :] = k_times(step[:big], live) + d_b * mask[:, live]
         return done, step

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import solve_triangular
 
 from .errors import NumericalError
 
@@ -82,26 +83,37 @@ def spd_factor(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:
 
 
 def cho_solve_checked(
-    factor: np.ndarray, m: np.ndarray, b: np.ndarray, ridge: float = 0.0
+    factor: np.ndarray, m: np.ndarray, b: np.ndarray, ridge: float = 0.0,
+    sizes: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Solve (m + ridge * I) z = b from a lower Cholesky factor of that matrix.
 
-    b is one right-hand side or a matrix of them, one per column. The
+    b is one right-hand side or a matrix of them, one per column. Column
+    j solves the leading sizes[j] block (default: all of m), zero past
+    it; the factor of a leading block is that block of the factor, so
+    all columns share one forward and one backward triangular solve. The
     factor may carry jitter. Each column is held to its own bound
-    ||(m + ridge I) z_j - b_j|| <= SOLVE_TOL * (1 + ||b_j||) for the
-    unjittered system, so a small column cannot hide under a large
+    ||(m + ridge I) z_j - b_j|| <= SOLVE_TOL * (1 + ||b_j||) on its block
+    of the unjittered system, so a small column cannot hide under a large
     one's norm. Returns (z, failures): failures maps every column that
     misses its bound (a non-finite residual included; column 0 for a
     vector b) to diagnostics, and is empty when the solve is good.
     """
-    z = scipy.linalg.cho_solve((factor, True), b, check_finite=False)
-    residual = np.atleast_1d(np.linalg.norm(m @ z + ridge * z - b, axis=0))
-    bound = SOLVE_TOL * (1.0 + np.atleast_1d(np.linalg.norm(b, axis=0)))
+    b = np.asarray(b, dtype=float)
+    cols = b.reshape(len(b), -1)
+    sizes = np.full(cols.shape[1], len(b)) if sizes is None else np.asarray(sizes)
+    keep = np.arange(len(b))[:, None] < sizes
+    rhs = np.where(keep, cols, 0.0)
+    z = solve_triangular(factor, rhs, lower=True, check_finite=False)
+    z *= keep
+    z = solve_triangular(factor, z, lower=True, trans="T", overwrite_b=True, check_finite=False)
+    residual = np.linalg.norm((m @ z + ridge * z - rhs) * keep, axis=0)
+    bound = SOLVE_TOL * (1.0 + np.linalg.norm(rhs, axis=0))
     failures = {
         int(j): (
-            f"SPD solve of {m.shape[0]}x{m.shape[0]} system (ridge={ridge:.3e}) "
+            f"SPD solve of {sizes[j]}x{sizes[j]} system (ridge={ridge:.3e}) "
             f"left residual {residual[j]:.3e} above tolerance {bound[j]:.3e}"
         )
         for j in np.flatnonzero(~(residual <= bound))
     }
-    return z, failures
+    return z.reshape(b.shape), failures

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cfsurv.balance as balance_module
+import cfsurv.kernels as kernels_module
 from cfsurv.balance import (
     BalanceWeights,
     direction_ratio,
@@ -433,6 +434,24 @@ def test_stacked_solve_matches_per_direction_solves(monkeypatch):
             assert np.linalg.norm(stacked.omega[:, u, j] - alone[:, u]) <= 1e-12 * ref
 
 
+def test_every_timestep_shares_one_pair_of_triangular_solves(monkeypatch):
+    times = [5, 12, 25]
+    k, _, active = _synthetic_fold_instance(200, 1, 25, seed=31)
+    r = _stacked_directions(k.shape[0], 25, times, seed=33)
+    calls = []
+    original = kernels_module.solve_triangular
+
+    def counting(a, b, **kwargs):
+        calls.append((b.shape[1], kwargs.get("trans", 0)))
+        return original(a, b, **kwargs)
+
+    monkeypatch.setattr(kernels_module, "solve_triangular", counting)
+    w = solve_balance_weights(k, r, active, 1.0)
+    assert w.failures == {}
+    # one forward and one backward solve over all 5 + 12 + 25 (u, t) columns
+    assert calls == [(sum(times), 0), (sum(times), "T")]
+
+
 def test_column_over_its_residual_bound_fails_alone(monkeypatch):
     # a factor of K + (lam + 1e-3) I leaves residual 1e-3 ||z|| in every
     # column: far above the bound of a full-size direction, far below
@@ -455,6 +474,31 @@ def test_column_over_its_residual_bound_fails_alone(monkeypatch):
     np.testing.assert_array_equal(w.omega[:, :, 0], alone)
     failed = solve_balance_weights(k, r[:, :, 1:], active, 1.0)
     assert re.match(r"balance solve at u=1 .*direction 0: .*left residual", failed.failures[0])
+
+
+def test_a_direction_fails_at_its_first_failed_timestep(monkeypatch):
+    # as above, the factor of K + (lam + 1e-3) I fails every full-size
+    # column and no column scaled down by 1e-12. Direction 1 is zero at
+    # u = 1, 2 and direction 2 is scaled down there: both first fail at
+    # u = 3, while direction 0, scaled down throughout, does not fail
+    k, _, active = _synthetic_fold_instance(200, 0, 10, seed=34)
+    r = _stacked_directions(k.shape[0], 10, [10, 10, 10], seed=35)
+    r[:, :, 0] *= 1e-12
+    r[:, 1:3, 1] = 0.0
+    r[:, 1:3, 2] *= 1e-12
+    original = balance_module.spd_factor
+    monkeypatch.setattr(
+        balance_module, "spd_factor", lambda m, ridge: original(m, ridge=ridge + 1e-3)
+    )
+    w = solve_balance_weights(k, r, active, 1.0)
+    assert list(w.failures) == [1, 2]
+    for d in (1, 2):
+        assert re.match(
+            rf"balance solve at u=3 \(\d+ of 200 active\), direction {d}: .*left residual",
+            w.failures[d],
+        )
+        assert np.all(w.omega[:, :, d] == 0.0)
+    np.testing.assert_array_equal(w.omega[:, :, 0], solve_one(k, r[:, :, 0], active, 1.0))
 
 
 def test_failed_factor_fails_only_the_directions_that_need_it():

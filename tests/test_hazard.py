@@ -699,6 +699,38 @@ def test_lockstep_cells_follow_their_own_newton_paths(monkeypatch):
         assert backtracked == {0: True, 1: False}
 
 
+def test_newton_cells_converge_with_weights_at_the_floor(monkeypatch):
+    # ridge 0.5 on the Gram matrix of the kernel 100 exp(-|x - y|^2 / 2):
+    # the first steps drive each arm's isolated event to p = 1 in floating
+    # point, so its weight sits at the _P_EPS floor and the Newton matrix
+    # K + ridge / w has a diagonal entry of ridge / _P_EPS = 5e11 next to
+    # entries of at most 100
+    data = _separable_cells()
+    good = _basis(data, KernelConfig(length_scale=1.0))
+    basis = replace(good, k_train=100.0 * good.k_train, grams=tuple(100.0 * g for g in good.grams))
+    largest = []
+    dposv = hazard._dposv
+
+    def recording(a, rhs, **kwargs):
+        largest.append(np.diag(a).max())
+        return dposv(a, rhs, **kwargs)
+
+    monkeypatch.setattr(hazard, "_dposv", recording)
+    model = fit_event_hazard(data, basis, 0.5, max_time=1)
+    assert max(largest) >= 0.5 / hazard._P_EPS
+    labels = event_matrix(data, 1)
+    cells = list(newton_cells(model, basis))
+    assert len(cells) == 2
+    for u, _, risk, alpha, b in cells:
+        k = basis.k_train[np.ix_(risk, risk)]
+        _, grad = klr_loss_grad(k, labels[risk, u], alpha, b, 0.5)
+        assert np.linalg.norm(grad) <= hazard.NEWTON_TOL
+        expect, w_min, _ = _jacobian_newton_klr(k, labels[risk, u], 0.5)
+        assert w_min < hazard._P_EPS
+        got = np.append(alpha, b)
+        assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
+
+
 def test_indefinite_newton_system_is_a_numerical_error():
     data = _dataset(
         x=np.arange(5.0), a=np.ones(5, dtype=int), time=[1, 1, 2, 2, 2], event=[0, 1, 0, 1, 0],

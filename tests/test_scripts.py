@@ -10,6 +10,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _script_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize(
     "script, outputs",
     [
@@ -22,12 +29,10 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_experiment_script_writes_its_outputs(tmp_path, script, outputs):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), "--out-dir", str(tmp_path),
          "--q", "2", "--n", "60"],
-        capture_output=True, text=True, env=env, cwd=tmp_path,
+        capture_output=True, text=True, env=_script_env(), cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outputs)
@@ -69,7 +74,21 @@ def test_compare_outputs_checks_the_reordering_bounds(tmp_path, old, new, agree)
     second.write_text(ESTIMATE_HEADER + ESTIMATE_ROWS.replace(old, new, 1))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), str(first), str(second)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_script_env(),
     )
     assert proc.returncode == (0 if agree else 1), proc.stdout + proc.stderr
     assert ("0 cells outside the bounds" in proc.stdout) == agree
+
+
+def test_compare_outputs_reports_a_short_row(tmp_path):
+    # the second file's last row is cut after four of its eight cells
+    last = "or,diff,25,0.1,0.02,0.06,0.14,200\n"
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text(ESTIMATE_HEADER + ESTIMATE_ROWS + last)
+    second.write_text(ESTIMATE_HEADER + ESTIMATE_ROWS + "or,diff,25,0.1\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), str(first), str(second)],
+        capture_output=True, text=True, env=_script_env(),
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert f"{second}: line 4 has 4 cells, expected 8" in proc.stdout
