@@ -170,8 +170,9 @@ def solve_balance_weights(
     col_u += 1
     m = sizes[col_u]
     r_cols = r[:, col_u, col_dir]
-    k_shared = k[np.ix_(shared, shared)]
-    kr_shared = k[shared] @ r_cols
+    rows = k[shared]
+    k_shared = rows[:, shared]
+    kr_shared = rows @ r_cols
     try:
         v, bad = cho_solve_checked(spd_factor(k_shared, ridge=lam), k_shared, kr_shared, lam, m)
     except NumericalError as err:  # a failed factor fails every direction that needs a solve

@@ -285,16 +285,17 @@ class Nuisances:
     folds: tuple[tuple[np.ndarray, np.ndarray | None, tuple], ...]
 
 
-def _curves(x: np.ndarray, k_pred: np.ndarray, event, censor, propensity):
+def _curves(x: np.ndarray, basis: KernelBasis, event, censor, propensity):
     """Per arm, (event hazards, event survival, censoring survival, P(A=a|X)) at x.
 
-    An entry is None where its model is. k_pred is the Gram matrix of x
-    against the training basis both kernel hazard models share, built
-    once for both arms and both models.
+    An entry is None where its model is. Both kernel hazard models share
+    `basis`, and each arm's Gram matrix of x against it is built once for
+    both.
     """
     curves = []
     for a in (0, 1):
         lam = s = g = pi = None
+        k_pred = basis.prediction_gram(x, a)
         if event is not None:
             lam = event.hazard_matrix(k_pred, a)
             s = np.cumprod(1.0 - lam, axis=1)
@@ -358,11 +359,7 @@ def fit_nuisances(
             fit_propensity(train) if use_prop else None,
         )
         x = data.x[idx]
-        if train is data:  # the whole sample is evaluated on its training units
-            xs, k_pred = basis.train_x, basis.k_train
-        else:
-            xs, k_pred = basis.standardize(x), basis.prediction_gram(x)
-        return idx, xs, _curves(x, k_pred, *models)
+        return idx, basis.standardize(x), _curves(x, basis, *models)
 
     if spec.folds == 1:
         return Nuisances((fold(np.arange(data.n), data),))

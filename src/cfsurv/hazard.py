@@ -14,21 +14,24 @@ directly. The propensity is an unpenalized linear logistic regression.
 
 The event and censoring fits of one training fold share one
 `KernelBasis`, the only holder of the fold's kernel features and exit
-layout: the standardization, the standardized training covariates and
-their Gram matrix, and per arm the training units sorted once by exit
-time, descending, censored before events at equal times, with the arm's
-Gram matrix in that order. Every risk set {a_i = a, time_i >= u} is a
-prefix of its arm's order, whichever flag a fit labels: a cell is its
-size m, its system the leading m x m block of the sorted Gram matrix.
+layout: the standardization and, per arm, the training units sorted once
+by exit time, descending, censored before events at equal times, with
+their standardized covariates and Gram matrix in that order. Every risk
+set {a_i = a, time_i >= u} is a prefix of its arm's order, whichever
+flag a fit labels: a cell is its size m, its system the leading m x m
+block of the arm's Gram matrix. No Gram matrix spans both arms.
 
 A fitted `KernelHazardModel` is three arrays per arm a: coef[a], each
 Newton cell's alpha in its time's column over its risk set and zero
-elsewhere; intercept[a]; and level[a], the hazard of every column not
-fit by Newton (NaN for a Newton column). Prediction takes the basis's
-Gram matrix of the units to predict (`KernelBasis.prediction_gram`, or
-`k_train` for the training units) and is one matrix product per model
-and arm, k_pred @ coef[a] + intercept[a], with the fixed columns then
-overwritten by their level.
+elsewhere, in the arm's exit order; intercept[a]; and level[a], the
+hazard of every column not fit by Newton (NaN for a Newton column).
+Prediction in arm a takes the Gram matrix of the units to predict
+against the arm's training covariates (`KernelBasis.prediction_gram`),
+built once for both models, and is one matrix product per model,
+k_pred @ coef[a] + intercept[a], with the fixed columns then overwritten
+by their level. The training units themselves are predicted the same
+way. Fits and predictions are bit-for-bit reproducible at a fixed BLAS
+thread count.
 
 Both logistic fits use one damped Newton method (`_damped_newton`),
 column by column: every Newton cell of both arms of one fit is one
@@ -245,57 +248,55 @@ class KernelBasis:
     """The kernel features and exit layout of one training set, shared by its hazard fits.
 
     Per arm a: orders[a], the arm's units by exit time, descending,
-    censored first at ties; exits[a], their exit times; grams[a],
-    k_train[np.ix_(orders[a], orders[a])].
+    censored first at ties; exits[a], their exit times; xs[a], their
+    standardized covariates; grams[a], gram(xs[a], xs[a]).
     """
 
     mean: np.ndarray
     scale: np.ndarray
-    train_x: np.ndarray
     kernel: KernelConfig
-    k_train: np.ndarray
     orders: tuple[np.ndarray, np.ndarray]
     exits: tuple[np.ndarray, np.ndarray]
+    xs: tuple[np.ndarray, np.ndarray]
     grams: tuple[np.ndarray, np.ndarray]
 
     @classmethod
     def of(cls, data: Dataset, kernel: KernelConfig) -> "KernelBasis":
         mean, scale = standardization(data.x)
-        xs = (data.x - mean) / scale
-        k_train = gram(xs, xs, kernel)
         orders = tuple(
             arm[np.lexsort((data.event[arm], -data.time[arm]))]
             for arm in (np.flatnonzero(data.a == a) for a in (0, 1))
         )
+        xs = tuple((data.x[order] - mean) / scale for order in orders)
         return cls(
-            mean, scale, xs, kernel, k_train, orders,
-            tuple(data.time[order] for order in orders),
-            tuple(k_train[np.ix_(order, order)] for order in orders),
+            mean, scale, kernel, orders, tuple(data.time[order] for order in orders), xs,
+            tuple(gram(x, x, kernel) for x in xs),
         )
 
     def standardize(self, x: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(np.asarray(x, dtype=float)) - self.mean) / self.scale
 
-    def prediction_gram(self, x: np.ndarray) -> np.ndarray:
-        """Kernel matrix of x against the training covariates."""
-        return gram(self.standardize(x), self.train_x, self.kernel)
+    def prediction_gram(self, x: np.ndarray, a: int) -> np.ndarray:
+        """Kernel matrix of x against arm a's training covariates, in exit order."""
+        return gram(self.standardize(x), self.xs[a], self.kernel)
 
 
 @dataclass(frozen=True)
 class KernelHazardModel:
     """Per-(u, a) kernel logistic hazards for u = 1..max_time, fit on one `KernelBasis`.
 
-    coef[a] is (n_train, t_max + 1); intercept[a] and level[a] are (t_max + 1,).
+    coef[a] is (n_a, t_max + 1) over arm a's training units in the basis's
+    exit order; intercept[a] and level[a] are (t_max + 1,).
     """
 
-    coef: np.ndarray
+    coef: tuple[np.ndarray, np.ndarray]
     intercept: np.ndarray
     level: np.ndarray
     max_time: int
     empty_cells: tuple[tuple[int, int], ...] = ()
 
     def hazard_matrix(self, k_pred: np.ndarray, a: int) -> np.ndarray:
-        """(n, t_max + 1) hazards in arm a from the basis's Gram matrix k_pred; column 0 is 0."""
+        """(n, t_max + 1) hazards in arm a from `KernelBasis.prediction_gram(x, a)`; column 0 is 0."""
         fit = np.clip(expit(k_pred @ self.coef[a] + self.intercept[a]), HAZARD_FLOOR, HAZARD_CEIL)
         return np.where(np.isnan(self.level[a]), fit, self.level[a])
 
@@ -304,7 +305,7 @@ class KernelHazardModel:
         """(u, a) -> alpha: its coef column, or None if fixed. benchmark/tracer.py counts these."""
         newton = np.isnan(self.level)
         return {
-            (u, a): SimpleNamespace(alpha=self.coef[a, :, u] if newton[a, u] else None)
+            (u, a): SimpleNamespace(alpha=self.coef[a][:, u] if newton[a, u] else None)
             for a in (0, 1)
             for u in range(1, self.max_time + 1)
         }
@@ -336,13 +337,14 @@ def _fit_cells(
 
     data must have the basis's covariate shape, arms and exit times; its
     flags may differ. Every Newton cell of both arms steps together in
-    `_newton_cells` on basis.grams, and each cell's alpha is scattered
-    once into its column of coef. Warnings start with `what` and point
+    `_newton_cells` on basis.grams, and each cell's alpha is copied
+    once into its column of coef[a]. Warnings start with `what` and point
     at the caller of the public fit.
     """
-    if basis.train_x.shape != data.x.shape or any(
-        not np.array_equal(data.time[order], exits) or (data.a[order] != a).any()
-        for a, (order, exits) in enumerate(zip(basis.orders, basis.exits))
+    if sum(map(len, basis.orders)) != data.n or any(
+        x.shape != (len(order), data.d)
+        or not np.array_equal(data.time[order], exits) or (data.a[order] != a).any()
+        for a, (order, exits, x) in enumerate(zip(basis.orders, basis.exits, basis.xs))
     ):
         raise ValueError("basis was not built from these covariates, arms and exit times")
     t_max = data.grid.t_max
@@ -350,7 +352,7 @@ def _fit_cells(
     if not 0 <= max_time <= t_max:
         raise ValueError(f"{what}: max_time must lie in [0, {t_max}], got {max_time}")
     n_pts = data.grid.n_points
-    coef = np.zeros((2, data.n, n_pts))
+    coef = tuple(np.zeros((len(order), n_pts)) for order in basis.orders)
     intercept = np.zeros((2, n_pts))
     level = np.full((2, n_pts), HAZARD_FLOOR)  # empty and all-0 cells, u > max_time
     level[:, 0] = 0.0
@@ -379,7 +381,7 @@ def _fit_cells(
         theta, converged = _newton_cells(basis.grams, hits, newton, ridge, what)
         big = (theta.shape[0] - 1) // 2
         for j, (u, a, m, _) in enumerate(newton):
-            coef[a, basis.orders[a][:m], u] = theta[:m, j]
+            coef[a][:m, u] = theta[:m, j]
             intercept[a, u] = theta[big, j]
         stalled = [cell[:2] for cell, ok in zip(newton, converged) if not ok]
     if empty:

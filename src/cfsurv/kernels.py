@@ -1,8 +1,10 @@
 """RBF kernel evaluation, Gram matrices, and regularized SPD solves.
 
 The kernel convention is exp(-||x - y||^2 / (2 * length_scale^2)) with a
-default length scale of 10, fixed here so downstream results are
-reproducible bit for bit.
+default length scale of 10. A Gram matrix of equal inputs is exactly
+symmetric with a unit diagonal. Results are reproducible bit for bit at a
+fixed BLAS thread count; the matrix products' summation order, and so
+their roundoff, may change with it.
 """
 
 from __future__ import annotations
@@ -16,10 +18,6 @@ from scipy.linalg import solve_triangular
 from .errors import NumericalError
 
 __all__ = ["KernelConfig", "gram", "spd_factor", "cho_solve_checked"]
-
-#: diagonal jitter schedule on factorization failure: none, JITTER, x10, x100
-JITTER = 1e-10
-_JITTER_RETRIES = 3
 
 #: residual bound of a checked solve, relative to 1 + ||b||
 SOLVE_TOL = 1e-8
@@ -35,23 +33,29 @@ class KernelConfig:
 
 
 def gram(rows: np.ndarray, cols: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """Kernel matrix K[i, j] = exp(-||rows[i] - cols[j]||^2 / (2 l^2)); rectangular allowed."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    cols = np.atleast_2d(np.asarray(cols, dtype=float))
+    """Kernel matrix K[i, j] = exp(-||rows[i] - cols[j]||^2 / (2 l^2)); rectangular allowed.
+
+    K is filled in one buffer as exp(min(rows[i]'cols[j] / l^2 - (h_i + h_j), 0)),
+    h = ||x||^2 / (2 l^2). Equal inputs take the symmetric product rows @ rows.T,
+    and h_i + h_j commutes, so their Gram matrix is exactly symmetric; its
+    diagonal is set to 1.
+    """
+    rows = np.ascontiguousarray(np.atleast_2d(rows), dtype=float)
+    cols = np.ascontiguousarray(np.atleast_2d(cols), dtype=float)
     if rows.size == 0 or cols.size == 0:
         return np.zeros((rows.shape[0], cols.shape[0]))
     if rows.shape[1] != cols.shape[1]:
         raise ValueError(f"dimension mismatch: {rows.shape[1]} vs {cols.shape[1]}")
-    sq = (
-        np.sum(rows**2, axis=1)[:, None]
-        + np.sum(cols**2, axis=1)[None, :]
-        - 2.0 * rows @ cols.T
-    )
-    np.maximum(sq, 0.0, out=sq)
-    k = np.exp(-sq / (2.0 * cfg.length_scale**2))
-    if rows.shape == cols.shape and np.array_equal(rows, cols):
-        # exact symmetry and unit diagonal for the square case
-        k = 0.5 * (k + k.T)
+    square = rows.shape == cols.shape and np.array_equal(rows, cols)
+    inv = 1.0 / cfg.length_scale**2
+    k = rows @ (rows if square else cols).T
+    k *= inv
+    h_rows = np.einsum("ij,ij->i", rows, rows) * (0.5 * inv)
+    h_cols = h_rows if square else np.einsum("ij,ij->i", cols, cols) * (0.5 * inv)
+    k -= np.add.outer(h_rows, h_cols)
+    np.minimum(k, 0.0, out=k)
+    np.exp(k, out=k)
+    if square:
         np.fill_diagonal(k, 1.0)
     return k
 
@@ -59,27 +63,16 @@ def gram(rows: np.ndarray, cols: np.ndarray, cfg: KernelConfig) -> np.ndarray:
 def spd_factor(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     """Lower Cholesky factor of m + ridge * I for symmetric positive semi-definite m.
 
-    On factorization failure the diagonal gets escalating jitter (x10 per
-    retry, 3 retries); if every attempt fails a NumericalError is raised
-    with diagnostics.
+    A matrix that cannot be factored raises NumericalError with diagnostics.
     """
-    last_err: Exception | None = None
-    for attempt in range(_JITTER_RETRIES + 1):
-        # a fresh Fortran-order copy per attempt, factored in place
-        a = np.array(m, dtype=float, order="F")
-        diag = np.diag_indices_from(a)
-        a[diag] += ridge
-        if attempt > 0:
-            a[diag] += JITTER * 10.0 ** (attempt - 1)
-        try:
-            return scipy.linalg.cholesky(a, lower=True, overwrite_a=True, check_finite=False)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as err:
-            last_err = err
-    raise NumericalError(
-        f"SPD solve failed for {m.shape[0]}x{m.shape[0]} system "
-        f"(ridge={ridge:.3e}, jitter up to {JITTER * 10.0 ** (_JITTER_RETRIES - 1):.3e}): "
-        f"{last_err}"
-    )
+    a = np.array(m, dtype=float, order="F")  # a fresh copy, factored in place
+    a[np.diag_indices_from(a)] += ridge
+    try:
+        return scipy.linalg.cholesky(a, lower=True, overwrite_a=True, check_finite=False)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as err:
+        raise NumericalError(
+            f"SPD solve failed for {a.shape[0]}x{a.shape[0]} system (ridge={ridge:.3e}): {err}"
+        ) from err
 
 
 def cho_solve_checked(
@@ -91,13 +84,13 @@ def cho_solve_checked(
     b is one right-hand side or a matrix of them, one per column. Column
     j solves the leading sizes[j] block (default: all of m), zero past
     it; the factor of a leading block is that block of the factor, so
-    all columns share one forward and one backward triangular solve. The
-    factor may carry jitter. Each column is held to its own bound
-    ||(m + ridge I) z_j - b_j|| <= SOLVE_TOL * (1 + ||b_j||) on its block
-    of the unjittered system, so a small column cannot hide under a large
-    one's norm. Returns (z, failures): failures maps every column that
-    misses its bound (a non-finite residual included; column 0 for a
-    vector b) to diagnostics, and is empty when the solve is good.
+    all columns share one forward and one backward triangular solve. Each
+    column is held to its own bound
+    ||(m + ridge I) z_j - b_j|| <= SOLVE_TOL * (1 + ||b_j||) on its block,
+    so a small column cannot hide under a large one's norm. Returns
+    (z, failures): failures maps every column that misses its bound (a
+    non-finite residual included; column 0 for a vector b) to
+    diagnostics, and is empty when the solve is good.
     """
     b = np.asarray(b, dtype=float)
     cols = b.reshape(len(b), -1)

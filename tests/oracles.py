@@ -20,6 +20,12 @@ from cfsurv.kernels import KernelConfig
 from cfsurv.survival import Dataset
 
 
+def gram_by_differences(x: np.ndarray, y: np.ndarray, cfg: KernelConfig) -> np.ndarray:
+    """Kernel matrix exp(-sum_k (x_ik - y_jk)^2 / (2 l^2)) from the (n, m, d) difference array."""
+    diff = np.asarray(x, dtype=float)[:, None, :] - np.asarray(y, dtype=float)[None, :, :]
+    return np.exp(-np.einsum("ijk,ijk->ij", diff, diff) / (2.0 * cfg.length_scale**2))
+
+
 def rbf(x: np.ndarray, y: np.ndarray, cfg: KernelConfig) -> float:
     """Kernel value exp(-||x - y||^2 / (2 l^2)) for a single pair."""
     x = np.asarray(x, dtype=float)
@@ -63,13 +69,14 @@ def newton_cells(model, basis):
 
     risk holds the training indices of the cell's risk set
     {a_i = a, time_i >= u}, in the basis's exit order (a prefix of
-    basis.orders[a]); alpha is the model's coef over them and b its
-    intercept. The cells come in the order of the fit's lockstep columns.
+    basis.orders[a]); alpha is the model's coef over them (the leading
+    rows of coef[a]) and b its intercept. The cells come in the order of
+    the fit's lockstep columns.
     """
     for a in (0, 1):
         for u in np.flatnonzero(np.isnan(model.level[a])):
             risk = basis.orders[a][: np.count_nonzero(basis.exits[a] >= u)]
-            yield int(u), a, risk, model.coef[a, risk, u], float(model.intercept[a, u])
+            yield int(u), a, risk, model.coef[a][: risk.size, u], float(model.intercept[a, u])
 
 
 def klr_loss_grad(

@@ -13,6 +13,7 @@ import cfsurv
 from cfsurv.dgp import SyntheticConfig, TwinsLikeConfig, load_twins_table, surrogate_twins_table
 from cfsurv.estimators import EstimatorParams, Nuisances
 from cfsurv.hazard import (
+    KernelBasis,
     KernelHazardModel,
     fit_censor_hazard,
     fit_event_hazard,
@@ -65,6 +66,9 @@ REMOVED = (
     "_newton_klr",
     # a fitted hazard model is arrays per arm, not cells
     "_Cell",
+    # spd_factor is a single Cholesky, without a jitter ladder
+    "JITTER",
+    "_JITTER_RETRIES",
 )
 
 
@@ -160,6 +164,10 @@ def test_config_fields():
     assert [f.name for f in fields(Nuisances)] == ["folds"]
     assert [f.name for f in fields(KernelHazardModel)] == [
         "coef", "intercept", "level", "max_time", "empty_cells"
+    ]
+    # per-arm training blocks only: no Gram or covariates spanning both arms
+    assert [f.name for f in fields(KernelBasis)] == [
+        "mean", "scale", "kernel", "orders", "exits", "xs", "grams"
     ]
 
 

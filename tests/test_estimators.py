@@ -257,7 +257,8 @@ def test_balance_large_sigma2_approaches_crossfit_plugin():
         train = data.subset(plan.train_indices(f))
         basis = KernelBasis.of(train, KernelConfig())
         model = fit_event_hazard(train, basis, max_time=5)
-        lam = model.hazard_matrix(basis.prediction_gram(data.subset(plan.fold_indices(f)).x), 1)
+        held_out = data.subset(plan.fold_indices(f)).x
+        lam = model.hazard_matrix(basis.prediction_gram(held_out, 1), 1)
         fold_points.append(float(np.mean(np.cumprod(1.0 - lam, axis=1)[:, 5])))
     assert res.point == pytest.approx(float(np.mean(fold_points)), abs=1e-8)
 
@@ -400,24 +401,26 @@ def _count_grams(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "kind, fit_grams, eval_grams",
-    # or and ipw predict on their training units with the training Gram;
-    # dr builds one training and one prediction Gram per fold, the latter
-    # for both arms and both models; balance evaluates with each fold's
-    # own Gram for the balance solve
-    [("or", 1, 0), ("ipw", 1, 0), ("dr", 10, 0), ("dr-clip", 10, 0), ("balance", 4, 2)],
+    "kind, arm_grams, eval_grams",
+    # per arm, every fold builds one training and one prediction Gram, the
+    # latter for both models; or and ipw predict on their training units
+    # the same way; balance evaluates with each fold's own Gram for the
+    # balance solve
+    [("or", 2, 0), ("ipw", 2, 0), ("dr", 10, 0), ("dr-clip", 10, 0), ("balance", 4, 2)],
 )
-def test_each_fold_builds_its_grams_once(monkeypatch, kind, fit_grams, eval_grams):
+def test_each_fold_builds_its_grams_once(monkeypatch, kind, arm_grams, eval_grams):
     data = gen_synthetic(SyntheticConfig(n=60, seed=12))
     shapes = _count_grams(monkeypatch)
     nuisances = fit_nuisances(data, kind, [5, 10], seed=3)
+    fit_grams = 2 * arm_grams
     assert len(shapes) == fit_grams
-    # per fold: the training Gram, then the held-out units against it
-    expected = [(data.n, data.n)] if fit_grams == 1 else [
-        shape
-        for idx, _, _ in nuisances.folds
-        for shape in ((data.n - len(idx),) * 2, (len(idx), data.n - len(idx)))
-    ]
+    # per fold: each arm's training Gram, then the evaluated units against
+    # each arm; no Gram spans both arms of a training set
+    expected = []
+    for idx, _, _ in nuisances.folds:
+        train = np.arange(data.n) if len(idx) == data.n else np.setdiff1d(np.arange(data.n), idx)
+        arms = [int(np.count_nonzero(data.a[train] == a)) for a in (0, 1)]
+        expected += [(m, m) for m in arms] + [(len(idx), m) for m in arms]
     assert shapes == expected
     run_estimator(data, kind, [5, 10], seed=3, nuisances=nuisances)
     assert len(shapes) == fit_grams + eval_grams
@@ -430,12 +433,13 @@ def _apart(data, idx, train, prop):
     predicted = []
     for fit in (fit_event_hazard, fit_censor_hazard):
         basis = KernelBasis.of(train, KernelConfig())
-        predicted.append((fit(train, basis, max_time=10), basis.prediction_gram(x)))
+        grams = [basis.prediction_gram(x, a) for a in (0, 1)]
+        predicted.append((fit(train, basis, max_time=10), grams))
     (event, k_event), (censor, k_censor) = predicted
     curves = []
     for a in (0, 1):
-        lam = event.hazard_matrix(k_event, a)
-        g = np.cumprod(1.0 - censor.hazard_matrix(k_censor, a), axis=1)
+        lam = event.hazard_matrix(k_event[a], a)
+        g = np.cumprod(1.0 - censor.hazard_matrix(k_censor[a], a), axis=1)
         pi = None if prop is None else prop.prob(x, a)
         curves.append((lam, np.cumprod(1.0 - lam, axis=1), g, pi))
     return idx, basis.standardize(x), tuple(curves)
@@ -457,7 +461,7 @@ def test_shared_grams_give_the_fit_per_model_bytes(monkeypatch):
     for key, res in shared.items():
         assert res.point == apart[key].point
         assert res.influence.tobytes() == apart[key].influence.tobytes()
-    # the whole sample is predicted from its training Gram, not a prediction Gram
+    # the whole sample is predicted through per-arm prediction Grams too
     whole = run_estimator(data, "or", [5, 10])[0]
     alone = run_estimator(
         data, "or", [5, 10], nuisances=Nuisances((_apart(data, np.arange(data.n), data, None),))

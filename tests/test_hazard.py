@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -30,6 +31,7 @@ from cfsurv.sim import derive_seed, splitmix64
 from cfsurv.survival import Dataset, TimeGrid, active_matrix, event_matrix
 from oracles import (
     damped_newton,
+    gram_by_differences,
     klr_loss_grad,
     known_nuisances,
     newton_cells,
@@ -95,6 +97,16 @@ def _basis(data, kernel=KernelConfig()):
     return KernelBasis.of(data, kernel)
 
 
+def _predict(model, basis, x, a):
+    """Arm a's hazards at x, through the arm's prediction Gram."""
+    return model.hazard_matrix(basis.prediction_gram(x, a), a)
+
+
+def _cell_gram(basis, a, risk):
+    """The Gram block of a Newton cell of arm a: its risk set is a prefix of the arm's order."""
+    return basis.grams[a][: risk.size, : risk.size]
+
+
 def test_all_zero_labels_hazard_small():
     # every arm-1 unit is censored at time 3, so the (3, 1) cell sees only
     # zeros; with a free intercept the fit limit is the clamp floor
@@ -104,7 +116,7 @@ def test_all_zero_labels_hazard_small():
     )
     basis = _basis(data)
     model = fit_event_hazard(data, basis, ridge=1e-2, max_time=3)
-    lam = model.hazard_matrix(basis.k_train, 1)
+    lam = _predict(model, basis, data.x, 1)
     assert np.all(lam[:, 3] <= 0.05)
     assert np.all(lam[:, 3] == HAZARD_FLOOR)
 
@@ -121,7 +133,7 @@ def test_single_event_unit_hazard_large():
     data = _dataset(x=[0.3], a=[1], time=[2], event=[1], t_max=2)
     basis = _basis(data)
     model = fit_event_hazard(data, basis, ridge=1e-2)
-    lam = model.hazard_matrix(basis.k_train, 1)
+    lam = _predict(model, basis, data.x, 1)
     assert lam[0, 2] >= 0.5
     assert lam[0, 2] == HAZARD_CEIL
 
@@ -145,7 +157,7 @@ def test_mixed_cell_mean_calibration():
     )
     basis = _basis(data)
     model = fit_event_hazard(data, basis, ridge=1e-2, max_time=1)
-    lam = model.hazard_matrix(basis.k_train, 1)
+    lam = _predict(model, basis, data.x, 1)
     assert float(np.mean(lam[:, 1])) == pytest.approx(k_events / n, abs=1e-6)
 
 
@@ -162,8 +174,7 @@ def test_flip_symmetry_event_vs_censor():
     event_on_flipped = fit_event_hazard(flipped, basis, ridge=1e-2)
     for a in (0, 1):
         np.testing.assert_array_equal(
-            censor.hazard_matrix(basis.k_train, a),
-            event_on_flipped.hazard_matrix(basis.k_train, a),
+            _predict(censor, basis, data.x, a), _predict(event_on_flipped, basis, data.x, a)
         )
 
 
@@ -177,7 +188,7 @@ def test_empty_risk_set_falls_back_with_warning():
         model = fit_event_hazard(data, basis, max_time=5)
     assert caught[0].filename == __file__  # points at the caller of the fit
     assert ((3, 0) in model.empty_cells) and ((5, 0) in model.empty_cells)
-    lam = model.hazard_matrix(basis.k_train, 0)
+    lam = _predict(model, basis, data.x, 0)
     assert np.all(lam[:, 3] == HAZARD_FLOOR)
     with pytest.warns(CoverageWarning, match="^censoring hazard: ") as caught:
         fit_censor_hazard(data, basis, max_time=5)
@@ -194,7 +205,7 @@ def test_predictions_respect_clamp_and_monotone_survival():
     basis = _basis(data)
     model = fit_event_hazard(data, basis)
     for a in (0, 1):
-        lam = model.hazard_matrix(basis.k_train, a)
+        lam = _predict(model, basis, data.x, a)
         assert np.all(lam[:, 0] == 0.0)
         assert np.all(lam[:, 1:] >= HAZARD_FLOOR) and np.all(lam[:, 1:] <= HAZARD_CEIL)
         s = np.cumprod(1.0 - lam, axis=1)
@@ -229,9 +240,9 @@ def test_sub_survival_below_both_factors():
         time=rng.integers(1, 6, size=n), event=rng.integers(0, 2, size=n),
     )
     basis = _basis(data)
-    k_first = basis.prediction_gram(data.x[:1])
-    s = np.cumprod(1.0 - fit_event_hazard(data, basis).hazard_matrix(k_first, 1), axis=1)[0]
-    g = np.cumprod(1.0 - fit_censor_hazard(data, basis).hazard_matrix(k_first, 1), axis=1)[0]
+    first = data.x[:1]
+    s = np.cumprod(1.0 - _predict(fit_event_hazard(data, basis), basis, first, 1), axis=1)[0]
+    g = np.cumprod(1.0 - _predict(fit_censor_hazard(data, basis), basis, first, 1), axis=1)[0]
     h = s * g
     assert np.all(h <= np.minimum(s, g) + 1e-15)
 
@@ -246,7 +257,7 @@ def test_loss_separates_across_cells():
     )
     basis = _basis(data)
     model = fit_event_hazard(data, basis)
-    lam = {a: model.hazard_matrix(basis.k_train, a) for a in (0, 1)}
+    lam = {a: _predict(model, basis, data.x, a) for a in (0, 1)}
 
     total = 0.0
     for i in range(n):
@@ -315,7 +326,7 @@ def test_censor_fit_recovers_flat_hazard():
     data = gen_synthetic(cfg)
     basis = _basis(data)
     model = fit_censor_hazard(data, basis, max_time=8)
-    at_zero = model.hazard_matrix(basis.prediction_gram(np.zeros((1, 10))), 0)
+    at_zero = _predict(model, basis, np.zeros((1, 10)), 0)
     for u in (2, 5, 8):
         assert abs(at_zero[0, u] - 0.005) <= 0.01
 
@@ -327,10 +338,9 @@ def test_event_fit_consistency_smoke():
     basis = _basis(data)
     model = fit_event_hazard(data, basis, max_time=15)
     holdout = gen_synthetic(SyntheticConfig(n=400, seed=14, standardize=False))
-    k_holdout = basis.prediction_gram(holdout.x)
     errs = []
     for a in (0, 1):
-        lam = model.hazard_matrix(k_holdout, a)
+        lam = _predict(model, basis, holdout.x, a)
         for u in range(1, 16):
             truth = true_event_hazard(holdout.x, np.full(holdout.n, a), u)
             errs.append(np.mean(np.abs(lam[:, u] - truth)))
@@ -369,18 +379,6 @@ def test_newton_non_convergence_is_reported_once(monkeypatch):
         fit_propensity(data)
 
 
-def test_shared_prediction_gram_gives_the_same_bytes():
-    # the whole-sample fold predicts from k_train: on its own training
-    # units the prediction Gram is the training Gram, byte for byte
-    rng = np.random.default_rng(6)
-    data = _dataset(
-        x=rng.normal(size=(40, 3)), a=np.arange(40) % 2,
-        time=rng.integers(1, 6, size=40), event=rng.integers(0, 2, size=40),
-    )
-    basis = KernelBasis.of(data, KernelConfig())
-    assert basis.prediction_gram(data.x).tobytes() == basis.k_train.tobytes()
-
-
 def test_basis_must_match_the_fit():
     data = gen_synthetic(SyntheticConfig(n=30, seed=2))
     basis = _basis(data)
@@ -405,7 +403,7 @@ def test_max_time_must_lie_on_the_grid(fit):
     # times=[0] fits no cell: every column past 0 is the floor
     model = fit(data, basis, max_time=0)
     for a in (0, 1):
-        lam = model.hazard_matrix(basis.k_train, a)
+        lam = _predict(model, basis, data.x, a)
         assert np.all(lam[:, 0] == 0.0) and np.all(lam[:, 1:] == HAZARD_FLOOR)
 
 
@@ -424,7 +422,9 @@ def test_basis_sorts_each_arm_once_censored_first_at_ties():
         # exit time descending, and at equal times censored before events
         key = -2 * data.time[order] + data.event[order]
         assert np.all(np.diff(key) >= 0)
-        assert np.array_equal(basis.grams[a], basis.k_train[np.ix_(order, order)])
+        # the arm's standardized covariates in that order, and their own Gram matrix
+        assert basis.xs[a].tobytes() == basis.standardize(data.x[order]).tobytes()
+        assert basis.grams[a].tobytes() == gram(basis.xs[a], basis.xs[a], basis.kernel).tobytes()
         for u in range(1, 4):  # every risk set is a prefix
             m = np.count_nonzero(basis.exits[a] >= u)
             assert set(order[:m]) == set(np.flatnonzero((data.a == a) & (data.time >= u)))
@@ -460,14 +460,14 @@ def test_newton_cells_reach_the_loss_gradient_tolerance(data):
     # oracle: the loss gradient recomputed from K, y and the returned
     # (alpha, b), not from the linear predictor the solver carries along
     basis = _basis(data)
-    k_full = basis.k_train
     flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
     checked = 0
     for fit, labelled in ((fit_event_hazard, data), (fit_censor_hazard, flipped)):
         model = fit(data, basis, max_time=25)
         labels = event_matrix(labelled, 25)
-        for u, _, risk, alpha, b in newton_cells(model, basis):
-            _, grad = klr_loss_grad(k_full[np.ix_(risk, risk)], labels[risk, u], alpha, b, 0.5)
+        for u, a, risk, alpha, b in newton_cells(model, basis):
+            k = _cell_gram(basis, a, risk)
+            _, grad = klr_loss_grad(k, labels[risk, u], alpha, b, 0.5)
             assert np.linalg.norm(grad) <= hazard.NEWTON_TOL
             checked += 1
     assert checked >= 20
@@ -484,33 +484,36 @@ def test_model_columns_are_zero_outside_their_cells(data):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CoverageWarning)
             model = fit(data, basis, max_time=25)
-        assert model.coef.shape == (2, data.n, data.grid.n_points)
+        # one row per training unit of the arm, in its exit order
+        assert [c.shape for c in model.coef] == [
+            (len(order), data.grid.n_points) for order in basis.orders
+        ]
         assert model.max_time == 25 and np.all(model.level[:, 0] == 0.0)
         newton = np.isnan(model.level)
         assert newton.any(axis=1).all() and not newton[:, 26:].any()
         # a fixed column's coef and intercept are zero
-        assert not model.coef.transpose(0, 2, 1)[~newton].any()
+        assert not any(model.coef[a][:, ~newton[a]].any() for a in (0, 1))
         assert not model.intercept[~newton].any()
         for u, a, risk, _, _ in newton_cells(model, basis):
-            outside = np.ones(data.n, dtype=bool)
-            outside[risk] = False
-            assert not model.coef[a, outside, u].any()
+            assert not model.coef[a][risk.size :, u].any()
 
 
-def _per_cell_hazards(model, basis, k_pred, a):
-    # oracle: one column gather and matvec per Newton cell; the other
+def _per_cell_hazards(model, basis, k_full, a):
+    # oracle: from the Gram matrix k_full against every training unit, in
+    # data order, one column gather and matvec per Newton cell; the other
     # columns hold their level
-    out = np.tile(model.level[a], (k_pred.shape[0], 1))
+    out = np.tile(model.level[a], (k_full.shape[0], 1))
     for u, arm, risk, alpha, b in newton_cells(model, basis):
         if arm == a:
-            out[:, u] = np.clip(expit(k_pred[:, risk] @ alpha + b), HAZARD_FLOOR, HAZARD_CEIL)
+            out[:, u] = np.clip(expit(k_full[:, risk] @ alpha + b), HAZARD_FLOOR, HAZARD_CEIL)
     return out
 
 
 def test_hazard_matrix_matches_the_per_cell_oracle():
     # arm 0 leaves by time 2, so its cells at u >= 3 are empty; every arm-1
     # unit still at risk at u = 5 is censored there, so (5, 1) is single-class
-    # in both fits; u = 6 lies past the fits' max_time
+    # in both fits; u = 6 lies past the fits' max_time. Held-out and
+    # training units are predicted alike, per arm
     rng = np.random.default_rng(8)
     n = 60
     a = np.arange(n) % 2
@@ -521,17 +524,19 @@ def test_hazard_matrix_matches_the_per_cell_oracle():
     basis = _basis(data)
     with pytest.warns(CoverageWarning):
         models = [fit(data, basis, max_time=5) for fit in (fit_event_hazard, fit_censor_hazard)]
-    k_pred = basis.prediction_gram(holdout)
     for model in models:
         assert (3, 0) in model.empty_cells and model.level[0, 3] == HAZARD_FLOOR
         assert model.level[1, 5] in (HAZARD_FLOOR, HAZARD_CEIL)  # single-class
         assert np.all(model.level[:, 6] == HAZARD_FLOOR)  # past max_time
         assert len(list(newton_cells(model, basis))) >= 5
-        for arm in (0, 1):
+        for x, arm in itertools.product((holdout, data.x), (0, 1)):
+            k_full = gram_by_differences(basis.standardize(x), basis.standardize(data.x), basis.kernel)
+            k_pred = basis.prediction_gram(x, arm)
+            assert k_pred.shape == (len(x), len(basis.orders[arm]))
             got = model.hazard_matrix(k_pred, arm)
-            want = _per_cell_hazards(model, basis, k_pred, arm)
+            want = _per_cell_hazards(model, basis, k_full, arm)
             assert np.all(got[:, 0] == 0.0)
-            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 def _jacobian_step(k, y, ridge, theta, r):
@@ -598,14 +603,14 @@ def test_newton_step_solves_the_jacobian_system(monkeypatch):
     basis = _basis(data, KernelConfig(length_scale=2.0))
     model = fit_event_hazard(data, basis, 0.5)
     # the Newton cells, in the model's order, are the loop's columns
-    cells = [(u, risk) for u, _, risk, _, _ in newton_cells(model, basis)]
+    cells = [(u, a, risk) for u, a, risk, _, _ in newton_cells(model, basis)]
     assert len(cells) == 6
     labels = event_matrix(data, 3)
     big = (loop["theta"].shape[0] - 1) // 2
     cols = np.arange(len(cells))
     for f_scale in (0.5, 5.0, 40.0):
         theta = np.zeros_like(loop["theta"])
-        for j, (_, risk) in enumerate(cells):
+        for j, (_, _, risk) in enumerate(cells):
             m = risk.size
             theta[:m, j] = rng.normal(scale=0.1, size=m)
             theta[big, j] = rng.normal()
@@ -613,8 +618,8 @@ def test_newton_step_solves_the_jacobian_system(monkeypatch):
         r = loop["residual"](theta, cols)
         done, step = loop["newton_step"](theta, r, cols)
         assert not done.any()
-        for j, (u, risk) in enumerate(cells):
-            m, k, y = risk.size, basis.k_train[np.ix_(risk, risk)], labels[risk, u]
+        for j, (u, a, risk) in enumerate(cells):
+            m, k, y = risk.size, _cell_gram(basis, a, risk), labels[risk, u]
             own = np.r_[0:m, big, big + 1 : big + 1 + m]  # the cell's rows of theta
             p = expit(theta[big + 1 : big + 1 + m, j])
             np.testing.assert_allclose(r[:m, j], (p - y) + 0.5 * theta[:m, j], rtol=1e-12)
@@ -656,16 +661,15 @@ def test_newton_cells_match_the_jacobian_oracle(
     data, kernel, ridge, max_time, censor_too, min_risk_set, hits_floor, backtracks
 ):
     basis = _basis(data, kernel)
-    k_full = basis.k_train
     flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
     pairs = [(fit_event_hazard, data), (fit_censor_hazard, flipped)]
     sizes, w_min, backtracked = [], np.inf, False
     for fit, labelled in pairs if censor_too else pairs[:1]:
         model = fit(data, basis, ridge, max_time=max_time)
         labels = event_matrix(labelled, max_time)
-        for u, _, risk, alpha, b in newton_cells(model, basis):
+        for u, a, risk, alpha, b in newton_cells(model, basis):
             expect, cell_w_min, cell_backtracked = _jacobian_newton_klr(
-                k_full[np.ix_(risk, risk)], labels[risk, u], ridge
+                _cell_gram(basis, a, risk), labels[risk, u], ridge
             )
             got = np.append(alpha, b)
             assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
@@ -692,7 +696,7 @@ def test_lockstep_cells_follow_their_own_newton_paths(monkeypatch):
         backtracked = {}
         for u, a, risk, alpha, b in newton_cells(model, basis):
             expect, _, backtracked[a] = _jacobian_newton_klr(
-                basis.k_train[np.ix_(risk, risk)], labels[risk, u], 0.5, max_iter
+                _cell_gram(basis, a, risk), labels[risk, u], 0.5, max_iter
             )
             got = np.append(alpha, b)
             assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
@@ -707,7 +711,7 @@ def test_newton_cells_converge_with_weights_at_the_floor(monkeypatch):
     # entries of at most 100
     data = _separable_cells()
     good = _basis(data, KernelConfig(length_scale=1.0))
-    basis = replace(good, k_train=100.0 * good.k_train, grams=tuple(100.0 * g for g in good.grams))
+    basis = replace(good, grams=tuple(100.0 * g for g in good.grams))
     largest = []
     dposv = hazard._dposv
 
@@ -721,8 +725,8 @@ def test_newton_cells_converge_with_weights_at_the_floor(monkeypatch):
     labels = event_matrix(data, 1)
     cells = list(newton_cells(model, basis))
     assert len(cells) == 2
-    for u, _, risk, alpha, b in cells:
-        k = basis.k_train[np.ix_(risk, risk)]
+    for u, a, risk, alpha, b in cells:
+        k = _cell_gram(basis, a, risk)
         _, grad = klr_loss_grad(k, labels[risk, u], alpha, b, 0.5)
         assert np.linalg.norm(grad) <= hazard.NEWTON_TOL
         expect, w_min, _ = _jacobian_newton_klr(k, labels[risk, u], 0.5)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from cfsurv.errors import NumericalError
 from cfsurv.kernels import KernelConfig, cho_solve_checked, gram, spd_factor
-from oracles import rbf
+from cfsurv.survival import standardization
+from oracles import gram_by_differences, rbf
 
 
 def test_kernel_config_validation():
@@ -76,10 +77,38 @@ def test_gram_symmetric_psd(n, seed):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, 3))
     k = gram(pts, pts, KernelConfig(length_scale=2.0))
-    assert np.max(np.abs(k - k.T)) <= 1e-12
-    assert np.allclose(np.diag(k), 1.0)
+    assert np.array_equal(k, k.T)
+    assert np.all(np.diag(k) == 1.0)
     eigs = np.linalg.eigvalsh(k)
     assert eigs.min() >= -1e-8
+
+
+def test_gram_of_equal_inputs_is_exactly_symmetric_with_unit_diagonal():
+    # the same object, an equal copy, and an equal non-contiguous view
+    rng = np.random.default_rng(8)
+    pts = rng.normal(size=(90, 10))
+    wide = np.repeat(pts, 2, axis=1)[:, ::2]
+    for cols in (pts, pts.copy(), wide):
+        k = gram(pts, cols, KernelConfig())
+        assert np.array_equal(k, k.T) and np.all(np.diag(k) == 1.0)
+        assert k.tobytes() == gram(pts, pts, KernelConfig()).tobytes()
+
+
+def _standardized(rng, n, d):
+    x = rng.normal(loc=2.0, scale=3.0, size=(n, d))
+    mean, scale = standardization(x)
+    return (x - mean) / scale
+
+
+@pytest.mark.parametrize("d", [10, 30])
+def test_gram_matches_the_difference_oracle(d):
+    rng = np.random.default_rng(d)
+    rows, cols = _standardized(rng, 70, d), _standardized(rng, 45, d)
+    cfg = KernelConfig()
+    for x, y in ((rows, rows), (rows, cols), (cols, rows)):
+        got, want = gram(x, y, cfg), gram_by_differences(x, y, cfg)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / want) <= 1e-14
 
 
 def factor_solve(m, b, ridge=0.0):
@@ -109,17 +138,19 @@ def test_spd_solve_random_residual():
     assert np.linalg.norm(m @ z - b) <= 1e-8 * (1 + np.linalg.norm(b))
 
 
-def test_spd_solve_jitter_escalation():
-    # exactly singular PSD matrix with a consistent rhs: jitter saves it
-    m = np.ones((4, 4))
-    b = np.ones(4)
-    z = factor_solve(m, b)
-    assert np.linalg.norm(m @ z - b) <= 1e-8 * (1 + np.linalg.norm(b))
-
-
 def test_spd_solve_failure_diagnostics():
     with pytest.raises(NumericalError, match="SPD solve failed"):
         factor_solve(-np.eye(3), np.ones(3))
+
+
+def test_singular_matrix_is_not_factored():
+    # one Cholesky attempt, no diagonal jitter: an exactly singular PSD
+    # matrix fails with its size and ridge named; a ridge makes it SPD
+    ones = np.ones((4, 4))
+    with pytest.raises(NumericalError, match=r"^SPD solve failed for 4x4 system \(ridge=0\.000e\+00\)"):
+        spd_factor(ones)
+    factor = spd_factor(ones, ridge=1e-3)
+    np.testing.assert_allclose(factor @ factor.T, ones + 1e-3 * np.eye(4), rtol=1e-12)
 
 
 def test_spd_solve_shape_errors():
