@@ -28,6 +28,7 @@ from .hazard import (
     PropensityModel,
     fit_censor_hazard,
     fit_event_hazard,
+    fit_hazards,
     fit_propensity,
 )
 from .kernels import KernelConfig, gram

@@ -9,13 +9,15 @@ Estimation runs in two stages.
 
 Fit stage: `fit_nuisances` fits the nuisance models a kind needs (event
 hazard, censoring hazard, propensity) once per fold, without the fold's
-held-out units, and predicts them on those units straight away. It
-returns the held-out curves as `Nuisances`, one entry per fold; the
-models themselves are dropped. The kind table fixes the paper's design:
-or and ipw fit once on the whole sample, dr and dr-clip share one 5-fold
-plan, balance uses 2 folds. Kinds with the same `nuisance_plan` get
-identical curves from the same seed, so one fit serves all of them;
-known (oracle) curves enter through the `Nuisances` constructor.
+held-out units, both hazards in one joint fit whose Newton cells step
+together (`fit_hazards`), and predicts them on those units straight
+away. It returns the held-out curves as `Nuisances`, one entry per fold;
+the models themselves are dropped. The kind table fixes the paper's
+design: or and ipw fit once on the whole sample, dr and dr-clip share
+one 5-fold plan, balance uses 2 folds. Kinds with the same
+`nuisance_plan` get identical curves from the same seed, so one fit
+serves all of them; known (oracle) curves enter through the `Nuisances`
+constructor.
 
 Evaluate stage: `run_estimator` only evaluates: it reads each fold's
 curves, computes the fold estimates and averages them; it never
@@ -56,6 +58,7 @@ from .hazard import (
     KernelConfig,
     fit_censor_hazard,
     fit_event_hazard,
+    fit_hazards,
     fit_propensity,
 )
 from .kernels import gram
@@ -351,15 +354,16 @@ def fit_nuisances(
     max_t = max(times)
 
     def fold(idx: np.ndarray, train: Dataset):
-        # the event and censoring fits of one fold share one kernel basis
+        # one basis per fold; a kind that needs both hazards fits them in one lockstep
         basis = KernelBasis.of(train, params.kernel)
-        models = (
-            fit_event_hazard(train, basis, params.ridge, max_t) if use_event else None,
-            fit_censor_hazard(train, basis, params.ridge, max_t) if use_censor else None,
-            fit_propensity(train) if use_prop else None,
+        args = train, basis, params.ridge, max_t
+        event, censor = fit_hazards(*args) if use_event and use_censor else (
+            fit_event_hazard(*args) if use_event else None,
+            fit_censor_hazard(*args) if use_censor else None,
         )
         x = data.x[idx]
-        return idx, basis.standardize(x), _curves(x, basis, *models)
+        propensity = fit_propensity(train) if use_prop else None
+        return idx, basis.standardize(x), _curves(x, basis, event, censor, propensity)
 
     if spec.folds == 1:
         return Nuisances((fold(np.arange(data.n), data),))

@@ -34,15 +34,17 @@ way. Fits and predictions are bit-for-bit reproducible at a fixed BLAS
 thread count.
 
 Both logistic fits use one damped Newton method (`_damped_newton`),
-column by column: every Newton cell of both arms of one fit is one
-column of padded arrays, stepping in lockstep with its own step size,
-stopping test and exact Cholesky step (`_newton_cells`); the propensity
-fit is a single column. A cell's step factors K_m + ridge W^-1, its Gram
-block plus ridge over its Newton weights: that is S^-1 B S^-1 for the
-Newton matrix B = S K_m S + ridge I, S = W^(1/2), and as accurate. A fit
-that stops at its iteration cap reports it with a ConvergenceWarning
-naming the fit, and a Newton system that cannot be factored raises
-NumericalError naming the fit and the cell.
+column by column: every Newton cell of both arms of a fold's event and
+censoring fits (`fit_hazards`) is one column of padded arrays, stepping
+in lockstep with its own step size, stopping test and exact Cholesky
+step (`_newton_cells`), and products with an arm's Gram matrix run in
+bands of similar risk-set size; a one-label fit takes the same path, and
+the propensity fit is a single column. A cell's step factors
+K_m + ridge W^-1, its Gram block plus ridge over its Newton weights:
+that is S^-1 B S^-1 for the Newton matrix B = S K_m S + ridge I,
+S = W^(1/2), and as accurate. A fit that stops at its iteration cap
+reports it with a ConvergenceWarning naming the fit, and a Newton system
+that cannot be factored raises NumericalError naming the fit and the cell.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ __all__ = [
     "KernelBasis",
     "KernelHazardModel",
     "PropensityModel",
+    "fit_hazards",
     "fit_event_hazard",
     "fit_censor_hazard",
     "fit_propensity",
@@ -76,6 +79,8 @@ HAZARD_CEIL = 1.0 - 1e-6
 PROPENSITY_FLOOR = 1e-3
 
 _P_EPS = 1e-12  # probability clip inside the optimizer only
+
+_FIT_NAMES = {1: "event hazard", 0: "censoring hazard"}  # the fit labelling 1(event = label)
 
 #: per-cell Newton stopping rule: loss gradient norm, iteration cap
 NEWTON_TOL = 1e-6
@@ -138,24 +143,26 @@ def _damped_newton(theta, residual, newton_step, max_iter):
     return out, converged
 
 
-def _newton_cells(grams, hits, cells, ridge: float, what: str):
-    """Lockstep Newton for the kernel-logistic cells of one fit; returns (theta, converged).
+def _newton_cells(grams, cells, ridge: float):
+    """Lockstep Newton for the kernel-logistic cells of a training fold; returns (theta, converged).
 
-    grams[a] is arm a's Gram matrix and hits[a] its label flags, both in
-    the exit-time order whose prefixes are the arm's risk sets. Cell j,
-    cells[j] = (u, a, m, lo), is trained on the first m units of arm a,
-    labelled 1 where hits[a] is set among the units lo..m-1 that leave at
-    u. The cells are arm-major, and cell j is column j of padded arrays
-    with M = max m rows: theta stacks (alpha, b, f) as rows [:M], M and
-    [M + 1:], zero outside the cell's m rows.
+    grams[a] is arm a's Gram matrix, in the exit-time order whose prefixes
+    are the arm's risk sets. Cell j, cells[j] = (u, a, m, lo, hit, label),
+    is trained on the first m units of arm a, labelled 1 where the flags
+    hit of its fit (label 1 event, 0 censoring) are set among the units
+    lo..m-1 that leave at u. The cells of both fits step together,
+    arm-major and by u, so m never rises within an arm. Cell j is column j
+    of padded arrays with M = max m rows: theta stacks (alpha, b, f) as
+    rows [:M], M and [M + 1:], zero outside the cell's m rows.
 
     The residual is the stationarity system (p - y) + ridge alpha = 0,
     sum(p - y) = 0 (the loss gradient with K factored out of its alpha
     block), whose Jacobian [[W K + ridge I, w], [w' K, sum(w)]] is
     nonsingular for ridge > 0 and mixed labels. The stopping norm is the
-    true loss gradient's. Every product with K is one matrix product per
-    arm over the live columns, on the arm's leading block that the
-    columns' risk sets span.
+    true loss gradient's. Products with K follow the risk-set sizes: an
+    arm's live columns are multiplied in bands, each on the leading block
+    of its first (largest) cell, and a column joins a band while its m
+    exceeds half the band's lead.
 
     The Newton step solves that Jacobian system exactly through the
     symmetric positive definite A = K + ridge W^-1, K the cell's leading
@@ -172,35 +179,38 @@ def _newton_cells(grams, hits, cells, ridge: float, what: str):
     symmetric diagonal scaling (van der Sluis; Higham 2002, ch. 10), so A
     is factored as accurately as B, even with diagonal ridge / _P_EPS.
     An A that is not positive definite (non-finite, or K not positive
-    semi-definite) raises NumericalError naming `what` and the cell.
+    semi-definite) raises NumericalError naming the cell's fit and the cell.
 
     The step of f is K d_alpha + d_b, so theta - eta * step moves f
     exactly as it moves (alpha, b), and the residual of a line-search
     trial costs one expit and no product with K.
     """
-    arm = np.array([a for _, a, _, _ in cells])
-    m = np.array([size for _, _, size, _ in cells])
+    arm, m = np.array([cell[1:3] for cell in cells]).T
     big = int(m.max())
     mask = (np.arange(big)[:, None] < m).astype(float)
     y = np.zeros((big, len(cells)))
-    for j, (_, a, size, lo) in enumerate(cells):
-        y[lo:size, j] = hits[a][lo:size]
+    for j, (_, _, size, lo, hit, _) in enumerate(cells):
+        y[lo:size, j] = hit[lo:size]
     ybar = np.clip(y.sum(axis=0) / m, 1e-3, 1.0 - 1e-3)
     theta = np.zeros((2 * big + 1, len(cells)))
     theta[big] = np.log(ybar / (1.0 - ybar))  # b, and f = b at alpha = 0
     theta[big + 1 :] = theta[big] * mask
-    # A is factored in place in Fortran order, filled through its C-order view A' = A
+    # per cell, built once: its Gram block, and the C-order view of A' = A in
+    # the scratch buffer (factored in place in Fortran order) and its diagonal
     a_buf = np.empty(big * big)
-    arms, sizes = arm.tolist(), m.tolist()
+    scratch = [(size, grams[a][:size, :size], a_buf[: size * size].reshape(size, size),
+                a_buf[: size * size : size + 1]) for _, a, size, *_ in cells]
 
     def k_times(z, cols):
-        # K z for the columns cols, one product per arm, zero past each m
+        # K z for the columns cols, one product per band, zero past each m
         out = np.zeros_like(z)
-        split = int(np.searchsorted(arm[cols], 1))
-        for a, part in ((0, slice(0, split)), (1, slice(split, len(cols)))):
-            if part.start < part.stop:
-                lead = int(m[cols[part]].max())
-                out[:lead, part] = grams[a][:lead, :lead] @ z[:lead, part]
+        sizes, arms, start = m[cols].tolist(), arm[cols].tolist(), 0
+        while start < len(sizes):
+            a, lead, stop = arms[start], sizes[start], start + 1
+            while stop < len(sizes) and arms[stop] == a and 2 * sizes[stop] > lead:
+                stop += 1
+            np.matmul(grams[a][:lead, :lead], z[:lead, start:stop], out=out[:lead, start:stop])
+            start = stop
         out *= mask[:, cols]
         return out
 
@@ -215,29 +225,29 @@ def _newton_cells(grams, hits, cells, ridge: float, what: str):
         kr = k_times(r[:big], cols)
         done = np.sqrt(np.einsum("ij,ij->j", kr, kr) + r[big] ** 2) <= NEWTON_TOL
         live, r = cols[~done], r[:, ~done]
+        mask_ = mask[:, live]
         p = y[:, live] + (r[:big] - ridge * theta_[:big, ~done])  # the p of residual(theta_)
         diag = ridge / np.maximum(p * (1.0 - p), _P_EPS)  # ridge / w
-        # a cell's right-hand sides (K r_alpha, 1), then its (u, v): its slab's two rows
-        rhs = np.stack([kr[:, ~done], mask[:, live]]).transpose(2, 0, 1).copy()
-        uv = np.zeros_like(rhs)
-        for j, cell in enumerate(live):
-            size = sizes[cell]
-            a_rows = a_buf[: size * size].reshape(size, size)
-            np.copyto(a_rows, grams[arms[cell]][:size, :size])
-            a_buf[: size * size : size + 1] += diag[:size, j]  # the diagonal of a_rows
-            _, sol, info = _dposv(a_rows.T, rhs[j, :, :size].T, lower=1, overwrite_a=True)
+        # per cell, its right-hand sides (K r_alpha, 1), solved in place to its (u, v)
+        uv = np.empty((live.size, 2, big))
+        uv[:, 0] = kr[:, ~done].T
+        uv[:, 1] = mask_.T
+        for j, cell in enumerate(live.tolist()):
+            size, block, a_rows, a_diag = scratch[cell]
+            np.copyto(a_rows, block)
+            a_diag += diag[:size, j]
+            _, sol, info = _dposv(a_rows.T, uv[j, :, :size].T, lower=1, overwrite_a=True)
             if info != 0:
-                raise NumericalError(
-                    f"{what}: cell {cells[cell][:2]}: "
-                    f"Newton system not positive definite (dposv info {info})"
-                )
+                u, a, *_, label = cells[cell]
+                raise NumericalError(f"{_FIT_NAMES[label]}: cell {(u, a)}: Newton system "
+                                     f"not positive definite (dposv info {info})")
             uv[j, :, :size] = sol.T
         u, v = uv[:, 0].T, uv[:, 1].T
         d_b = (r[big] - u.sum(axis=0)) / (ridge * v.sum(axis=0))
         step = np.empty((2 * big + 1, live.size))
         step[:big] = (r[:big] - u - ridge * d_b * v) / ridge
         step[big] = d_b
-        step[big + 1 :] = k_times(step[:big], live) + d_b * mask[:, live]
+        step[big + 1 :] = k_times(step[:big], live) + d_b * mask_
         return done, step
 
     return _damped_newton(theta, residual, newton_step, NEWTON_MAX_ITER)
@@ -311,35 +321,45 @@ class KernelHazardModel:
         }
 
 
+def fit_hazards(
+    data: Dataset, basis: KernelBasis, ridge: float = 0.5, max_time: int | None = None
+) -> tuple[KernelHazardModel, KernelHazardModel]:
+    """Fit a training set's event and censoring hazards together; returns (event, censor).
+
+    On each (u, a) risk set {a_i = a, time_i >= u}, u = 1..max_time in
+    [0, t_max] (default t_max), the event hazard labels 1(event, time = u)
+    and the censoring hazard 1(censored, time = u). `basis` is
+    `KernelBasis.of(data, kernel)`.
+    """
+    fits = _fit_cells(data, basis, ridge, max_time, [1, 0])
+    return fits[1], fits[0]
+
+
 def fit_event_hazard(
     data: Dataset, basis: KernelBasis, ridge: float = 0.5, max_time: int | None = None
 ) -> KernelHazardModel:
-    """Fit the event hazard: labels 1(event, time = u) on each (u, a) risk set.
-
-    Risk sets are {a_i = a, time_i >= u} for u = 1..max_time, in [0, t_max]
-    (default t_max). `basis` is `KernelBasis.of(data, kernel)`, shared with
-    the censoring fit.
-    """
-    return _fit_cells(data, basis, ridge, max_time, 1, "event hazard")
+    """The event hazard of `fit_hazards`, fit alone."""
+    return _fit_cells(data, basis, ridge, max_time, [1])[1]
 
 
 def fit_censor_hazard(
     data: Dataset, basis: KernelBasis, ridge: float = 0.5, max_time: int | None = None
 ) -> KernelHazardModel:
-    """Fit the censoring hazard: the event fit with labels 1(censored, time = u)."""
-    return _fit_cells(data, basis, ridge, max_time, 0, "censoring hazard")
+    """The censoring hazard of `fit_hazards`, fit alone."""
+    return _fit_cells(data, basis, ridge, max_time, [0])[0]
 
 
 def _fit_cells(
-    data: Dataset, basis: KernelBasis, ridge: float, max_time: int | None, label: int, what: str
-) -> KernelHazardModel:
-    """One kernel logistic fit per (u, a) cell, labels 1(event = label, time = u).
+    data: Dataset, basis: KernelBasis, ridge: float, max_time: int | None, labels: list[int]
+) -> dict[int, KernelHazardModel]:
+    """One kernel logistic fit per (u, a) cell and label in labels; returns {label: model}.
 
-    data must have the basis's covariate shape, arms and exit times; its
-    flags may differ. Every Newton cell of both arms steps together in
-    `_newton_cells` on basis.grams, and each cell's alpha is copied
-    once into its column of coef[a]. Warnings start with `what` and point
-    at the caller of the public fit.
+    Label 1 is the event fit, 0 the censoring fit. data must have the
+    basis's covariate shape, arms and exit times; its flags may differ.
+    The Newton cells of every label step together in `_newton_cells` on
+    basis.grams, and each cell's alpha is copied once into its column of
+    its model's coef[a]. Warnings start with the fit's name and point at
+    the caller of the public fit.
     """
     if sum(map(len, basis.orders)) != data.n or any(
         x.shape != (len(order), data.d)
@@ -350,55 +370,47 @@ def _fit_cells(
     t_max = data.grid.t_max
     max_time = t_max if max_time is None else max_time
     if not 0 <= max_time <= t_max:
-        raise ValueError(f"{what}: max_time must lie in [0, {t_max}], got {max_time}")
+        names = " and ".join(map(_FIT_NAMES.get, labels))
+        raise ValueError(f"{names}: max_time must lie in [0, {t_max}], got {max_time}")
     n_pts = data.grid.n_points
-    coef = tuple(np.zeros((len(order), n_pts)) for order in basis.orders)
-    intercept = np.zeros((2, n_pts))
-    level = np.full((2, n_pts), HAZARD_FLOOR)  # empty and all-0 cells, u > max_time
-    level[:, 0] = 0.0
-    empty: list[tuple[int, int]] = []
-    newton: list[tuple[int, int, int, int]] = []  # (u, a, m, lo), arm-major
-    hits = []
+    # per label, coef, intercept and level; level is the floor for empty and all-0 cells
+    fits = {label: (tuple(np.zeros((len(order), n_pts)) for order in basis.orders),
+                    np.zeros((2, n_pts)), np.full((2, n_pts), HAZARD_FLOOR)) for label in labels}
+    empty, newton = [], []  # newton cells: (u, a, m, lo, hit, label)
     for a, (order, exits) in enumerate(zip(basis.orders, basis.exits)):
-        hit = data.event[order] == label
         # risk-set sizes at u = 1..max_time + 1: units lo..m-1 leave at u
         sizes = np.searchsorted(-exits, -np.arange(1, max_time + 2), side="right")
-        for u in range(1, max_time + 1):
-            m, lo = int(sizes[u - 1]), int(sizes[u])
-            n_hit = int(np.count_nonzero(hit[lo:m]))
-            if m == 0:
-                empty.append((u, a))
-            elif n_hit == m:
-                # with an unpenalized intercept a single-class optimum sits at
-                # the boundary; the clamp limit (here or the floor) stands for it
-                level[a, u] = HAZARD_CEIL
-            elif n_hit > 0:
-                level[a, u] = np.nan
-                newton.append((u, a, m, lo))
-        hits.append(hit.astype(float))
-    stalled: list[tuple[int, int]] = []
+        m, lo = sizes[:-1], sizes[1:]
+        empty += [(u, a) for u in (np.flatnonzero(m == 0) + 1).tolist()]
+        for label in labels:
+            hit = (data.event[order] == label).astype(float)
+            seen = np.concatenate([[0.0], np.cumsum(hit)])  # hits among the first i units
+            n_hit, level = seen[m] - seen[lo], fits[label][2][a]
+            fit = (n_hit > 0) & (n_hit < m)
+            # a single-class optimum sits on the boundary: a clamp limit stands for it
+            level[1 : max_time + 1] = np.select([fit, (n_hit == m) & (m > 0)],
+                                                [np.nan, HAZARD_CEIL], HAZARD_FLOOR)
+            level[0] = 0.0
+            newton += [(u + 1, a, m[u], lo[u], hit, label) for u in np.flatnonzero(fit).tolist()]
+    newton.sort(key=lambda cell: cell[1::-1])  # arm-major, by u, labels in order
+    stalled = {label: [] for label in labels}
     if newton:
-        theta, converged = _newton_cells(basis.grams, hits, newton, ridge, what)
+        theta, converged = _newton_cells(basis.grams, newton, ridge)
         big = (theta.shape[0] - 1) // 2
-        for j, (u, a, m, _) in enumerate(newton):
-            coef[a][:m, u] = theta[:m, j]
-            intercept[a, u] = theta[big, j]
-        stalled = [cell[:2] for cell, ok in zip(newton, converged) if not ok]
-    if empty:
-        warnings.warn(
-            f"{what}: {len(empty)} (time, arm) cells had empty risk sets; "
-            "constant floor hazard used",
-            CoverageWarning,
-            stacklevel=3,
-        )
-    if stalled:
-        warnings.warn(
-            f"{what}: {len(stalled)} (time, arm) cells stopped after {NEWTON_MAX_ITER} "
-            f"Newton iterations above gradient tolerance {NEWTON_TOL:.1e}: {stalled}",
-            ConvergenceWarning,
-            stacklevel=3,
-        )
-    return KernelHazardModel(coef, intercept, level, max_time, tuple(empty))
+        for j, (u, a, size, _, _, label) in enumerate(newton):
+            coef, intercept, _ = fits[label]
+            coef[a][:size, u], intercept[a, u] = theta[:size, j], theta[big, j]
+            if not converged[j]:
+                stalled[label].append((u, a))
+    for label in labels:
+        if empty:
+            warnings.warn(f"{_FIT_NAMES[label]}: {len(empty)} (time, arm) cells had empty risk "
+                          "sets; constant floor hazard used", CoverageWarning, stacklevel=3)
+        if stalled[label]:
+            warnings.warn(f"{_FIT_NAMES[label]}: {len(stalled[label])} (time, arm) cells stopped "
+                          f"after {NEWTON_MAX_ITER} Newton iterations above gradient tolerance "
+                          f"{NEWTON_TOL:.1e}: {stalled[label]}", ConvergenceWarning, stacklevel=3)
+    return {label: KernelHazardModel(*fits[label], max_time, tuple(empty)) for label in labels}
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from cfsurv.hazard import (
     KernelHazardModel,
     fit_censor_hazard,
     fit_event_hazard,
+    fit_hazards,
     fit_propensity,
 )
 from cfsurv.kernels import KernelConfig, cho_solve_checked, spd_factor
@@ -174,7 +175,7 @@ def test_config_fields():
 @pytest.mark.parametrize(
     "fn",
     [
-        fit_propensity, fit_event_hazard, fit_censor_hazard,
+        fit_propensity, fit_hazards, fit_event_hazard, fit_censor_hazard,
         spd_factor, cho_solve_checked,
         surrogate_twins_table, load_twins_table,
     ],

@@ -27,8 +27,8 @@ from cfsurv.hazard import (
     KernelBasis,
     KernelHazardModel,
     PropensityModel,
-    fit_censor_hazard,
     fit_event_hazard,
+    fit_hazards,
 )
 from cfsurv.kernels import KernelConfig
 from cfsurv.survival import Dataset, TimeGrid, write_dataset_csv
@@ -291,14 +291,19 @@ def test_cross_fit_determinism():
 
 
 def _capture_fits(monkeypatch):
-    """Record the models each `cfsurv.estimators.fit_*` call returns, by name."""
-    fitted = {"fit_event_hazard": [], "fit_censor_hazard": [], "fit_propensity": []}
-    for name, models in fitted.items():
+    """Record the models the fit stage fits, by model: event, censor, propensity."""
+    fitted = {"event": [], "censor": [], "propensity": []}
+    for name, models in (
+        ("fit_hazards", ("event", "censor")), ("fit_event_hazard", ("event",)),
+        ("fit_censor_hazard", ("censor",)), ("fit_propensity", ("propensity",)),
+    ):
         original = getattr(cfsurv.estimators, name)
 
         def capturing(*args, _original=original, _models=models, **kwargs):
-            _models.append(_original(*args, **kwargs))
-            return _models[-1]
+            result = _original(*args, **kwargs)
+            for model, fit in zip(_models, result if len(_models) == 2 else (result,)):
+                fitted[model].append(fit)
+            return result
 
         monkeypatch.setattr(cfsurv.estimators, name, capturing)
     return fitted
@@ -310,8 +315,8 @@ def test_censor_fit_stops_at_last_evaluation_time(monkeypatch):
     assert data.time.max() > 10
     fitted = _capture_fits(monkeypatch)
     fit_nuisances(data, "dr", [5, 10])
-    assert len(fitted["fit_censor_hazard"]) == 5
-    for censor in fitted["fit_censor_hazard"]:
+    assert len(fitted["censor"]) == 5
+    for censor in fitted["censor"]:
         newton = np.flatnonzero(np.isnan(censor.level).any(axis=0))
         assert newton.size and newton.max() <= 10
         assert censor.max_time == 10
@@ -427,19 +432,27 @@ def test_each_fold_builds_its_grams_once(monkeypatch, kind, arm_grams, eval_gram
     assert all(rows == cols for rows, cols in shapes[fit_grams:])  # balance Grams
 
 
-def _apart(data, idx, train, prop):
-    """A fold entry whose hazard models each fit and predict from a basis of their own."""
+def _apart(data, idx, train, prop, censor=True):
+    """A fold entry whose hazard models each fit and predict from a basis of their own.
+
+    With `censor`, each model comes from a `fit_hazards` call on its own
+    basis, as the fit stage fits both; without, the event hazard is fit
+    alone and there is no censoring model.
+    """
     x = data.x[idx]
     predicted = []
-    for fit in (fit_event_hazard, fit_censor_hazard):
+    for which in (0, 1) if censor else (0,):
         basis = KernelBasis.of(train, KernelConfig())
-        grams = [basis.prediction_gram(x, a) for a in (0, 1)]
-        predicted.append((fit(train, basis, max_time=10), grams))
-    (event, k_event), (censor, k_censor) = predicted
+        args = train, basis, 0.5, 10
+        model = fit_hazards(*args)[which] if censor else fit_event_hazard(*args)
+        predicted.append((model, [basis.prediction_gram(x, a) for a in (0, 1)]))
+    (event, k_event), (censor, k_censor) = (*predicted, (None, None))[:2]
     curves = []
     for a in (0, 1):
         lam = event.hazard_matrix(k_event[a], a)
-        g = np.cumprod(1.0 - censor.hazard_matrix(k_censor[a], a), axis=1)
+        g = None
+        if censor is not None:
+            g = np.cumprod(1.0 - censor.hazard_matrix(k_censor[a], a), axis=1)
         pi = None if prop is None else prop.prob(x, a)
         curves.append((lam, np.cumprod(1.0 - lam, axis=1), g, pi))
     return idx, basis.standardize(x), tuple(curves)
@@ -455,7 +468,7 @@ def test_shared_grams_give_the_fit_per_model_bytes(monkeypatch):
     plan = FoldPlan.make(data.n, 5, seed=2)
     separate = Nuisances(tuple(
         _apart(data, idx, data.subset(plan.train_indices(f)), prop)
-        for f, ((idx, _, _), prop) in enumerate(zip(nuisances.folds, fitted["fit_propensity"]))
+        for f, ((idx, _, _), prop) in enumerate(zip(nuisances.folds, fitted["propensity"]))
     ))
     apart = run_estimator(data, "dr", [5, 10], seed=2, nuisances=separate)[0]
     for key, res in shared.items():
@@ -463,9 +476,8 @@ def test_shared_grams_give_the_fit_per_model_bytes(monkeypatch):
         assert res.influence.tobytes() == apart[key].influence.tobytes()
     # the whole sample is predicted through per-arm prediction Grams too
     whole = run_estimator(data, "or", [5, 10])[0]
-    alone = run_estimator(
-        data, "or", [5, 10], nuisances=Nuisances((_apart(data, np.arange(data.n), data, None),))
-    )[0]
+    only_event = _apart(data, np.arange(data.n), data, None, censor=False)
+    alone = run_estimator(data, "or", [5, 10], nuisances=Nuisances((only_event,)))[0]
     for key, res in whole.items():
         assert res.influence.tobytes() == alone[key].influence.tobytes()
 

@@ -24,6 +24,7 @@ from cfsurv.hazard import (
     KernelBasis,
     fit_censor_hazard,
     fit_event_hazard,
+    fit_hazards,
     fit_propensity,
 )
 from cfsurv.kernels import KernelConfig, gram
@@ -444,6 +445,9 @@ def test_fits_step_on_the_basis_grams_themselves(monkeypatch):
     fit_event_hazard(data, basis, max_time=5)
     fit_censor_hazard(data, basis, max_time=5)
     assert len(seen) == 2 and all(grams is basis.grams for grams in seen)
+    # a joint fit steps both hazards' cells in one lockstep
+    fit_hazards(data, basis, max_time=5)
+    assert len(seen) == 3 and seen[-1] is basis.grams
 
 
 def _twins_like(n, seed):
@@ -496,6 +500,101 @@ def test_model_columns_are_zero_outside_their_cells(data):
         assert not model.intercept[~newton].any()
         for u, a, risk, _, _ in newton_cells(model, basis):
             assert not model.coef[a][risk.size :, u].any()
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [gen_synthetic(SyntheticConfig(n=200, seed=41)), _twins_like(200, 42)],
+    ids=["synthetic", "twins-like"],
+)
+def test_joint_fit_matches_the_one_label_fits(data):
+    # stepping both hazards in one lockstep regroups the Gram products only
+    basis = _basis(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CoverageWarning)
+        joint = fit_hazards(data, basis, max_time=25)
+        alone = [fit(data, basis, max_time=25) for fit in (fit_event_hazard, fit_censor_hazard)]
+    for got, want in zip(joint, alone):
+        newton = np.isnan(want.level)
+        assert newton.any()
+        # the same Newton, constant and empty cells, with the same levels
+        assert np.array_equal(np.isnan(got.level), newton)
+        assert np.array_equal(got.level[~newton], want.level[~newton])
+        assert got.empty_cells == want.empty_cells and got.max_time == want.max_time
+        for a in (0, 1):
+            assert _rel(got.intercept[a], want.intercept[a]) <= 1e-12
+            for u in np.flatnonzero(newton[a]):
+                assert _rel(got.coef[a][:, u], want.coef[a][:, u]) <= 1e-12
+
+
+def test_joint_fit_warns_once_per_fit(monkeypatch):
+    # twins-like arms run out of units, so both fits have empty cells, and
+    # one Newton iteration leaves cells of both fits above tolerance
+    data = _twins_like(200, 1)
+    basis = _basis(data)
+    caught = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(hazard, "NEWTON_MAX_ITER", 1)
+        for key, fits in (
+            ("joint", lambda: fit_hazards(data, basis, max_time=25)),
+            ("alone", lambda: (fit_event_hazard(data, basis, max_time=25),
+                               fit_censor_hazard(data, basis, max_time=25))),
+        ):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                fits()
+            caught[key] = record
+    for category in (CoverageWarning, ConvergenceWarning):
+        joint, alone = ([w for w in caught[key] if w.category is category] for key in caught)
+        fits = [str(w.message).split(": ")[0] for w in joint]
+        assert fits == ["event hazard", "censoring hazard"]
+        # each joint warning counts its own fit's cells, as the fit alone does
+        assert [str(w.message) for w in joint] == [str(w.message) for w in alone]
+        assert all(w.filename == __file__ for w in joint)  # points at the caller of the fit
+
+
+def test_banded_lockstep_matches_the_jacobian_oracle_on_a_twins_shaped_arm():
+    # each arm's u = 1 cell holds most of the arm, and every later cell
+    # under half of it sits in other bands of the Gram products
+    data = _twins_like(400, 1)
+    basis = _basis(data)
+    flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
+    models = fit_hazards(data, basis, max_time=6)
+    sizes = {0: [], 1: []}
+    for model, labelled in zip(models, (data, flipped)):
+        labels = event_matrix(labelled, 6)
+        for u, a, risk, alpha, b in newton_cells(model, basis):
+            expect, _, _ = _jacobian_newton_klr(_cell_gram(basis, a, risk), labels[risk, u], 0.5)
+            assert _rel(np.append(alpha, b), expect) <= 1e-12
+            sizes[a].append(risk.size)
+    for arm_sizes in sizes.values():
+        largest, *rest = sorted(set(arm_sizes), reverse=True)
+        assert len(rest) >= 3 and 2 * max(rest) < largest
+
+
+def test_indefinite_censoring_cell_of_a_joint_fit_is_named():
+    # arm 1 in exit order: the three units leaving at 2, then the two
+    # censored at 1. The event cell (1, 1) is all-0 and fixed; the 3-unit
+    # cells at u = 2 see a positive definite block, the 5-unit censoring
+    # cell (1, 1) an indefinite one
+    data = _dataset(
+        x=np.arange(5.0), a=np.ones(5, dtype=int), time=[1, 1, 2, 2, 2], event=[0, 0, 0, 1, 0],
+        t_max=2,
+    )
+    good = _basis(data)
+    basis = replace(good, grams=(good.grams[0], np.diag([1.0, 1.0, 1.0, -10.0, -10.0])))
+    with pytest.warns(CoverageWarning):  # arm 0 has no units
+        fit_event_hazard(data, basis)
+    with pytest.raises(
+        NumericalError,
+        match=r"^censoring hazard: cell \(1, 1\): Newton system not positive definite "
+        r"\(dposv info \d+\)$",
+    ):
+        fit_hazards(data, basis)
 
 
 def _per_cell_hazards(model, basis, k_full, a):

@@ -279,7 +279,7 @@ def test_twins_like_replications_end_to_end():
 def test_replication_shares_nuisance_fits(monkeypatch):
     import cfsurv.estimators as est
 
-    calls = {"fit_event_hazard": 0, "fit_censor_hazard": 0, "fit_propensity": 0}
+    calls = {"fit_hazards": 0, "fit_event_hazard": 0, "fit_censor_hazard": 0, "fit_propensity": 0}
     for name in calls:
         original = getattr(est, name)
 
@@ -291,7 +291,11 @@ def test_replication_shares_nuisance_fits(monkeypatch):
     kinds = ("or", "ipw", "dr", "dr-clip", "balance")
     cfg = SimulationConfig(q=2, n=60, estimators=kinds, times=(3, 6), master_seed=4)
     shared = run_single_replication(cfg, seed=17)
-    assert calls == {"fit_event_hazard": 8, "fit_censor_hazard": 6, "fit_propensity": 6}
+    # or, 5 dr folds and 2 balance folds fit the event hazard (8 fits); ipw
+    # and the dr folds the censoring hazard (6), and dr fits both in one call
+    assert calls == {
+        "fit_hazards": 5, "fit_event_hazard": 3, "fit_censor_hazard": 1, "fit_propensity": 6
+    }
     for kind in kinds:
         alone = run_single_replication(SimulationConfig(
             q=2, n=60, estimators=(kind,), times=(3, 6), master_seed=4
