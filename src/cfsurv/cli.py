@@ -351,10 +351,9 @@ def cmd_plot(opt: dict[str, Any]) -> int:
     kind, t, y = (header.index(name) for name in ("estimator", "t", opt["y"]))
     series: dict[str, list[tuple[float, float]]] = {}
     for row in rows:
-        value = row[y].strip()
-        if value in ("", "nan"):
-            continue
-        series.setdefault(row[kind], []).append((float(row[t]), float(value)))
+        value = float(row[y]) if row[y].strip() else math.nan
+        if math.isfinite(value):  # skips empty, nan and inf cells
+            series.setdefault(row[kind], []).append((float(row[t]), value))
     if not series:
         raise UsageError(f"{opt['metrics']}: no finite values in column {opt['y']}")
     _emit(metric_lines_svg(series, opt["y"]), opt["out"])

@@ -10,7 +10,8 @@ size: late, thin cells are smoothed hard while large risk sets keep
 their flexibility. The intercept is unpenalized, which makes every
 fitted cell mean-calibrated on its risk set; single-class cells sit at
 the boundary of the likelihood and are represented by the clamp limits
-directly. The propensity is an unpenalized linear logistic regression.
+directly. The propensity is an unpenalized linear logistic regression,
+fit on an orthonormal basis of the standardized covariates' column space.
 
 The event and censoring fits of one training fold share one
 `KernelBasis`, the only holder of the fold's kernel features and exit
@@ -86,7 +87,7 @@ _FIT_NAMES = {1: "event hazard", 0: "censoring hazard"}  # the fit labelling 1(e
 NEWTON_TOL = 1e-6
 NEWTON_MAX_ITER = 500
 
-#: propensity Newton stopping rule: loss gradient norm, iteration cap
+#: propensity Newton stopping rule: gradient norm in the standardized covariates, iteration cap
 PROPENSITY_TOL = 1e-8
 PROPENSITY_MAX_ITER = 500
 
@@ -430,46 +431,43 @@ class PropensityModel:
         return p1 if a == 1 else 1.0 - p1
 
 
-def _propensity_grad(x, a, weights, intercept) -> np.ndarray:
-    """Gradient in (weights, intercept) of the linear logistic negative log-likelihood."""
-    p = expit(x @ weights + intercept)
-    return np.concatenate([x.T @ (p - a), [float(np.sum(p - a))]])
-
-
 def fit_propensity(data: Dataset) -> PropensityModel:
     """Maximum-likelihood linear logistic regression of treatment on covariates.
 
-    Newton on the likelihood gradient, to norm <= PROPENSITY_TOL; warns
-    if PROPENSITY_MAX_ITER steps do not get there.
+    The fit runs on z = [U, 1], U an orthonormal basis of the centered,
+    standardized covariates: their left singular vectors above numpy's
+    matrix_rank cut, sigma_max * max(n, d) * eps. A constant or duplicated
+    column adds no direction, so the Hessian z' W z is nonsingular whatever
+    the columns' units. Newton stops at gradient norm <= PROPENSITY_TOL in
+    the standardized covariates and warns if PROPENSITY_MAX_ITER steps do
+    not get there; the weights are then mapped back to the covariates.
     """
     a = data.a.astype(float)
     if a.min() == a.max():
         raise EstimationError("propensity fit needs both arms present")
-    z = np.hstack([data.x, np.ones((data.n, 1))])
+    mean, scale = standardization(data.x)
+    xs = (data.x - mean) / scale
+    center = xs.mean(axis=0)  # 0 up to roundoff, +-1 for a constant column with std at roundoff
+    u, s, vt = np.linalg.svd(xs - center, full_matrices=False)
+    rank = int(np.sum(s > s.max(initial=0.0) * max(data.n, data.d) * np.finfo(float).eps))
+    z = np.hstack([u[:, :rank], np.ones((data.n, 1))])
+    sv = np.append(s[:rank], 1.0)[:, None]  # z-gradient to standardized-covariate gradient
 
     def residual(theta, cols):
-        return _propensity_grad(data.x, a, theta[:-1, 0], theta[-1, 0])[:, None]
+        return sv * (z.T @ (expit(z @ theta) - a[:, None]))
 
     def newton_step(theta, grad, cols):
         done = np.array([np.linalg.norm(grad) <= PROPENSITY_TOL])
         if done[0]:
             return done, None
         p = np.clip(expit(z @ theta[:, 0]), _P_EPS, 1.0 - _P_EPS)
-        hess = z.T @ ((p * (1.0 - p))[:, None] * z)
-        try:
-            return done, np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            return done, np.linalg.solve(hess + 1e-10 * np.eye(len(hess)), grad)
+        return done, np.linalg.solve(z.T @ ((p * (1.0 - p))[:, None] * z), grad / sv)
 
     theta, (converged,) = _damped_newton(
-        np.zeros((data.d + 1, 1)), residual, newton_step, PROPENSITY_MAX_ITER
+        np.zeros((rank + 1, 1)), residual, newton_step, PROPENSITY_MAX_ITER
     )
-    theta = theta[:, 0]
     if not converged:
-        warnings.warn(
-            f"propensity fit stopped after {PROPENSITY_MAX_ITER} Newton iterations "
-            f"above gradient tolerance {PROPENSITY_TOL:.1e}",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    return PropensityModel(weights=theta[:-1], intercept=float(theta[-1]))
+        warnings.warn(f"propensity fit stopped after {PROPENSITY_MAX_ITER} Newton iterations above "
+                      f"gradient tolerance {PROPENSITY_TOL:.1e}", ConvergenceWarning, stacklevel=2)
+    weights = vt[:rank].T @ (theta[:rank, 0] / s[:rank]) / scale
+    return PropensityModel(weights, float(theta[rank, 0] - (mean + scale * center) @ weights))

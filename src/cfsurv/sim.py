@@ -245,7 +245,7 @@ def metrics(
 
 
 def summarize(result: ReplicationResult, truth: GroundTruth) -> list[MetricsRow]:
-    """Metrics rows per (estimator, time), with OR as the RMSE baseline."""
+    """Metrics rows per (estimator, time), with OR as the RMSE baseline (None where it is 0)."""
     cfg = result.config
     rows = [
         metrics(
@@ -262,7 +262,7 @@ def summarize(result: ReplicationResult, truth: GroundTruth) -> list[MetricsRow]
     if "or" in cfg.estimators:
         or_rmse = {row.t: row.rmse for row in rows if row.estimator == "or"}
         for row in rows:
-            row.relative_rmse = row.rmse / or_rmse[row.t]
+            row.relative_rmse = row.rmse / or_rmse[row.t] if or_rmse[row.t] != 0 else None
     return rows
 
 

@@ -15,7 +15,6 @@ from scipy.special import expit
 from cfsurv.balance import direction_ratio
 from cfsurv.dgp import SYNTH_D, T_MAX, true_event_hazard
 from cfsurv.estimators import Nuisances
-from cfsurv.hazard import _propensity_grad
 from cfsurv.kernels import KernelConfig
 from cfsurv.survival import Dataset
 
@@ -101,14 +100,16 @@ def klr_loss_grad(
 def propensity_loss_grad(
     x: np.ndarray, a: np.ndarray, weights: np.ndarray, intercept: float
 ) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood of the linear logistic fit and its gradient.
+    """Negative log-likelihood of the linear logistic fit and its gradient in (weights, intercept).
 
-    The gradient is the one `fit_propensity` iterates on, so checking it
-    against finite differences of the value checks the fit's own code.
+    `fit_propensity` iterates on this gradient in the coordinates of an
+    orthonormal basis of the standardized covariates; at its optimum this
+    one vanishes too.
     """
     f = x @ weights + intercept
     value = float(np.sum(np.logaddexp(0.0, f) - a * f))
-    return value, _propensity_grad(x, a, weights, intercept)
+    p = expit(f)
+    return value, np.concatenate([x.T @ (p - a), [float(np.sum(p - a))]])
 
 
 def derivative_direction(s_hat: np.ndarray, t: int) -> np.ndarray:

@@ -70,6 +70,8 @@ REMOVED = (
     # spd_factor is a single Cholesky, without a jitter ladder
     "JITTER",
     "_JITTER_RETRIES",
+    # the propensity fit forms its gradient on an orthonormal basis
+    "_propensity_grad",
 )
 
 

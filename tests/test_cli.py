@@ -365,6 +365,21 @@ def test_plot_empty_metrics(tmp_path):
                  "--out", str(tmp_path / "p.svg")]) == 2
 
 
+def test_plot_skips_infinite_values(tmp_path):
+    # a bias_over_stde cell is inf where std_err is 0 and bias is not
+    rows = ["or,5,0.5", "or,10,inf", "or,15,-inf", "balance,5,0.2", "balance,10,0.3"]
+    svgs = []
+    for name, kept in (("all", rows), ("finite", [rows[0], rows[3], rows[4]])):
+        metrics = tmp_path / f"{name}.csv"
+        metrics.write_text("estimator,t,bias_over_stde\n" + "\n".join(kept) + "\n")
+        out = tmp_path / f"{name}.svg"
+        assert main(["plot", "--metrics", str(metrics), "--y", "bias_over_stde",
+                     "--out", str(out)]) == 0
+        svgs.append(out.read_bytes())
+    assert b"nan" not in svgs[0] and b"inf" not in svgs[0]
+    assert svgs[0] == svgs[1]
+
+
 def test_plot_unknown_metric(tmp_path):
     assert main(["plot", "--metrics", GOLDEN_METRICS, "--y", "nope",
                  "--out", str(tmp_path / "p.svg")]) == 2

@@ -321,6 +321,54 @@ def test_propensity_converges_where_a_loss_line_search_stalls(monkeypatch):
         assert np.linalg.norm(grad) <= hazard.PROPENSITY_TOL
 
 
+def _with_x(data, x):
+    return Dataset(x, data.a, data.time, data.event, data.grid)
+
+
+def test_propensity_does_not_depend_on_column_units():
+    # a Hessian and a stopping norm in these units would stall Newton at its
+    # cap: one column scaled by 1e6, one shifted by 1e4
+    data = gen_synthetic(SyntheticConfig(n=400, xi=0.3, seed=3))
+    x = data.x.copy()
+    x[:, 0] *= 1e6
+    x[:, 1] += 1e4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        model = fit_propensity(_with_x(data, x))
+    expected = fit_propensity(data).prob(data.x, 1)
+    assert np.max(np.abs(model.prob(x, 1) - expected)) <= 1e-8
+
+
+@pytest.mark.parametrize("extra", ["constant", "duplicate"])
+def test_propensity_ignores_a_redundant_column(extra, monkeypatch):
+    data = gen_synthetic(SyntheticConfig(n=200, xi=0.3, seed=8))
+    column = np.full((data.n, 1), 0.1) if extra == "constant" else data.x[:, [2]]
+    x = np.hstack([data.x, column])
+    solve, failed = np.linalg.solve, []
+
+    def spy(*args):
+        try:
+            return solve(*args)
+        except np.linalg.LinAlgError:
+            failed.append(args)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    model = fit_propensity(_with_x(data, x))
+    assert not failed  # one factorization per step, never a singular retry
+    expected = fit_propensity(data).prob(data.x, 1)
+    assert np.max(np.abs(model.prob(x, 1) - expected)) <= 1e-8
+
+
+def test_propensity_on_constant_covariates_is_intercept_only():
+    data = gen_synthetic(SyntheticConfig(n=50, seed=4))
+    x = np.tile([0.1, 3.0, -7.7], (data.n, 1))
+    model = fit_propensity(_with_x(data, x))
+    share = data.a.mean()
+    assert np.array_equal(model.weights, np.zeros(3))
+    assert model.intercept == pytest.approx(np.log(share / (1 - share)), abs=1e-12)
+
+
 def test_censor_fit_recovers_flat_hazard():
     # true censor hazard at x4 = 0 is 0.01 * sigmoid(0) = 0.005
     cfg = SyntheticConfig(n=2500, seed=11, standardize=False)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cfsurv.sim
+from cfsurv.cli import main
 from cfsurv.dgp import ground_truth
 from cfsurv.errors import HarnessError, NumericalError
 from cfsurv.sim import (
@@ -21,6 +22,7 @@ from cfsurv.sim import (
     splitmix64,
     summarize,
 )
+from cfsurv.survival import read_csv
 
 
 def test_splitmix64_known_vectors():
@@ -99,6 +101,16 @@ def test_metrics_relative_rmse():
     got = relative_rmse(("or", "dr"))
     assert got["dr"] == pytest.approx(0.5) and got["or"] == 1.0
     assert relative_rmse(("dr",)) == {"dr": None}
+
+
+def test_relative_rmse_is_empty_where_or_is_exact(tmp_path):
+    # at t = 0 every effect estimate is 0, so or's rmse is 0
+    out = tmp_path / "z.csv"
+    assert main(["simulate", "--n", "40", "--q", "2", "--estimators", "or", "--times", "0",
+                 "--out", str(out)]) == 0
+    header, rows = read_csv(str(out))
+    assert [row[header.index("relative_rmse")] for row in rows] == [""]
+    assert float(rows[0][header.index("rmse")]) == 0.0
 
 
 def test_risb_rise_exact_cases():
