@@ -1,6 +1,6 @@
 """Counterfactual survival estimation with augmented minimax balancing weights."""
 
-from .balance import BalanceWeights, explicit_riesz, solve_balance_weights
+from .balance import explicit_riesz, solve_balance_weights
 from .dgp import (
     GroundTruth,
     SyntheticConfig,
@@ -31,7 +31,7 @@ from .hazard import (
     fit_hazards,
     fit_propensity,
 )
-from .kernels import KernelConfig, gram
+from .kernels import gram
 from .sim import (
     MetricsRow,
     SimulationConfig,

@@ -27,11 +27,11 @@ stacks the directions of every t on a trailing axis and makes one call:
 one factor, one product of the shared rows of K with every (u, t)
 direction, and one pair of triangular solves with that factor for all
 of those columns, each on its own leading block (`cho_solve_checked`).
+Like that solve, it returns plain arrays: the weights, zero off the
+active set, and a dict of the directions that failed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,32 +42,9 @@ __all__ = [
     "direction_ratio",
     "explicit_riesz",
     "solve_balance_weights",
-    "BalanceWeights",
 ]
 
 _R_TINY = 1e-12  # below this |r| the weight cell is irrelevant and set to 0
-
-
-@dataclass(frozen=True)
-class BalanceWeights:
-    """Per-observation, per-timestep weights of c directions; zero off the active set.
-
-    omega holds one (n, t+1) slice per direction on its trailing axis;
-    failures maps each direction whose solve failed to the reason, and
-    that direction's weights are zero.
-    """
-
-    omega: np.ndarray  # (n, t+1, c)
-    active: np.ndarray  # (n, t+1) bool
-    failures: dict[int, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.omega.ndim != 3 or self.omega.shape[:2] != self.active.shape:
-            raise ValueError("omega must have the active set's shape, plus a direction axis")
-        if not np.isfinite(self.omega).all():
-            raise ValueError("weights must be finite")
-        if np.any(self.omega[~self.active] != 0.0):
-            raise ValueError("weights must vanish off the active set")
 
 
 def direction_ratio(s_hat: np.ndarray, t: int) -> np.ndarray:
@@ -126,8 +103,8 @@ def explicit_riesz(
 
 def solve_balance_weights(
     k: np.ndarray, r: np.ndarray, active: np.ndarray, sigma2: float
-) -> BalanceWeights:
-    """Closed-form minimax balance weights for c stacked directions.
+) -> tuple[np.ndarray, dict[int, str]]:
+    """Closed-form minimax balance weights for c stacked directions; returns (omega, failures).
 
     r holds the directions (n, t+1, c); they share the kernel k and the
     risk-set mask active (n, t+1), whose sets at u >= 1 must be nested.
@@ -140,9 +117,11 @@ def solve_balance_weights(
     needs no solve. Every column is checked against the residual bound
     `kernels.SOLVE_TOL` on its own.
 
-    Failures come back per direction, at its first failed u: a column
-    that misses its bound fails its direction, and a failed factor fails
-    every direction that needs a solve. Its weights are then zero.
+    omega (n, t+1, c) holds each direction's weights, zero off the
+    active set. failures maps a failed direction to the reason, at its
+    first failed u: a column that misses its bound fails its direction,
+    and a failed factor fails every direction that needs a solve. Its
+    weights are then zero.
     """
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -165,7 +144,7 @@ def solve_balance_weights(
     # (u, direction) pairs to solve, one column each in (u, direction) order
     needed = (r[:, 1:, :] != 0.0).any(axis=0) & (sizes[1:] > 0)[:, None]
     if not needed.any():
-        return BalanceWeights(omega=omega, active=active, failures=failures)
+        return omega, failures
     col_u, col_dir = np.nonzero(needed)
     col_u += 1
     m = sizes[col_u]
@@ -184,4 +163,4 @@ def solve_balance_weights(
     w = np.divide(v, r_cols[shared], out=np.zeros_like(v), where=safe)
     omega[shared[:, None], col_u, col_dir] = w
     omega[:, :, list(failures)] = 0.0
-    return BalanceWeights(omega=omega, active=active, failures=failures)
+    return omega, failures

@@ -22,7 +22,6 @@ from typing import Any, Callable
 from . import dgp as dgp_mod
 from .errors import EstimationError, HarnessError, NumericalError
 from .estimators import ESTIMATOR_KINDS, EstimatorParams, run_estimator
-from .hazard import KernelConfig
 from .plotting import metric_lines_svg
 from .sim import SimulationConfig, metrics_csv_bytes, run_replications, run_xi_sweep, summarize
 from .survival import csv_bytes, dataset_csv_bytes, read_csv, read_dataset_csv
@@ -86,9 +85,9 @@ _ESTIMATE_OPTS = [
     Opt("--estimator", str, required=True, choices=ESTIMATOR_KINDS),
     Opt("--t", _int_list, required=True, help="evaluation time(s), comma separated"),
     Opt("--arm", str, "diff", choices=("0", "1", "diff")),
-    Opt("--sigma2", float, 1.0),
-    Opt("--length-scale", float, 10.0),
-    Opt("--ridge", float, 0.5),
+    Opt("--sigma2", float),
+    Opt("--length-scale", float),
+    Opt("--ridge", float),
     Opt("--seed", int, 0),
     Opt("--format", str, "csv", choices=("csv", "jsonl")),
     Opt("--out", str, help="output path (default: stdout)"),
@@ -106,9 +105,9 @@ _SIMULATE_OPTS = [
     Opt("--xi-sweep", _float_list,
         help="overlap sweep values; adds RISB/RISE columns (synthetic only)"),
     Opt("--master-seed", int, 0),
-    Opt("--sigma2", float, 1.0),
-    Opt("--length-scale", float, 10.0),
-    Opt("--ridge", float, 0.5),
+    Opt("--sigma2", float),
+    Opt("--length-scale", float),
+    Opt("--ridge", float),
     Opt("--mc", int, help="ignored: both ground truths are exact (accepted so older "
         "command lines still run)"),
     Opt("--twins-csv", str),
@@ -233,11 +232,9 @@ def cmd_datagen(opt: dict[str, Any]) -> int:
 
 
 def _estimator_params(opt: dict[str, Any]) -> EstimatorParams:
-    return EstimatorParams(
-        kernel=KernelConfig(length_scale=opt["length_scale"]),
-        ridge=opt["ridge"],
-        sigma2=opt["sigma2"],
-    )
+    """The given settings; EstimatorParams supplies the others' defaults."""
+    names = ("length_scale", "ridge", "sigma2")
+    return EstimatorParams(**{name: opt[name] for name in names if opt[name] is not None})
 
 
 def _estimate_records(opt: dict[str, Any]):

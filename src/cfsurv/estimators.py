@@ -51,11 +51,10 @@ import numpy as np
 from scipy.special import ndtri
 
 from .balance import direction_ratio, explicit_riesz, solve_balance_weights
-from .errors import LargeWeightWarning, NumericalError
+from .errors import EstimationError, LargeWeightWarning, NumericalError
 from .hazard import (
     PROPENSITY_FLOOR,
     KernelBasis,
-    KernelConfig,
     fit_censor_hazard,
     fit_event_hazard,
     fit_hazards,
@@ -97,14 +96,14 @@ ESTIMATOR_KINDS = tuple(_KINDS)
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Tuning knobs; defaults match the reference experimental setup."""
+    """Kernel length scale, hazard ridge and balance sigma2; defaults match the reference setup."""
 
-    kernel: KernelConfig = KernelConfig()
+    length_scale: float = 10.0
     ridge: float = 0.5
     sigma2: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("ridge", "sigma2"):
+        for name in ("length_scale", "ridge", "sigma2"):
             value = getattr(self, name)
             if not 0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -216,9 +215,9 @@ def _balance_gammas(
     tt = np.asarray(times)
     r = s[:, None, tt] * q[:, :, None]
     r[:, np.arange(q.shape[1])[:, None] > tt] = 0.0
-    w = solve_balance_weights(k, r, active, sigma2)
-    r *= w.omega  # zero off the risk sets (as omega is) and for a failed direction
-    return r, {times[j]: err for j, err in w.failures.items()}
+    omega, failures = solve_balance_weights(k, r, active, sigma2)
+    r *= omega  # zero off the risk sets (as omega is) and for a failed direction
+    return r, {times[j]: err for j, err in failures.items()}
 
 
 def _summands(
@@ -348,15 +347,28 @@ def fit_nuisances(
     params: EstimatorParams = EstimatorParams(),
     seed: int = 0,
 ) -> Nuisances:
-    """Cross-fit the nuisance models `kind` needs and predict each fold's held-out units."""
+    """Cross-fit the nuisance models `kind` needs and predict each fold's held-out units.
+
+    A training fold without units in an arm raises EstimationError before any fit.
+    """
     spec = _checked_spec(data, kind, times)
     use_event, use_censor, use_prop = spec.models
     max_t = max(times)
+    if spec.folds == 1:
+        folds = [(np.arange(data.n), data)]
+    else:
+        plan = FoldPlan.make(data.n, spec.folds, seed)
+        folds = [(plan.fold_indices(f), data.subset(plan.train_indices(f)))
+                 for f in range(spec.folds)]
+    for f, (_, train) in enumerate(folds):
+        if train.a.min() == train.a.max():
+            raise EstimationError(f"{kind}: training fold {f} of {spec.folds} has no units in "
+                                  f"arm {1 - train.a[0]}")
 
     def fold(idx: np.ndarray, train: Dataset):
         # one basis per fold; a kind that needs both hazards fits them in one lockstep
-        basis = KernelBasis.of(train, params.kernel)
-        args = train, basis, params.ridge, max_t
+        basis = KernelBasis.of(train, params.length_scale)
+        args = basis, params.ridge, max_t
         event, censor = fit_hazards(*args) if use_event and use_censor else (
             fit_event_hazard(*args) if use_event else None,
             fit_censor_hazard(*args) if use_censor else None,
@@ -365,13 +377,7 @@ def fit_nuisances(
         propensity = fit_propensity(train) if use_prop else None
         return idx, basis.standardize(x), _curves(x, basis, event, censor, propensity)
 
-    if spec.folds == 1:
-        return Nuisances((fold(np.arange(data.n), data),))
-    plan = FoldPlan.make(data.n, spec.folds, seed)
-    return Nuisances(tuple(
-        fold(plan.fold_indices(f), data.subset(plan.train_indices(f)))
-        for f in range(spec.folds)
-    ))
+    return Nuisances(tuple(fold(idx, train) for idx, train in folds))
 
 
 def _check_nuisances(nuisances: Nuisances, n: int, kind: str, uses, t: int) -> None:
@@ -423,7 +429,7 @@ def run_estimator(
 
     for idx, xs, curves in nuisances.folds:
         fold = data.subset(idx)
-        k = gram(xs, xs, params.kernel) if kind == "balance" else None
+        k = gram(xs, xs, params.length_scale) if kind == "balance" else None
         for a in (0, 1):
             live = [t for t in times if (a, t) not in failures]
             if not live:

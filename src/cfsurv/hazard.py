@@ -14,13 +14,14 @@ directly. The propensity is an unpenalized linear logistic regression,
 fit on an orthonormal basis of the standardized covariates' column space.
 
 The event and censoring fits of one training fold share one
-`KernelBasis`, the only holder of the fold's kernel features and exit
-layout: the standardization and, per arm, the training units sorted once
-by exit time, descending, censored before events at equal times, with
-their standardized covariates and Gram matrix in that order. Every risk
-set {a_i = a, time_i >= u} is a prefix of its arm's order, whichever
-flag a fit labels: a cell is its size m, its system the leading m x m
-block of the arm's Gram matrix. No Gram matrix spans both arms.
+`KernelBasis`, their whole input: the standardization, the length scale,
+t_max and, per arm, the training units sorted once by exit time,
+descending, censored before events at equal times, with their exit
+times, event flags, standardized covariates and Gram matrix in that
+order. Every risk set {a_i = a, time_i >= u} is a prefix of its arm's
+order, whichever flag a fit labels: a cell is its size m, its system the
+leading m x m block of the arm's Gram matrix. No Gram matrix spans both
+arms.
 
 A fitted `KernelHazardModel` is three arrays per arm a: coef[a], each
 Newton cell's alpha in its time's column over its risk set and zero
@@ -59,7 +60,7 @@ from scipy.linalg.lapack import dposv as _dposv
 from scipy.special import expit
 
 from .errors import ConvergenceWarning, CoverageWarning, EstimationError, NumericalError
-from .kernels import KernelConfig, gram
+from .kernels import gram
 from .survival import Dataset, standardization
 
 __all__ = [
@@ -256,23 +257,26 @@ def _newton_cells(grams, cells, ridge: float):
 
 @dataclass(frozen=True)
 class KernelBasis:
-    """The kernel features and exit layout of one training set, shared by its hazard fits.
+    """One training set as its hazard fits read it: kernel features and exit layout.
 
     Per arm a: orders[a], the arm's units by exit time, descending,
-    censored first at ties; exits[a], their exit times; xs[a], their
-    standardized covariates; grams[a], gram(xs[a], xs[a]).
+    censored first at ties; exits[a] and events[a], their exit times and
+    event flags; xs[a], their standardized covariates; grams[a],
+    gram(xs[a], xs[a], length_scale).
     """
 
     mean: np.ndarray
     scale: np.ndarray
-    kernel: KernelConfig
+    length_scale: float
+    t_max: int
     orders: tuple[np.ndarray, np.ndarray]
     exits: tuple[np.ndarray, np.ndarray]
+    events: tuple[np.ndarray, np.ndarray]
     xs: tuple[np.ndarray, np.ndarray]
     grams: tuple[np.ndarray, np.ndarray]
 
     @classmethod
-    def of(cls, data: Dataset, kernel: KernelConfig) -> "KernelBasis":
+    def of(cls, data: Dataset, length_scale: float) -> "KernelBasis":
         mean, scale = standardization(data.x)
         orders = tuple(
             arm[np.lexsort((data.event[arm], -data.time[arm]))]
@@ -280,8 +284,9 @@ class KernelBasis:
         )
         xs = tuple((data.x[order] - mean) / scale for order in orders)
         return cls(
-            mean, scale, kernel, orders, tuple(data.time[order] for order in orders), xs,
-            tuple(gram(x, x, kernel) for x in xs),
+            mean, scale, length_scale, data.grid.t_max, orders,
+            *(tuple(column[order] for order in orders) for column in (data.time, data.event)),
+            xs, tuple(gram(x, x, length_scale) for x in xs),
         )
 
     def standardize(self, x: np.ndarray) -> np.ndarray:
@@ -289,7 +294,7 @@ class KernelBasis:
 
     def prediction_gram(self, x: np.ndarray, a: int) -> np.ndarray:
         """Kernel matrix of x against arm a's training covariates, in exit order."""
-        return gram(self.standardize(x), self.xs[a], self.kernel)
+        return gram(self.standardize(x), self.xs[a], self.length_scale)
 
 
 @dataclass(frozen=True)
@@ -322,69 +327,59 @@ class KernelHazardModel:
         }
 
 
-def fit_hazards(
-    data: Dataset, basis: KernelBasis, ridge: float = 0.5, max_time: int | None = None
-) -> tuple[KernelHazardModel, KernelHazardModel]:
+def fit_hazards(basis: KernelBasis, ridge: float,
+                max_time: int | None = None) -> tuple[KernelHazardModel, KernelHazardModel]:
     """Fit a training set's event and censoring hazards together; returns (event, censor).
 
     On each (u, a) risk set {a_i = a, time_i >= u}, u = 1..max_time in
     [0, t_max] (default t_max), the event hazard labels 1(event, time = u)
     and the censoring hazard 1(censored, time = u). `basis` is
-    `KernelBasis.of(data, kernel)`.
+    `KernelBasis.of(data, length_scale)`.
     """
-    fits = _fit_cells(data, basis, ridge, max_time, [1, 0])
+    fits = _fit_cells(basis, ridge, max_time, [1, 0])
     return fits[1], fits[0]
 
 
-def fit_event_hazard(
-    data: Dataset, basis: KernelBasis, ridge: float = 0.5, max_time: int | None = None
-) -> KernelHazardModel:
+def fit_event_hazard(basis: KernelBasis, ridge: float,
+                     max_time: int | None = None) -> KernelHazardModel:
     """The event hazard of `fit_hazards`, fit alone."""
-    return _fit_cells(data, basis, ridge, max_time, [1])[1]
+    return _fit_cells(basis, ridge, max_time, [1])[1]
 
 
-def fit_censor_hazard(
-    data: Dataset, basis: KernelBasis, ridge: float = 0.5, max_time: int | None = None
-) -> KernelHazardModel:
+def fit_censor_hazard(basis: KernelBasis, ridge: float,
+                      max_time: int | None = None) -> KernelHazardModel:
     """The censoring hazard of `fit_hazards`, fit alone."""
-    return _fit_cells(data, basis, ridge, max_time, [0])[0]
+    return _fit_cells(basis, ridge, max_time, [0])[0]
 
 
 def _fit_cells(
-    data: Dataset, basis: KernelBasis, ridge: float, max_time: int | None, labels: list[int]
+    basis: KernelBasis, ridge: float, max_time: int | None, labels: list[int]
 ) -> dict[int, KernelHazardModel]:
     """One kernel logistic fit per (u, a) cell and label in labels; returns {label: model}.
 
-    Label 1 is the event fit, 0 the censoring fit. data must have the
-    basis's covariate shape, arms and exit times; its flags may differ.
-    The Newton cells of every label step together in `_newton_cells` on
-    basis.grams, and each cell's alpha is copied once into its column of
-    its model's coef[a]. Warnings start with the fit's name and point at
-    the caller of the public fit.
+    Label 1 is the event fit, 0 the censoring fit; both read their labels
+    from basis.events. The Newton cells of every label step together in
+    `_newton_cells` on basis.grams, and each cell's alpha is copied once
+    into its column of its model's coef[a]. Warnings start with the fit's
+    name and point at the caller of the public fit.
     """
-    if sum(map(len, basis.orders)) != data.n or any(
-        x.shape != (len(order), data.d)
-        or not np.array_equal(data.time[order], exits) or (data.a[order] != a).any()
-        for a, (order, exits, x) in enumerate(zip(basis.orders, basis.exits, basis.xs))
-    ):
-        raise ValueError("basis was not built from these covariates, arms and exit times")
-    t_max = data.grid.t_max
+    t_max = basis.t_max
     max_time = t_max if max_time is None else max_time
     if not 0 <= max_time <= t_max:
         names = " and ".join(map(_FIT_NAMES.get, labels))
         raise ValueError(f"{names}: max_time must lie in [0, {t_max}], got {max_time}")
-    n_pts = data.grid.n_points
     # per label, coef, intercept and level; level is the floor for empty and all-0 cells
-    fits = {label: (tuple(np.zeros((len(order), n_pts)) for order in basis.orders),
-                    np.zeros((2, n_pts)), np.full((2, n_pts), HAZARD_FLOOR)) for label in labels}
+    fits = {label: (tuple(np.zeros((len(exits), t_max + 1)) for exits in basis.exits),
+                    np.zeros((2, t_max + 1)), np.full((2, t_max + 1), HAZARD_FLOOR))
+            for label in labels}
     empty, newton = [], []  # newton cells: (u, a, m, lo, hit, label)
-    for a, (order, exits) in enumerate(zip(basis.orders, basis.exits)):
+    for a, (exits, events) in enumerate(zip(basis.exits, basis.events)):
         # risk-set sizes at u = 1..max_time + 1: units lo..m-1 leave at u
         sizes = np.searchsorted(-exits, -np.arange(1, max_time + 2), side="right")
         m, lo = sizes[:-1], sizes[1:]
         empty += [(u, a) for u in (np.flatnonzero(m == 0) + 1).tolist()]
         for label in labels:
-            hit = (data.event[order] == label).astype(float)
+            hit = (events == label).astype(float)
             seen = np.concatenate([[0.0], np.cumsum(hit)])  # hits among the first i units
             n_hit, level = seen[m] - seen[lo], fits[label][2][a]
             fit = (n_hit > 0) & (n_hit < m)
@@ -447,7 +442,7 @@ def fit_propensity(data: Dataset) -> PropensityModel:
         raise EstimationError("propensity fit needs both arms present")
     mean, scale = standardization(data.x)
     xs = (data.x - mean) / scale
-    center = xs.mean(axis=0)  # 0 up to roundoff, +-1 for a constant column with std at roundoff
+    center = xs.mean(axis=0)  # 0 up to roundoff
     u, s, vt = np.linalg.svd(xs - center, full_matrices=False)
     rank = int(np.sum(s > s.max(initial=0.0) * max(data.n, data.d) * np.finfo(float).eps))
     z = np.hstack([u[:, :rank], np.ones((data.n, 1))])

@@ -1,7 +1,8 @@
 """RBF kernel evaluation, Gram matrices, and regularized SPD solves.
 
-The kernel convention is exp(-||x - y||^2 / (2 * length_scale^2)) with a
-default length scale of 10. A Gram matrix of equal inputs is exactly
+The kernel convention is exp(-||x - y||^2 / (2 * length_scale^2)); the
+length scale is an argument of `gram`, and `EstimatorParams` holds its
+default and its check. A Gram matrix of equal inputs is exactly
 symmetric with a unit diagonal. Results are reproducible bit for bit at a
 fixed BLAS thread count; the matrix products' summation order, and so
 their roundoff, may change with it.
@@ -9,30 +10,19 @@ their roundoff, may change with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 from scipy.linalg import solve_triangular
 
 from .errors import NumericalError
 
-__all__ = ["KernelConfig", "gram", "spd_factor", "cho_solve_checked"]
+__all__ = ["gram", "spd_factor", "cho_solve_checked"]
 
 #: residual bound of a checked solve, relative to 1 + ||b||
 SOLVE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    length_scale: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.length_scale < np.inf:
-            raise ValueError(f"length_scale must be positive and finite, got {self.length_scale}")
-
-
-def gram(rows: np.ndarray, cols: np.ndarray, cfg: KernelConfig) -> np.ndarray:
+def gram(rows: np.ndarray, cols: np.ndarray, length_scale: float) -> np.ndarray:
     """Kernel matrix K[i, j] = exp(-||rows[i] - cols[j]||^2 / (2 l^2)); rectangular allowed.
 
     K is filled in one buffer as exp(min(rows[i]'cols[j] / l^2 - (h_i + h_j), 0)),
@@ -47,7 +37,7 @@ def gram(rows: np.ndarray, cols: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     if rows.shape[1] != cols.shape[1]:
         raise ValueError(f"dimension mismatch: {rows.shape[1]} vs {cols.shape[1]}")
     square = rows.shape == cols.shape and np.array_equal(rows, cols)
-    inv = 1.0 / cfg.length_scale**2
+    inv = 1.0 / length_scale**2
     k = rows @ (rows if square else cols).T
     k *= inv
     h_rows = np.einsum("ij,ij->i", rows, rows) * (0.5 * inv)
@@ -60,7 +50,7 @@ def gram(rows: np.ndarray, cols: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     return k
 
 
-def spd_factor(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:
+def spd_factor(m: np.ndarray, ridge: float) -> np.ndarray:
     """Lower Cholesky factor of m + ridge * I for symmetric positive semi-definite m.
 
     A matrix that cannot be factored raises NumericalError with diagnostics.
@@ -76,7 +66,7 @@ def spd_factor(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:
 
 
 def cho_solve_checked(
-    factor: np.ndarray, m: np.ndarray, b: np.ndarray, ridge: float = 0.0,
+    factor: np.ndarray, m: np.ndarray, b: np.ndarray, ridge: float,
     sizes: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Solve (m + ridge * I) z = b from a lower Cholesky factor of that matrix.

@@ -165,8 +165,9 @@ def standardization(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column means and standard deviations of x; a constant column gets scale 1."""
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    return mean, scale
+    # the mean's rounding error bound: a column of equal values computes a std within it
+    roundoff = len(x) * np.finfo(float).eps * np.abs(x).max(axis=0, initial=0.0)
+    return mean, np.where(scale > roundoff, scale, 1.0)
 
 
 def _grid_times(data: Dataset, t: int) -> np.ndarray:

@@ -15,24 +15,23 @@ from scipy.special import expit
 from cfsurv.balance import direction_ratio
 from cfsurv.dgp import SYNTH_D, T_MAX, true_event_hazard
 from cfsurv.estimators import Nuisances
-from cfsurv.kernels import KernelConfig
 from cfsurv.survival import Dataset
 
 
-def gram_by_differences(x: np.ndarray, y: np.ndarray, cfg: KernelConfig) -> np.ndarray:
+def gram_by_differences(x: np.ndarray, y: np.ndarray, length_scale: float) -> np.ndarray:
     """Kernel matrix exp(-sum_k (x_ik - y_jk)^2 / (2 l^2)) from the (n, m, d) difference array."""
     diff = np.asarray(x, dtype=float)[:, None, :] - np.asarray(y, dtype=float)[None, :, :]
-    return np.exp(-np.einsum("ijk,ijk->ij", diff, diff) / (2.0 * cfg.length_scale**2))
+    return np.exp(-np.einsum("ijk,ijk->ij", diff, diff) / (2.0 * length_scale**2))
 
 
-def rbf(x: np.ndarray, y: np.ndarray, cfg: KernelConfig) -> float:
+def rbf(x: np.ndarray, y: np.ndarray, length_scale: float) -> float:
     """Kernel value exp(-||x - y||^2 / (2 l^2)) for a single pair."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     sq = float(np.sum((x - y) ** 2))
-    return float(np.exp(-sq / (2.0 * cfg.length_scale**2)))
+    return float(np.exp(-sq / (2.0 * length_scale**2)))
 
 
 def damped_newton(theta, residual, newton_step, max_iter):

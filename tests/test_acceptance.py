@@ -22,7 +22,7 @@ from cfsurv.dgp import (
     true_propensity,
 )
 from cfsurv.estimators import run_estimator
-from cfsurv.kernels import KernelConfig, gram
+from cfsurv.kernels import gram
 from cfsurv.sim import SimulationConfig, derive_seed, nominal_coverage, run_xi_sweep
 from oracles import (
     derivative_direction,
@@ -117,7 +117,7 @@ def _random_solver_instance(rng):
     n = int(rng.integers(2, 31))
     t = int(rng.integers(1, 6))
     pts = rng.normal(size=(n, 2))
-    k = gram(pts, pts, KernelConfig(length_scale=1.5))
+    k = gram(pts, pts, 1.5)
     haz = np.zeros((n, t + 1))
     haz[:, 1:] = rng.uniform(0.05, 0.4, size=(n, t))
     s = np.cumprod(1.0 - haz, axis=1)
@@ -159,7 +159,7 @@ def test_criterion_4_solver_exactness():
     obj_ok = True
     for _ in range(100):
         k, r, active, n, t = _random_solver_instance(rng)
-        omega = solve_balance_weights(k, r[:, :, None], active, sigma2).omega[:, :, 0]
+        omega = solve_balance_weights(k, r[:, :, None], active, sigma2)[0][:, :, 0]
         # (a) per-timestep normal-equation residual
         for u in range(1, t + 1):
             act = np.flatnonzero(active[:, u])
@@ -228,7 +228,7 @@ def test_criterion_5_gradient_checks():
     for _ in range(20):
         m = int(rng.integers(3, 15))
         pts = rng.normal(size=(m, 3))
-        k = gram(pts, pts, KernelConfig(length_scale=2.0))
+        k = gram(pts, pts, 2.0)
         y = rng.integers(0, 2, size=m).astype(float)
         ridge = float(rng.uniform(1e-3, 0.2))
         theta = rng.normal(scale=0.6, size=m + 1)

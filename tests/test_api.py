@@ -20,7 +20,7 @@ from cfsurv.hazard import (
     fit_hazards,
     fit_propensity,
 )
-from cfsurv.kernels import KernelConfig, cho_solve_checked, spd_factor
+from cfsurv.kernels import cho_solve_checked, spd_factor
 from cfsurv.sim import metrics, run_replications, run_single_replication, run_xi_sweep
 from cfsurv.survival import Dataset, TimeGrid
 
@@ -72,6 +72,10 @@ REMOVED = (
     "_JITTER_RETRIES",
     # the propensity fit forms its gradient on an orthonormal basis
     "_propensity_grad",
+    # the length scale is a plain setting of EstimatorParams and an argument of gram
+    "KernelConfig",
+    # the balance solve returns (omega, failures), as cho_solve_checked returns (z, failures)
+    "BalanceWeights",
 )
 
 
@@ -143,7 +147,7 @@ def test_replications_take_no_estimator_hook(fn):
 
 
 def test_estimator_params_fields():
-    assert [f.name for f in fields(EstimatorParams)] == ["kernel", "ridge", "sigma2"]
+    assert [f.name for f in fields(EstimatorParams)] == ["length_scale", "ridge", "sigma2"]
 
 
 @pytest.mark.parametrize(
@@ -151,6 +155,7 @@ def test_estimator_params_fields():
     [
         {"ridge": 0.0}, {"ridge": -1.0}, {"sigma2": 0.0},
         {"ridge": float("inf")}, {"sigma2": float("inf")},
+        {"length_scale": 0.0}, {"length_scale": -1.0}, {"length_scale": float("inf")},
     ],
 )
 def test_estimator_params_reject_nonpositive(bad):
@@ -159,7 +164,6 @@ def test_estimator_params_reject_nonpositive(bad):
 
 
 def test_config_fields():
-    assert [f.name for f in fields(KernelConfig)] == ["length_scale"]
     assert [f.name for f in fields(SyntheticConfig)] == [
         "n", "xi", "assign_scale", "seed", "standardize"
     ]
@@ -170,7 +174,7 @@ def test_config_fields():
     ]
     # per-arm training blocks only: no Gram or covariates spanning both arms
     assert [f.name for f in fields(KernelBasis)] == [
-        "mean", "scale", "kernel", "orders", "exits", "xs", "grams"
+        "mean", "scale", "length_scale", "t_max", "orders", "exits", "events", "xs", "grams"
     ]
 
 
@@ -185,6 +189,16 @@ def test_config_fields():
 )
 def test_fixed_settings_are_not_parameters(fn):
     assert not {"tol", "max_iter", "jitter", "d"} & set(inspect.signature(fn).parameters)
+
+
+@pytest.mark.parametrize(
+    "fit", [fit_hazards, fit_event_hazard, fit_censor_hazard], ids=lambda fn: fn.__name__
+)
+def test_hazard_fits_take_the_basis_alone(fit):
+    # the basis holds the training set's flags and layout; ridge has no default
+    params = inspect.signature(fit).parameters
+    assert list(params) == ["basis", "ridge", "max_time"]
+    assert params["ridge"].default is inspect.Parameter.empty
 
 
 def test_replications_run_serially():

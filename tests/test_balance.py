@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import cfsurv.balance as balance_module
 import cfsurv.kernels as kernels_module
 from cfsurv.balance import (
-    BalanceWeights,
     direction_ratio,
     explicit_riesz,
     solve_balance_weights,
@@ -16,7 +15,7 @@ from cfsurv.balance import (
 from cfsurv.dgp import SyntheticConfig, gen_synthetic
 from cfsurv.errors import NumericalError
 from cfsurv.estimators import FoldPlan
-from cfsurv.kernels import KernelConfig, gram
+from cfsurv.kernels import gram
 from cfsurv.survival import active_matrix
 from oracles import derivative_direction, imbalance, objective
 
@@ -30,7 +29,7 @@ def random_instance(seed, n, t, arm_rate=0.7):
     with probability arm_rate and exits at a uniform time in 1..t."""
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, 2))
-    k = gram(pts, pts, KernelConfig(length_scale=1.5))
+    k = gram(pts, pts, 1.5)
     haz = np.zeros((n, t + 1))
     haz[:, 1:] = rng.uniform(0.05, 0.4, size=(n, t))
     s = survival_from_hazard_matrix(haz)
@@ -44,9 +43,9 @@ def random_instance(seed, n, t, arm_rate=0.7):
 
 def solve_one(k, r, active, sigma2):
     """Weights (n, t+1) of the single direction r, which must solve."""
-    w = solve_balance_weights(k, r[:, :, None], active, sigma2)
-    assert w.failures == {}
-    return w.omega[:, :, 0]
+    omega, failures = solve_balance_weights(k, r[:, :, None], active, sigma2)
+    assert failures == {}
+    return omega[:, :, 0]
 
 
 def test_derivative_direction_zero_hazard():
@@ -302,13 +301,17 @@ def test_weights_zero_off_active_set(seed):
     assert np.isfinite(omega).all()
 
 
-def test_balance_weights_validation():
-    with pytest.raises(ValueError):
-        BalanceWeights(omega=np.ones((2, 2, 1)), active=np.zeros((2, 2), dtype=bool))
-    with pytest.raises(ValueError):
-        BalanceWeights(omega=np.full((1, 1, 1), np.nan), active=np.ones((1, 1), dtype=bool))
-    with pytest.raises(ValueError, match="direction axis"):
-        BalanceWeights(omega=np.zeros((2, 2)), active=np.zeros((2, 2), dtype=bool))
+def test_solved_weights_are_finite_and_zero_off_the_active_set():
+    # a good solve, and one whose factor fails: the plain omega array keeps
+    # the direction axis, stays finite and vanishes off the risk sets
+    k, r, active, _ = random_instance(8, n=12, t=4, arm_rate=0.6)
+    r = np.stack([r, 0.5 * r], axis=2)
+    for kernel, failed in ((k, []), (k - 2.0 * np.eye(len(k)), [0, 1])):
+        omega, failures = solve_balance_weights(kernel, r, active, 1.0)
+        assert omega.shape == r.shape and sorted(failures) == failed
+        assert np.isfinite(omega).all()
+        assert not omega[~active].any()
+        assert omega[active].any() != bool(failed)
 
 
 def test_solve_rejects_a_non_nested_mask():
@@ -341,7 +344,7 @@ def _synthetic_fold_instance(n, a, t, seed):
     assert np.any(np.diff(fold.time) > 0) and np.any(np.diff(fold.time) < 0)
     assert np.unique(fold.time).size < fold.n
     xs = (fold.x - fold.x.mean(axis=0)) / fold.x.std(axis=0)
-    k = gram(xs, xs, KernelConfig(length_scale=2.0))
+    k = gram(xs, xs, 2.0)
     rng = np.random.default_rng(seed)
     haz = np.zeros((fold.n, t + 1))
     haz[:, 1:] = rng.uniform(0.02, 0.3, size=(fold.n, t))
@@ -397,12 +400,12 @@ def test_failed_factorization_reports_diagnostics():
     r[:, 0] = 0.0
     active = np.ones((3, 3), dtype=bool)
     active[:, 0] = False
-    w = solve_balance_weights(k, r, active, 1e-12)
-    assert list(w.failures) == [0]
+    omega, failures = solve_balance_weights(k, r, active, 1e-12)
+    assert list(failures) == [0]
     assert re.match(
-        r"balance solve at u=1 \(3 of 3 active\), direction 0: SPD solve failed", w.failures[0]
+        r"balance solve at u=1 \(3 of 3 active\), direction 0: SPD solve failed", failures[0]
     )
-    assert np.all(w.omega == 0.0)
+    assert np.all(omega == 0.0)
 
 
 def _stacked_directions(n, t_max, times, seed):
@@ -422,16 +425,16 @@ def test_stacked_solve_matches_per_direction_solves(monkeypatch):
     k, _, active = _synthetic_fold_instance(200, 1, 25, seed=31)
     r = _stacked_directions(k.shape[0], 25, times, seed=33)
     calls = _count_factors(monkeypatch)
-    stacked = solve_balance_weights(k, r, active, 1.0)
+    stacked_omega, stacked_failures = solve_balance_weights(k, r, active, 1.0)
     # the risk sets of every direction share one factor
     assert calls == [int(active[:, 1].sum())]
-    assert stacked.omega.shape == r.shape and stacked.failures == {}
+    assert stacked_omega.shape == r.shape and stacked_failures == {}
     for j, t in enumerate(times):
         alone = solve_one(k, r[:, :, j], active, 1.0)
-        assert np.all(stacked.omega[:, t + 1 :, j] == 0.0) and np.all(alone[:, t + 1 :] == 0.0)
+        assert np.all(stacked_omega[:, t + 1 :, j] == 0.0) and np.all(alone[:, t + 1 :] == 0.0)
         for u in range(1, t + 1):
             ref = np.linalg.norm(alone[:, u])
-            assert np.linalg.norm(stacked.omega[:, u, j] - alone[:, u]) <= 1e-12 * ref
+            assert np.linalg.norm(stacked_omega[:, u, j] - alone[:, u]) <= 1e-12 * ref
 
 
 def test_every_timestep_shares_one_pair_of_triangular_solves(monkeypatch):
@@ -446,8 +449,8 @@ def test_every_timestep_shares_one_pair_of_triangular_solves(monkeypatch):
         return original(a, b, **kwargs)
 
     monkeypatch.setattr(kernels_module, "solve_triangular", counting)
-    w = solve_balance_weights(k, r, active, 1.0)
-    assert w.failures == {}
+    omega, failures = solve_balance_weights(k, r, active, 1.0)
+    assert failures == {}
     # one forward and one backward solve over all 5 + 12 + 25 (u, t) columns
     assert calls == [(sum(times), 0), (sum(times), "T")]
 
@@ -464,16 +467,16 @@ def test_column_over_its_residual_bound_fails_alone(monkeypatch):
     monkeypatch.setattr(
         balance_module, "spd_factor", lambda m, ridge: original(m, ridge=ridge + 1e-3)
     )
-    w = solve_balance_weights(k, r, active, 1.0)
-    assert list(w.failures) == [1]
+    omega, failures = solve_balance_weights(k, r, active, 1.0)
+    assert list(failures) == [1]
     assert re.match(
-        r"balance solve at u=1 \(\d+ of 200 active\), direction 1: .*left residual", w.failures[1]
+        r"balance solve at u=1 \(\d+ of 200 active\), direction 1: .*left residual", failures[1]
     )
-    assert np.all(w.omega[:, :, 1] == 0.0)
+    assert np.all(omega[:, :, 1] == 0.0)
     alone = solve_one(k, r[:, :, 0], active, 1.0)
-    np.testing.assert_array_equal(w.omega[:, :, 0], alone)
-    failed = solve_balance_weights(k, r[:, :, 1:], active, 1.0)
-    assert re.match(r"balance solve at u=1 .*direction 0: .*left residual", failed.failures[0])
+    np.testing.assert_array_equal(omega[:, :, 0], alone)
+    failed_omega, failed_failures = solve_balance_weights(k, r[:, :, 1:], active, 1.0)
+    assert re.match(r"balance solve at u=1 .*direction 0: .*left residual", failed_failures[0])
 
 
 def test_a_direction_fails_at_its_first_failed_timestep(monkeypatch):
@@ -490,15 +493,15 @@ def test_a_direction_fails_at_its_first_failed_timestep(monkeypatch):
     monkeypatch.setattr(
         balance_module, "spd_factor", lambda m, ridge: original(m, ridge=ridge + 1e-3)
     )
-    w = solve_balance_weights(k, r, active, 1.0)
-    assert list(w.failures) == [1, 2]
+    omega, failures = solve_balance_weights(k, r, active, 1.0)
+    assert list(failures) == [1, 2]
     for d in (1, 2):
         assert re.match(
             rf"balance solve at u=3 \(\d+ of 200 active\), direction {d}: .*left residual",
-            w.failures[d],
+            failures[d],
         )
-        assert np.all(w.omega[:, :, d] == 0.0)
-    np.testing.assert_array_equal(w.omega[:, :, 0], solve_one(k, r[:, :, 0], active, 1.0))
+        assert np.all(omega[:, :, d] == 0.0)
+    np.testing.assert_array_equal(omega[:, :, 0], solve_one(k, r[:, :, 0], active, 1.0))
 
 
 def test_failed_factor_fails_only_the_directions_that_need_it():
@@ -510,12 +513,12 @@ def test_failed_factor_fails_only_the_directions_that_need_it():
     r[:, 1:, 0] = -0.5  # needs both timesteps
     r[:, 2, 1] = -0.5  # needs u = 2 only
     # direction 2 is zero and needs no solve
-    w = solve_balance_weights(k, r, active, 1e-12)
-    assert list(w.failures) == [0, 1]
+    omega, failures = solve_balance_weights(k, r, active, 1e-12)
+    assert list(failures) == [0, 1]
     assert re.match(
-        r"balance solve at u=1 \(3 of 3 active\), direction 0: SPD solve failed", w.failures[0]
+        r"balance solve at u=1 \(3 of 3 active\), direction 0: SPD solve failed", failures[0]
     )
     assert re.match(
-        r"balance solve at u=2 \(2 of 3 active\), direction 1: SPD solve failed", w.failures[1]
+        r"balance solve at u=2 \(2 of 3 active\), direction 1: SPD solve failed", failures[1]
     )
-    assert np.all(w.omega == 0.0)
+    assert np.all(omega == 0.0)

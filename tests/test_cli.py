@@ -7,7 +7,7 @@ import pytest
 import cfsurv.cli as cli_module
 from cfsurv.cli import main
 from cfsurv.dgp import ground_truth, surrogate_twins_table
-from cfsurv.survival import Dataset, TimeGrid, write_dataset_csv
+from cfsurv.survival import Dataset, TimeGrid, read_dataset_csv, write_dataset_csv
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -142,6 +142,19 @@ def test_estimate_rejects_nonpositive_ridge(tmp_path, capsys, ridge):
          "--ridge", ridge, "--out", str(tmp_path / "o.csv")]
     ) == 2
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["or", "balance"])
+def test_estimate_rejects_a_sample_without_treated_units(tmp_path, capsys, kind):
+    data = read_dataset_csv(str(_datagen(tmp_path, n=40)))
+    control = tmp_path / "control.csv"
+    write_dataset_csv(Dataset(data.x, 0 * data.a, data.time, data.event, data.grid), str(control))
+    assert main(
+        ["estimate", "--data", str(control), "--estimator", kind, "--t", "5,10",
+         "--arm", "1", "--out", str(tmp_path / "o.csv")]
+    ) == 2
+    assert "training fold 0 of " in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_simulate_rejects_zero_ridge(tmp_path):

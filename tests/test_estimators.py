@@ -9,8 +9,7 @@ import cfsurv.hazard
 from cfsurv import kernels
 from cfsurv.cli import main as cli_main
 from cfsurv.dgp import SyntheticConfig, gen_synthetic
-from cfsurv.balance import BalanceWeights
-from cfsurv.errors import LargeWeightWarning
+from cfsurv.errors import EstimationError, LargeWeightWarning
 from cfsurv.estimators import (
     ESTIMATOR_KINDS,
     EstimatorParams,
@@ -30,7 +29,6 @@ from cfsurv.hazard import (
     fit_event_hazard,
     fit_hazards,
 )
-from cfsurv.kernels import KernelConfig
 from cfsurv.survival import Dataset, TimeGrid, write_dataset_csv
 from oracles import known_nuisances
 
@@ -255,8 +253,8 @@ def test_balance_large_sigma2_approaches_crossfit_plugin():
     fold_points = []
     for f in range(2):
         train = data.subset(plan.train_indices(f))
-        basis = KernelBasis.of(train, KernelConfig())
-        model = fit_event_hazard(train, basis, max_time=5)
+        basis = KernelBasis.of(train, 10.0)
+        model = fit_event_hazard(basis, 0.5, max_time=5)
         held_out = data.subset(plan.fold_indices(f)).x
         lam = model.hazard_matrix(basis.prediction_gram(held_out, 1), 1)
         fold_points.append(float(np.mean(np.cumprod(1.0 - lam, axis=1)[:, 5])))
@@ -274,7 +272,7 @@ def test_balance_small_sigma2_oracle_hazard_instance():
         time=rng.integers(4, 7, size=n), event=np.ones(n, dtype=int), grid=grid,
     )
     truth = {(u, a): 0.0 if u <= t else 0.3 for u in range(1, 7) for a in (0, 1)}
-    params = EstimatorParams(kernel=KernelConfig(length_scale=1.0), sigma2=1e-8)
+    params = EstimatorParams(length_scale=1.0, sigma2=1e-8)
     nuisances = known_nuisances(data, lambda x, a, u: np.full(x.shape[0], truth[(u, a)]))
     res = run_estimator(data, "balance", [t], params, nuisances=nuisances)[0][(1, t)]
     assert abs(res.point - 1.0) <= 1e-6
@@ -396,9 +394,9 @@ def _count_grams(monkeypatch):
     """Record the (rows, cols) shape of every Gram matrix cfsurv builds."""
     shapes = []
 
-    def counting(rows, cols, cfg):
+    def counting(rows, cols, length_scale):
         shapes.append((len(rows), len(cols)))
-        return kernels.gram(rows, cols, cfg)
+        return kernels.gram(rows, cols, length_scale)
 
     monkeypatch.setattr(cfsurv.hazard, "gram", counting)
     monkeypatch.setattr(cfsurv.estimators, "gram", counting)
@@ -432,6 +430,26 @@ def test_each_fold_builds_its_grams_once(monkeypatch, kind, arm_grams, eval_gram
     assert all(rows == cols for rows, cols in shapes[fit_grams:])  # balance Grams
 
 
+@pytest.mark.parametrize("kind, folds", [("or", 1), ("balance", 2)])
+def test_a_training_fold_without_an_arm_fails_before_any_fit(monkeypatch, kind, folds):
+    # without treated units to train on, the arm-1 hazards would be the
+    # empty-cell floor everywhere: a made-up estimate with zero spread
+    data = gen_synthetic(SyntheticConfig(n=40, seed=3))
+    shapes = _count_grams(monkeypatch)
+    control = Dataset(data.x, np.zeros_like(data.a), data.time, data.event, data.grid)
+    with pytest.raises(EstimationError, match=rf"^{kind}: training fold 0 of {folds} has no "
+                       r"units in arm 1$"):
+        run_estimator(control, kind, [5, 10], seed=3)
+    if folds > 1:
+        # one treated unit: only the training fold that leaves it out lacks arm 1
+        one = Dataset(data.x, (np.arange(data.n) == 7).astype(int), data.time, data.event,
+                      data.grid)
+        held_out = FoldPlan.make(data.n, folds, seed=3).assignment[7]
+        with pytest.raises(EstimationError, match=f"training fold {held_out} of {folds} "):
+            fit_nuisances(one, kind, [5, 10], seed=3)
+    assert shapes == []  # no basis was built
+
+
 def _apart(data, idx, train, prop, censor=True):
     """A fold entry whose hazard models each fit and predict from a basis of their own.
 
@@ -442,8 +460,8 @@ def _apart(data, idx, train, prop, censor=True):
     x = data.x[idx]
     predicted = []
     for which in (0, 1) if censor else (0,):
-        basis = KernelBasis.of(train, KernelConfig())
-        args = train, basis, 0.5, 10
+        basis = KernelBasis.of(train, 10.0)
+        args = basis, 0.5, 10
         model = fit_hazards(*args)[which] if censor else fit_event_hazard(*args)
         predicted.append((model, [basis.prediction_gram(x, a) for a in (0, 1)]))
     (event, k_event), (censor, k_censor) = (*predicted, (None, None))[:2]
@@ -537,13 +555,11 @@ def _fail_solve_of_t10(monkeypatch):
     original = cfsurv.estimators.solve_balance_weights
 
     def failing(k, r, active, sigma2):
-        w = original(k, r, active, sigma2)
+        omega, failures = original(k, r, active, sigma2)
         # the direction of t = 10, the last timestep it is nonzero at
         hit = [j for j in range(r.shape[2]) if r[:, 10, j].any() and not r[:, 11, j].any()]
-        omega = w.omega.copy()
         omega[:, :, hit] = 0.0
-        failed = dict.fromkeys(hit, "injected solve failure")
-        return BalanceWeights(omega, w.active, {**w.failures, **failed})
+        return omega, {**failures, **dict.fromkeys(hit, "injected solve failure")}
 
     monkeypatch.setattr(cfsurv.estimators, "solve_balance_weights", failing)
 

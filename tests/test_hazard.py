@@ -27,7 +27,7 @@ from cfsurv.hazard import (
     fit_hazards,
     fit_propensity,
 )
-from cfsurv.kernels import KernelConfig, gram
+from cfsurv.kernels import gram
 from cfsurv.sim import derive_seed, splitmix64
 from cfsurv.survival import Dataset, TimeGrid, active_matrix, event_matrix
 from oracles import (
@@ -60,7 +60,7 @@ def test_klr_gradient_matches_finite_differences():
     for _ in range(3):
         m = rng.integers(3, 12)
         pts = rng.normal(size=(m, 2))
-        k = gram(pts, pts, KernelConfig(length_scale=2.0))
+        k = gram(pts, pts, 2.0)
         y = rng.integers(0, 2, size=m).astype(float)
         theta = rng.normal(scale=0.5, size=m + 1)
 
@@ -94,8 +94,8 @@ def _dataset(x, a, time, event, t_max=5):
     )
 
 
-def _basis(data, kernel=KernelConfig()):
-    return KernelBasis.of(data, kernel)
+def _basis(data, length_scale=10.0):
+    return KernelBasis.of(data, length_scale)
 
 
 def _predict(model, basis, x, a):
@@ -116,7 +116,7 @@ def test_all_zero_labels_hazard_small():
         time=np.full(8, 3), event=np.zeros(8, dtype=int),
     )
     basis = _basis(data)
-    model = fit_event_hazard(data, basis, ridge=1e-2, max_time=3)
+    model = fit_event_hazard(basis, ridge=1e-2, max_time=3)
     lam = _predict(model, basis, data.x, 1)
     assert np.all(lam[:, 3] <= 0.05)
     assert np.all(lam[:, 3] == HAZARD_FLOOR)
@@ -133,7 +133,7 @@ def test_all_zero_labels_hazard_small():
 def test_single_event_unit_hazard_large():
     data = _dataset(x=[0.3], a=[1], time=[2], event=[1], t_max=2)
     basis = _basis(data)
-    model = fit_event_hazard(data, basis, ridge=1e-2)
+    model = fit_event_hazard(basis, ridge=1e-2)
     lam = _predict(model, basis, data.x, 1)
     assert lam[0, 2] >= 0.5
     assert lam[0, 2] == HAZARD_CEIL
@@ -157,7 +157,7 @@ def test_mixed_cell_mean_calibration():
         event=np.ones(n, dtype=int),
     )
     basis = _basis(data)
-    model = fit_event_hazard(data, basis, ridge=1e-2, max_time=1)
+    model = fit_event_hazard(basis, ridge=1e-2, max_time=1)
     lam = _predict(model, basis, data.x, 1)
     assert float(np.mean(lam[:, 1])) == pytest.approx(k_events / n, abs=1e-6)
 
@@ -169,10 +169,11 @@ def test_flip_symmetry_event_vs_censor():
         x=rng.normal(size=n), a=rng.integers(0, 2, size=n),
         time=rng.integers(1, 6, size=n), event=rng.integers(0, 2, size=n),
     )
-    flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
     basis = _basis(data)
-    censor = fit_censor_hazard(data, basis, ridge=1e-2)
-    event_on_flipped = fit_event_hazard(flipped, basis, ridge=1e-2)
+    # the same layout and Gram matrices with every flag flipped
+    flipped = replace(basis, events=tuple(1 - events for events in basis.events))
+    censor = fit_censor_hazard(basis, ridge=1e-2)
+    event_on_flipped = fit_event_hazard(flipped, ridge=1e-2)
     for a in (0, 1):
         np.testing.assert_array_equal(
             _predict(censor, basis, data.x, a), _predict(event_on_flipped, basis, data.x, a)
@@ -186,13 +187,13 @@ def test_empty_risk_set_falls_back_with_warning():
     )
     basis = _basis(data)
     with pytest.warns(CoverageWarning, match="^event hazard: ") as caught:
-        model = fit_event_hazard(data, basis, max_time=5)
+        model = fit_event_hazard(basis, 0.5, max_time=5)
     assert caught[0].filename == __file__  # points at the caller of the fit
     assert ((3, 0) in model.empty_cells) and ((5, 0) in model.empty_cells)
     lam = _predict(model, basis, data.x, 0)
     assert np.all(lam[:, 3] == HAZARD_FLOOR)
     with pytest.warns(CoverageWarning, match="^censoring hazard: ") as caught:
-        fit_censor_hazard(data, basis, max_time=5)
+        fit_censor_hazard(basis, 0.5, max_time=5)
     assert caught[0].filename == __file__
 
 
@@ -204,7 +205,7 @@ def test_predictions_respect_clamp_and_monotone_survival():
         time=rng.integers(1, 6, size=n), event=rng.integers(0, 2, size=n),
     )
     basis = _basis(data)
-    model = fit_event_hazard(data, basis)
+    model = fit_event_hazard(basis, 0.5)
     for a in (0, 1):
         lam = _predict(model, basis, data.x, a)
         assert np.all(lam[:, 0] == 0.0)
@@ -242,8 +243,8 @@ def test_sub_survival_below_both_factors():
     )
     basis = _basis(data)
     first = data.x[:1]
-    s = np.cumprod(1.0 - _predict(fit_event_hazard(data, basis), basis, first, 1), axis=1)[0]
-    g = np.cumprod(1.0 - _predict(fit_censor_hazard(data, basis), basis, first, 1), axis=1)[0]
+    s = np.cumprod(1.0 - _predict(fit_event_hazard(basis, 0.5), basis, first, 1), axis=1)[0]
+    g = np.cumprod(1.0 - _predict(fit_censor_hazard(basis, 0.5), basis, first, 1), axis=1)[0]
     h = s * g
     assert np.all(h <= np.minimum(s, g) + 1e-15)
 
@@ -257,7 +258,7 @@ def test_loss_separates_across_cells():
         time=rng.integers(1, 6, size=n), event=rng.integers(0, 2, size=n),
     )
     basis = _basis(data)
-    model = fit_event_hazard(data, basis)
+    model = fit_event_hazard(basis, 0.5)
     lam = {a: _predict(model, basis, data.x, a) for a in (0, 1)}
 
     total = 0.0
@@ -374,7 +375,7 @@ def test_censor_fit_recovers_flat_hazard():
     cfg = SyntheticConfig(n=2500, seed=11, standardize=False)
     data = gen_synthetic(cfg)
     basis = _basis(data)
-    model = fit_censor_hazard(data, basis, max_time=8)
+    model = fit_censor_hazard(basis, 0.5, max_time=8)
     at_zero = _predict(model, basis, np.zeros((1, 10)), 0)
     for u in (2, 5, 8):
         assert abs(at_zero[0, u] - 0.005) <= 0.01
@@ -385,7 +386,7 @@ def test_event_fit_consistency_smoke():
     cfg = SyntheticConfig(n=4000, seed=13, standardize=False)
     data = gen_synthetic(cfg)
     basis = _basis(data)
-    model = fit_event_hazard(data, basis, max_time=15)
+    model = fit_event_hazard(basis, 0.5, max_time=15)
     holdout = gen_synthetic(SyntheticConfig(n=400, seed=14, standardize=False))
     errs = []
     for a in (0, 1):
@@ -406,7 +407,7 @@ def test_newton_non_convergence_is_reported_once(monkeypatch):
         with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
             patch.setattr(hazard, "NEWTON_MAX_ITER", 1)
             warnings.simplefilter("always")
-            fit(data, basis, max_time=5)
+            fit(basis, 0.5, max_time=5)
         stalled = [w for w in caught if issubclass(w.category, ConvergenceWarning)]
         assert len(stalled) == 1
         assert str(stalled[0].message).startswith(what + ": ")
@@ -414,7 +415,7 @@ def test_newton_non_convergence_is_reported_once(monkeypatch):
         assert stalled[0].filename == __file__  # points at the caller of the fit
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
-            fit(data, basis, max_time=5)
+            fit(basis, 0.5, max_time=5)
 
     with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
         patch.setattr(hazard, "PROPENSITY_MAX_ITER", 1)
@@ -428,29 +429,15 @@ def test_newton_non_convergence_is_reported_once(monkeypatch):
         fit_propensity(data)
 
 
-def test_basis_must_match_the_fit():
-    data = gen_synthetic(SyntheticConfig(n=30, seed=2))
-    basis = _basis(data)
-    other_times = Dataset(data.x, data.a, np.maximum(data.time - 1, 1), data.event, data.grid)
-    assert not np.array_equal(other_times.time, data.time)
-    other_arms = Dataset(data.x, 1 - data.a, data.time, data.event, data.grid)
-    for fit in (fit_event_hazard, fit_censor_hazard):
-        for other in (data.subset(np.arange(20)), other_times, other_arms):
-            with pytest.raises(ValueError, match="basis"):
-                fit(other, basis)
-        # other event flags are another fit on the same risk sets
-        fit(Dataset(data.x, data.a, data.time, 1 - data.event, data.grid), basis)
-
-
 @pytest.mark.parametrize("fit", [fit_event_hazard, fit_censor_hazard])
 def test_max_time_must_lie_on_the_grid(fit):
     data = gen_synthetic(SyntheticConfig(n=30, seed=2))
     basis = _basis(data)
     for bad in (-1, data.grid.t_max + 1, data.grid.t_max + 10):
         with pytest.raises(ValueError, match=r"max_time must lie in \[0, 30\]"):
-            fit(data, basis, max_time=bad)
+            fit(basis, 0.5, max_time=bad)
     # times=[0] fits no cell: every column past 0 is the floor
-    model = fit(data, basis, max_time=0)
+    model = fit(basis, 0.5, max_time=0)
     for a in (0, 1):
         lam = _predict(model, basis, data.x, a)
         assert np.all(lam[:, 0] == 0.0) and np.all(lam[:, 1:] == HAZARD_FLOOR)
@@ -468,15 +455,30 @@ def test_basis_sorts_each_arm_once_censored_first_at_ties():
         order = basis.orders[a]
         assert sorted(order) == list(np.flatnonzero(data.a == a))
         assert np.array_equal(basis.exits[a], data.time[order])
+        assert np.array_equal(basis.events[a], data.event[order]) and basis.t_max == 3
         # exit time descending, and at equal times censored before events
         key = -2 * data.time[order] + data.event[order]
         assert np.all(np.diff(key) >= 0)
         # the arm's standardized covariates in that order, and their own Gram matrix
         assert basis.xs[a].tobytes() == basis.standardize(data.x[order]).tobytes()
-        assert basis.grams[a].tobytes() == gram(basis.xs[a], basis.xs[a], basis.kernel).tobytes()
+        own = gram(basis.xs[a], basis.xs[a], basis.length_scale)
+        assert basis.grams[a].tobytes() == own.tobytes()
         for u in range(1, 4):  # every risk set is a prefix
             m = np.count_nonzero(basis.exits[a] >= u)
             assert set(order[:m]) == set(np.flatnonzero((data.a == a) & (data.time >= u)))
+
+
+def test_a_constant_column_keeps_unit_scale():
+    # every entry 0.1: numpy's std of such a column is roundoff, not 0
+    rng = np.random.default_rng(11)
+    x = np.column_stack([rng.normal(size=200), np.full(200, 0.1)])
+    assert 0.0 < x.std(axis=0)[1]  # as standardization computes it
+    data = _dataset(x=x, a=np.arange(200) % 2, time=np.full(200, 2), event=np.ones(200, int))
+    basis = _basis(data)
+    assert basis.scale[1] == 1.0
+    # a new value in that column moves the standardized row by as much, not by ~1e16 times it
+    moved = basis.standardize([[0.0, 0.1 + 1e-9]])[0, 1] - basis.standardize([[0.0, 0.1]])[0, 1]
+    assert moved == pytest.approx(1e-9, rel=1e-6)
 
 
 def test_fits_step_on_the_basis_grams_themselves(monkeypatch):
@@ -490,11 +492,11 @@ def test_fits_step_on_the_basis_grams_themselves(monkeypatch):
         return newton(grams, *args)
 
     monkeypatch.setattr(hazard, "_newton_cells", capture)
-    fit_event_hazard(data, basis, max_time=5)
-    fit_censor_hazard(data, basis, max_time=5)
+    fit_event_hazard(basis, 0.5, max_time=5)
+    fit_censor_hazard(basis, 0.5, max_time=5)
     assert len(seen) == 2 and all(grams is basis.grams for grams in seen)
     # a joint fit steps both hazards' cells in one lockstep
-    fit_hazards(data, basis, max_time=5)
+    fit_hazards(basis, 0.5, max_time=5)
     assert len(seen) == 3 and seen[-1] is basis.grams
 
 
@@ -515,7 +517,7 @@ def test_newton_cells_reach_the_loss_gradient_tolerance(data):
     flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
     checked = 0
     for fit, labelled in ((fit_event_hazard, data), (fit_censor_hazard, flipped)):
-        model = fit(data, basis, max_time=25)
+        model = fit(basis, 0.5, max_time=25)
         labels = event_matrix(labelled, 25)
         for u, a, risk, alpha, b in newton_cells(model, basis):
             k = _cell_gram(basis, a, risk)
@@ -535,7 +537,7 @@ def test_model_columns_are_zero_outside_their_cells(data):
     for fit in (fit_event_hazard, fit_censor_hazard):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CoverageWarning)
-            model = fit(data, basis, max_time=25)
+            model = fit(basis, 0.5, max_time=25)
         # one row per training unit of the arm, in its exit order
         assert [c.shape for c in model.coef] == [
             (len(order), data.grid.n_points) for order in basis.orders
@@ -564,8 +566,8 @@ def test_joint_fit_matches_the_one_label_fits(data):
     basis = _basis(data)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CoverageWarning)
-        joint = fit_hazards(data, basis, max_time=25)
-        alone = [fit(data, basis, max_time=25) for fit in (fit_event_hazard, fit_censor_hazard)]
+        joint = fit_hazards(basis, 0.5, max_time=25)
+        alone = [fit(basis, 0.5, max_time=25) for fit in (fit_event_hazard, fit_censor_hazard)]
     for got, want in zip(joint, alone):
         newton = np.isnan(want.level)
         assert newton.any()
@@ -588,9 +590,9 @@ def test_joint_fit_warns_once_per_fit(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(hazard, "NEWTON_MAX_ITER", 1)
         for key, fits in (
-            ("joint", lambda: fit_hazards(data, basis, max_time=25)),
-            ("alone", lambda: (fit_event_hazard(data, basis, max_time=25),
-                               fit_censor_hazard(data, basis, max_time=25))),
+            ("joint", lambda: fit_hazards(basis, 0.5, max_time=25)),
+            ("alone", lambda: (fit_event_hazard(basis, 0.5, max_time=25),
+                               fit_censor_hazard(basis, 0.5, max_time=25))),
         ):
             with warnings.catch_warnings(record=True) as record:
                 warnings.simplefilter("always")
@@ -611,7 +613,7 @@ def test_banded_lockstep_matches_the_jacobian_oracle_on_a_twins_shaped_arm():
     data = _twins_like(400, 1)
     basis = _basis(data)
     flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
-    models = fit_hazards(data, basis, max_time=6)
+    models = fit_hazards(basis, 0.5, max_time=6)
     sizes = {0: [], 1: []}
     for model, labelled in zip(models, (data, flipped)):
         labels = event_matrix(labelled, 6)
@@ -636,13 +638,13 @@ def test_indefinite_censoring_cell_of_a_joint_fit_is_named():
     good = _basis(data)
     basis = replace(good, grams=(good.grams[0], np.diag([1.0, 1.0, 1.0, -10.0, -10.0])))
     with pytest.warns(CoverageWarning):  # arm 0 has no units
-        fit_event_hazard(data, basis)
+        fit_event_hazard(basis, 0.5)
     with pytest.raises(
         NumericalError,
         match=r"^censoring hazard: cell \(1, 1\): Newton system not positive definite "
         r"\(dposv info \d+\)$",
     ):
-        fit_hazards(data, basis)
+        fit_hazards(basis, 0.5)
 
 
 def _per_cell_hazards(model, basis, k_full, a):
@@ -670,14 +672,16 @@ def test_hazard_matrix_matches_the_per_cell_oracle():
     holdout = rng.normal(size=(25, 3))
     basis = _basis(data)
     with pytest.warns(CoverageWarning):
-        models = [fit(data, basis, max_time=5) for fit in (fit_event_hazard, fit_censor_hazard)]
+        models = [fit(basis, 0.5, max_time=5) for fit in (fit_event_hazard, fit_censor_hazard)]
     for model in models:
         assert (3, 0) in model.empty_cells and model.level[0, 3] == HAZARD_FLOOR
         assert model.level[1, 5] in (HAZARD_FLOOR, HAZARD_CEIL)  # single-class
         assert np.all(model.level[:, 6] == HAZARD_FLOOR)  # past max_time
         assert len(list(newton_cells(model, basis))) >= 5
         for x, arm in itertools.product((holdout, data.x), (0, 1)):
-            k_full = gram_by_differences(basis.standardize(x), basis.standardize(data.x), basis.kernel)
+            k_full = gram_by_differences(
+                basis.standardize(x), basis.standardize(data.x), basis.length_scale
+            )
             k_pred = basis.prediction_gram(x, arm)
             assert k_pred.shape == (len(x), len(basis.orders[arm]))
             got = model.hazard_matrix(k_pred, arm)
@@ -747,8 +751,8 @@ def test_newton_step_solves_the_jacobian_system(monkeypatch):
         x=rng.normal(size=(n, 3)), a=np.arange(n) % 2, time=rng.integers(1, 4, size=n),
         event=(rng.uniform(size=n) < 0.5).astype(int), t_max=3,
     )
-    basis = _basis(data, KernelConfig(length_scale=2.0))
-    model = fit_event_hazard(data, basis, 0.5)
+    basis = _basis(data, 2.0)
+    model = fit_event_hazard(basis, 0.5)
     # the Newton cells, in the model's order, are the loop's columns
     cells = [(u, a, risk) for u, a, risk, _, _ in newton_cells(model, basis)]
     assert len(cells) == 6
@@ -790,29 +794,27 @@ def _separable_cells(n=200):
 
 
 @pytest.mark.parametrize(
-    "data, kernel, ridge, max_time, censor_too, min_risk_set, hits_floor, backtracks",
+    "data, length_scale, ridge, max_time, censor_too, min_risk_set, hits_floor, backtracks",
     [
-        (gen_synthetic(SyntheticConfig(n=200, seed=41)), KernelConfig(), 0.5, 25, True, 2, False,
-         False),
-        (_twins_like(200, 42), KernelConfig(), 0.5, 25, True, 2, False, False),
-        (gen_synthetic(SyntheticConfig(n=900, seed=43)), KernelConfig(), 0.5, 1, False, 400, False,
-         False),
-        (_separable_cells(), KernelConfig(length_scale=1.0), 1e-3, 1, False, 2, True, True),
+        (gen_synthetic(SyntheticConfig(n=200, seed=41)), 10.0, 0.5, 25, True, 2, False, False),
+        (_twins_like(200, 42), 10.0, 0.5, 25, True, 2, False, False),
+        (gen_synthetic(SyntheticConfig(n=900, seed=43)), 10.0, 0.5, 1, False, 400, False, False),
+        (_separable_cells(), 1.0, 1e-3, 1, False, 2, True, True),
         # the censoring cell (1, 0), m = 213, halves eta while the other
         # cells step in full: its trials must start from its own iterate
-        (_twins_like(400, 1), KernelConfig(), 0.5, 1, True, 150, False, True),
+        (_twins_like(400, 1), 10.0, 0.5, 1, True, 150, False, True),
     ],
     ids=["synthetic", "twins-like", "synthetic-m400", "weight-floor", "twins-like-backtrack"],
 )
 def test_newton_cells_match_the_jacobian_oracle(
-    data, kernel, ridge, max_time, censor_too, min_risk_set, hits_floor, backtracks
+    data, length_scale, ridge, max_time, censor_too, min_risk_set, hits_floor, backtracks
 ):
-    basis = _basis(data, kernel)
+    basis = _basis(data, length_scale)
     flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
     pairs = [(fit_event_hazard, data), (fit_censor_hazard, flipped)]
     sizes, w_min, backtracked = [], np.inf, False
     for fit, labelled in pairs if censor_too else pairs[:1]:
-        model = fit(data, basis, ridge, max_time=max_time)
+        model = fit(basis, ridge, max_time=max_time)
         labels = event_matrix(labelled, max_time)
         for u, a, risk, alpha, b in newton_cells(model, basis):
             expect, cell_w_min, cell_backtracked = _jacobian_newton_klr(
@@ -839,7 +841,7 @@ def test_lockstep_cells_follow_their_own_newton_paths(monkeypatch):
         monkeypatch.setattr(hazard, "NEWTON_MAX_ITER", max_iter)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
-            model = fit_censor_hazard(data, basis, max_time=1)
+            model = fit_censor_hazard(basis, 0.5, max_time=1)
         backtracked = {}
         for u, a, risk, alpha, b in newton_cells(model, basis):
             expect, _, backtracked[a] = _jacobian_newton_klr(
@@ -857,7 +859,7 @@ def test_newton_cells_converge_with_weights_at_the_floor(monkeypatch):
     # K + ridge / w has a diagonal entry of ridge / _P_EPS = 5e11 next to
     # entries of at most 100
     data = _separable_cells()
-    good = _basis(data, KernelConfig(length_scale=1.0))
+    good = _basis(data, 1.0)
     basis = replace(good, grams=tuple(100.0 * g for g in good.grams))
     largest = []
     dposv = hazard._dposv
@@ -867,7 +869,7 @@ def test_newton_cells_converge_with_weights_at_the_floor(monkeypatch):
         return dposv(a, rhs, **kwargs)
 
     monkeypatch.setattr(hazard, "_dposv", recording)
-    model = fit_event_hazard(data, basis, 0.5, max_time=1)
+    model = fit_event_hazard(basis, 0.5, max_time=1)
     assert max(largest) >= 0.5 / hazard._P_EPS
     labels = event_matrix(data, 1)
     cells = list(newton_cells(model, basis))
@@ -894,7 +896,7 @@ def test_indefinite_newton_system_is_a_numerical_error():
         match=r"^event hazard: cell \(1, 1\): Newton system not positive definite "
         r"\(dposv info \d+\)$",
     ):
-        fit_event_hazard(data, basis)
+        fit_event_hazard(basis, 0.5)
 
 
 def test_failed_newton_cell_is_named(monkeypatch):
@@ -911,7 +913,7 @@ def test_failed_newton_cell_is_named(monkeypatch):
         assert 0 < target.sum() < target.size  # a Newton cell
         # ... and the only one of its fit with this many units, so its
         # Newton system is the only one of that size
-        model = fit(data, basis, max_time=5)
+        model = fit(basis, 0.5, max_time=5)
         sizes = [risk.size for _, _, risk, _, _ in newton_cells(model, basis)]
         assert sizes.count(risk.size) == 1
 
@@ -923,7 +925,7 @@ def test_failed_newton_cell_is_named(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(hazard, "_dposv", failing)
             with pytest.raises(NumericalError) as err:
-                fit(data, basis, max_time=5)
+                fit(basis, 0.5, max_time=5)
         assert str(err.value) == (
             f"{what}: cell ({u}, {a}): Newton system not positive definite (dposv info 7)"
         )

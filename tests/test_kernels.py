@@ -4,71 +4,65 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfsurv.errors import NumericalError
-from cfsurv.kernels import KernelConfig, cho_solve_checked, gram, spd_factor
+from cfsurv.kernels import cho_solve_checked, gram, spd_factor
 from cfsurv.survival import standardization
 from oracles import gram_by_differences, rbf
 
 
-def test_kernel_config_validation():
-    for length_scale in (0.0, float("inf")):
-        with pytest.raises(ValueError, match="must be positive"):
-            KernelConfig(length_scale=length_scale)
-
-
 def test_rbf_identity():
-    cfg = KernelConfig(length_scale=10.0)
+    length_scale = 10.0
     x = np.array([[1.0, -2.0, 3.0]])
-    assert gram(x, x, cfg)[0, 0] == 1.0
+    assert gram(x, x, length_scale)[0, 0] == 1.0
 
 
 def test_rbf_analytic_point():
     # distance l * sqrt(2) forces the exponent to -1
-    cfg = KernelConfig(length_scale=2.0)
+    length_scale = 2.0
     x = np.zeros((1, 1))
     y = np.array([[2.0 * np.sqrt(2.0)]])
-    assert gram(x, y, cfg)[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-12)
+    assert gram(x, y, length_scale)[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
 
 def test_rbf_monotone_decay():
-    cfg = KernelConfig(length_scale=1.0)
+    length_scale = 1.0
     distances = np.array([[0.0], [0.5], [1.0], [2.0], [5.0], [20.0]])
-    values = gram(np.zeros((1, 1)), distances, cfg)[0]
+    values = gram(np.zeros((1, 1)), distances, length_scale)[0]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-8
 
 
 def test_rbf_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        gram(np.zeros((1, 2)), np.zeros((1, 3)), KernelConfig())
+        gram(np.zeros((1, 2)), np.zeros((1, 3)), 10.0)
 
 
 def test_gram_trivial_cases():
-    cfg = KernelConfig()
-    single = gram(np.zeros((1, 2)), np.zeros((1, 2)), cfg)
+    length_scale = 10.0
+    single = gram(np.zeros((1, 2)), np.zeros((1, 2)), length_scale)
     assert single.shape == (1, 1) and single[0, 0] == 1.0
-    twin = gram(np.ones((2, 3)), np.ones((2, 3)), cfg)
+    twin = gram(np.ones((2, 3)), np.ones((2, 3)), length_scale)
     assert np.array_equal(twin, np.ones((2, 2)))
-    empty = gram(np.zeros((0, 2)), np.zeros((3, 2)), cfg)
+    empty = gram(np.zeros((0, 2)), np.zeros((3, 2)), length_scale)
     assert empty.shape == (0, 3)
 
 
 def test_gram_matches_elementwise_rbf():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(5, 4))
-    cfg = KernelConfig(length_scale=3.0)
-    k = gram(pts, pts, cfg)
+    length_scale = 3.0
+    k = gram(pts, pts, length_scale)
     for i in range(5):
         for j in range(5):
-            assert k[i, j] == pytest.approx(rbf(pts[i], pts[j], cfg), abs=1e-15)
+            assert k[i, j] == pytest.approx(rbf(pts[i], pts[j], length_scale), abs=1e-15)
 
 
 def test_gram_rectangular():
     rng = np.random.default_rng(6)
     rows = rng.normal(size=(4, 3))
     cols = rng.normal(size=(7, 3))
-    k = gram(rows, cols, KernelConfig())
+    k = gram(rows, cols, 10.0)
     assert k.shape == (4, 7)
-    assert k[2, 5] == pytest.approx(rbf(rows[2], cols[5], KernelConfig()), abs=1e-15)
+    assert k[2, 5] == pytest.approx(rbf(rows[2], cols[5], 10.0), abs=1e-15)
 
 
 @given(st.integers(min_value=1, max_value=50), st.integers(min_value=0, max_value=2**32 - 1))
@@ -76,7 +70,7 @@ def test_gram_rectangular():
 def test_gram_symmetric_psd(n, seed):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, 3))
-    k = gram(pts, pts, KernelConfig(length_scale=2.0))
+    k = gram(pts, pts, 2.0)
     assert np.array_equal(k, k.T)
     assert np.all(np.diag(k) == 1.0)
     eigs = np.linalg.eigvalsh(k)
@@ -89,9 +83,9 @@ def test_gram_of_equal_inputs_is_exactly_symmetric_with_unit_diagonal():
     pts = rng.normal(size=(90, 10))
     wide = np.repeat(pts, 2, axis=1)[:, ::2]
     for cols in (pts, pts.copy(), wide):
-        k = gram(pts, cols, KernelConfig())
+        k = gram(pts, cols, 10.0)
         assert np.array_equal(k, k.T) and np.all(np.diag(k) == 1.0)
-        assert k.tobytes() == gram(pts, pts, KernelConfig()).tobytes()
+        assert k.tobytes() == gram(pts, pts, 10.0).tobytes()
 
 
 def _standardized(rng, n, d):
@@ -104,9 +98,9 @@ def _standardized(rng, n, d):
 def test_gram_matches_the_difference_oracle(d):
     rng = np.random.default_rng(d)
     rows, cols = _standardized(rng, 70, d), _standardized(rng, 45, d)
-    cfg = KernelConfig()
+    length_scale = 10.0
     for x, y in ((rows, rows), (rows, cols), (cols, rows)):
-        got, want = gram(x, y, cfg), gram_by_differences(x, y, cfg)
+        got, want = gram(x, y, length_scale), gram_by_differences(x, y, length_scale)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want) / want) <= 1e-14
 
@@ -148,7 +142,7 @@ def test_singular_matrix_is_not_factored():
     # matrix fails with its size and ridge named; a ridge makes it SPD
     ones = np.ones((4, 4))
     with pytest.raises(NumericalError, match=r"^SPD solve failed for 4x4 system \(ridge=0\.000e\+00\)"):
-        spd_factor(ones)
+        spd_factor(ones, 0.0)
     factor = spd_factor(ones, ridge=1e-3)
     np.testing.assert_allclose(factor @ factor.T, ones + 1e-3 * np.eye(4), rtol=1e-12)
 

@@ -202,6 +202,15 @@ def test_run_single_replication_repeatable():
     assert one["or"][4] == two["or"][4]
 
 
+def test_single_arm_replication_fails_its_cells():
+    # assignment probability 1e-9: no unit is treated, so no estimator has
+    # an arm-1 fit to read and every cell fails instead of a made-up estimate
+    cfg = SimulationConfig(q=2, n=40, assign_scale=1e-9, estimators=("or", "balance"),
+                           times=(3, 6), master_seed=5)
+    cells = run_single_replication(cfg, seed=21)
+    assert cells == {kind: {3: None, 6: None} for kind in ("or", "balance")}
+
+
 def test_run_replications_counts_failures(monkeypatch):
     calls = {"k": 0}
 
