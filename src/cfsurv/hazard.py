@@ -35,16 +35,16 @@ by their level. The training units themselves are predicted the same
 way. Fits and predictions are bit-for-bit reproducible at a fixed BLAS
 thread count.
 
-Both logistic fits use one damped Newton method (`_damped_newton`),
-column by column: every Newton cell of both arms of a fold's event and
-censoring fits (`fit_hazards`) is one column of padded arrays, stepping
-in lockstep with its own step size, stopping test and exact Cholesky
-step (`_newton_cells`), and products with an arm's Gram matrix run in
-bands of similar risk-set size; a one-label fit takes the same path, and
-the propensity fit is a single column. A cell's step factors
-K_m + ridge W^-1, its Gram block plus ridge over its Newton weights:
-that is S^-1 B S^-1 for the Newton matrix B = S K_m S + ridge I,
-S = W^(1/2), and as accurate. A fit that stops at its iteration cap
+Both logistic fits use one damped Newton method (`_damped_newton`) on a
+flat state of independent problems: every Newton cell of both arms of a
+fold's event and censoring fits (`fit_hazards`) is one problem that owns
+its own rows and no padding, stepping in lockstep with its own step
+size, stopping test and exact Cholesky step (`_newton_cells`), and
+products with an arm's Gram matrix run in bands of similar risk-set
+size; a one-label fit takes the same path, and the propensity fit is a
+single problem. A cell's step factors K_m + ridge W^-1, its Gram block
+plus ridge over its Newton weights: that is S^-1 B S^-1 for the Newton
+matrix B = S K_m S + ridge I, S = W^(1/2), and as accurate. A fit that stops at its iteration cap
 reports it with a ConvergenceWarning naming the fit, and a Newton system
 that cannot be factored raises NumericalError naming the fit and the cell.
 """
@@ -93,78 +93,91 @@ PROPENSITY_TOL = 1e-8
 PROPENSITY_MAX_ITER = 500
 
 
-def _norms(r: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column of r."""
-    return np.sqrt(np.einsum("ij,ij->j", r, r))
+def _norms(r: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    """Euclidean norm of each of n problems, problem ids[i] owning entry r[i]."""
+    return np.sqrt(np.bincount(ids, r * r, minlength=n))
 
 
-def _damped_newton(theta, residual, newton_step, max_iter):
-    """Damped Newton for residual(theta) = 0, column by column; returns (theta, converged).
+def _damped_newton(theta, ids, residual, newton_step, max_iter):
+    """Damped Newton for residual(theta) = 0, problem by problem; returns (theta, converged).
 
-    The c columns of theta (p x c) are independent problems that step
-    together. residual(theta, cols) returns the residuals, one column
-    each, of the iterates theta of problems cols. newton_step(theta, r,
-    cols) returns (done, step): done flags the columns whose stopping
-    norm of r is within the fit's tolerance, and step holds the steps
-    from the other columns, in order, so a fit forms the products its
-    norm and its step share once. A column stops once done, or after
-    max_iter steps; converged flags the columns that stopped done. Each
-    step halves a column's own eta until its residual norm falls by
-    (1 - 1e-4 eta); a loss-value test would stall at roundoff near the
-    optimum and on the flat directions of an ill-conditioned Gram
-    matrix. A column's trials all start from its step-start iterate.
+    theta is the flat state of c independent problems that step together:
+    entry i belongs to problem ids[i], ids covering 0..c-1. residual(theta,
+    probs) returns the flat residual of the iterates theta of problems
+    probs, laid out as a prefix of theta: its entry i belongs to the problem
+    of theta's entry i. newton_step(theta, r, probs) returns (done, step):
+    done flags the problems whose stopping norm of r is within the fit's
+    tolerance, and step is the flat step of the others, laid out as their
+    theta, so a fit forms the products its norm and its step share once.
+    A problem stops once done, or after max_iter steps; converged flags the
+    problems that stopped done, and a stopped problem's entries leave the
+    state. Each step halves a problem's own eta until its residual norm
+    falls by (1 - 1e-4 eta); a loss-value test would stall at roundoff near
+    the optimum and on the flat directions of an ill-conditioned Gram
+    matrix. A problem's trials all start from its step-start iterate.
     """
     out = theta.copy()
-    cols = np.arange(theta.shape[1])  # the columns still stepping, as theta's
-    converged = np.zeros(cols.size, dtype=bool)
-    r = residual(theta, cols)
-    merit = _norms(r)
+    at = np.arange(theta.size)  # each entry's place in out
+    probs = np.arange(ids.max() + 1)  # the problems still stepping; ids count among them
+    converged = np.zeros(probs.size, dtype=bool)
+    r = residual(theta, probs)
+    merit = _norms(r, ids[: r.size], probs.size)
     for _ in range(max_iter):
-        done, step = newton_step(theta, r, cols)
+        done, step = newton_step(theta, r, probs)
         if done.any():
-            out[:, cols[done]] = theta[:, done]
-            converged[cols[done]] = True
-            cols, theta, r, merit = cols[~done], theta[:, ~done], r[:, ~done], merit[~done]
-            if cols.size == 0:
+            stop = done[ids]
+            out[at[stop]] = theta[stop]
+            converged[probs[done]] = True
+            keep = ~stop
+            ids = (np.cumsum(~done) - 1)[ids[keep]]
+            theta, at, r = theta[keep], at[keep], r[keep[: r.size]]
+            probs, merit = probs[~done], merit[~done]
+            if probs.size == 0:
                 return out, converged
-        eta = np.ones(cols.size)
+        eta = np.ones(probs.size)
         trial = theta - step
-        trial_r = residual(trial, cols)
-        trial_merit = _norms(trial_r)
+        trial_r = residual(trial, probs)
+        trial_merit = _norms(trial_r, ids[: trial_r.size], probs.size)
         search = np.flatnonzero(trial_merit > (1.0 - 1e-4) * merit)  # still halving eta
         for _ in range(49):
             if search.size == 0:
                 break
             eta[search] *= 0.5
-            trial[:, search] = theta[:, search] - eta[search] * step[:, search]
-            trial_r[:, search] = residual(trial[:, search], cols[search])
-            trial_merit[search] = _norms(trial_r[:, search])
+            trial = theta - eta[ids] * step  # the other problems' trials repeat exactly
+            trial_r = residual(trial, probs)
+            trial_merit = _norms(trial_r, ids[: trial_r.size], probs.size)
             search = search[trial_merit[search] > (1.0 - 1e-4 * eta[search]) * merit[search]]
         theta, r, merit = trial, trial_r, trial_merit
-    out[:, cols] = theta
+    out[at] = theta
     return out, converged
 
 
 def _newton_cells(grams, cells, ridge: float):
-    """Lockstep Newton for the kernel-logistic cells of a training fold; returns (theta, converged).
+    """Lockstep Newton for a training fold's kernel-logistic cells; returns (alpha, b, converged).
 
     grams[a] is arm a's Gram matrix, in the exit-time order whose prefixes
     are the arm's risk sets. Cell j, cells[j] = (u, a, m, lo, hit, label),
     is trained on the first m units of arm a, labelled 1 where the flags
     hit of its fit (label 1 event, 0 censoring) are set among the units
     lo..m-1 that leave at u. The cells of both fits step together,
-    arm-major and by u, so m never rises within an arm. Cell j is column j
-    of padded arrays with M = max m rows: theta stacks (alpha, b, f) as
-    rows [:M], M and [M + 1:], zero outside the cell's m rows.
+    arm-major and by u, so m never rises within an arm. A cell holds its
+    own rows and no others: with off = [0, cumsum(m)], cell j owns rows
+    off[j]:off[j + 1] of alpha and of f = K alpha + b, and intercept b[j];
+    the state is (alpha, b, f), flat, and alpha comes back flat.
 
     The residual is the stationarity system (p - y) + ridge alpha = 0,
     sum(p - y) = 0 (the loss gradient with K factored out of its alpha
     block), whose Jacobian [[W K + ridge I, w], [w' K, sum(w)]] is
-    nonsingular for ridge > 0 and mixed labels. The stopping norm is the
-    true loss gradient's. Products with K follow the risk-set sizes: an
-    arm's live columns are multiplied in bands, each on the leading block
-    of its first (largest) cell, and a column joins a band while its m
-    exceeds half the band's lead.
+    nonsingular for ridge > 0 and mixed labels; every Newton cell has both
+    labels, so m >= 2. The stopping norm is the true loss gradient's.
+    Each set of live cells gets one layout, built when it first steps (cells
+    only leave the set): its sizes, starts, row-to-cell map, labels, and
+    the scatter mask and bands of the products with K. Those follow the
+    risk-set sizes: the live cells' rows are scattered into a zeroed
+    cells x lead buffer, each arm's cells are multiplied in bands, each on
+    the leading block of its first (largest) cell, a cell joining a band
+    while its m exceeds half the band's lead, and the products are gathered
+    back with the same mask.
 
     The Newton step solves that Jacobian system exactly through the
     symmetric positive definite A = K + ridge W^-1, K the cell's leading
@@ -188,80 +201,111 @@ def _newton_cells(grams, cells, ridge: float):
     trial costs one expit and no product with K.
     """
     arm, m = np.array([cell[1:3] for cell in cells]).T
-    big = int(m.max())
-    mask = (np.arange(big)[:, None] < m).astype(float)
-    y = np.zeros((big, len(cells)))
+    off = np.concatenate([[0], np.cumsum(m)])
+    y = np.zeros(off[-1])
     for j, (_, _, size, lo, hit, _) in enumerate(cells):
-        y[lo:size, j] = hit[lo:size]
-    ybar = np.clip(y.sum(axis=0) / m, 1e-3, 1.0 - 1e-3)
-    theta = np.zeros((2 * big + 1, len(cells)))
-    theta[big] = np.log(ybar / (1.0 - ybar))  # b, and f = b at alpha = 0
-    theta[big + 1 :] = theta[big] * mask
+        y[off[j] + lo : off[j + 1]] = hit[lo:size]
     # per cell, built once: its Gram block, and the C-order view of A' = A in
     # the scratch buffer (factored in place in Fortran order) and its diagonal
-    a_buf = np.empty(big * big)
+    a_buf = np.empty(int(m.max()) ** 2)
     scratch = [(size, grams[a][:size, :size], a_buf[: size * size].reshape(size, size),
                 a_buf[: size * size : size + 1]) for _, a, size, *_ in cells]
+    layouts = {}
 
-    def k_times(z, cols):
-        # K z for the columns cols, one product per band, zero past each m
-        out = np.zeros_like(z)
-        sizes, arms, start = m[cols].tolist(), arm[cols].tolist(), 0
-        while start < len(sizes):
-            a, lead, stop = arms[start], sizes[start], start + 1
-            while stop < len(sizes) and arms[stop] == a and 2 * sizes[stop] > lead:
-                stop += 1
-            np.matmul(grams[a][:lead, :lead], z[:lead, start:stop], out=out[:lead, start:stop])
-            start = stop
-        out *= mask[:, cols]
-        return out
+    def layout(cols):
+        # the rows of the cells cols, in order; built once per set, since cells only leave it
+        key = cols.tobytes()
+        if key not in layouts:
+            size = m[cols]
+            sizes, arms, bands, first = size.tolist(), arm[cols].tolist(), [], 0
+            while first < len(sizes):
+                a, lead, stop = arms[first], sizes[first], first + 1
+                while stop < len(sizes) and arms[stop] == a and 2 * sizes[stop] > lead:
+                    stop += 1
+                bands.append((grams[a][:lead, :lead], first, stop, lead))
+                first = stop
+            layouts[key] = SimpleNamespace(
+                start=np.cumsum(size) - size, cell=np.repeat(np.arange(cols.size), size),
+                y=np.concatenate([y[off[j] : off[j + 1]] for j in cols.tolist()]),
+                fill=np.arange(max(sizes)) < size[:, None], bands=bands,
+            )
+        return layouts[key]
+
+    def k_times(z, lay):
+        # K z, cell by cell, for the rows z of the cells of lay
+        buf = np.zeros(lay.fill.shape)
+        buf[lay.fill] = z
+        out = np.empty_like(buf)
+        for k, first, stop, lead in lay.bands:  # K is symmetric: (K z)' = z' K
+            np.matmul(buf[first:stop, :lead], k, out=out[first:stop, :lead])
+        return out[lay.fill]
 
     def residual(theta_, cols):
-        p_y = (expit(theta_[big + 1 :]) - y[:, cols]) * mask[:, cols]
-        r = np.empty((big + 1, len(cols)))
-        np.add(p_y, ridge * theta_[:big], out=r[:big])
-        r[big] = p_y.sum(axis=0)
+        lay = layout(cols)
+        n = lay.y.size
+        p_y = expit(theta_[n + cols.size :]) - lay.y
+        r = np.empty(n + cols.size)
+        np.add(p_y, ridge * theta_[:n], out=r[:n])
+        r[n:] = np.add.reduceat(p_y, lay.start)
         return r
 
     def newton_step(theta_, r, cols):
-        kr = k_times(r[:big], cols)
-        done = np.sqrt(np.einsum("ij,ij->j", kr, kr) + r[big] ** 2) <= NEWTON_TOL
-        live, r = cols[~done], r[:, ~done]
-        mask_ = mask[:, live]
-        p = y[:, live] + (r[:big] - ridge * theta_[:big, ~done])  # the p of residual(theta_)
+        lay = layout(cols)
+        n = lay.y.size
+        kr = k_times(r[:n], lay)
+        norm2 = np.bincount(lay.cell, kr * kr, minlength=cols.size) + r[n:] ** 2
+        done = np.sqrt(norm2) <= NEWTON_TOL
+        r_alpha, r_b, alpha = r[:n], r[n:], theta_[:n]
+        if done.any():
+            if done.all():
+                return done, None
+            keep = ~done[lay.cell]
+            kr, r_alpha, r_b, alpha = kr[keep], r_alpha[keep], r_b[~done], alpha[keep]
+            cols = cols[~done]
+            lay = layout(cols)
+            n = lay.y.size
+        p = lay.y + (r_alpha - ridge * alpha)  # the p of residual(theta_)
         diag = ridge / np.maximum(p * (1.0 - p), _P_EPS)  # ridge / w
         # per cell, its right-hand sides (K r_alpha, 1), solved in place to its (u, v)
-        uv = np.empty((live.size, 2, big))
-        uv[:, 0] = kr[:, ~done].T
-        uv[:, 1] = mask_.T
-        for j, cell in enumerate(live.tolist()):
+        uv = np.empty((2, n))
+        uv[0], uv[1] = kr, 1.0
+        for cell, lo in zip(cols.tolist(), lay.start.tolist()):
             size, block, a_rows, a_diag = scratch[cell]
             np.copyto(a_rows, block)
-            a_diag += diag[:size, j]
-            _, sol, info = _dposv(a_rows.T, uv[j, :, :size].T, lower=1, overwrite_a=True)
+            a_diag += diag[lo : lo + size]
+            _, sol, info = _dposv(a_rows.T, uv[:, lo : lo + size].T, lower=1, overwrite_a=True)
             if info != 0:
                 u, a, *_, label = cells[cell]
                 raise NumericalError(f"{_FIT_NAMES[label]}: cell {(u, a)}: Newton system "
                                      f"not positive definite (dposv info {info})")
-            uv[j, :, :size] = sol.T
-        u, v = uv[:, 0].T, uv[:, 1].T
-        d_b = (r[big] - u.sum(axis=0)) / (ridge * v.sum(axis=0))
-        step = np.empty((2 * big + 1, live.size))
-        step[:big] = (r[:big] - u - ridge * d_b * v) / ridge
-        step[big] = d_b
-        step[big + 1 :] = k_times(step[:big], live) + d_b * mask_
+            uv[:, lo : lo + size] = sol.T
+        u, v = uv
+        d_b = (r_b - np.add.reduceat(u, lay.start)) / (ridge * np.add.reduceat(v, lay.start))
+        d_b_rows = d_b[lay.cell]
+        step = np.empty(2 * n + cols.size)
+        step[:n] = (r_alpha - u - ridge * d_b_rows * v) / ridge
+        step[n : n + cols.size] = d_b
+        step[n + cols.size :] = k_times(step[:n], lay) + d_b_rows
         return done, step
 
-    return _damped_newton(theta, residual, newton_step, NEWTON_MAX_ITER)
+    whole = layout(np.arange(len(cells)))
+    ybar = np.clip(np.add.reduceat(whole.y, whole.start) / m, 1e-3, 1.0 - 1e-3)
+    b = np.log(ybar / (1.0 - ybar))
+    ids = np.concatenate([whole.cell, np.arange(len(cells)), whole.cell])
+    theta, converged = _damped_newton(
+        np.concatenate([np.zeros(off[-1]), b, b[whole.cell]]),  # alpha = 0, b, and f = b
+        ids, residual, newton_step, NEWTON_MAX_ITER,
+    )
+    return theta[: off[-1]], theta[off[-1] : off[-1] + len(cells)], converged
 
 
 @dataclass(frozen=True)
 class KernelBasis:
     """One training set as its hazard fits read it: kernel features and exit layout.
 
-    Per arm a: orders[a], the arm's units by exit time, descending,
-    censored first at ties; exits[a] and events[a], their exit times and
-    event flags; xs[a], their standardized covariates; grams[a],
+    Per arm a, over the arm's units by exit time, descending, censored
+    first at ties: exits[a] and events[a], their exit times and event
+    flags; xs[a], their standardized covariates; grams[a],
     gram(xs[a], xs[a], length_scale).
     """
 
@@ -269,7 +313,6 @@ class KernelBasis:
     scale: np.ndarray
     length_scale: float
     t_max: int
-    orders: tuple[np.ndarray, np.ndarray]
     exits: tuple[np.ndarray, np.ndarray]
     events: tuple[np.ndarray, np.ndarray]
     xs: tuple[np.ndarray, np.ndarray]
@@ -284,7 +327,7 @@ class KernelBasis:
         )
         xs = tuple((data.x[order] - mean) / scale for order in orders)
         return cls(
-            mean, scale, length_scale, data.grid.t_max, orders,
+            mean, scale, length_scale, data.grid.t_max,
             *(tuple(column[order] for order in orders) for column in (data.time, data.event)),
             xs, tuple(gram(x, x, length_scale) for x in xs),
         )
@@ -391,11 +434,11 @@ def _fit_cells(
     newton.sort(key=lambda cell: cell[1::-1])  # arm-major, by u, labels in order
     stalled = {label: [] for label in labels}
     if newton:
-        theta, converged = _newton_cells(basis.grams, newton, ridge)
-        big = (theta.shape[0] - 1) // 2
+        alpha, b, converged = _newton_cells(basis.grams, newton, ridge)
+        off = np.cumsum([0] + [cell[2] for cell in newton]).tolist()
         for j, (u, a, size, _, _, label) in enumerate(newton):
             coef, intercept, _ = fits[label]
-            coef[a][:size, u], intercept[a, u] = theta[:size, j], theta[big, j]
+            coef[a][:size, u], intercept[a, u] = alpha[off[j] : off[j + 1]], b[j]
             if not converged[j]:
                 stalled[label].append((u, a))
     for label in labels:
@@ -446,23 +489,24 @@ def fit_propensity(data: Dataset) -> PropensityModel:
     u, s, vt = np.linalg.svd(xs - center, full_matrices=False)
     rank = int(np.sum(s > s.max(initial=0.0) * max(data.n, data.d) * np.finfo(float).eps))
     z = np.hstack([u[:, :rank], np.ones((data.n, 1))])
-    sv = np.append(s[:rank], 1.0)[:, None]  # z-gradient to standardized-covariate gradient
+    sv = np.append(s[:rank], 1.0)  # z-gradient to standardized-covariate gradient
 
-    def residual(theta, cols):
-        return sv * (z.T @ (expit(z @ theta) - a[:, None]))
+    def residual(theta, probs):
+        return sv * (z.T @ (expit(z @ theta) - a))
 
-    def newton_step(theta, grad, cols):
+    def newton_step(theta, grad, probs):
         done = np.array([np.linalg.norm(grad) <= PROPENSITY_TOL])
         if done[0]:
             return done, None
-        p = np.clip(expit(z @ theta[:, 0]), _P_EPS, 1.0 - _P_EPS)
+        p = np.clip(expit(z @ theta), _P_EPS, 1.0 - _P_EPS)
         return done, np.linalg.solve(z.T @ ((p * (1.0 - p))[:, None] * z), grad / sv)
 
     theta, (converged,) = _damped_newton(
-        np.zeros((rank + 1, 1)), residual, newton_step, PROPENSITY_MAX_ITER
+        np.zeros(rank + 1), np.zeros(rank + 1, dtype=int), residual, newton_step,
+        PROPENSITY_MAX_ITER,
     )
     if not converged:
         warnings.warn(f"propensity fit stopped after {PROPENSITY_MAX_ITER} Newton iterations above "
                       f"gradient tolerance {PROPENSITY_TOL:.1e}", ConvergenceWarning, stacklevel=2)
-    weights = vt[:rank].T @ (theta[:rank, 0] / s[:rank]) / scale
-    return PropensityModel(weights, float(theta[rank, 0] - (mean + scale * center) @ weights))
+    weights = vt[:rank].T @ (theta[:rank] / s[:rank]) / scale
+    return PropensityModel(weights, float(theta[rank] - (mean + scale * center) @ weights))

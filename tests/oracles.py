@@ -62,18 +62,25 @@ def damped_newton(theta, residual, newton_step, max_iter):
     return theta, False, backtracked
 
 
-def newton_cells(model, basis):
-    """Each Newton cell of a fitted hazard model as (u, a, risk, alpha, b), arm-major.
+def arm_order(data, a):
+    """Arm a's units by exit time, descending, censored first at ties: `KernelBasis.of`'s order."""
+    arm = np.flatnonzero(data.a == a)
+    return arm[np.lexsort((data.event[arm], -data.time[arm]))]
+
+
+def newton_cells(model, data):
+    """Each Newton cell of a hazard model fit on data as (u, a, risk, alpha, b), arm-major.
 
     risk holds the training indices of the cell's risk set
     {a_i = a, time_i >= u}, in the basis's exit order (a prefix of
-    basis.orders[a]); alpha is the model's coef over them (the leading
+    arm_order(data, a)); alpha is the model's coef over them (the leading
     rows of coef[a]) and b its intercept. The cells come in the order of
-    the fit's lockstep columns.
+    the fit's lockstep cells.
     """
     for a in (0, 1):
+        order = arm_order(data, a)
         for u in np.flatnonzero(np.isnan(model.level[a])):
-            risk = basis.orders[a][: np.count_nonzero(basis.exits[a] >= u)]
+            risk = order[: np.count_nonzero(data.time[order] >= u)]
             yield int(u), a, risk, model.coef[a][: risk.size, u], float(model.intercept[a, u])
 
 

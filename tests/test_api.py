@@ -174,7 +174,7 @@ def test_config_fields():
     ]
     # per-arm training blocks only: no Gram or covariates spanning both arms
     assert [f.name for f in fields(KernelBasis)] == [
-        "mean", "scale", "length_scale", "t_max", "orders", "exits", "events", "xs", "grams"
+        "mean", "scale", "length_scale", "t_max", "exits", "events", "xs", "grams"
     ]
 
 

@@ -31,6 +31,7 @@ from cfsurv.kernels import gram
 from cfsurv.sim import derive_seed, splitmix64
 from cfsurv.survival import Dataset, TimeGrid, active_matrix, event_matrix
 from oracles import (
+    arm_order,
     damped_newton,
     gram_by_differences,
     klr_loss_grad,
@@ -452,7 +453,7 @@ def test_basis_sorts_each_arm_once_censored_first_at_ties():
     )
     basis = _basis(data)
     for a in (0, 1):
-        order = basis.orders[a]
+        order = arm_order(data, a)
         assert sorted(order) == list(np.flatnonzero(data.a == a))
         assert np.array_equal(basis.exits[a], data.time[order])
         assert np.array_equal(basis.events[a], data.event[order]) and basis.t_max == 3
@@ -519,7 +520,7 @@ def test_newton_cells_reach_the_loss_gradient_tolerance(data):
     for fit, labelled in ((fit_event_hazard, data), (fit_censor_hazard, flipped)):
         model = fit(basis, 0.5, max_time=25)
         labels = event_matrix(labelled, 25)
-        for u, a, risk, alpha, b in newton_cells(model, basis):
+        for u, a, risk, alpha, b in newton_cells(model, data):
             k = _cell_gram(basis, a, risk)
             _, grad = klr_loss_grad(k, labels[risk, u], alpha, b, 0.5)
             assert np.linalg.norm(grad) <= hazard.NEWTON_TOL
@@ -540,7 +541,7 @@ def test_model_columns_are_zero_outside_their_cells(data):
             model = fit(basis, 0.5, max_time=25)
         # one row per training unit of the arm, in its exit order
         assert [c.shape for c in model.coef] == [
-            (len(order), data.grid.n_points) for order in basis.orders
+            (np.count_nonzero(data.a == a), data.grid.n_points) for a in (0, 1)
         ]
         assert model.max_time == 25 and np.all(model.level[:, 0] == 0.0)
         newton = np.isnan(model.level)
@@ -548,7 +549,7 @@ def test_model_columns_are_zero_outside_their_cells(data):
         # a fixed column's coef and intercept are zero
         assert not any(model.coef[a][:, ~newton[a]].any() for a in (0, 1))
         assert not model.intercept[~newton].any()
-        for u, a, risk, _, _ in newton_cells(model, basis):
+        for u, a, risk, _, _ in newton_cells(model, data):
             assert not model.coef[a][risk.size :, u].any()
 
 
@@ -617,7 +618,7 @@ def test_banded_lockstep_matches_the_jacobian_oracle_on_a_twins_shaped_arm():
     sizes = {0: [], 1: []}
     for model, labelled in zip(models, (data, flipped)):
         labels = event_matrix(labelled, 6)
-        for u, a, risk, alpha, b in newton_cells(model, basis):
+        for u, a, risk, alpha, b in newton_cells(model, data):
             expect, _, _ = _jacobian_newton_klr(_cell_gram(basis, a, risk), labels[risk, u], 0.5)
             assert _rel(np.append(alpha, b), expect) <= 1e-12
             sizes[a].append(risk.size)
@@ -647,12 +648,12 @@ def test_indefinite_censoring_cell_of_a_joint_fit_is_named():
         fit_hazards(basis, 0.5)
 
 
-def _per_cell_hazards(model, basis, k_full, a):
+def _per_cell_hazards(model, data, k_full, a):
     # oracle: from the Gram matrix k_full against every training unit, in
     # data order, one column gather and matvec per Newton cell; the other
     # columns hold their level
     out = np.tile(model.level[a], (k_full.shape[0], 1))
-    for u, arm, risk, alpha, b in newton_cells(model, basis):
+    for u, arm, risk, alpha, b in newton_cells(model, data):
         if arm == a:
             out[:, u] = np.clip(expit(k_full[:, risk] @ alpha + b), HAZARD_FLOOR, HAZARD_CEIL)
     return out
@@ -677,15 +678,15 @@ def test_hazard_matrix_matches_the_per_cell_oracle():
         assert (3, 0) in model.empty_cells and model.level[0, 3] == HAZARD_FLOOR
         assert model.level[1, 5] in (HAZARD_FLOOR, HAZARD_CEIL)  # single-class
         assert np.all(model.level[:, 6] == HAZARD_FLOOR)  # past max_time
-        assert len(list(newton_cells(model, basis))) >= 5
+        assert len(list(newton_cells(model, data))) >= 5
         for x, arm in itertools.product((holdout, data.x), (0, 1)):
             k_full = gram_by_differences(
                 basis.standardize(x), basis.standardize(data.x), basis.length_scale
             )
             k_pred = basis.prediction_gram(x, arm)
-            assert k_pred.shape == (len(x), len(basis.orders[arm]))
+            assert k_pred.shape == (len(x), np.count_nonzero(data.a == arm))
             got = model.hazard_matrix(k_pred, arm)
-            want = _per_cell_hazards(model, basis, k_full, arm)
+            want = _per_cell_hazards(model, data, k_full, arm)
             assert np.all(got[:, 0] == 0.0)
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
@@ -740,9 +741,9 @@ def test_newton_step_solves_the_jacobian_system(monkeypatch):
     # from 1/4 down to below the _P_EPS floor
     loop = {}
 
-    def capture(theta, residual, newton_step, max_iter):
-        loop.update(theta=theta, residual=residual, newton_step=newton_step)
-        return theta, np.ones(theta.shape[1], dtype=bool)
+    def capture(theta, ids, residual, newton_step, max_iter):
+        loop.update(theta=theta, ids=ids, residual=residual, newton_step=newton_step)
+        return theta, np.ones(ids.max() + 1, dtype=bool)
 
     monkeypatch.setattr(hazard, "_damped_newton", capture)
     rng = np.random.default_rng(10)
@@ -753,31 +754,44 @@ def test_newton_step_solves_the_jacobian_system(monkeypatch):
     )
     basis = _basis(data, 2.0)
     model = fit_event_hazard(basis, 0.5)
-    # the Newton cells, in the model's order, are the loop's columns
-    cells = [(u, a, risk) for u, a, risk, _, _ in newton_cells(model, basis)]
+    # the Newton cells, in the model's order, are the loop's problems
+    cells = [(u, a, risk) for u, a, risk, _, _ in newton_cells(model, data)]
     assert len(cells) == 6
+    sizes = [risk.size for _, _, risk in cells]
+    rows, c = sum(sizes), len(cells)
+    off = np.cumsum([0] + sizes)
+    # the flat state: every cell's alpha rows, one intercept per cell, every cell's f rows
+    cell_of_row = np.repeat(np.arange(c), sizes)
+    assert np.array_equal(loop["ids"], np.concatenate([cell_of_row, np.arange(c), cell_of_row]))
     labels = event_matrix(data, 3)
-    big = (loop["theta"].shape[0] - 1) // 2
-    cols = np.arange(len(cells))
+    cols = np.arange(c)
     for f_scale in (0.5, 5.0, 40.0):
-        theta = np.zeros_like(loop["theta"])
-        for j, (_, _, risk) in enumerate(cells):
-            m = risk.size
-            theta[:m, j] = rng.normal(scale=0.1, size=m)
-            theta[big, j] = rng.normal()
-            theta[big + 1 : big + 1 + m, j] = rng.normal(scale=f_scale, size=m)
+        theta = np.concatenate([
+            rng.normal(scale=0.1, size=rows), rng.normal(size=c),
+            rng.normal(scale=f_scale, size=rows),
+        ])
         r = loop["residual"](theta, cols)
         done, step = loop["newton_step"](theta, r, cols)
-        assert not done.any()
+        assert r.size == rows + c and step.size == theta.size and not done.any()
         for j, (u, a, risk) in enumerate(cells):
-            m, k, y = risk.size, _cell_gram(basis, a, risk), labels[risk, u]
-            own = np.r_[0:m, big, big + 1 : big + 1 + m]  # the cell's rows of theta
-            p = expit(theta[big + 1 : big + 1 + m, j])
-            np.testing.assert_allclose(r[:m, j], (p - y) + 0.5 * theta[:m, j], rtol=1e-12)
-            assert r[big, j] == pytest.approx(np.sum(p - y), rel=1e-12, abs=1e-12)
-            expect = _jacobian_step(k, y, 0.5, theta[own, j], np.append(r[:m, j], r[big, j]))
-            assert np.linalg.norm(step[own, j] - expect) <= 1e-10 * np.linalg.norm(expect)
-            assert not step[m:big, j].any() and not step[big + 1 + m :, j].any()
+            k, y = _cell_gram(basis, a, risk), labels[risk, u]
+            alpha_rows = np.arange(off[j], off[j + 1])
+            own = np.r_[alpha_rows, rows + j, rows + c + alpha_rows]  # the cell's entries of theta
+            p = expit(theta[rows + c + alpha_rows])
+            np.testing.assert_allclose(r[alpha_rows], (p - y) + 0.5 * theta[alpha_rows], rtol=1e-12)
+            assert r[rows + j] == pytest.approx(np.sum(p - y), rel=1e-12, abs=1e-12)
+            expect = _jacobian_step(k, y, 0.5, theta[own], np.append(r[alpha_rows], r[rows + j]))
+            assert np.linalg.norm(step[own] - expect) <= 1e-10 * np.linalg.norm(expect)
+    # on a twins-shaped fold, where each arm's u = 1 cell holds most of the
+    # arm and every later cell a few units, the loop holds the cells' own
+    # rows and nothing else: 2 sum(m) + c entries
+    twins = _twins_like(200, 42)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CoverageWarning)
+        models = fit_hazards(_basis(twins), 0.5, max_time=25)
+    sizes = [risk.size for model in models for _, _, risk, _, _ in newton_cells(model, twins)]
+    assert loop["theta"].size == loop["ids"].size == 2 * sum(sizes) + len(sizes)
+    assert 2 * sum(sizes) + len(sizes) < 0.3 * (2 * max(sizes) + 1) * len(sizes)  # vs padded
 
 
 def _separable_cells(n=200):
@@ -816,7 +830,7 @@ def test_newton_cells_match_the_jacobian_oracle(
     for fit, labelled in pairs if censor_too else pairs[:1]:
         model = fit(basis, ridge, max_time=max_time)
         labels = event_matrix(labelled, max_time)
-        for u, a, risk, alpha, b in newton_cells(model, basis):
+        for u, a, risk, alpha, b in newton_cells(model, data):
             expect, cell_w_min, cell_backtracked = _jacobian_newton_klr(
                 _cell_gram(basis, a, risk), labels[risk, u], ridge
             )
@@ -843,7 +857,7 @@ def test_lockstep_cells_follow_their_own_newton_paths(monkeypatch):
             warnings.simplefilter("ignore", ConvergenceWarning)
             model = fit_censor_hazard(basis, 0.5, max_time=1)
         backtracked = {}
-        for u, a, risk, alpha, b in newton_cells(model, basis):
+        for u, a, risk, alpha, b in newton_cells(model, data):
             expect, _, backtracked[a] = _jacobian_newton_klr(
                 _cell_gram(basis, a, risk), labels[risk, u], 0.5, max_iter
             )
@@ -872,7 +886,7 @@ def test_newton_cells_converge_with_weights_at_the_floor(monkeypatch):
     model = fit_event_hazard(basis, 0.5, max_time=1)
     assert max(largest) >= 0.5 / hazard._P_EPS
     labels = event_matrix(data, 1)
-    cells = list(newton_cells(model, basis))
+    cells = list(newton_cells(model, data))
     assert len(cells) == 2
     for u, a, risk, alpha, b in cells:
         k = _cell_gram(basis, a, risk)
@@ -914,7 +928,7 @@ def test_failed_newton_cell_is_named(monkeypatch):
         # ... and the only one of its fit with this many units, so its
         # Newton system is the only one of that size
         model = fit(basis, 0.5, max_time=5)
-        sizes = [risk.size for _, _, risk, _, _ in newton_cells(model, basis)]
+        sizes = [risk.size for _, _, risk, _, _ in newton_cells(model, data)]
         assert sizes.count(risk.size) == 1
 
         def failing(b, rhs, size=risk.size, **kwargs):
