@@ -1,17 +1,22 @@
-"""Check that two cfsurv output CSVs agree within the reordering bounds.
+"""Check that two cfsurv output files agree within the reordering bounds.
 
     python scripts/compare_outputs.py FIRST.csv SECOND.csv
+    python scripts/compare_outputs.py FIRST.jsonl SECOND.jsonl
 
-Reads `estimate` output, `simulate` metrics or `simulate --raw` output
-through `cfsurv.survival.read_csv`, which names the file and line of a
-row with the wrong number of cells (and the file, if it is empty or has
-no data rows); such a file is reported as a problem. Both files must
-have the same header, the same number of rows, and the same text in
-every cell that is not a number. Two numbers agree when they differ by
-at most 1e-10 of the larger magnitude or, in a balance row, by at most
-1e-8 of the row's standard error. The balance solve amplifies roundoff
-about 1e4-fold and some of its interval bounds sit near 0, so a
-relative bound cannot hold there. The standard error is the
+Reads `estimate` output, `simulate` metrics or `simulate --raw` output.
+A CSV is read through `cfsurv.survival.read_csv`, which names the file
+and line of a row with the wrong number of cells (and the file, if it
+is empty or has no data rows). A `.jsonl` file, as `estimate --format
+jsonl` writes it, holds one JSON object a line: its keys are the
+header and its values the cells, a line that is not an object with the
+first line's keys is named by its number, and a file without records
+is named too. Such a file, or one that is missing or cannot be read, is
+reported as a problem. Both files must have the same header, the same
+number of rows, and the same text in every cell that is not a number.
+Two numbers agree when they differ by at most 1e-10 of the larger
+magnitude or, in a balance row, by at most 1e-8 of the row's standard
+error. The balance solve amplifies roundoff about 1e4-fold and some of
+its interval bounds sit near 0, so a relative bound cannot hold there. The standard error is the
 `std_error` column of `estimate` output, the `std_err` column of
 `simulate` metrics, or the one the interval implies in `--raw` output,
 (ci_high - ci_low) / (2 z_0.975). Two NaNs agree.
@@ -22,6 +27,7 @@ cell agrees, 1 otherwise, naming the cells that do not.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 
@@ -39,6 +45,31 @@ def _number(text: str) -> float | None:
         return None
 
 
+def _read_jsonl(path: str) -> tuple[list[str], list[list[str]]]:
+    """The keys and the records of a JSON-lines file, each value as text."""
+    header, rows = None, []
+    with open(path) as fh:
+        for line, text in enumerate(fh, start=1):
+            if not text.strip():
+                continue
+            try:
+                record = json.loads(text)
+            except ValueError as err:
+                raise ValueError(f"{path}: line {line} is not JSON: {err}") from None
+            if header is None and isinstance(record, dict):
+                header = list(record)
+            if not isinstance(record, dict) or list(record) != header:
+                raise ValueError(f"{path}: line {line} is not an object with keys {header}")
+            rows.append([v if isinstance(v, str) else repr(v) for v in record.values()])
+    if header is None:
+        raise ValueError(f"{path}: no records")
+    return header, rows
+
+
+def _read(path: str) -> tuple[list[str], list[list[str]]]:
+    return _read_jsonl(path) if path.endswith(".jsonl") else read_csv(path)
+
+
 def _standard_error(row: dict[str, str]) -> float | None:
     if "std_error" in row:
         return float(row["std_error"])
@@ -52,7 +83,9 @@ def _standard_error(row: dict[str, str]) -> float | None:
 def compare(first: str, second: str) -> tuple[list[str], float, float]:
     """(problems, largest relative deviation, largest balance deviation in SEs)."""
     try:
-        (header_a, cells_a), (header_b, cells_b) = read_csv(first), read_csv(second)
+        (header_a, cells_a), (header_b, cells_b) = _read(first), _read(second)
+    except OSError as err:
+        return [f"cannot read {err.filename}: {err.strerror}"], math.inf, math.inf
     except ValueError as err:
         return [str(err)], math.inf, math.inf
     if header_a != header_b:
@@ -62,7 +95,9 @@ def compare(first: str, second: str) -> tuple[list[str], float, float]:
     rows_a = [dict(zip(header_a, row)) for row in cells_a]
     rows_b = [dict(zip(header_b, row)) for row in cells_b]
     problems, worst, worst_se = [], 0.0, 0.0
-    for line, (row_a, row_b) in enumerate(zip(rows_a, rows_b), start=2):
+    # a CSV's first row is on line 2, after its header
+    first_line = 1 if first.endswith(".jsonl") else 2
+    for line, (row_a, row_b) in enumerate(zip(rows_a, rows_b), start=first_line):
         se = _standard_error(row_a) if row_a.get("estimator") == "balance" else None
         for col, text_a in row_a.items():
             text_b = row_b[col]
@@ -95,7 +130,8 @@ def compare(first: str, second: str) -> tuple[list[str], float, float]:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
-        print("usage: python scripts/compare_outputs.py FIRST.csv SECOND.csv", file=sys.stderr)
+        print("usage: python scripts/compare_outputs.py FIRST SECOND (CSV or .jsonl files)",
+              file=sys.stderr)
         return 2
     problems, worst, worst_se = compare(*argv)
     for problem in problems:

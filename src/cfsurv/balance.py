@@ -27,11 +27,17 @@ stacks the directions of every t on a trailing axis and makes one call:
 one factor, one product of the shared rows of K with every (u, t)
 direction, and one pair of triangular solves with that factor for all
 of those columns, each on its own leading block (`cho_solve_checked`).
+Only those shared rows, the largest risk set's, are ever read, so
+`run_estimator` passes a function that builds them and no fold-sized
+Gram matrix exists: a solve holds one arm's rows, their square block
+and its factor.
 Like that solve, it returns plain arrays: the weights, zero off the
 active set, and a dict of the directions that failed.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -102,15 +108,20 @@ def explicit_riesz(
 
 
 def solve_balance_weights(
-    k: np.ndarray, r: np.ndarray, active: np.ndarray, sigma2: float
+    k: np.ndarray | Callable[[np.ndarray], np.ndarray],
+    r: np.ndarray, active: np.ndarray, sigma2: float
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Closed-form minimax balance weights for c stacked directions; returns (omega, failures).
 
-    r holds the directions (n, t+1, c); they share the kernel k and the
+    r holds the directions (n, t+1, c); they share the kernel and the
     risk-set mask active (n, t+1), whose sets at u >= 1 must be nested.
+    k is the (n, n) kernel matrix or a function that returns its rows
+    K[idx, :] for an index array idx; either way only the rows of the
+    largest risk set are read, in one call, and they are dropped once
+    their square block and their product with the directions are formed.
     Units are ordered by how many timesteps they stay active, descending
     and stable, so every active set is a prefix of that order. The
-    largest one is factored once, and one product of its rows of k with
+    largest one is factored once, and one product of its rows of K with
     every direction serves all timesteps: every (u, direction) column is
     solved at once with the leading block of that factor that u's risk
     set spans. A direction that is zero at u has zero weights there and
@@ -123,14 +134,16 @@ def solve_balance_weights(
     and a failed factor fails every direction that needs a solve. Its
     weights are then zero.
     """
-    k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
     active = np.asarray(active, dtype=bool)
-    n = k.shape[0]
-    if k.shape != (n, n):
-        raise ValueError(f"kernel matrix must be square, got {k.shape}")
-    if r.ndim != 3 or r.shape[:2] != active.shape or r.shape[0] != n:
+    if r.ndim != 3 or r.shape[:2] != active.shape:
         raise ValueError("active must be an (n, t+1) matrix and r an (n, t+1, c) stack")
+    n = r.shape[0]
+    if not callable(k):
+        matrix = np.asarray(k, dtype=float)
+        if matrix.shape != (n, n):
+            raise ValueError(f"kernel matrix must be ({n}, {n}) for {n} units, got {matrix.shape}")
+        k = matrix.__getitem__
     if not sigma2 > 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     order = np.argsort(-active[:, 1:].sum(axis=1), kind="stable")
@@ -149,9 +162,11 @@ def solve_balance_weights(
     col_u += 1
     m = sizes[col_u]
     r_cols = r[:, col_u, col_dir]
-    rows = k[shared]
-    k_shared = rows[:, shared]
-    kr_shared = rows @ r_cols
+    rows = np.asarray(k(shared), dtype=float)
+    if rows.shape != (shared.size, n):
+        raise ValueError(f"kernel rows must be ({shared.size}, {n}), got {rows.shape}")
+    k_shared, kr_shared = rows[:, shared], rows @ r_cols
+    del rows
     try:
         v, bad = cho_solve_checked(spd_factor(k_shared, ridge=lam), k_shared, kr_shared, lam, m)
     except NumericalError as err:  # a failed factor fails every direction that needs a solve

@@ -33,7 +33,8 @@ weight it with explicit inverse-probability weights (clipped for
 dr-clip) and take S_t times a cumulative sum over u; balance stacks
 every time's direction S_t * q (zero past t) and gets the minimax
 weights of every time from one `solve_balance_weights` call (one
-factor, one pair of triangular solves), then contracts them with
+factor, one pair of triangular solves, on the arm's own rows of the
+fold's Gram matrix, built for that call), then contracts them with
 the residuals in one product. Standard errors come from the influence
 values and a normal t-statistic interval. A fault in q (a nonpositive
 survival value) or in dr's explicit weights (a zero denominator) fails
@@ -44,6 +45,7 @@ that fails fails only its own (arm, time).
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -196,7 +198,7 @@ def _h_minus(s: np.ndarray, g: np.ndarray, t: int) -> np.ndarray:
 
 
 def _balance_gammas(
-    k: np.ndarray,
+    k: Callable[[np.ndarray], np.ndarray],
     s: np.ndarray,
     q: np.ndarray,
     active: np.ndarray,
@@ -205,11 +207,13 @@ def _balance_gammas(
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Balance gammas of every time of one (fold, arm), and why the failed times failed.
 
+    k returns the fold's kernel rows K[idx, :] for an index array idx.
     q is `direction_ratio(s, max(times))` and active the arm's risk-set
     mask up to max(times). The direction of t is S_t * q, zero past t;
     the directions of every t are stacked and solved by one
     `solve_balance_weights` call, in which a time fails alone, on its
-    columns. The gammas come back stacked the same way,
+    columns; it builds only the rows of the arm's risk set at u = 1, an
+    (n_a, n_fold) block. The gammas come back stacked the same way,
     (n, max(times) + 1, len(times)): zero past each t and for a failed time.
     """
     tt = np.asarray(times)
@@ -227,11 +231,12 @@ def _summands(
     a: int,
     times: list[int],
     curves: tuple,
-    k: np.ndarray | None,
+    k: Callable[[np.ndarray], np.ndarray] | None,
     sigma2: float,
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Per-unit summands of one (fold, arm) at every time, and why the failed times failed.
 
+    k is balance's kernel row function (see `_balance_gammas`), else None.
     Returns a time-major (len(times), n_fold) block: the fold's estimate
     at times[j] is the mean of row j, and its influence values are row j
     minus that mean. The row of a failed time holds no estimate.
@@ -292,7 +297,7 @@ def _curves(x: np.ndarray, basis: KernelBasis, event, censor, propensity):
 
     An entry is None where its model is. Both kernel hazard models share
     `basis`, and each arm's Gram matrix of x against it is built once for
-    both.
+    both and released before the next arm's is built.
     """
     curves = []
     for a in (0, 1):
@@ -305,6 +310,7 @@ def _curves(x: np.ndarray, basis: KernelBasis, event, censor, propensity):
             g = np.cumprod(1.0 - censor.hazard_matrix(k_pred, a), axis=1)
         if propensity is not None:
             pi = propensity.prob(x, a)
+        del k_pred
         curves.append((lam, s, g, pi))
     return tuple(curves)
 
@@ -429,7 +435,10 @@ def run_estimator(
 
     for idx, xs, curves in nuisances.folds:
         fold = data.subset(idx)
-        k = gram(xs, xs, params.length_scale) if kind == "balance" else None
+        k = None
+        if kind == "balance":  # each arm's solve builds only its own rows of the fold's Gram
+            def k(rows, xs=xs):
+                return gram(xs[rows], xs, params.length_scale)
         for a in (0, 1):
             live = [t for t in times if (a, t) not in failures]
             if not live:

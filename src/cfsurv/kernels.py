@@ -26,8 +26,10 @@ def gram(rows: np.ndarray, cols: np.ndarray, length_scale: float) -> np.ndarray:
     """Kernel matrix K[i, j] = exp(-||rows[i] - cols[j]||^2 / (2 l^2)); rectangular allowed.
 
     K is filled in one buffer as exp(min(rows[i]'cols[j] / l^2 - (h_i + h_j), 0)),
-    h = ||x||^2 / (2 l^2). Equal inputs take the symmetric product rows @ rows.T,
-    and h_i + h_j commutes, so their Gram matrix is exactly symmetric; its
+    h = ||x||^2 / (2 l^2). The sums h_i + h_j are formed a block of rows at
+    a time, at most 256 KiB of them, so the build holds no temporary of
+    K's size. Equal inputs take the symmetric product rows @ rows.T, and
+    h_i + h_j commutes, so their Gram matrix is exactly symmetric; its
     diagonal is set to 1.
     """
     rows = np.ascontiguousarray(np.atleast_2d(rows), dtype=float)
@@ -42,7 +44,9 @@ def gram(rows: np.ndarray, cols: np.ndarray, length_scale: float) -> np.ndarray:
     k *= inv
     h_rows = np.einsum("ij,ij->i", rows, rows) * (0.5 * inv)
     h_cols = h_rows if square else np.einsum("ij,ij->i", cols, cols) * (0.5 * inv)
-    k -= np.add.outer(h_rows, h_cols)
+    step = max(1, (1 << 18) // (8 * k.shape[1]))  # rows per 256 KiB of h_i + h_j
+    for start in range(0, k.shape[0], step):
+        k[start : start + step] -= np.add.outer(h_rows[start : start + step], h_cols)
     np.minimum(k, 0.0, out=k)
     np.exp(k, out=k)
     if square:

@@ -5,8 +5,9 @@ problem at a time where cfsurv steps a fit's cells together, the fits
 stop on their own residual norms, the balance solve never evaluates its
 objective, Gram matrices are built in one vectorized pass, nuisance
 curves come from fitted models only, a fitted hazard model is read as
-arrays, not as cells, and the synthetic ground truth is exact quadrature,
-not Monte Carlo.
+arrays, not as cells, the synthetic ground truth is exact quadrature,
+not Monte Carlo, and an estimator's expectation is a weighted sum over
+every outcome of a discrete model, not a sample mean.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from scipy.special import expit
 from cfsurv.balance import direction_ratio
 from cfsurv.dgp import SYNTH_D, T_MAX, true_event_hazard
 from cfsurv.estimators import Nuisances
-from cfsurv.survival import Dataset
+from cfsurv.survival import Dataset, TimeGrid
 
 
 def gram_by_differences(x: np.ndarray, y: np.ndarray, length_scale: float) -> np.ndarray:
@@ -189,6 +190,40 @@ def known_nuisances(data: Dataset, event=None, censor=None, propensity=None) -> 
             pi = p1 if a == 1 else 1.0 - p1
         curves.append((lam, s, g, pi))
     return Nuisances(((np.arange(data.n), x, tuple(curves)),))
+
+
+def discrete_outcomes(p_x1: float, p_a1: np.ndarray, event: np.ndarray, censor: np.ndarray):
+    """Every outcome of a small discrete model as one Dataset row, and its probability.
+
+    x is 0 or 1 with P(x = 1) = p_x1, a is 0 or 1 with P(A = 1 | x) =
+    p_a1[x], and given (a, x) two independent times are drawn: T_event in
+    1..t_max+1 with hazard event[a, x, u] (t_max+1 means no event by
+    t_max) and T_censor in 1..t_max with hazard censor[a, x, u], which
+    must be 1 at t_max. Both hazard arrays are (2, 2, t_max + 1). Each
+    outcome is observed as `gen_synthetic` observes a unit: time =
+    min(T_event, T_censor), event = 1(T_event <= T_censor). The
+    probability-weighted mean of a per-unit quantity over the rows is
+    its exact expectation. Returns (data, weights), one row per (a, x,
+    T_event, T_censor): 4 (t_max + 1) t_max rows.
+    """
+    t_max = event.shape[2] - 1
+    assert np.all(censor[:, :, t_max] == 1.0)
+
+    def first_exit(h):
+        """P(T = u) for u in 1..t_max, then P(T > t_max)."""
+        s = np.cumprod(1.0 - h[:, :, 1:], axis=2)
+        before = np.concatenate([np.ones((2, 2, 1)), s[:, :, :-1]], axis=2)
+        return np.concatenate([before * h[:, :, 1:], s[:, :, -1:]], axis=2)
+
+    p_event, p_censor = first_exit(event), first_exit(censor)[:, :, :t_max]
+    p_ax = np.array([[(1 - p_x1) * (1 - p_a1[0]), p_x1 * (1 - p_a1[1])],
+                     [(1 - p_x1) * p_a1[0], p_x1 * p_a1[1]]])
+    a, x, te, tc = (v.ravel() for v in np.meshgrid(
+        [0, 1], [0, 1], np.arange(1, t_max + 2), np.arange(1, t_max + 1), indexing="ij"))
+    weights = p_ax[a, x] * p_event[a, x, te - 1] * p_censor[a, x, tc - 1]
+    data = Dataset(x=x[:, None].astype(float), a=a, time=np.minimum(te, tc),
+                   event=(te <= tc).astype(int), grid=TimeGrid(t_max))
+    return data, weights
 
 
 def monte_carlo_truth(mc_n: int, seed: int):

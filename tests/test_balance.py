@@ -336,20 +336,25 @@ def test_solve_rejects_nonpositive_sigma2(sigma2):
         solve_balance_weights(k, r[:, :, None], active, sigma2)
 
 
-def _synthetic_fold_instance(n, a, t, seed):
-    """Kernel, direction and risk-set mask of one cross-fitting fold of size n."""
+def _synthetic_fold(n, a, t, seed):
+    """Standardized covariates, direction and risk-set mask of one cross-fitting fold of size n."""
     data = gen_synthetic(SyntheticConfig(n=2 * n, seed=seed))
     fold = data.subset(FoldPlan.make(2 * n, 2, seed).fold_indices(0))
     # units arrive in random order and share exit times
     assert np.any(np.diff(fold.time) > 0) and np.any(np.diff(fold.time) < 0)
     assert np.unique(fold.time).size < fold.n
     xs = (fold.x - fold.x.mean(axis=0)) / fold.x.std(axis=0)
-    k = gram(xs, xs, 2.0)
     rng = np.random.default_rng(seed)
     haz = np.zeros((fold.n, t + 1))
     haz[:, 1:] = rng.uniform(0.02, 0.3, size=(fold.n, t))
     r = derivative_direction(survival_from_hazard_matrix(haz), t)
-    return k, r, active_matrix(fold, a, t)
+    return xs, r, active_matrix(fold, a, t)
+
+
+def _synthetic_fold_instance(n, a, t, seed):
+    """Kernel, direction and risk-set mask of one cross-fitting fold of size n."""
+    xs, r, active = _synthetic_fold(n, a, t, seed)
+    return gram(xs, xs, 2.0), r, active
 
 
 def _direct_solve_weights(k, r, active, sigma2):
@@ -522,3 +527,49 @@ def test_failed_factor_fails_only_the_directions_that_need_it():
         r"balance solve at u=2 \(2 of 3 active\), direction 1: SPD solve failed", failures[1]
     )
     assert np.all(omega == 0.0)
+
+
+@pytest.mark.parametrize("offset, failed", [(0.0, []), (1e-3, [1])], ids=["good", "residual"])
+def test_a_row_function_solves_as_the_matrix_does(monkeypatch, offset, failed):
+    # the kernel's rows built on demand, a rectangular Gram, against the
+    # whole symmetric one: the same weights to roundoff and the same
+    # failures. A factor of K + (lam + 1e-3) I fails every full-size
+    # column, and not direction 0, scaled down by 1e-12
+    xs, _, active = _synthetic_fold(200, 0, 10, seed=34)
+    r = _stacked_directions(len(xs), 10, [5, 10], seed=35)
+    r[:, :, 0] *= 1e-12
+    original = balance_module.spd_factor
+    monkeypatch.setattr(
+        balance_module, "spd_factor", lambda m, ridge: original(m, ridge=ridge + offset)
+    )
+    calls = []
+
+    def rows(idx):
+        calls.append(len(idx))
+        return gram(xs[idx], xs, 2.0)
+
+    by_matrix, matrix_failures = solve_balance_weights(gram(xs, xs, 2.0), r, active, 1.0)
+    by_rows, row_failures = solve_balance_weights(rows, r, active, 1.0)
+    assert calls == [int(active[:, 1].sum())]  # one call, for the largest risk set's rows
+    assert list(row_failures) == list(matrix_failures) == failed
+    for j in range(r.shape[2]):
+        for u in range(1, r.shape[1]):
+            ref = np.linalg.norm(by_matrix[:, u, j])
+            assert np.linalg.norm(by_rows[:, u, j] - by_matrix[:, u, j]) <= 1e-12 * ref
+
+
+def test_a_row_function_fails_as_the_matrix_does():
+    k = np.diag([1.0, -1.0, 1.0])  # indefinite at unit 1
+    active = np.zeros((3, 3), dtype=bool)
+    active[:, 1] = active[[1, 2], 2] = True
+    r = np.zeros((3, 3, 3))
+    r[:, 1:, 0] = -0.5
+    r[:, 2, 1] = -0.5
+    by_matrix = solve_balance_weights(k, r, active, 1e-12)
+    by_rows = solve_balance_weights(lambda idx: k[idx], r, active, 1e-12)
+    assert by_rows[1] == by_matrix[1] and list(by_rows[1]) == [0, 1]
+    assert not by_rows[0].any() and not by_matrix[0].any()
+    with pytest.raises(ValueError, match=r"kernel matrix must be \(3, 3\)"):
+        solve_balance_weights(k[:2], r, active, 1e-12)
+    with pytest.raises(ValueError, match=r"kernel rows must be \(3, 3\), got \(3, 2\)"):
+        solve_balance_weights(lambda idx: k[idx, :2], r, active, 1e-12)

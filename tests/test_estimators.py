@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,8 @@ from cfsurv.estimators import (
     Nuisances,
     _normal_interval,
     _result,
+    _spec,
+    _summands,
     effect_estimate,
     fit_nuisances,
     run_estimator,
@@ -30,7 +33,7 @@ from cfsurv.hazard import (
     fit_hazards,
 )
 from cfsurv.survival import Dataset, TimeGrid, write_dataset_csv
-from oracles import known_nuisances
+from oracles import discrete_outcomes, known_nuisances
 
 
 def _units(x, a, time, t_max=3):
@@ -403,12 +406,18 @@ def _count_grams(monkeypatch):
     return shapes
 
 
+def _balance_rows(data, nuisances):
+    """The (n_a, n_fold) shape of each (fold, arm) row block a balance evaluation builds."""
+    return [(int(np.count_nonzero(data.a[idx] == a)), len(idx))
+            for idx, _, _ in nuisances.folds for a in (0, 1)]
+
+
 @pytest.mark.parametrize(
     "kind, arm_grams, eval_grams",
     # per arm, every fold builds one training and one prediction Gram, the
     # latter for both models; or and ipw predict on their training units
-    # the same way; balance evaluates with each fold's own Gram for the
-    # balance solve
+    # the same way; balance evaluates each fold with one block of the
+    # fold's Gram per arm, the rows its balance solve reads
     [("or", 2, 0), ("ipw", 2, 0), ("dr", 10, 0), ("dr-clip", 10, 0), ("balance", 4, 2)],
 )
 def test_each_fold_builds_its_grams_once(monkeypatch, kind, arm_grams, eval_grams):
@@ -426,8 +435,32 @@ def test_each_fold_builds_its_grams_once(monkeypatch, kind, arm_grams, eval_gram
         expected += [(m, m) for m in arms] + [(len(idx), m) for m in arms]
     assert shapes == expected
     run_estimator(data, kind, [5, 10], seed=3, nuisances=nuisances)
-    assert len(shapes) == fit_grams + eval_grams
-    assert all(rows == cols for rows, cols in shapes[fit_grams:])  # balance Grams
+    assert len(shapes) == fit_grams + eval_grams * len(nuisances.folds)
+    # balance: per fold and arm, the arm's rows against the fold, (n_a, n_fold);
+    # no (n_fold, n_fold) Gram is built
+    assert shapes[fit_grams:] == (_balance_rows(data, nuisances) if eval_grams else [])
+
+
+def test_balance_evaluation_holds_one_arms_gram_rows(monkeypatch):
+    # each arm's solve builds its own rows of the fold's Gram, (n_a, n_fold),
+    # and no (n_fold, n_fold) Gram; the evaluate stage's allocations peak
+    # under 3.5 fold-sized Grams' bytes; an evaluation that keeps one
+    # fold's whole Gram alive while it builds the next, with a temporary
+    # of their size, peaks at 4.6 on this sample
+    data = gen_synthetic(SyntheticConfig(n=600, seed=5))
+    times = [5, 10, 15, 20, 25]
+    nuisances = fit_nuisances(data, "balance", times, seed=3)
+    n_fold = max(len(idx) for idx, _, _ in nuisances.folds)
+    shapes = _count_grams(monkeypatch)
+    tracemalloc.start()
+    try:
+        run_estimator(data, "balance", times, seed=3, nuisances=nuisances)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shapes == _balance_rows(data, nuisances)
+    assert all(rows < cols for rows, cols in shapes)
+    assert peak <= 3.5 * n_fold**2 * 8
 
 
 @pytest.mark.parametrize("kind, folds", [("or", 1), ("balance", 2)])
@@ -503,7 +536,8 @@ def test_shared_grams_give_the_fit_per_model_bytes(monkeypatch):
 @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
 def test_evaluation_reads_curves_and_predicts_nothing(monkeypatch, kind):
     # the fit stage hands over held-out curves: evaluating them calls no
-    # model, and only balance builds Grams (one per fold, for its solve)
+    # model, and only balance builds Grams: per fold and arm, the rows of
+    # the fold's Gram its solve reads
     data = gen_synthetic(SyntheticConfig(n=60, seed=12))
     nuisances = fit_nuisances(data, kind, [5, 10], seed=3)
     calls = []
@@ -522,7 +556,7 @@ def test_evaluation_reads_curves_and_predicts_nothing(monkeypatch, kind):
     shapes = _count_grams(monkeypatch)
     run_estimator(data, kind, [5, 10], seed=3, nuisances=nuisances)
     assert calls == []
-    assert len(shapes) == (2 if kind == "balance" else 0)
+    assert shapes == (_balance_rows(data, nuisances) if kind == "balance" else [])
 
 
 _TIMES = [5, 10, 15]
@@ -693,3 +727,59 @@ def test_fit_and_evaluate_check_no_dataset_again(monkeypatch):
     assert len(nuisances.folds) > 1 and checked == []
     Dataset(data.x, data.a, data.time, data.event, data.grid)
     assert len(checked) == 1
+
+
+def _discrete_hazards(fn, t_max=30):
+    """(2, 2, t_max + 1) hazards fn(a, x, u) over [a, x, u], zero at u = 0."""
+    a, x, u = np.meshgrid([0, 1], [0, 1], np.arange(t_max + 1), indexing="ij")
+    h = np.broadcast_to(fn(a, x, u), a.shape).astype(float)
+    h[:, :, 0] = 0.0
+    return h
+
+
+# the discrete model of the exact-expectation oracle and wrong working
+# models of its nuisances; every denominator stays above dr-clip's floor
+_P_X1, _P_A1 = 0.4, np.array([0.35, 0.65])
+_EVENT = _discrete_hazards(lambda a, x, u: 0.02 + 0.02 * a + 0.03 * x + 0.001 * u)
+_CENSOR = _discrete_hazards(
+    lambda a, x, u: np.where(u == 30, 1.0, 0.02 + 0.01 * (1 - a) + 0.02 * x))
+_WRONG = {"event": _discrete_hazards(lambda a, x, u: 0.08),
+          "censor": _discrete_hazards(lambda a, x, u: 0.05),
+          "propensity": lambda x: np.full(len(x), 0.5)}
+
+
+def _hazard_fn(h):
+    return lambda x, a, u: h[a, x[:, 0].astype(int), u]
+
+
+@pytest.mark.parametrize(
+    "kind, event_right, censoring_right",
+    [("or", True, None), ("or", False, None)]
+    + [(kind, e, c) for kind in ("dr", "dr-clip") for e in (True, False) for c in (True, False)],
+    ids=lambda v: {True: "right", False: "wrong", None: "none"}.get(v, v),
+)
+def test_exact_expectation_is_psi_where_identification_holds(kind, event_right, censoring_right):
+    # the probability-weighted mean of each (fold, arm)'s summands over
+    # every outcome of a discrete model is the estimator's expectation:
+    # or's needs the right event hazard; dr's and dr-clip's need either it
+    # or the right censoring hazard and propensity. ipw's case waits for
+    # one tie convention: it divides by G_T where an event at T was
+    # observed with probability G_{T-1}
+    data, weights = discrete_outcomes(_P_X1, _P_A1, _EVENT, _CENSOR)
+    times = [1, 5, 10, 15, 20, 25, 29, 30]
+    models = [_hazard_fn(_EVENT if event_right else _WRONG["event"])]
+    if censoring_right:
+        models += [_hazard_fn(_CENSOR), lambda x: _P_A1[x[:, 0].astype(int)]]
+    elif censoring_right is not None:
+        models += [_hazard_fn(_WRONG["censor"]), _WRONG["propensity"]]
+    curves = known_nuisances(data, *models).folds[0][2]
+    survival = np.cumprod(1.0 - _EVENT, axis=2)
+    for a in (0, 1):
+        psi = (1 - _P_X1) * survival[a, 0, times] + _P_X1 * survival[a, 1, times]
+        block, errors = _summands(kind, _spec(kind).clip, data, a, times, curves[a], None, 1.0)
+        assert errors == {}
+        gap = np.abs(block @ weights - psi)
+        if event_right or censoring_right:
+            assert gap.max() <= 1e-12
+        else:
+            assert gap.max() > 1e-3

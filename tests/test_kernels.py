@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,29 @@ def test_gram_of_equal_inputs_is_exactly_symmetric_with_unit_diagonal():
         k = gram(pts, cols, 10.0)
         assert np.array_equal(k, k.T) and np.all(np.diag(k) == 1.0)
         assert k.tobytes() == gram(pts, pts, 10.0).tobytes()
+
+
+def test_gram_holds_no_temporary_of_its_size():
+    # h_i + h_j is subtracted a block of rows at a time: a build allocates
+    # its output and a few hundred KiB besides, and each entry is the same
+    # operation as the one-shot subtraction, so every bit agrees with it
+    rng = np.random.default_rng(9)
+    x, y = rng.normal(size=(1000, 5)), rng.normal(size=(700, 5))
+    tracemalloc.start()
+    try:
+        k = gram(x, x, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= k.nbytes + 512 * 1024
+    assert np.array_equal(k, k.T) and np.all(np.diag(k) == 1.0)
+    inv = 1.0 / 3.0**2
+    for rows, cols in ((x, x), (x, y), (y, x)):
+        h_rows, h_cols = (np.einsum("ij,ij->i", z, z) * (0.5 * inv) for z in (rows, cols))
+        one_shot = np.exp(np.minimum((rows @ cols.T) * inv - np.add.outer(h_rows, h_cols), 0.0))
+        if rows is cols:
+            np.fill_diagonal(one_shot, 1.0)
+        assert gram(rows, cols, 3.0).tobytes() == one_shot.tobytes()
 
 
 def _standardized(rng, n, d):

@@ -1,5 +1,7 @@
 """Smoke runs of the experiment scripts at a tiny size."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -52,7 +54,7 @@ ESTIMATE_ROWS = (
 )
 
 
-@pytest.mark.parametrize(
+BOUND_CASES = pytest.mark.parametrize(
     "old, new, agree",
     [
         # dr by 1e-15 relative; balance's ci_low near 0 by 4e-12, 1.7e-9
@@ -67,6 +69,9 @@ ESTIMATE_ROWS = (
     ],
     ids=["dr-inside", "balance-inside", "balance-outside", "dr-outside", "label"],
 )
+
+
+@BOUND_CASES
 def test_compare_outputs_checks_the_reordering_bounds(tmp_path, old, new, agree):
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     first.write_text(ESTIMATE_HEADER + ESTIMATE_ROWS)
@@ -92,3 +97,61 @@ def test_compare_outputs_reports_a_short_row(tmp_path):
     )
     assert proc.returncode == 1 and proc.stderr == ""
     assert f"{second}: line 4 has 4 cells, expected 8" in proc.stdout
+
+
+def _compare_main():
+    """scripts/compare_outputs.py's main, loaded in this process."""
+    spec = importlib.util.spec_from_file_location("compare_outputs",
+                                                  ROOT / "scripts" / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def _jsonl(rows):
+    """`estimate --format jsonl` records of ESTIMATE_HEADER-style CSV rows."""
+    keys = ESTIMATE_HEADER.strip().split(",")
+    lines = []
+    for row in rows.splitlines():
+        values = [json.loads(cell) if cell[0].isdigit() or cell[0] == "-" else cell
+                  for cell in row.split(",")]
+        lines.append(json.dumps(dict(zip(keys, values))) + "\n")
+    return "".join(lines)
+
+
+@BOUND_CASES
+def test_compare_outputs_reads_jsonl_with_the_same_bounds(tmp_path, capsys, old, new, agree):
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    first.write_text(_jsonl(ESTIMATE_ROWS))
+    second.write_text(_jsonl(ESTIMATE_ROWS.replace(old, new, 1)))
+    assert first.read_text() != second.read_text()
+    assert _compare_main()([str(first), str(second)]) == (0 if agree else 1)
+    out = capsys.readouterr().out
+    assert ("0 cells outside the bounds" in out) == agree
+    assert "header" not in out
+
+
+def test_compare_outputs_names_a_bad_jsonl_line(tmp_path, capsys):
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    first.write_text(_jsonl(ESTIMATE_ROWS))
+    records = _jsonl(ESTIMATE_ROWS).splitlines()
+    for text, problem in (
+        (records[0] + "\n{\"estimator\": ", "line 2 is not JSON"),
+        (records[0] + "\n" + records[1].replace('"n"', '"m"'), "line 2 is not an object with keys"),
+        ("", "no records"),
+    ):
+        second.write_text(text)
+        assert _compare_main()([str(first), str(second)]) == 1
+        assert f"{second}: {problem}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("missing", ["absent", "directory"])
+def test_compare_outputs_reports_a_file_it_cannot_read(tmp_path, capsys, missing):
+    first = tmp_path / "first.csv"
+    first.write_text(ESTIMATE_HEADER + ESTIMATE_ROWS)
+    second = tmp_path / "second.csv"
+    if missing == "directory":
+        second.mkdir()
+    assert _compare_main()([str(first), str(second)]) == 1
+    reason = "Is a directory" if missing == "directory" else "No such file or directory"
+    assert f"cannot read {second}: {reason}" in capsys.readouterr().out

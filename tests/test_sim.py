@@ -357,9 +357,10 @@ def test_dr_clip_reads_the_curves_of_dr(monkeypatch):
         monkeypatch.undo()
     assert runs[("dr",)] == runs[("dr", "dr-clip")] == {"gram": 20, "hazard_matrix": 20}
     # per fold, a training and a prediction Gram per arm: or 4 + ipw 4 +
-    # dr 20 + balance 8, and 2 solve Grams; per arm, one prediction per
-    # hazard model and fold: or 1, ipw 1, dr 10, balance 2
-    assert runs[("or", "ipw", "dr", "dr-clip", "balance")] == {"gram": 38, "hazard_matrix": 28}
+    # dr 20 + balance 8, and balance's 4 solve blocks, one per fold and
+    # arm; per arm, one prediction per hazard model and fold: or 1, ipw 1,
+    # dr 10, balance 2
+    assert runs[("or", "ipw", "dr", "dr-clip", "balance")] == {"gram": 40, "hazard_matrix": 28}
 
 
 def test_replication_releases_each_fit_after_its_last_kind(monkeypatch):
