@@ -22,7 +22,9 @@ its interval bounds sit near 0, so a relative bound cannot hold there. The stand
 (ci_high - ci_low) / (2 z_0.975). Two NaNs agree.
 
 Prints the largest deviation of each file pair and exits 0 when every
-cell agrees, 1 otherwise, naming the cells that do not.
+cell agrees, 1 otherwise, naming the cells that do not. A pair whose
+files cannot be read, or differ in header or row count, is reported as
+not compared, with no deviation figures, and exits 1.
 """
 
 from __future__ import annotations
@@ -80,18 +82,21 @@ def _standard_error(row: dict[str, str]) -> float | None:
     return None
 
 
-def compare(first: str, second: str) -> tuple[list[str], float, float]:
-    """(problems, largest relative deviation, largest balance deviation in SEs)."""
+def compare(first: str, second: str) -> tuple[list[str], float | None, float | None]:
+    """(problems, largest relative deviation, largest balance deviation in SEs).
+
+    Both deviations are None when the files could not be compared cell by cell.
+    """
     try:
         (header_a, cells_a), (header_b, cells_b) = _read(first), _read(second)
     except OSError as err:
-        return [f"cannot read {err.filename}: {err.strerror}"], math.inf, math.inf
+        return [f"cannot read {err.filename}: {err.strerror}"], None, None
     except ValueError as err:
-        return [str(err)], math.inf, math.inf
+        return [str(err)], None, None
     if header_a != header_b:
-        return [f"{first} and {second} differ in header"], math.inf, math.inf
+        return [f"{first} and {second} differ in header"], None, None
     if len(cells_a) != len(cells_b):
-        return [f"{first} has {len(cells_a)} rows, {second} {len(cells_b)}"], math.inf, math.inf
+        return [f"{first} has {len(cells_a)} rows, {second} {len(cells_b)}"], None, None
     rows_a = [dict(zip(header_a, row)) for row in cells_a]
     rows_b = [dict(zip(header_b, row)) for row in cells_b]
     problems, worst, worst_se = [], 0.0, 0.0
@@ -136,9 +141,12 @@ def main(argv: list[str]) -> int:
     problems, worst, worst_se = compare(*argv)
     for problem in problems:
         print(f"{argv[0]} vs {argv[1]}: {problem}")
-    print(f"{argv[0]} vs {argv[1]}: largest deviation {worst:.3g} relative, "
-          f"{worst_se:.3g} of the SE in balance rows; "
-          f"{len(problems)} cells outside the bounds")
+    if worst is None:
+        print(f"{argv[0]} vs {argv[1]}: could not be compared")
+    else:
+        print(f"{argv[0]} vs {argv[1]}: largest deviation {worst:.3g} relative, "
+              f"{worst_se:.3g} of the SE in balance rows; "
+              f"{len(problems)} cells outside the bounds")
     return 1 if problems else 0
 
 

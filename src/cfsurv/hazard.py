@@ -39,14 +39,19 @@ Both logistic fits use one damped Newton method (`_damped_newton`) on a
 flat state of independent problems: every Newton cell of both arms of a
 fold's event and censoring fits (`fit_hazards`) is one problem that owns
 its own rows and no padding, stepping in lockstep with its own step
-size, stopping test and exact Cholesky step (`_newton_cells`), and
-products with an arm's Gram matrix run in bands of similar risk-set
-size; a one-label fit takes the same path, and the propensity fit is a
-single problem. A cell's step factors K_m + ridge W^-1, its Gram block
+size, stopping test and Cholesky steps (`_newton_cells`), and products
+with an arm's Gram matrix run in bands of similar risk-set size; a
+one-label fit takes the same path, and the propensity fit is a single
+problem. A cell's exact step factors K_m + ridge W^-1, its Gram block
 plus ridge over its Newton weights: that is S^-1 B S^-1 for the Newton
-matrix B = S K_m S + ridge I, S = W^(1/2), and as accurate. A fit that stops at its iteration cap
-reports it with a ConvergenceWarning naming the fit, and a Newton system
-that cannot be factored raises NumericalError naming the fit and the cell.
+matrix B = S K_m S + ridge I, S = W^(1/2), and as accurate. At the
+start iterate all units of a cell share one weight, so the first step
+factors only each (arm, label) group's largest cell, its lead, and every
+other cell of the group solves on the leading block of the lead's
+factor: a Newton step with the lead's curvature. Every later step is
+exact. A fit that stops at its iteration cap reports it with a
+ConvergenceWarning naming the fit, and a Newton system that cannot be
+factored raises NumericalError naming the fit and the cell.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg.lapack import dposv as _dposv
+from scipy.linalg.lapack import dpotrs as _dpotrs
 from scipy.special import expit
 
 from .errors import ConvergenceWarning, CoverageWarning, EstimationError, NumericalError
@@ -196,11 +202,27 @@ def _newton_cells(grams, cells, ridge: float):
     An A that is not positive definite (non-finite, or K not positive
     semi-definite) raises NumericalError naming the cell's fit and the cell.
 
+    The first call of newton_step shares factors. At the start iterate,
+    alpha = 0 and b = logit(ybar), every unit of a cell has p = ybar, so
+    its A is K_m + (ridge / w) I with one scalar w. That call works
+    through the live cells one (arm, label) group at a time, in the one
+    scratch buffer: the group's largest cell, its lead, takes its dposv
+    step as above, and every smaller cell calls dpotrs on the leading
+    m x m block of the lead's factor. That block is the Cholesky factor
+    of the leading block of the lead's A (Golub and Van Loan, Matrix
+    Computations, 4.2), K_m + ridge W_lead^-1 over the cell's units, so
+    the cell takes the Newton step with its lead's weights in place of
+    its own and factors nothing. The line search accepts or halves that
+    step like any other, every later step is exact, and the stopping test
+    is unchanged, so fits move only within the stopping rule. A group is
+    one label, so a joint fit steps as its one-label fits do.
+
     The step of f is K d_alpha + d_b, so theta - eta * step moves f
     exactly as it moves (alpha, b), and the residual of a line-search
     trial costs one expit and no product with K.
     """
     arm, m = np.array([cell[1:3] for cell in cells]).T
+    group = [(a, label) for _, a, _, _, _, label in cells]
     off = np.concatenate([[0], np.cumsum(m)])
     y = np.zeros(off[-1])
     for j, (_, _, size, lo, hit, _) in enumerate(cells):
@@ -211,6 +233,7 @@ def _newton_cells(grams, cells, ridge: float):
     scratch = [(size, grams[a][:size, :size], a_buf[: size * size].reshape(size, size),
                 a_buf[: size * size : size + 1]) for _, a, size, *_ in cells]
     layouts = {}
+    first = True  # the next newton_step is the first
 
     def layout(cols):
         # the rows of the cells cols, in order; built once per set, since cells only leave it
@@ -250,6 +273,7 @@ def _newton_cells(grams, cells, ridge: float):
         return r
 
     def newton_step(theta_, r, cols):
+        nonlocal first
         lay = layout(cols)
         n = lay.y.size
         kr = k_times(r[:n], lay)
@@ -269,16 +293,27 @@ def _newton_cells(grams, cells, ridge: float):
         # per cell, its right-hand sides (K r_alpha, 1), solved in place to its (u, v)
         uv = np.empty((2, n))
         uv[0], uv[1] = kr, 1.0
-        for cell, lo in zip(cols.tolist(), lay.start.tolist()):
+        order = zip(cols.tolist(), lay.start.tolist())
+        if first:  # one (arm, label) group after another, each largest cell first
+            order = sorted(order, key=lambda cell_lo: group[cell_lo[0]])
+        lead = factor = None  # at the first step: a group, and its lead's Cholesky factor
+        for cell, lo in order:
             size, block, a_rows, a_diag = scratch[cell]
-            np.copyto(a_rows, block)
-            a_diag += diag[lo : lo + size]
-            _, sol, info = _dposv(a_rows.T, uv[:, lo : lo + size].T, lower=1, overwrite_a=True)
-            if info != 0:
-                u, a, *_, label = cells[cell]
-                raise NumericalError(f"{_FIT_NAMES[label]}: cell {(u, a)}: Newton system "
-                                     f"not positive definite (dposv info {info})")
+            if group[cell] == lead:
+                sol, _ = _dpotrs(factor[:size, :size], uv[:, lo : lo + size].T, lower=1)
+            else:
+                np.copyto(a_rows, block)
+                a_diag += diag[lo : lo + size]
+                _, sol, info = _dposv(a_rows.T, uv[:, lo : lo + size].T, lower=1,
+                                      overwrite_a=True)
+                if info != 0:
+                    u, a, *_, label = cells[cell]
+                    raise NumericalError(f"{_FIT_NAMES[label]}: cell {(u, a)}: Newton system "
+                                         f"not positive definite (dposv info {info})")
+                if first:
+                    lead, factor = group[cell], a_rows.T
             uv[:, lo : lo + size] = sol.T
+        first = False
         u, v = uv
         d_b = (r_b - np.add.reduceat(u, lay.start)) / (ridge * np.add.reduceat(v, lay.start))
         d_b_rows = d_b[lay.cell]

@@ -517,15 +517,18 @@ def test_newton_cells_reach_the_loss_gradient_tolerance(data):
     basis = _basis(data)
     flipped = Dataset(data.x, data.a, data.time, 1 - data.event, data.grid)
     checked = 0
-    for fit, labelled in ((fit_event_hazard, data), (fit_censor_hazard, flipped)):
-        model = fit(basis, 0.5, max_time=25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CoverageWarning)
+        models = [*fit_hazards(basis, 0.5, max_time=25),
+                  *(fit(basis, 0.5, max_time=25) for fit in (fit_event_hazard, fit_censor_hazard))]
+    for model, labelled in zip(models, (data, flipped) * 2):
         labels = event_matrix(labelled, 25)
         for u, a, risk, alpha, b in newton_cells(model, data):
             k = _cell_gram(basis, a, risk)
             _, grad = klr_loss_grad(k, labels[risk, u], alpha, b, 0.5)
             assert np.linalg.norm(grad) <= hazard.NEWTON_TOL
             checked += 1
-    assert checked >= 20
+    assert checked >= 40
 
 
 @pytest.mark.parametrize(
@@ -618,8 +621,12 @@ def test_banded_lockstep_matches_the_jacobian_oracle_on_a_twins_shaped_arm():
     sizes = {0: [], 1: []}
     for model, labelled in zip(models, (data, flipped)):
         labels = event_matrix(labelled, 6)
+        lead_w = {}
         for u, a, risk, alpha, b in newton_cells(model, data):
-            expect, _, _ = _jacobian_newton_klr(_cell_gram(basis, a, risk), labels[risk, u], 0.5)
+            expect, _, _ = _jacobian_newton_klr(
+                _cell_gram(basis, a, risk), labels[risk, u], 0.5,
+                first_w=lead_w.setdefault(a, _start_weight(labels[risk, u])),
+            )
             assert _rel(np.append(alpha, b), expect) <= 1e-12
             sizes[a].append(risk.size)
     for arm_sizes in sizes.values():
@@ -691,12 +698,14 @@ def test_hazard_matrix_matches_the_per_cell_oracle():
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
-def _jacobian_step(k, y, ridge, theta, r):
+def _jacobian_step(k, y, ridge, theta, r, w=None):
     # oracle: the Newton step of theta = (alpha, b, f) for residual r, solved
-    # from the explicit (m + 1) x (m + 1) Jacobian [[W K + ridge I, w], [w' K, sum(w)]]
+    # from the explicit (m + 1) x (m + 1) Jacobian [[W K + ridge I, w], [w' K, sum(w)]];
+    # w defaults to the Newton weights p (1 - p) at theta, floored at _P_EPS
     m = len(y)
-    p = expit(theta[m + 1 :])
-    w = np.maximum(p * (1.0 - p), hazard._P_EPS)
+    if w is None:
+        p = expit(theta[m + 1 :])
+        w = np.maximum(p * (1.0 - p), hazard._P_EPS)
     jac = np.zeros((m + 1, m + 1))
     jac[:m, :m] = w[:, None] * k + ridge * np.eye(m)
     jac[:m, m] = w
@@ -706,16 +715,27 @@ def _jacobian_step(k, y, ridge, theta, r):
     return np.concatenate([d, k @ d[:m] + d[m]])
 
 
-def _jacobian_newton_klr(k, y, ridge, max_iter=None):
+def _start_weight(y):
+    # the Newton weight p (1 - p) of every unit of a cell with labels y at
+    # its start iterate, alpha = 0 and b = logit of its clipped mean label
+    ybar = min(max(float(np.mean(y)), 1e-3), 1.0 - 1e-3)
+    p = expit(np.log(ybar / (1.0 - ybar)))
+    return p * (1.0 - p)
+
+
+def _jacobian_newton_klr(k, y, ridge, max_iter=None, first_w=None):
     # oracle: one cell's damped Newton loop, stepping by `_jacobian_step`;
     # also returns the smallest weight p (1 - p) met before the _P_EPS
     # floor, and whether any step halved eta. Without max_iter it runs to
-    # convergence; with it, it returns the iterate after max_iter steps
+    # convergence; with it, it returns the iterate after max_iter steps.
+    # first_w, if given, is the weight of every unit in the first step's
+    # Jacobian: the start weight of the cell's (arm, label) lead
     m = len(y)
     ybar = min(max(float(np.mean(y)), 1e-3), 1.0 - 1e-3)
     theta = np.zeros(2 * m + 1)
     theta[m:] = np.log(ybar / (1.0 - ybar))
     w_min = [np.inf]
+    first = [None if first_w is None else np.full(m, first_w)]
 
     def residual(theta_):
         p = expit(theta_[m + 1 :])
@@ -726,7 +746,8 @@ def _jacobian_newton_klr(k, y, ridge, max_iter=None):
             return None
         p = expit(theta_[m + 1 :])
         w_min[0] = min(w_min[0], float(np.min(p * (1.0 - p))))
-        return _jacobian_step(k, y, ridge, theta_, r)
+        w, first[0] = first[0], None
+        return _jacobian_step(k, y, ridge, theta_, r, w)
 
     theta, converged, backtracked = damped_newton(
         theta, residual, newton_step, max_iter or hazard.NEWTON_MAX_ITER
@@ -738,7 +759,9 @@ def _jacobian_newton_klr(k, y, ridge, max_iter=None):
 def test_newton_step_solves_the_jacobian_system(monkeypatch):
     # the residuals and Cholesky steps of every cell of a fit, taken from
     # its lockstep Newton loop in one call, at iterates whose weights range
-    # from 1/4 down to below the _P_EPS floor
+    # from 1/4 down to below the _P_EPS floor. The first call solves each
+    # cell's system on the weights of its arm's largest cell over the
+    # cell's units, the later ones on the cell's own
     loop = {}
 
     def capture(theta, ids, residual, newton_step, max_iter):
@@ -766,6 +789,7 @@ def test_newton_step_solves_the_jacobian_system(monkeypatch):
     labels = event_matrix(data, 3)
     cols = np.arange(c)
     for f_scale in (0.5, 5.0, 40.0):
+        lead_rows = {}  # per arm, the f rows of its first (largest) cell
         theta = np.concatenate([
             rng.normal(scale=0.1, size=rows), rng.normal(size=c),
             rng.normal(scale=f_scale, size=rows),
@@ -780,7 +804,12 @@ def test_newton_step_solves_the_jacobian_system(monkeypatch):
             p = expit(theta[rows + c + alpha_rows])
             np.testing.assert_allclose(r[alpha_rows], (p - y) + 0.5 * theta[alpha_rows], rtol=1e-12)
             assert r[rows + j] == pytest.approx(np.sum(p - y), rel=1e-12, abs=1e-12)
-            expect = _jacobian_step(k, y, 0.5, theta[own], np.append(r[alpha_rows], r[rows + j]))
+            f_rows = lead_rows.setdefault(a, rows + c + alpha_rows)
+            w = None
+            if f_scale == 0.5:
+                p_lead = expit(theta[f_rows[: risk.size]])
+                w = np.maximum(p_lead * (1.0 - p_lead), hazard._P_EPS)
+            expect = _jacobian_step(k, y, 0.5, theta[own], np.append(r[alpha_rows], r[rows + j]), w)
             assert np.linalg.norm(step[own] - expect) <= 1e-10 * np.linalg.norm(expect)
     # on a twins-shaped fold, where each arm's u = 1 cell holds most of the
     # arm and every later cell a few units, the loop holds the cells' own
@@ -792,6 +821,100 @@ def test_newton_step_solves_the_jacobian_system(monkeypatch):
     sizes = [risk.size for model in models for _, _, risk, _, _ in newton_cells(model, twins)]
     assert loop["theta"].size == loop["ids"].size == 2 * sum(sizes) + len(sizes)
     assert 2 * sum(sizes) + len(sizes) < 0.3 * (2 * max(sizes) + 1) * len(sizes)  # vs padded
+
+
+def _lockstep_cells(models, data):
+    # the cells of a joint fit's lockstep, in its order (arm-major, by u,
+    # the event cell first), as ((arm, label), m)
+    cells = [(a, u, 1 - j, risk.size)
+             for j, model in enumerate(models) for u, a, risk, _, _ in newton_cells(model, data)]
+    return [((a, label), m) for a, _, label, m in sorted(cells, key=lambda c: c[:2])]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [gen_synthetic(SyntheticConfig(n=200, seed=41)), _twins_like(200, 42)],
+    ids=["synthetic", "twins-like"],
+)
+def test_first_newton_step_factors_one_lead_per_arm_and_label(data, monkeypatch):
+    # the first lockstep step factors each (arm, label) group's largest cell
+    # and solves every other cell on the leading block of that factor; each
+    # later step factors every live cell
+    calls = []
+    dposv, dpotrs = hazard._dposv, hazard._dpotrs
+
+    def counted(name, lapack):
+        def call(a, rhs, **kwargs):
+            calls.append((name, a.shape[0]))
+            return lapack(a, rhs, **kwargs)
+        return call
+
+    steps = []  # per newton_step call: the live problems and the LAPACK calls it made
+    damped = hazard._damped_newton
+
+    def counting(theta, ids, residual, newton_step, max_iter):
+        def step(theta_, r, probs):
+            before = len(calls)
+            done, out = newton_step(theta_, r, probs)
+            steps.append((probs[~done], calls[before:]))
+            return done, out
+        return damped(theta, ids, residual, step, max_iter)
+
+    monkeypatch.setattr(hazard, "_dposv", counted("dposv", dposv))
+    monkeypatch.setattr(hazard, "_dpotrs", counted("dpotrs", dpotrs))
+    monkeypatch.setattr(hazard, "_damped_newton", counting)
+    basis = _basis(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CoverageWarning)
+        models = fit_hazards(basis, 0.5, max_time=25)
+    cells = _lockstep_cells(models, data)
+    live, first = steps[0]
+    assert live.size == len(cells)  # no cell stops at its start iterate
+    leads = {}
+    for group, m in cells:
+        leads.setdefault(group, m)  # m falls within a group
+    assert len(leads) == 4
+    assert sorted(m for name, m in first if name == "dposv") == sorted(leads.values())
+    others = [m for group, m in cells if m != leads[group]]
+    assert sorted(m for name, m in first if name == "dpotrs") == sorted(others)
+    assert len(others) >= 10
+    for live, later in steps[1:]:
+        assert sorted(m for _, m in later) == sorted(cells[j][1] for j in live.tolist())
+        assert all(name == "dposv" for name, _ in later)
+
+
+def test_first_newton_step_of_a_lead_is_its_exact_step(monkeypatch):
+    # from the start iterate, the first call of newton_step takes each
+    # group lead's exact dposv step bit for bit, as every later call does;
+    # the other cells step on their lead's curvature instead of their own
+    loop = {}
+
+    def capture(theta, ids, residual, newton_step, max_iter):
+        loop.update(theta=theta, residual=residual, newton_step=newton_step)
+        return theta, np.ones(ids.max() + 1, dtype=bool)
+
+    monkeypatch.setattr(hazard, "_damped_newton", capture)
+    data = _twins_like(200, 42)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CoverageWarning)
+        models = fit_hazards(_basis(data), 0.5, max_time=25)
+    cells = _lockstep_cells(models, data)
+    cols = np.arange(len(cells))
+    r = loop["residual"](loop["theta"], cols)
+    (done, shared), (_, exact) = (loop["newton_step"](loop["theta"], r, cols) for _ in range(2))
+    assert not done.any()
+    sizes = [m for _, m in cells]
+    rows, c = sum(sizes), len(cells)
+    off = np.cumsum([0] + sizes)
+    seen = set()
+    for j, (group, _) in enumerate(cells):
+        alpha_rows = np.arange(off[j], off[j + 1])
+        own = np.r_[alpha_rows, rows + j, rows + c + alpha_rows]
+        if group in seen:
+            assert not np.array_equal(shared[own], exact[own])
+        else:
+            assert np.array_equal(shared[own], exact[own])
+            seen.add(group)
 
 
 def _separable_cells(n=200):
@@ -830,9 +953,11 @@ def test_newton_cells_match_the_jacobian_oracle(
     for fit, labelled in pairs if censor_too else pairs[:1]:
         model = fit(basis, ridge, max_time=max_time)
         labels = event_matrix(labelled, max_time)
+        lead_w = {}  # per arm, the start weight of its first (largest) cell
         for u, a, risk, alpha, b in newton_cells(model, data):
             expect, cell_w_min, cell_backtracked = _jacobian_newton_klr(
-                _cell_gram(basis, a, risk), labels[risk, u], ridge
+                _cell_gram(basis, a, risk), labels[risk, u], ridge,
+                first_w=lead_w.setdefault(a, _start_weight(labels[risk, u])),
             )
             got = np.append(alpha, b)
             assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)

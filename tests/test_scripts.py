@@ -71,34 +71,6 @@ BOUND_CASES = pytest.mark.parametrize(
 )
 
 
-@BOUND_CASES
-def test_compare_outputs_checks_the_reordering_bounds(tmp_path, old, new, agree):
-    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-    first.write_text(ESTIMATE_HEADER + ESTIMATE_ROWS)
-    assert old in ESTIMATE_ROWS
-    second.write_text(ESTIMATE_HEADER + ESTIMATE_ROWS.replace(old, new, 1))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), str(first), str(second)],
-        capture_output=True, text=True, env=_script_env(),
-    )
-    assert proc.returncode == (0 if agree else 1), proc.stdout + proc.stderr
-    assert ("0 cells outside the bounds" in proc.stdout) == agree
-
-
-def test_compare_outputs_reports_a_short_row(tmp_path):
-    # the second file's last row is cut after four of its eight cells
-    last = "or,diff,25,0.1,0.02,0.06,0.14,200\n"
-    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-    first.write_text(ESTIMATE_HEADER + ESTIMATE_ROWS + last)
-    second.write_text(ESTIMATE_HEADER + ESTIMATE_ROWS + "or,diff,25,0.1\n")
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), str(first), str(second)],
-        capture_output=True, text=True, env=_script_env(),
-    )
-    assert proc.returncode == 1 and proc.stderr == ""
-    assert f"{second}: line 4 has 4 cells, expected 8" in proc.stdout
-
-
 def _compare_main():
     """scripts/compare_outputs.py's main, loaded in this process."""
     spec = importlib.util.spec_from_file_location("compare_outputs",
@@ -106,6 +78,47 @@ def _compare_main():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.main
+
+
+def _not_compared(out, first, second):
+    """The summary of a pair that could not be compared: no deviation figures."""
+    return (out.endswith(f"{first} vs {second}: could not be compared\n")
+            and "largest deviation" not in out and "cells outside" not in out)
+
+
+def test_compare_outputs_exits_with_its_status_and_usage(tmp_path):
+    # the one run in a fresh interpreter: the script's exit code and usage line
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), str(tmp_path / "one.csv")],
+        capture_output=True, text=True, env=_script_env(),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: python scripts/compare_outputs.py FIRST SECOND")
+
+
+@BOUND_CASES
+def test_compare_outputs_checks_the_reordering_bounds(tmp_path, capsys, old, new, agree):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text(ESTIMATE_HEADER + ESTIMATE_ROWS)
+    assert old in ESTIMATE_ROWS
+    second.write_text(ESTIMATE_HEADER + ESTIMATE_ROWS.replace(old, new, 1))
+    assert _compare_main()([str(first), str(second)]) == (0 if agree else 1)
+    out = capsys.readouterr().out
+    assert ("0 cells outside the bounds" in out) == agree
+    assert "largest deviation" in out
+
+
+def test_compare_outputs_reports_a_short_row(tmp_path, capsys):
+    # the second file's last row is cut after four of its eight cells
+    last = "or,diff,25,0.1,0.02,0.06,0.14,200\n"
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text(ESTIMATE_HEADER + ESTIMATE_ROWS + last)
+    second.write_text(ESTIMATE_HEADER + ESTIMATE_ROWS + "or,diff,25,0.1\n")
+    assert _compare_main()([str(first), str(second)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"{second}: line 4 has 4 cells, expected 8" in captured.out
+    assert _not_compared(captured.out, first, second)
 
 
 def _jsonl(rows):
@@ -142,7 +155,9 @@ def test_compare_outputs_names_a_bad_jsonl_line(tmp_path, capsys):
     ):
         second.write_text(text)
         assert _compare_main()([str(first), str(second)]) == 1
-        assert f"{second}: {problem}" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"{second}: {problem}" in out
+        assert _not_compared(out, first, second)
 
 
 @pytest.mark.parametrize("missing", ["absent", "directory"])
@@ -154,4 +169,6 @@ def test_compare_outputs_reports_a_file_it_cannot_read(tmp_path, capsys, missing
         second.mkdir()
     assert _compare_main()([str(first), str(second)]) == 1
     reason = "Is a directory" if missing == "directory" else "No such file or directory"
-    assert f"cannot read {second}: {reason}" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"cannot read {second}: {reason}" in out
+    assert _not_compared(out, first, second)
