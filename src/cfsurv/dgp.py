@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, ndtr, roots_hermitenorm
 
-from .survival import Dataset, TimeGrid, _whole, read_csv, standardization
+from .survival import Dataset, TimeGrid, _number_columns, _whole, read_csv, standardization
 
 __all__ = [
     "SyntheticConfig",
@@ -318,7 +318,5 @@ def load_twins_table(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(
             f"{path}: expected header x0..x{d - 1},t0,t1 with paired potential times"
         )
-    x = np.array([[float(v) for v in row[:d]] for row in rows])
-    t0 = np.array([int(row[d]) for row in rows])
-    t1 = np.array([int(row[d + 1]) for row in rows])
-    return x, t0, t1
+    cols = _number_columns(path, header, rows, whole=2)
+    return np.column_stack(cols[:d]), *cols[d:]

@@ -7,17 +7,17 @@ weighting (ipw), doubly robust with and without denominator clipping
 
 Estimation runs in two stages.
 
-Fit stage: `fit_nuisances` fits the nuisance models a kind needs (event
-hazard, censoring hazard, propensity) once per fold, without the fold's
-held-out units, both hazards in one joint fit whose Newton cells step
-together (`fit_hazards`), and predicts them on those units straight
-away. It returns the held-out curves as `Nuisances`, one entry per fold;
-the models themselves are dropped. The kind table fixes the paper's
-design: or and ipw fit once on the whole sample, dr and dr-clip share
-one 5-fold plan, balance uses 2 folds. Kinds with the same
-`nuisance_plan` get identical curves from the same seed, so one fit
-serves all of them; known (oracle) curves enter through the `Nuisances`
-constructor.
+Fit stage: `fit_nuisances` fits the union of the nuisance models that
+kinds of one fold count need (event hazard, censoring hazard,
+propensity) once per fold, without the fold's held-out units: one
+basis, one hazard call (both hazards in one joint fit whose Newton
+cells step together, `fit_hazards`, when both are needed) and one
+propensity fit. It predicts them on those units straight away and
+returns the held-out curves as `Nuisances`, one entry per fold; the
+models themselves are dropped. The kind table fixes the paper's design:
+or and ipw fit on the whole sample, dr and dr-clip on one 5-fold plan,
+balance on 2 folds, and one fit per fold count serves every kind of it;
+known (oracle) curves enter through the `Nuisances` constructor.
 
 Evaluate stage: `run_estimator` only evaluates: it reads each fold's
 curves, computes the fold estimates and averages them; it never
@@ -73,7 +73,6 @@ __all__ = [
     "Nuisances",
     "check_times",
     "effect_estimate",
-    "nuisance_plan",
     "fit_nuisances",
     "run_estimator",
 ]
@@ -246,7 +245,7 @@ def _summands(
     if kind == "or":
         return s.T[tt], {}
     if kind == "ipw":
-        g_at_obs = g[np.arange(fold.n), fold.time]
+        g_at_obs = g[np.arange(fold.n), np.minimum(fold.time, t_max)]
         contributes = (fold.a == a) & (fold.event == 1) & (fold.time <= t_max)
         if np.any(contributes & (g_at_obs <= PROPENSITY_FLOOR)) or np.any(
             contributes & ((pi <= PROPENSITY_FLOOR) | (pi >= 1.0 - PROPENSITY_FLOOR))
@@ -331,48 +330,41 @@ def check_times(times: list[int] | tuple[int, ...], t_max: int) -> None:
         raise ValueError(f"evaluation times must not repeat, got {list(times)}")
 
 
-def _checked_spec(data: Dataset, kind: str, times: list[int]) -> _Kind:
-    spec = _spec(kind)
-    check_times(times, data.grid.t_max)
-    return spec
-
-
-def nuisance_plan(kind: str) -> tuple[int, tuple[bool, bool, bool]]:
-    """(fold count, which of event/censor/propensity are fit) for a kind.
-
-    Kinds with equal plans get identical nuisances from `fit_nuisances`
-    on the same data, times, params and seed, so one fit serves them all.
-    """
-    return _spec(kind)[:2]
-
-
 def fit_nuisances(
     data: Dataset,
-    kind: str,
+    kinds: tuple[str, ...],
     times: list[int],
     params: EstimatorParams = EstimatorParams(),
     seed: int = 0,
 ) -> Nuisances:
-    """Cross-fit the nuisance models `kind` needs and predict each fold's held-out units.
+    """Cross-fit the union of the models `kinds` need and predict each fold's held-out units.
 
-    A training fold without units in an arm raises EstimationError before any fit.
+    kinds must share one fold count (else ValueError; a bare string raises
+    TypeError). A training fold without units in an arm raises
+    EstimationError before any fit.
     """
-    spec = _checked_spec(data, kind, times)
-    use_event, use_censor, use_prop = spec.models
+    if isinstance(kinds, str):
+        raise TypeError(f"kinds must be a tuple of estimator kinds, got the string {kinds!r}")
+    specs = [_spec(kind) for kind in kinds]
+    check_times(times, data.grid.t_max)
+    if len({spec.folds for spec in specs}) != 1:
+        raise ValueError(f"kinds {tuple(kinds)} do not share one fold count")
+    n_folds = specs[0].folds
+    use_event, use_censor, use_prop = map(any, zip(*(spec.models for spec in specs)))
     max_t = max(times)
-    if spec.folds == 1:
+    if n_folds == 1:
         folds = [(np.arange(data.n), data)]
     else:
-        plan = FoldPlan.make(data.n, spec.folds, seed)
+        plan = FoldPlan.make(data.n, n_folds, seed)
         folds = [(plan.fold_indices(f), data.subset(plan.train_indices(f)))
-                 for f in range(spec.folds)]
+                 for f in range(n_folds)]
     for f, (_, train) in enumerate(folds):
         if train.a.min() == train.a.max():
-            raise EstimationError(f"{kind}: training fold {f} of {spec.folds} has no units in "
-                                  f"arm {1 - train.a[0]}")
+            raise EstimationError(f"{', '.join(kinds)}: training fold {f} of {n_folds} has no "
+                                  f"units in arm {1 - train.a[0]}")
 
     def fold(idx: np.ndarray, train: Dataset):
-        # one basis per fold; a kind that needs both hazards fits them in one lockstep
+        # one basis per fold; when both hazards are needed they fit in one lockstep
         basis = KernelBasis.of(train, params.length_scale)
         args = basis, params.ridge, max_t
         event, censor = fit_hazards(*args) if use_event and use_censor else (
@@ -386,15 +378,19 @@ def fit_nuisances(
     return Nuisances(tuple(fold(idx, train) for idx, train in folds))
 
 
-def _check_nuisances(nuisances: Nuisances, n: int, kind: str, uses, t: int) -> None:
-    """Reject folds whose eval_idx do not partition range(n), and missing or misshapen curves."""
+def _check_nuisances(nuisances: Nuisances, data: Dataset, kind: str, spec: _Kind, t: int) -> None:
+    """Reject folds whose eval_idx do not partition range(n), and missing or misshapen inputs."""
     idx = [np.asarray(fold[0]) for fold in nuisances.folds]
-    if not np.array_equal(np.sort(np.concatenate([np.empty(0, int), *idx])), np.arange(n)):
-        raise ValueError(f"nuisance folds' eval_idx must partition range({n})")
-    for rows, (_, _, arms) in zip(map(len, idx), nuisances.folds):
-        for lam, s, g, pi in arms:
-            if any(use and curve is None for use, curve in zip(uses, (lam, g, pi))):
+    if not np.array_equal(np.sort(np.concatenate([np.empty(0, int), *idx])), np.arange(data.n)):
+        raise ValueError(f"nuisance folds' eval_idx must partition range({data.n})")
+    uses = (spec.models[0], *spec.models)  # (lam, s, g, pi): lam and s are the event model's
+    for rows, (_, xs, arms) in zip(map(len, idx), nuisances.folds):
+        if kind == "balance" and np.shape(xs) != (rows, data.d):
+            raise ValueError(f"a {rows}-unit fold's xs must be a ({rows}, {data.d}) matrix")
+        for curves in arms:
+            if any(use and curve is None for use, curve in zip(uses, curves)):
                 raise ValueError(f"nuisances lack a curve the {kind} estimator needs")
+            lam, s, g, pi = curves
             shapes = [np.shape(c) for c in (lam, s, g) if c is not None]
             if any(len(sh) != 2 or sh[0] != rows or sh[1] <= t for sh in shapes) or (
                 pi is not None and np.shape(pi) != (rows,)
@@ -416,16 +412,17 @@ def run_estimator(
     """Estimate psi^{a,t} for both arms and their difference at each time.
 
     Reads the held-out curves of `nuisances`, fitting them with
-    `fit_nuisances(data, kind, times, params, seed)` when not given, and
+    `fit_nuisances(data, (kind,), times, params, seed)` when not given, and
     predicts nothing itself. Returns (results, failures):
     results maps (arm, t) with arm in {0, 1, "diff"} to an EstimateResult;
     failures maps cells that raised a numerical error to the error message.
     Malformed nuisances (see `_check_nuisances`) raise ValueError.
     """
-    spec = _checked_spec(data, kind, times)
+    spec = _spec(kind)
+    check_times(times, data.grid.t_max)
     if nuisances is None:
-        nuisances = fit_nuisances(data, kind, times, params, seed)
-    _check_nuisances(nuisances, data.n, kind, spec.models, max(times))
+        nuisances = fit_nuisances(data, (kind,), times, params, seed)
+    _check_nuisances(nuisances, data, kind, spec, max(times))
 
     points: dict[tuple[int, int], list[float]] = {(a, t): [] for a in (0, 1) for t in times}
     influence: dict[tuple[int, int], np.ndarray] = {

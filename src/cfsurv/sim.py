@@ -30,7 +30,6 @@ from .estimators import (
     _spec,
     check_times,
     fit_nuisances,
-    nuisance_plan,
     run_estimator,
 )
 from .survival import csv_bytes
@@ -115,32 +114,32 @@ def _make_dataset(cfg: SimulationConfig, seed: int):
 def run_single_replication(cfg: SimulationConfig, seed: int):
     """One replication: {estimator: {t: (point, lo, hi) or None}}.
 
-    Estimators with the same nuisance plan (dr and dr-clip) share one fit,
-    which is released after the last of them, before later fits run.
+    Kinds with one fold count share one `fit_nuisances` call, which fits
+    the union of their models (or with ipw, dr with dr-clip). Fits run in
+    order of first appearance, each released before the next. A failed
+    fit fails every kind it serves, a failed evaluation only its own kind.
     """
     data = _make_dataset(cfg, seed)
     fold_seed = splitmix64(seed)
     times = list(cfg.times)
-    plans = [nuisance_plan(kind) for kind in cfg.estimators]
-    fits = {}
-    out: dict[str, dict[int, tuple[float, float, float] | None]] = {}
-    for i, (kind, plan) in enumerate(zip(cfg.estimators, plans)):
-        cells: dict[int, tuple[float, float, float] | None] = {t: None for t in cfg.times}
+    counts = [_spec(kind).folds for kind in cfg.estimators]
+    out = {kind: dict.fromkeys(cfg.times) for kind in cfg.estimators}
+    for n_folds in dict.fromkeys(counts):
+        kinds = tuple(kind for kind, count in zip(cfg.estimators, counts) if count == n_folds)
         try:
-            if plan not in fits:
-                fits[plan] = fit_nuisances(data, kind, times, cfg.params, seed=fold_seed)
-            results, _ = run_estimator(
-                data, kind, times, cfg.params, seed=fold_seed,
-                nuisances=fits[plan] if plan in plans[i + 1 :] else fits.pop(plan),
-            )
+            nuisances = fit_nuisances(data, kinds, times, cfg.params, seed=fold_seed)
         except (NumericalError, EstimationError):
-            out[kind] = cells
             continue
-        for t in cfg.times:
-            res = results.get(("diff", t))
-            if res is not None:
-                cells[t] = (res.point, res.ci_low, res.ci_high)
-        out[kind] = cells
+        for kind in kinds:
+            try:
+                results, _ = run_estimator(data, kind, times, cfg.params, fold_seed, nuisances)
+            except (NumericalError, EstimationError):
+                continue
+            for t in cfg.times:
+                res = results.get(("diff", t))
+                if res is not None:
+                    out[kind][t] = (res.point, res.ci_low, res.ci_high)
+        del nuisances
     return out
 
 

@@ -8,7 +8,9 @@ t_max + 1.
 Every table cfsurv reads or writes (datasets, twins-like potential-time
 tables, estimates, metrics, truth) goes through `read_csv` and
 `csv_bytes`: the reader owns the empty-file, blank-line, row-width and
-no-rows checks, and the writer owns the cell format.
+no-rows checks, and the writer owns the cell format. The dataset and
+twins-table readers parse cells through `_number_columns`, whose integer
+columns go through `Dataset`'s whole-number check.
 """
 
 from __future__ import annotations
@@ -104,6 +106,25 @@ def _whole(name: str, values) -> np.ndarray:
         if not (np.isfinite(col) & (col == np.floor(col))).all():
             raise ValueError(f"column {name} must hold whole numbers")
     return col.astype(np.int64)
+
+
+def _number_columns(path: str, header: list[str], rows: list[list[str]], whole: int):
+    """The columns of rows as arrays: floats, and the last `whole` of them through `_whole`.
+
+    A cell that is not a number, or not a whole number in the last
+    `whole` columns, raises ValueError naming path and the column.
+    """
+    cols = []
+    for j, name in enumerate(header):
+        try:
+            col = np.array([float(row[j]) for row in rows])
+        except ValueError as err:  # float's message quotes the cell
+            raise ValueError(f"{path}: column {name}: {err}") from None
+        try:
+            cols.append(_whole(name, col) if j >= len(header) - whole else col)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+    return cols
 
 
 @dataclass(frozen=True)
@@ -216,9 +237,7 @@ def read_dataset_csv(path: str, t_max: int = 30) -> Dataset:
     d = len(header) - 3
     if header[:d] != [f"x{j}" for j in range(d)]:
         raise ValueError(f"{path}: covariate columns must be x0..x{d - 1}")
-    x = np.array([[float(v) for v in row[:d]] for row in rows])
-    a = np.array([int(row[d]) for row in rows])
-    time = np.array([int(row[d + 1]) for row in rows])
-    event = np.array([int(row[d + 2]) for row in rows])
+    cols = _number_columns(path, header, rows, whole=3)
+    x, (a, time, event) = np.column_stack(cols[:d]), cols[d:]
     t_max = max(t_max, int(time.max()))
     return Dataset(x=x, a=a, time=time, event=event, grid=TimeGrid(t_max))

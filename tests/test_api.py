@@ -76,6 +76,8 @@ REMOVED = (
     "KernelConfig",
     # the balance solve returns (omega, failures), as cho_solve_checked returns (z, failures)
     "BalanceWeights",
+    # a fit is shared by fold count: fit_nuisances takes every kind of one count
+    "nuisance_plan",
 )
 
 

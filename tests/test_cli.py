@@ -117,6 +117,29 @@ def test_estimate_missing_columns(tmp_path):
     assert code == 2
 
 
+def test_estimate_reads_whole_valued_floats_and_names_a_bad_cell(tmp_path, capsys):
+    # a/time/event cells written as 1.0 read as 1; a cell that is not a
+    # number fails with the file and the column, not a bare int() error
+    data = _datagen(tmp_path, n=40)
+    header, *lines = data.read_text().splitlines()
+    as_floats = tmp_path / "floats.csv"
+    as_floats.write_text("\n".join(
+        [header] + [",".join([*row[:-3], *(f"{c}.0" for c in row[-3:])])
+                    for row in (line.split(",") for line in lines)]
+    ) + "\n")
+    args = ["estimate", "--estimator", "or", "--t", "5", "--arm", "diff"]
+    outs = []
+    for path in (data, as_floats):
+        outs.append(tmp_path / f"o-{path.stem}.csv")
+        assert main(args + ["--data", str(path), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{header}\n{lines[0].rsplit(',', 2)[0]},x,1\n")
+    assert main(args + ["--data", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: column time: could not convert string to float: 'x'\n"
+
+
 def test_estimate_rejects_time_past_horizon(tmp_path):
     data = _datagen(tmp_path, n=60)
     assert main(

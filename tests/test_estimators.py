@@ -315,7 +315,7 @@ def test_censor_fit_stops_at_last_evaluation_time(monkeypatch):
     data = gen_synthetic(SyntheticConfig(n=100, seed=3))
     assert data.time.max() > 10
     fitted = _capture_fits(monkeypatch)
-    fit_nuisances(data, "dr", [5, 10])
+    fit_nuisances(data, ("dr",), [5, 10])
     assert len(fitted["censor"]) == 5
     for censor in fitted["censor"]:
         newton = np.flatnonzero(np.isnan(censor.level).any(axis=0))
@@ -355,36 +355,98 @@ def test_run_estimator_validation():
     with pytest.raises(ValueError, match="must not repeat"):
         run_estimator(data, "or", [5, 5])
     # nuisances fit for ipw hold no event model, which dr needs
-    ipw_fit = fit_nuisances(data, "ipw", [5])
+    ipw_fit = fit_nuisances(data, ("ipw",), [5])
     with pytest.raises(ValueError):
         run_estimator(data, "dr", [5], nuisances=ipw_fit)
 
 
 def test_run_estimator_rejects_malformed_nuisances():
     # a dropped or repeated fold would be averaged over the wrong units,
-    # and short curves would fail inside numpy broadcasting
+    # short curves would fail inside numpy broadcasting, and a missing
+    # survival curve or balance covariate block with an AttributeError or
+    # TypeError deep in the evaluation
     data = gen_synthetic(SyntheticConfig(n=60, seed=4))
-    nuisances = fit_nuisances(data, "dr", [10], seed=1)
+    nuisances = fit_nuisances(data, ("dr",), [10], seed=1)
     folds = nuisances.folds
     (idx, xs, arms) = folds[0]
     short = tuple((lam[:, :10], s, g, pi) for lam, s, g, pi in arms)
     bad_pi = tuple((lam, s, g, pi[:-1]) for lam, s, g, pi in arms)
-    for broken, match in (
-        (folds[1:], "partition"),
-        ((folds[0], *folds), "partition"),
-        ((folds[0], folds[0], *folds[2:]), "partition"),
-        (((idx, xs, short), *folds[1:]), r"\(12, >= 11\)"),
-        (((idx, xs, bad_pi), *folds[1:]), r"\(12, >= 11\)"),
+    no_s = tuple((lam, None, g, pi) for lam, s, g, pi in arms)
+    bad_xs = rf"xs must be a \(12, {data.d}\) matrix"
+    for kind, broken, match in (
+        ("dr", folds[1:], "partition"),
+        ("dr", (folds[0], *folds), "partition"),
+        ("dr", (folds[0], folds[0], *folds[2:]), "partition"),
+        ("dr", ((idx, xs, short), *folds[1:]), r"\(12, >= 11\)"),
+        ("dr", ((idx, xs, bad_pi), *folds[1:]), r"\(12, >= 11\)"),
+        *((kind, ((idx, xs, no_s), *folds[1:]), f"lack a curve the {kind} estimator needs")
+          for kind in ("or", "dr", "balance")),
+        ("balance", ((idx, None, arms), *folds[1:]), bad_xs),
+        ("balance", ((idx, xs[:, :1], arms), *folds[1:]), bad_xs),
     ):
         with pytest.raises(ValueError, match=match):
-            run_estimator(data, "dr", [10], seed=1, nuisances=Nuisances(broken))
-    run_estimator(data, "dr", [10], seed=1, nuisances=nuisances)
+            run_estimator(data, kind, [10], seed=1, nuisances=Nuisances(broken))
+    for kind in ("or", "dr", "balance"):
+        run_estimator(data, kind, [10], seed=1, nuisances=nuisances)
+
+
+def test_ipw_reads_censoring_survival_only_up_to_the_last_time():
+    # units that leave after max(times) add nothing to ipw, so curves cut
+    # to max(times) + 1 columns give the same bytes as the fitted ones
+    data = gen_synthetic(SyntheticConfig(n=60, seed=4))
+    assert data.time.max() > 10
+    nuisances = fit_nuisances(data, ("ipw",), [5, 10], seed=1)
+    cut = Nuisances(tuple(
+        (idx, xs, tuple((lam, s, g[:, :11], pi) for lam, s, g, pi in arms))
+        for idx, xs, arms in nuisances.folds
+    ))
+    whole = run_estimator(data, "ipw", [5, 10], nuisances=nuisances)[0]
+    short = run_estimator(data, "ipw", [5, 10], nuisances=cut)[0]
+    for key, res in whole.items():
+        assert res.influence.tobytes() == short[key].influence.tobytes()
+
+
+def test_fit_nuisances_takes_kinds_of_one_fold_count():
+    data = gen_synthetic(SyntheticConfig(n=30, seed=1))
+    for kinds in (("or", "dr"), ("dr", "balance"), ()):
+        with pytest.raises(ValueError, match="do not share one fold count"):
+            fit_nuisances(data, kinds, [5])
+    with pytest.raises(TypeError, match="tuple of estimator kinds"):
+        fit_nuisances(data, "or", [5])
+    with pytest.raises(ValueError, match="unknown estimator"):
+        fit_nuisances(data, ("or", "nope"), [5])
+
+
+def test_kinds_of_one_fold_count_share_one_fit(monkeypatch):
+    # or and ipw both fit on the whole sample: one basis (a training and a
+    # prediction Gram per arm), one fit_hazards call for both hazards and
+    # one propensity fit serve both kinds
+    data = gen_synthetic(SyntheticConfig(n=60, seed=12))
+    calls = []
+    for name in ("fit_hazards", "fit_event_hazard", "fit_censor_hazard", "fit_propensity"):
+        original = getattr(cfsurv.estimators, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cfsurv.estimators, name, counting)
+    shapes = _count_grams(monkeypatch)
+    nuisances = fit_nuisances(data, ("or", "ipw"), [5, 10], seed=3)
+    assert calls == ["fit_hazards", "fit_propensity"]
+    arms = [int(np.count_nonzero(data.a == a)) for a in (0, 1)]
+    assert shapes == [(m, m) for m in arms] + [(data.n, m) for m in arms]
+    (_, _, curves), = nuisances.folds
+    assert all(curve is not None for arm in curves for curve in arm)
+    for kind in ("or", "ipw"):
+        results, failures = run_estimator(data, kind, [5, 10], seed=3, nuisances=nuisances)
+        assert not failures and len(results) == 6
 
 
 @pytest.mark.parametrize("arm", [0, 1])
 def test_run_estimator_checks_the_curves_of_both_arms(arm):
     data = gen_synthetic(SyntheticConfig(n=30, seed=1))
-    (idx, xs, arms), = fit_nuisances(data, "or", [5]).folds
+    (idx, xs, arms), = fit_nuisances(data, ("or",), [5]).folds
     broken = list(arms)
     broken[arm] = (None, *arms[arm][1:])  # no event hazards
     nuisances = Nuisances(((idx, xs, tuple(broken)),))
@@ -423,7 +485,7 @@ def _balance_rows(data, nuisances):
 def test_each_fold_builds_its_grams_once(monkeypatch, kind, arm_grams, eval_grams):
     data = gen_synthetic(SyntheticConfig(n=60, seed=12))
     shapes = _count_grams(monkeypatch)
-    nuisances = fit_nuisances(data, kind, [5, 10], seed=3)
+    nuisances = fit_nuisances(data, (kind,), [5, 10], seed=3)
     fit_grams = 2 * arm_grams
     assert len(shapes) == fit_grams
     # per fold: each arm's training Gram, then the evaluated units against
@@ -449,7 +511,7 @@ def test_balance_evaluation_holds_one_arms_gram_rows(monkeypatch):
     # of their size, peaks at 4.6 on this sample
     data = gen_synthetic(SyntheticConfig(n=600, seed=5))
     times = [5, 10, 15, 20, 25]
-    nuisances = fit_nuisances(data, "balance", times, seed=3)
+    nuisances = fit_nuisances(data, ("balance",), times, seed=3)
     n_fold = max(len(idx) for idx, _, _ in nuisances.folds)
     shapes = _count_grams(monkeypatch)
     tracemalloc.start()
@@ -479,7 +541,7 @@ def test_a_training_fold_without_an_arm_fails_before_any_fit(monkeypatch, kind, 
                       data.grid)
         held_out = FoldPlan.make(data.n, folds, seed=3).assignment[7]
         with pytest.raises(EstimationError, match=f"training fold {held_out} of {folds} "):
-            fit_nuisances(one, kind, [5, 10], seed=3)
+            fit_nuisances(one, (kind,), [5, 10], seed=3)
     assert shapes == []  # no basis was built
 
 
@@ -514,7 +576,7 @@ def test_shared_grams_give_the_fit_per_model_bytes(monkeypatch):
     # every fold's models and predictions separately and compare bytes
     data = gen_synthetic(SyntheticConfig(n=60, seed=13))
     fitted = _capture_fits(monkeypatch)
-    nuisances = fit_nuisances(data, "dr", [5, 10], seed=2)
+    nuisances = fit_nuisances(data, ("dr",), [5, 10], seed=2)
     shared = run_estimator(data, "dr", [5, 10], seed=2, nuisances=nuisances)[0]
     plan = FoldPlan.make(data.n, 5, seed=2)
     separate = Nuisances(tuple(
@@ -539,7 +601,7 @@ def test_evaluation_reads_curves_and_predicts_nothing(monkeypatch, kind):
     # model, and only balance builds Grams: per fold and arm, the rows of
     # the fold's Gram its solve reads
     data = gen_synthetic(SyntheticConfig(n=60, seed=12))
-    nuisances = fit_nuisances(data, kind, [5, 10], seed=3)
+    nuisances = fit_nuisances(data, (kind,), [5, 10], seed=3)
     calls = []
     for owner, name in (
         (KernelHazardModel, "hazard_matrix"),
@@ -566,7 +628,7 @@ _TIMES = [5, 10, 15]
 def test_times_evaluated_together_match_single_time_calls(kind):
     # the same nuisances throughout: fit_nuisances fits only up to max(times)
     data = gen_synthetic(SyntheticConfig(n=120, seed=40))
-    nuisances = fit_nuisances(data, kind, _TIMES, seed=6)
+    nuisances = fit_nuisances(data, (kind,), _TIMES, seed=6)
     together, failures = run_estimator(data, kind, _TIMES, seed=6, nuisances=nuisances)
     assert failures == {}
     for t in _TIMES:
@@ -600,7 +662,7 @@ def _fail_solve_of_t10(monkeypatch):
 
 def test_failed_time_leaves_the_other_times_in_place(monkeypatch):
     data = gen_synthetic(SyntheticConfig(n=120, seed=41))
-    nuisances = fit_nuisances(data, "balance", _TIMES, seed=7)
+    nuisances = fit_nuisances(data, ("balance",), _TIMES, seed=7)
     clean = run_estimator(data, "balance", _TIMES, seed=7, nuisances=nuisances)[0]
     _fail_solve_of_t10(monkeypatch)
     results, failures = run_estimator(data, "balance", _TIMES, seed=7, nuisances=nuisances)
@@ -640,7 +702,7 @@ def test_dr_fault_fails_every_time_of_its_arm(kind, inject, reason):
     # fitted curves never fault q or dr's weights (hazards and propensities
     # are clamped), so break one treated unit's curves in the first fold
     data = gen_synthetic(SyntheticConfig(n=120, seed=41))
-    nuisances = fit_nuisances(data, kind, _TIMES, seed=7)
+    nuisances = fit_nuisances(data, (kind,), _TIMES, seed=7)
     clean = run_estimator(data, kind, _TIMES, seed=7, nuisances=nuisances)[0]
     (idx, xs, (arm0, arm1)), *rest = nuisances.folds
     broken = Nuisances(((idx, xs, (arm0, inject(idx, data, arm1))), *rest))
@@ -655,7 +717,7 @@ def test_dr_fault_fails_every_time_of_its_arm(kind, inject, reason):
 
 def test_dr_weighs_each_fold_and_arm_once(monkeypatch):
     data = gen_synthetic(SyntheticConfig(n=60, seed=12))
-    nuisances = fit_nuisances(data, "dr", _TIMES, seed=3)
+    nuisances = fit_nuisances(data, ("dr",), _TIMES, seed=3)
     widths = []
     original = cfsurv.estimators.explicit_riesz
 
@@ -722,7 +784,7 @@ def test_fit_and_evaluate_check_no_dataset_again(monkeypatch):
     monkeypatch.setattr(Dataset, "__post_init__", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        nuisances = fit_nuisances(data, "dr", [5, 10], seed=1)
+        nuisances = fit_nuisances(data, ("dr",), [5, 10], seed=1)
         run_estimator(data, "dr", [5, 10], seed=1, nuisances=nuisances)
     assert len(nuisances.folds) > 1 and checked == []
     Dataset(data.x, data.a, data.time, data.event, data.grid)

@@ -310,18 +310,31 @@ def test_replication_shares_nuisance_fits(monkeypatch):
 
         monkeypatch.setattr(est, name, counting)
     kinds = ("or", "ipw", "dr", "dr-clip", "balance")
-    cfg = SimulationConfig(q=2, n=60, estimators=kinds, times=(3, 6), master_seed=4)
-    shared = run_single_replication(cfg, seed=17)
-    # or, 5 dr folds and 2 balance folds fit the event hazard (8 fits); ipw
-    # and the dr folds the censoring hazard (6), and dr fits both in one call
+
+    def run(kinds):
+        cfg = SimulationConfig(q=2, n=60, estimators=kinds, times=(3, 6), master_seed=4)
+        return run_single_replication(cfg, seed=17)
+
+    shared = run(kinds)
+    # one fit per fold count: or and ipw share one whole-sample fit_hazards
+    # call, dr and dr-clip one per fold (5); balance's 2 folds fit the event
+    # hazard alone; the whole sample and the dr folds fit a propensity
     assert calls == {
-        "fit_hazards": 5, "fit_event_hazard": 3, "fit_censor_hazard": 1, "fit_propensity": 6
+        "fit_hazards": 6, "fit_event_hazard": 2, "fit_censor_hazard": 0, "fit_propensity": 6
     }
-    for kind in kinds:
-        alone = run_single_replication(SimulationConfig(
-            q=2, n=60, estimators=(kind,), times=(3, 6), master_seed=4
-        ), seed=17)
-        assert shared[kind] == alone[kind]
+    for kind in ("dr", "dr-clip", "balance"):
+        assert shared[kind] == run((kind,))[kind]
+    # or and ipw read the joint fit of both hazards, which reorders the
+    # Gram products of a fit of one: the same bytes as a run of the pair,
+    # and within 1e-10 of the one-kind runs
+    pair = run(("or", "ipw"))
+    for kind in ("or", "ipw"):
+        assert shared[kind] == pair[kind]
+        alone = run((kind,))[kind]
+        assert all(cell is not None for cell in alone.values())
+        np.testing.assert_allclose(
+            [shared[kind][t] for t in (3, 6)], [alone[t] for t in (3, 6)], rtol=1e-10, atol=0
+        )
 
 
 def _count_predictions(monkeypatch):
@@ -356,26 +369,54 @@ def test_dr_clip_reads_the_curves_of_dr(monkeypatch):
         runs[kinds] = dict(calls)
         monkeypatch.undo()
     assert runs[("dr",)] == runs[("dr", "dr-clip")] == {"gram": 20, "hazard_matrix": 20}
-    # per fold, a training and a prediction Gram per arm: or 4 + ipw 4 +
-    # dr 20 + balance 8, and balance's 4 solve blocks, one per fold and
-    # arm; per arm, one prediction per hazard model and fold: or 1, ipw 1,
-    # dr 10, balance 2
-    assert runs[("or", "ipw", "dr", "dr-clip", "balance")] == {"gram": 40, "hazard_matrix": 28}
+    # per fold, a training and a prediction Gram per arm: or and ipw's
+    # shared fit 4 + dr 20 + balance 8, and balance's 4 solve blocks, one
+    # per fold and arm; per arm, one prediction per hazard model and fold:
+    # or 1, ipw 1, dr 10, balance 2
+    assert runs[("or", "ipw", "dr", "dr-clip", "balance")] == {"gram": 36, "hazard_matrix": 28}
 
 
 def test_replication_releases_each_fit_after_its_last_kind(monkeypatch):
-    # a fit no later kind shares is freed before the next fit runs
+    # one fit per fold count, in order of first appearance, each freed
+    # before the next fit runs
     live, seen = [], []
     original = cfsurv.sim.fit_nuisances
 
-    def tracking(data, kind, *args, **kwargs):
-        seen.append((kind, [k for k, ref in live if ref() is not None]))
-        nuisances = original(data, kind, *args, **kwargs)
-        live.append((kind, weakref.ref(nuisances)))
+    def tracking(data, kinds, *args, **kwargs):
+        seen.append((kinds, [k for k, ref in live if ref() is not None]))
+        nuisances = original(data, kinds, *args, **kwargs)
+        live.append((kinds, weakref.ref(nuisances)))
         return nuisances
 
     monkeypatch.setattr(cfsurv.sim, "fit_nuisances", tracking)
     kinds = ("or", "dr", "ipw", "dr-clip", "balance")
     cfg = SimulationConfig(q=2, n=60, estimators=kinds, times=(3, 6), master_seed=4)
     run_single_replication(cfg, seed=17)
-    assert seen == [("or", []), ("dr", []), ("ipw", ["dr"]), ("balance", [])]
+    assert seen == [(("or", "ipw"), []), (("dr", "dr-clip"), []), (("balance",), [])]
+
+
+def test_a_failed_fit_fails_every_kind_it_serves(monkeypatch):
+    # or and ipw share one fit, so its failure fails both; a failed
+    # evaluation of dr fails dr alone, and dr-clip still reads their fit
+    fit, evaluate = cfsurv.sim.fit_nuisances, cfsurv.sim.run_estimator
+
+    def failing_fit(data, kinds, *args, **kwargs):
+        if kinds == ("or", "ipw"):
+            raise NumericalError("singular fit")
+        return fit(data, kinds, *args, **kwargs)
+
+    def failing_evaluation(data, kind, *args, **kwargs):
+        if kind == "dr":
+            raise NumericalError("zero denominator")
+        return evaluate(data, kind, *args, **kwargs)
+
+    monkeypatch.setattr(cfsurv.sim, "fit_nuisances", failing_fit)
+    monkeypatch.setattr(cfsurv.sim, "run_estimator", failing_evaluation)
+    kinds = ("or", "dr", "ipw", "dr-clip", "balance")
+    cfg = SimulationConfig(q=2, n=60, estimators=kinds, times=(3, 6), master_seed=4)
+    cells = run_single_replication(cfg, seed=17)
+    assert list(cells) == list(kinds)
+    for kind in ("or", "ipw", "dr"):
+        assert cells[kind] == {3: None, 6: None}
+    for kind in ("dr-clip", "balance"):
+        assert all(cell is not None for cell in cells[kind].values())

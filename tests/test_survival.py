@@ -190,6 +190,44 @@ _TABLES = {
 }
 
 
+@pytest.mark.parametrize("table", ["dataset", "twins"])
+def test_readers_take_whole_valued_floats_in_integer_columns(tmp_path, table):
+    # the integer columns go through the whole-number check Dataset uses
+    header, good, reader, _ = _TABLES[table]
+    cells = good.split(",")
+    n_whole = 3 if table == "dataset" else 2
+    floats = cells[:-n_whole] + [f"{cell}.0" for cell in cells[-n_whole:]]
+    ints, whole = tmp_path / "ints.csv", tmp_path / "floats.csv"
+    ints.write_text(f"{header}\n{good}\n")
+    whole.write_text(f"{header}\n{','.join(floats)}\n")
+    got, want = reader(str(whole)), reader(str(ints))
+    if table == "dataset":
+        got, want = [[getattr(d, c) for c in ("x", "a", "time", "event")] for d in (got, want)]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize(
+    "table, column, cell, message",
+    [
+        ("dataset", "time", "abc", "column time: could not convert string to float: 'abc'"),
+        ("dataset", "x1", "", "column x1: could not convert string to float: ''"),
+        ("dataset", "a", "1.5", "column a must hold whole numbers"),
+        ("twins", "t0", "three", "column t0: could not convert string to float: 'three'"),
+        ("twins", "t1", "4.5", "column t1 must hold whole numbers"),
+    ],
+)
+def test_readers_name_the_file_and_column_of_a_bad_cell(tmp_path, table, column, cell, message):
+    header, good, reader, _ = _TABLES[table]
+    cells = good.split(",")
+    cells[header.split(",").index(column)] = cell
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\n{good}\n{','.join(cells)}\n")
+    with pytest.raises(ValueError) as err:
+        reader(str(path))
+    assert str(err.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize(
     "table, row, cells",
     [
