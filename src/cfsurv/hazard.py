@@ -49,9 +49,14 @@ start iterate all units of a cell share one weight, so the first step
 factors only each (arm, label) group's largest cell, its lead, and every
 other cell of the group solves on the leading block of the lead's
 factor: a Newton step with the lead's curvature. Every later step is
-exact. A fit that stops at its iteration cap reports it with a
-ConvergenceWarning naming the fit, and a Newton system that cannot be
-factored raises NumericalError naming the fit and the cell.
+exact: a band of at least CG_MIN_CELLS cells whose lead holds at least
+CG_MIN_LEAD units solves B by conjugate gradients to relative residual
+CG_TOL, all its cells sharing each product with the band's Gram block
+(`_band_cg`), and every other cell, or a band whose run does not get
+there in CG_MAX_ITER iterations, factors. A fit that stops at its
+iteration cap reports it with a ConvergenceWarning naming the fit, and a
+Newton system that cannot be factored or is not finite raises
+NumericalError naming the fit and the cell.
 """
 
 from __future__ import annotations
@@ -93,6 +98,14 @@ _FIT_NAMES = {1: "event hazard", 0: "censoring hazard"}  # the fit labelling 1(e
 #: per-cell Newton stopping rule: loss gradient norm, iteration cap
 NEWTON_TOL = 1e-6
 NEWTON_MAX_ITER = 500
+
+#: Newton steps after the first by conjugate gradients (`_band_cg`) on a band of at least
+#: CG_MIN_CELLS cells whose lead holds at least CG_MIN_LEAD units: each column stops at
+#: relative residual CG_TOL, and one not there after CG_MAX_ITER iterations takes the exact step
+CG_MIN_LEAD = 256
+CG_MIN_CELLS = 2
+CG_TOL = 1e-14
+CG_MAX_ITER = 32
 
 #: propensity Newton stopping rule: gradient norm in the standardized covariates, iteration cap
 PROPENSITY_TOL = 1e-8
@@ -158,6 +171,43 @@ def _damped_newton(theta, ids, residual, newton_step, max_iter):
     return out, converged
 
 
+def _band_cg(k, s, b, ridge: float):
+    """Conjugate gradients for (S K S + ridge I) y = b, row by row; returns (y, ok, iterations).
+
+    Each row i of b is the right-hand side of its own system, with
+    S = diag(s[i]), and all rows share one product with the symmetric k
+    per iteration, (rows x lead) @ (lead x lead), the rows still running
+    only. A row stops once its residual norm is within CG_TOL of its
+    right-hand side's, or at once, with a non-finite residual; ok flags the
+    rows that stopped within tolerance, and iterations counts the products.
+    A row with zero entries of s past its system's size keeps y zero there.
+    """
+    out = np.zeros_like(b)
+    ok = np.zeros(b.shape[0], dtype=bool)
+    live = np.arange(b.shape[0])
+    y, r, p = np.zeros_like(b), b.copy(), b.copy()
+    rr = np.einsum("ij,ij->i", r, r)
+    stop = CG_TOL**2 * rr
+    for iterations in range(CG_MAX_ITER + 1):
+        done = rr <= stop  # false for a NaN residual
+        keep = ~done & np.isfinite(rr)
+        if not keep.all():
+            ok[live[done]] = True
+            out[live[~keep]] = y[~keep]
+            live, y, r, p, s, rr, stop = (v[keep] for v in (live, y, r, p, s, rr, stop))
+        if live.size == 0 or iterations == CG_MAX_ITER:
+            break
+        q = s * ((s * p) @ k)
+        q += ridge * p
+        alpha = rr / np.einsum("ij,ij->i", p, q)
+        y += alpha[:, None] * p
+        r -= alpha[:, None] * q
+        rr, rr_old = np.einsum("ij,ij->i", r, r), rr
+        p = r + (rr / rr_old)[:, None] * p
+    out[live] = y
+    return out, ok, iterations
+
+
 def _newton_cells(grams, cells, ridge: float):
     """Lockstep Newton for a training fold's kernel-logistic cells; returns (alpha, b, converged).
 
@@ -199,8 +249,25 @@ def _newton_cells(grams, cells, ridge: float):
     sum(v) = s'B^-1 s > 0; and Cholesky's accuracy does not change under
     symmetric diagonal scaling (van der Sluis; Higham 2002, ch. 10), so A
     is factored as accurately as B, even with diagonal ridge / _P_EPS.
-    An A that is not positive definite (non-finite, or K not positive
-    semi-definite) raises NumericalError naming the cell's fit and the cell.
+    An A that is not positive definite (K not positive semi-definite), or
+    a step that is not finite (a NaN in K, which dposv need not flag),
+    raises NumericalError naming the cell's fit and the cell.
+
+    Every step after the first solves a band of large cells by conjugate
+    gradients instead: a band of the layout qualifies when it holds at
+    least CG_MIN_CELLS cells and its lead at least CG_MIN_LEAD units, a
+    choice stored with the layout. For u and v, B (S^-1 u) = S K r_alpha
+    and B (S^-1 v) = s, so `_band_cg` runs the band's 2c right-hand sides
+    on B = S K S + ridge I, each cell's rows zero-padded to the lead, with
+    one (2c x lead) @ (lead x lead) product with the band's Gram block per
+    iteration, and h = S y gives the (u, v) of dposv. B's eigenvalues lie
+    in [ridge, ridge + m / 4] and cluster, so at ridge 0.5 a band takes
+    9-15 iterations to relative residual CG_TOL; CG pays only where the
+    cells are large and share the product, and costs a per-iteration
+    overhead on small ones. A cell whose column is not finite or not
+    converged after CG_MAX_ITER iterations takes its dposv step, and its
+    arm factors every later step of the fit, so a small ridge costs at
+    most one capped run per arm and fit.
 
     The first call of newton_step shares factors. At the start iterate,
     alpha = 0 and b = logit(ybar), every unit of a cell has p = ybar, so
@@ -234,23 +301,31 @@ def _newton_cells(grams, cells, ridge: float):
                 a_buf[: size * size : size + 1]) for _, a, size, *_ in cells]
     layouts = {}
     first = True  # the next newton_step is the first
+    exact = set()  # the arms whose every later step factors
 
     def layout(cols):
         # the rows of the cells cols, in order; built once per set, since cells only leave it
         key = cols.tobytes()
         if key not in layouts:
             size = m[cols]
-            sizes, arms, bands, first = size.tolist(), arm[cols].tolist(), [], 0
+            start = np.cumsum(size) - size
+            fill = np.arange(size.max()) < size[:, None]
+            sizes, arms, bands, cg, first = size.tolist(), arm[cols].tolist(), [], [], 0
             while first < len(sizes):
                 a, lead, stop = arms[first], sizes[first], first + 1
                 while stop < len(sizes) and arms[stop] == a and 2 * sizes[stop] > lead:
                     stop += 1
-                bands.append((grams[a][:lead, :lead], first, stop, lead))
+                k = grams[a][:lead, :lead]
+                bands.append((k, first, stop, lead))
+                if lead >= CG_MIN_LEAD and stop - first >= CG_MIN_CELLS:
+                    # the band's cells, their rows lo:hi, and their mask in a cells x lead buffer
+                    cg.append((a, k, first, stop, start[first], start[stop - 1] + sizes[stop - 1],
+                               fill[first:stop, :lead]))
                 first = stop
             layouts[key] = SimpleNamespace(
-                start=np.cumsum(size) - size, cell=np.repeat(np.arange(cols.size), size),
+                start=start, cell=np.repeat(np.arange(cols.size), size),
                 y=np.concatenate([y[off[j] : off[j + 1]] for j in cols.tolist()]),
-                fill=np.arange(max(sizes)) < size[:, None], bands=bands,
+                fill=fill, bands=bands, cg=cg,
             )
         return layouts[key]
 
@@ -289,13 +364,34 @@ def _newton_cells(grams, cells, ridge: float):
             lay = layout(cols)
             n = lay.y.size
         p = lay.y + (r_alpha - ridge * alpha)  # the p of residual(theta_)
-        diag = ridge / np.maximum(p * (1.0 - p), _P_EPS)  # ridge / w
+        w = np.maximum(p * (1.0 - p), _P_EPS)
+        diag = ridge / w
         # per cell, its right-hand sides (K r_alpha, 1), solved in place to its (u, v)
         uv = np.empty((2, n))
         uv[0], uv[1] = kr, 1.0
         order = zip(cols.tolist(), lay.start.tolist())
         if first:  # one (arm, label) group after another, each largest cell first
             order = sorted(order, key=lambda cell_lo: group[cell_lo[0]])
+        elif lay.cg:  # a band of large cells solves B (u, v) / S = S (K r_alpha, 1) by CG
+            solved = np.zeros(cols.size, dtype=bool)
+            for a, k, i, stop, lo, hi, fill in lay.cg:
+                if a in exact:
+                    continue
+                s = np.zeros((2, *fill.shape))  # S over each cell's u and v rows, zero-padded
+                s[:, fill] = np.sqrt(w[lo:hi])
+                rhs = s.copy()
+                rhs[0, fill] *= kr[lo:hi]
+                sol, ok, _ = _band_cg(k, *(v.reshape(-1, k.shape[0]) for v in (s, rhs)), ridge)
+                h = (s * sol.reshape(s.shape))[:, fill]
+                ok = ok.reshape(2, -1).all(axis=0)
+                if ok.all():
+                    uv[:, lo:hi] = h
+                else:  # the other cells factor, and so does every later step of the arm
+                    keep = ok[lay.cell[lo:hi] - i]
+                    uv[:, lo:hi][:, keep] = h[:, keep]
+                    exact.add(a)
+                solved[i:stop] = ok
+            order = [cell_lo for cell_lo, cg in zip(order, solved.tolist()) if not cg]
         lead = factor = None  # at the first step: a group, and its lead's Cholesky factor
         for cell, lo in order:
             size, block, a_rows, a_diag = scratch[cell]
@@ -313,6 +409,9 @@ def _newton_cells(grams, cells, ridge: float):
                 if first:
                     lead, factor = group[cell], a_rows.T
             uv[:, lo : lo + size] = sol.T
+        if not np.isfinite(uv).all():  # a non-finite K or weight; dposv need not flag NaN
+            u, a, *_, label = cells[cols[lay.cell[np.argmin(np.isfinite(uv).all(axis=0))]]]
+            raise NumericalError(f"{_FIT_NAMES[label]}: cell {(u, a)}: Newton system not finite")
         first = False
         u, v = uv
         d_b = (r_b - np.add.reduceat(u, lay.start)) / (ridge * np.add.reduceat(v, lay.start))

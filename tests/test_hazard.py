@@ -506,6 +506,12 @@ def _twins_like(n, seed):
     return gen_twins_like(TwinsLikeConfig(x=x, t0=t0, t1=t1, seed=seed + 1))
 
 
+def _large_bands():
+    # each arm keeps over 500 units at risk up to u = 4 and over 180 up to
+    # u = 30: its early cells form bands that qualify for conjugate gradients
+    return gen_synthetic(SyntheticConfig(n=1200, seed=43))
+
+
 @pytest.mark.parametrize(
     "data",
     [gen_synthetic(SyntheticConfig(n=200, seed=41)), _twins_like(200, 42)],
@@ -821,6 +827,41 @@ def test_newton_step_solves_the_jacobian_system(monkeypatch):
     sizes = [risk.size for model in models for _, _, risk, _, _ in newton_cells(model, twins)]
     assert loop["theta"].size == loop["ids"].size == 2 * sum(sizes) + len(sizes)
     assert 2 * sum(sizes) + len(sizes) < 0.3 * (2 * max(sizes) + 1) * len(sizes)  # vs padded
+    # on a fold whose arms each hold one band of four cells of over 500
+    # units, every call after the first solves the cells by conjugate
+    # gradients, without a dposv call, to the exact step
+    data = _large_bands()
+    basis = _basis(data)
+    model = fit_event_hazard(basis, 0.5, max_time=4)
+    cells = [(u, a, risk) for u, a, risk, _, _ in newton_cells(model, data)]
+    sizes = [risk.size for _, _, risk in cells]
+    assert len(cells) == 8 and min(sizes) >= 500
+    rows, c = sum(sizes), len(cells)
+    off = np.cumsum([0] + sizes)
+    labels = event_matrix(data, 4)
+    cols = np.arange(c)
+    loop["newton_step"](loop["theta"], loop["residual"](loop["theta"], cols), cols)  # the first
+    calls = []
+    dposv = hazard._dposv
+
+    def counted(a, rhs, **kwargs):
+        calls.append(a.shape[0])
+        return dposv(a, rhs, **kwargs)
+
+    monkeypatch.setattr(hazard, "_dposv", counted)
+    for f_scale in (0.5, 5.0, 40.0):
+        theta = np.concatenate([
+            rng.normal(scale=0.1, size=rows), rng.normal(size=c), rng.normal(scale=f_scale, size=rows),
+        ])
+        r = loop["residual"](theta, cols)
+        done, step = loop["newton_step"](theta, r, cols)
+        assert not done.any() and not calls
+        for j, (u, a, risk) in enumerate(cells):
+            alpha_rows = np.arange(off[j], off[j + 1])
+            own = np.r_[alpha_rows, rows + j, rows + c + alpha_rows]
+            expect = _jacobian_step(_cell_gram(basis, a, risk), labels[risk, u], 0.5, theta[own],
+                                    np.append(r[alpha_rows], r[rows + j]))
+            assert np.linalg.norm(step[own] - expect) <= 1e-10 * np.linalg.norm(expect)
 
 
 def _lockstep_cells(models, data):
@@ -831,6 +872,36 @@ def _lockstep_cells(models, data):
     return [((a, label), m) for a, _, label, m in sorted(cells, key=lambda c: c[:2])]
 
 
+def _record_steps(monkeypatch):
+    # per newton_step call of the fits that follow, appended to the returned
+    # list: its live problems, its LAPACK calls as (name, m) and its
+    # conjugate-gradient runs as (Gram block, ok, iterations)
+    steps, calls, runs = [], [], []
+    for name in ("_dposv", "_dpotrs"):
+        def call(a, rhs, lapack=getattr(hazard, name), name=name[1:], **kwargs):
+            calls.append((name, a.shape[0]))
+            return lapack(a, rhs, **kwargs)
+        monkeypatch.setattr(hazard, name, call)
+    band_cg, damped = hazard._band_cg, hazard._damped_newton
+
+    def cg(k, s, b, ridge):
+        y, ok, iterations = band_cg(k, s, b, ridge)
+        runs.append((k, ok, iterations))
+        return y, ok, iterations
+
+    def counting(theta, ids, residual, newton_step, max_iter):
+        def step(theta_, r, probs):
+            before = len(calls), len(runs)
+            done, out = newton_step(theta_, r, probs)
+            steps.append((probs[~done], calls[before[0] :], runs[before[1] :]))
+            return done, out
+        return damped(theta, ids, residual, step, max_iter)
+
+    monkeypatch.setattr(hazard, "_band_cg", cg)
+    monkeypatch.setattr(hazard, "_damped_newton", counting)
+    return steps
+
+
 @pytest.mark.parametrize(
     "data",
     [gen_synthetic(SyntheticConfig(n=200, seed=41)), _twins_like(200, 42)],
@@ -839,36 +910,14 @@ def _lockstep_cells(models, data):
 def test_first_newton_step_factors_one_lead_per_arm_and_label(data, monkeypatch):
     # the first lockstep step factors each (arm, label) group's largest cell
     # and solves every other cell on the leading block of that factor; each
-    # later step factors every live cell
-    calls = []
-    dposv, dpotrs = hazard._dposv, hazard._dpotrs
-
-    def counted(name, lapack):
-        def call(a, rhs, **kwargs):
-            calls.append((name, a.shape[0]))
-            return lapack(a, rhs, **kwargs)
-        return call
-
-    steps = []  # per newton_step call: the live problems and the LAPACK calls it made
-    damped = hazard._damped_newton
-
-    def counting(theta, ids, residual, newton_step, max_iter):
-        def step(theta_, r, probs):
-            before = len(calls)
-            done, out = newton_step(theta_, r, probs)
-            steps.append((probs[~done], calls[before:]))
-            return done, out
-        return damped(theta, ids, residual, step, max_iter)
-
-    monkeypatch.setattr(hazard, "_dposv", counted("dposv", dposv))
-    monkeypatch.setattr(hazard, "_dpotrs", counted("dpotrs", dpotrs))
-    monkeypatch.setattr(hazard, "_damped_newton", counting)
+    # later step factors every live cell, as no band holds 256 units
+    steps = _record_steps(monkeypatch)
     basis = _basis(data)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CoverageWarning)
         models = fit_hazards(basis, 0.5, max_time=25)
     cells = _lockstep_cells(models, data)
-    live, first = steps[0]
+    live, first, _ = steps[0]
     assert live.size == len(cells)  # no cell stops at its start iterate
     leads = {}
     for group, m in cells:
@@ -878,9 +927,166 @@ def test_first_newton_step_factors_one_lead_per_arm_and_label(data, monkeypatch)
     others = [m for group, m in cells if m != leads[group]]
     assert sorted(m for name, m in first if name == "dpotrs") == sorted(others)
     assert len(others) >= 10
-    for live, later in steps[1:]:
+    for live, later, runs in steps[1:]:
         assert sorted(m for _, m in later) == sorted(cells[j][1] for j in live.tolist())
-        assert all(name == "dposv" for name, _ in later)
+        assert all(name == "dposv" for name, _ in later) and not runs
+
+
+def _cg_bands(cells, live):
+    # oracle: the live cells, as lists of lockstep indices, of each band that
+    # qualifies for conjugate gradients. An arm's live cells, in lockstep
+    # order, fall into bands: each opens with its lead and takes every next
+    # cell of the arm of over half the lead's size
+    bands, i, live = [], 0, live.tolist()
+    while i < len(live):
+        (a, _), lead = cells[live[i]]
+        stop = i + 1
+        while stop < len(live) and cells[live[stop]][0][0] == a and 2 * cells[live[stop]][1] > lead:
+            stop += 1
+        if lead >= hazard.CG_MIN_LEAD and stop - i >= hazard.CG_MIN_CELLS:
+            bands.append(live[i:stop])
+        i = stop
+    return bands
+
+
+@pytest.mark.parametrize(
+    "data, max_time, fit, banded",
+    [
+        # bands of over 256 units beside bands of fewer
+        (_large_bands(), 25, fit_hazards, True),
+        # each arm's one cell holds over 400 units, alone in its band
+        (gen_synthetic(SyntheticConfig(n=900, seed=43)), 1, fit_event_hazard, False),
+    ],
+    ids=["mixed", "single-cell"],
+)
+def test_later_newton_steps_solve_large_bands_by_conjugate_gradients(
+    data, max_time, fit, banded, monkeypatch
+):
+    # after the first step, a band of at least CG_MIN_CELLS cells whose lead
+    # holds CG_MIN_LEAD units makes one conjugate-gradient run and no dposv
+    # call, and every other live cell makes one dposv call
+    steps = _record_steps(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CoverageWarning)
+        models = fit(_basis(data), 0.5, max_time=max_time)
+    cells = _lockstep_cells(models if isinstance(models, tuple) else (models,), data)
+    in_bands = factored = 0
+    for live, calls, runs in steps[1:]:
+        bands = _cg_bands(cells, live)
+        cg = {j for band in bands for j in band}
+        assert [ok.size for _, ok, _ in runs] == [2 * len(band) for band in bands]
+        assert all(ok.all() and iterations <= hazard.CG_MAX_ITER for _, ok, iterations in runs)
+        assert sorted(m for _, m in calls) == sorted(cells[j][1] for j in live.tolist() if j not in cg)
+        assert all(name == "dposv" for name, _ in calls)
+        in_bands += len(cg)
+        factored += len(calls)
+    assert (in_bands > 0) == banded and factored > 0
+
+
+def test_capped_conjugate_gradients_hand_their_cells_to_dposv(monkeypatch):
+    # at ridge 1e-4 the Newton matrix of each arm's band is too
+    # ill-conditioned for CG_MAX_ITER iterations: the second step's capped
+    # runs hand their cells to dposv, every later step of those arms
+    # factors, and the fit still follows its exact Newton path
+    data = _large_bands()
+    basis = _basis(data)
+    steps = _record_steps(monkeypatch)
+    ones = []  # per dposv call: whether it solves for v against 1, untouched by the capped run
+    dposv = hazard._dposv
+
+    def checked(a, rhs, **kwargs):
+        ones.append(bool(np.all(rhs[:, 1] == 1.0)))
+        return dposv(a, rhs, **kwargs)
+
+    monkeypatch.setattr(hazard, "_dposv", checked)
+    model = fit_event_hazard(basis, 1e-4, max_time=2)
+    assert ones and all(ones)
+    cells = _lockstep_cells((model,), data)
+    (_, _, first_runs), (live, calls, runs), *later = steps
+    assert not first_runs and live.size == len(cells) == 4
+    assert [np.shares_memory(k, basis.grams[1]) for k, _, _ in runs] == [False, True]
+    failed = []
+    for (k, ok, iterations), band in zip(runs, _cg_bands(cells, live)):
+        assert iterations == hazard.CG_MAX_ITER and not ok.all()
+        failed += [cells[j][1] for j, cell_ok in zip(band, ok.reshape(2, -1).all(axis=0)) if not cell_ok]
+    assert calls and sorted(m for _, m in calls) == sorted(failed)
+    assert later
+    for live, calls, runs in later:
+        assert not runs and sorted(m for _, m in calls) == sorted(cells[j][1] for j in live.tolist())
+    labels = event_matrix(data, 2)
+    lead_w = {}
+    for u, a, risk, alpha, b in newton_cells(model, data):
+        expect, _, _ = _jacobian_newton_klr(
+            _cell_gram(basis, a, risk), labels[risk, u], 1e-4,
+            first_w=lead_w.setdefault(a, _start_weight(labels[risk, u])),
+        )
+        got = np.append(alpha, b)
+        assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
+
+
+def test_nan_in_a_large_band_is_a_numerical_error(monkeypatch):
+    # a NaN written into arm 1's Gram matrix after the first step lies in
+    # every block of the arm's band: its conjugate-gradient run accepts no
+    # column, and the exact steps, which dposv need not flag, name the
+    # band's first cell
+    data = _large_bands()
+    good = _basis(data)
+    basis = replace(good, grams=tuple(g.copy() for g in good.grams))
+    runs = []
+    band_cg, damped = hazard._band_cg, hazard._damped_newton
+
+    def cg(k, s, b, ridge):
+        y, ok, iterations = band_cg(k, s, b, ridge)
+        runs.append(ok)
+        return y, ok, iterations
+
+    def poisoned(theta, ids, residual, newton_step, max_iter):
+        def step(theta_, r, probs):
+            out = newton_step(theta_, r, probs)
+            basis.grams[1][0, 0] = np.nan
+            return out
+        return damped(theta, ids, residual, step, max_iter)
+
+    monkeypatch.setattr(hazard, "_band_cg", cg)
+    monkeypatch.setattr(hazard, "_damped_newton", poisoned)
+    with pytest.raises(
+        NumericalError,
+        match=r"^event hazard: cell \(1, 1\): Newton system not finite$",
+    ):
+        fit_event_hazard(basis, 0.5, max_time=4)
+    assert len(runs) == 2 and runs[0].all() and not runs[1].any()
+
+
+def test_band_cg_solves_each_row_and_accepts_no_nan():
+    # oracle: np.linalg.solve of each row's system S K S + ridge I over its
+    # leading block; s is zero past each row's size
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(300, 3))
+    k = gram(x, x, 2.0)
+    sizes = [300, 250, 200, 300, 280]
+    s = np.zeros((5, 300))
+    for i, m in enumerate(sizes):
+        s[i, :m] = np.sqrt(rng.uniform(1e-3, 0.25, size=m))
+    b = rng.normal(size=s.shape) * (s > 0)
+    b[3] = 0.0  # solved at once, by y = 0
+    b[4, 7] = np.nan  # never converged, however small its other entries
+    y, ok, iterations = hazard._band_cg(k, s, b, 0.5)
+    assert ok.tolist() == [True, True, True, True, False] and 0 < iterations < hazard.CG_MAX_ITER
+    for i, m in enumerate(sizes[:3]):
+        sks = s[i, :m, None] * k[:m, :m] * s[i, :m]
+        expect = np.linalg.solve(sks + 0.5 * np.eye(m), b[i, :m])
+        assert np.linalg.norm(y[i, :m] - expect) <= 1e-12 * np.linalg.norm(expect)
+        assert not y[i, m:].any()
+    assert not y[3].any()
+    # a NaN in the Gram block reaches every row that takes a product, and
+    # none of them counts as converged
+    k[5, 5] = np.nan
+    _, ok, _ = hazard._band_cg(k, s, b, 0.5)
+    assert ok.tolist() == [False, False, False, True, False]
+    # with ridge 1e-8 the rows stop at the iteration cap, not converged
+    k[5, 5] = 1.0
+    _, ok, iterations = hazard._band_cg(k, s[:3], b[:3], 1e-8)
+    assert not ok.any() and iterations == hazard.CG_MAX_ITER
 
 
 def test_first_newton_step_of_a_lead_is_its_exact_step(monkeypatch):
@@ -940,8 +1146,12 @@ def _separable_cells(n=200):
         # the censoring cell (1, 0), m = 213, halves eta while the other
         # cells step in full: its trials must start from its own iterate
         (_twins_like(400, 1), 10.0, 0.5, 1, True, 150, False, True),
+        # each arm's four cells form one band of over 500 units: every step
+        # after the first solves them by conjugate gradients
+        (_large_bands(), 10.0, 0.5, 4, True, 500, False, False),
     ],
-    ids=["synthetic", "twins-like", "synthetic-m400", "weight-floor", "twins-like-backtrack"],
+    ids=["synthetic", "twins-like", "synthetic-m400", "weight-floor", "twins-like-backtrack",
+         "synthetic-cg"],
 )
 def test_newton_cells_match_the_jacobian_oracle(
     data, length_scale, ridge, max_time, censor_too, min_risk_set, hits_floor, backtracks
@@ -1036,6 +1246,22 @@ def test_indefinite_newton_system_is_a_numerical_error():
         r"\(dposv info \d+\)$",
     ):
         fit_event_hazard(basis, 0.5)
+
+
+def test_non_finite_newton_system_is_a_numerical_error():
+    # dposv need not flag a NaN on the diagonal of the Newton system: the
+    # first non-finite cell is named instead of stepping on NaN
+    data = _dataset(
+        x=np.arange(5.0), a=np.ones(5, dtype=int), time=[1, 1, 2, 2, 2], event=[0, 1, 0, 1, 0],
+        t_max=2,
+    )
+    good = _basis(data)
+    poisoned = good.grams[1].copy()
+    poisoned[0, 0] = np.nan
+    with pytest.raises(
+        NumericalError, match=r"^event hazard: cell \(1, 1\): Newton system not finite$"
+    ):
+        fit_event_hazard(replace(good, grams=(good.grams[0], poisoned)), 0.5)
 
 
 def test_failed_newton_cell_is_named(monkeypatch):
